@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .certify import CollisionCertificate, StandardCertificate, SyncCertificate
 from .integrate import CollisionEvent, Completed, IntegratorConfig, StepSizeUnderflow, Trajectory
 
 _SVG_PALETTE = (
@@ -174,16 +175,25 @@ def _report_value(val) -> str:
     return str(val)
 
 
-_CERT_LABELS = {
-    "SyncCertificate": "sync",
-    "CollisionCertificate": "collision",
-    "StandardCertificate": "standard",
+# model variant -> (certificate class, label printed in reports, manifests
+# and sweep CSVs)
+CERTIFICATE_KINDS = {
+    "sync": (SyncCertificate, "sync"),
+    "collision_free": (CollisionCertificate, "collision"),
+    "baseline": (StandardCertificate, "standard"),
 }
+
+
+def _certificate_label(cert) -> str:
+    for cls, label in CERTIFICATE_KINDS.values():
+        if type(cert) is cls:
+            return label
+    return type(cert).__name__
 
 
 def certificate_report(cert) -> str:
     """Flat `key: value` text block, one line per certificate field."""
-    label = _CERT_LABELS.get(type(cert).__name__, type(cert).__name__)
+    label = _certificate_label(cert)
     lines = [f"certificate: {label}"]
     for fld in dataclasses.fields(cert):
         lines.append(f"{fld.name}: {_report_value(getattr(cert, fld.name))}")
@@ -192,8 +202,7 @@ def certificate_report(cert) -> str:
 
 def certificate_fields(cert) -> dict:
     """Certificate as a flat dict for sweep CSV rows and manifests."""
-    label = _CERT_LABELS.get(type(cert).__name__, type(cert).__name__)
-    out = {"certificate": label}
+    out = {"certificate": _certificate_label(cert)}
     out.update(dataclasses.asdict(cert))
     return out
 

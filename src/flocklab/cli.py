@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -26,8 +25,6 @@ import numpy as np
 
 from . import artifacts
 from .certify import (
-    CollisionCertificate,
-    StandardCertificate,
     SyncCertificate,
     audit_collision_run,
     audit_sync_run,
@@ -269,16 +266,10 @@ def _set_by_path(doc: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
-_CERT_CLASS = {
-    "sync": SyncCertificate,
-    "collision_free": CollisionCertificate,
-    "baseline": StandardCertificate,
-}
-
-
 def _sweep_columns(variant: str, axis_keys: list[str], with_sim: bool) -> list[str]:
+    cert_cls, _ = artifacts.CERTIFICATE_KINDS[variant]
     cols = ["index", *axis_keys, "certificate"]
-    cols += [fld.name for fld in dataclasses.fields(_CERT_CLASS[variant])]
+    cols += [fld.name for fld in dataclasses.fields(cert_cls)]
     if with_sim:
         cols.append("eps_observed")
     cols.append("error")
@@ -344,6 +335,8 @@ def cmd_sweep(args) -> int:
         for idx, values in enumerate(points)
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:

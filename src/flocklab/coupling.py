@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .state import _as_2d
 
@@ -26,6 +25,9 @@ from .state import _as_2d
 # (distance + beta_ij^2) < (distance + 2) always; 2.0 is the envelope offset.
 BETA_SQ_SUP = 2.0
 
+# Quadrature settings.  quad is imported where it is called: scipy.integrate
+# costs more to import than the rest of the package, and only envelopes
+# without a closed-form integral ever reach it.
 _QUAD_ABS_TOL = 1e-10
 
 
@@ -152,6 +154,8 @@ def envelope_of(model) -> Envelope:
             return gain / (sig2 + s * s) ** b
 
         def integral(lo: float, hi: float) -> float:
+            from scipy.integrate import quad
+
             if hi < lo:
                 raise ValueError("integral needs b >= a")
             if math.isinf(hi):
@@ -205,6 +209,8 @@ def psi_integral(env: Envelope, a: float, b: float) -> float:
         return 0.0
     if env.integral_fn is not None:
         return env.integral_fn(a, b)
+    from scipy.integrate import quad
+
     if math.isinf(b):
         val, _ = quad(env.psi, a, np.inf, epsabs=_QUAD_ABS_TOL, limit=200)
         return val

@@ -14,7 +14,7 @@ the dense output and terminates the run with the offending pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -237,16 +237,7 @@ def integrate(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig) -> Tra
         raise ValueError("initial state shape does not match the model spec")
     f = flat_rhs(spec)
     y0 = pack(np.asarray(state0.x), np.asarray(state0.v))
-    cfg = IntegratorConfig(
-        t_end=cfg.t_end,
-        sample_dt=cfg.sample_dt,
-        t0=state0.t,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        h_init=cfg.h_init,
-        h_max=cfg.h_max,
-        collision_margin=cfg.collision_margin,
-    )
+    cfg = replace(cfg, t0=state0.t)
 
     event = None
     if spec.variant == "collision_free":

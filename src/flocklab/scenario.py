@@ -48,10 +48,9 @@ from .dynamics import (
     zero_dynamics,
 )
 from .integrate import IntegratorConfig
-from .models import ModelSpec
+from .models import MODEL_VARIANTS, ModelSpec
 from .state import FlockState, min_pair_distance_sq, spread
 
-VARIANTS = ("baseline", "sync", "collision_free")
 K_SOURCES = ("region", "trajectory", "user")
 
 # rng substream ids, one per randomised block
@@ -267,8 +266,8 @@ def validate(doc) -> list[str]:
     if "name" in doc and not isinstance(doc["name"], str):
         diags.append("name: must be a string")
     variant = doc.get("variant")
-    if variant is not None and variant not in VARIANTS:
-        diags.append(f"variant: must be one of {VARIANTS}")
+    if variant is not None and variant not in MODEL_VARIANTS:
+        diags.append(f"variant: must be one of {MODEL_VARIANTS}")
     n = _integer(diags, "", doc, "n", lo=1)
     r = _integer(diags, "", doc, "r", lo=1)
     _integer(diags, "", doc, "seed", lo=0)

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
+import flocklab
 from flocklab.cli import (
     EXIT_COLLISION,
     EXIT_INFEASIBLE,
@@ -388,3 +393,59 @@ def test_log_level_env_smoke(monkeypatch, capsys):
     monkeypatch.setenv("FLOCKLAB_LOG", "not-a-level")
     assert main(["validate", "--scenario", bundled_path("negative_control")]) == EXIT_OK
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# start-up cost: scipy.integrate loads only when quadrature runs
+
+
+def _fresh_python(code: str) -> dict:
+    """Run `code` in a new interpreter and return the JSON it prints last."""
+    src = str(Path(flocklab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    got = _fresh_python(
+        "import json, sys\n"
+        "import flocklab.cli\n"
+        "print(json.dumps({'loaded': 'scipy.integrate' in sys.modules}))\n"
+    )
+    assert got == {"loaded": False}
+
+
+def test_simulate_leaves_scipy_integrate_unloaded(tmp_path):
+    got = _fresh_python(
+        "import json, sys\n"
+        "from flocklab.cli import main\n"
+        f"code = main(['simulate', '--scenario', {bundled_path('example1_delta09')!r}, "
+        f"'--out', {str(tmp_path)!r}, '--full'])\n"
+        "print(json.dumps({'code': code, 'loaded': 'scipy.integrate' in sys.modules}))\n"
+    )
+    assert got == {"code": EXIT_OK, "loaded": False}
+    assert (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("family_fn", [True, False], ids=["family_integral", "generic_quad"])
+def test_power_law_tail_integral_loads_quadrature_on_demand(family_fn):
+    # int_0^inf 2 / (1.5^2 + s^2) ds = 2 * pi / (2 * 1.5)
+    got = _fresh_python(
+        "import json, math, sys\n"
+        "from flocklab.coupling import Envelope, PowerLawCoupling, envelope_of, psi_integral\n"
+        "env = envelope_of(PowerLawCoupling(gain=2.0, sigma=1.5, exponent=1.0))\n"
+        f"if not {family_fn}:\n"
+        "    env = Envelope(psi=env.psi, w_bar=env.w_bar)\n"
+        "before = 'scipy.integrate' in sys.modules\n"
+        "val = psi_integral(env, 0.0, math.inf)\n"
+        "print(json.dumps({'before': before, 'after': 'scipy.integrate' in sys.modules, "
+        "'val': val}))\n"
+    )
+    assert got["before"] is False
+    assert got["after"] is True
+    assert got["val"] == pytest.approx(2.0 * math.pi / 3.0, rel=1e-9)
