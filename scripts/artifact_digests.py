@@ -1,0 +1,67 @@
+"""SHA-256 digests of every artifact and printed report of the bundled scenarios.
+
+For each bundled scenario this runs `simulate --full`, `certify` and `audit`
+through `flocklab.cli.main` into a temporary directory and prints one
+`sha256  scenario/file` line per artifact and per command's stdout (with
+its exit code).  The temporary path is stripped from the output, so two
+checkouts can be compared with a plain diff:
+
+    python3 scripts/artifact_digests.py > after.txt
+    (cd ../other-checkout && python3 scripts/artifact_digests.py) > before.txt
+    diff before.txt after.txt
+
+The script imports flocklab from the `src/` directory of the checkout it
+sits in, not from an installed copy.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from flocklab import cli  # noqa: E402
+
+SCENARIO_DIR = SRC / "flocklab" / "scenarios"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list[str], tmp: str) -> bytes:
+    """Stdout of one CLI call plus its exit code, with the temp path removed."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    text = buf.getvalue().replace(tmp, "<tmp>")
+    return f"{text}exit: {code}\n".encode("utf-8")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario in sorted(SCENARIO_DIR.glob("*.json")):
+            name = scenario.stem
+            out = Path(tmp) / name
+            lines = []
+            for command, argv in (
+                ("simulate", ["simulate", "--scenario", str(scenario), "--out", str(out), "--full"]),
+                ("certify", ["certify", "--scenario", str(scenario)]),
+                ("audit", ["audit", "--out", str(out)]),
+            ):
+                lines.append((f"{command}.stdout", _sha256(_run(argv, tmp))))
+            for path in sorted(out.iterdir()):
+                lines.append((path.name, _sha256(path.read_bytes())))
+            for label, digest in sorted(lines):
+                print(f"{digest}  {name}/{label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

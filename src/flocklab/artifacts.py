@@ -389,15 +389,44 @@ def plot_velocity_components(path, traj: Trajectory) -> None:
     plot.write(path)
 
 
+def _pair_distance_bands(xs: np.ndarray) -> np.ndarray:
+    """Min, median and max of |x_i - x_j| over pairs at each sample, (3, k).
+
+    Samples are taken in chunks so no more than about 2**18 pair distances
+    are held at once, whatever n is.
+    """
+    iu, ju = np.triu_indices(xs.shape[1], k=1)
+    chunk = max(1, 2**18 // len(iu))
+    bands = []
+    for lo in range(0, len(xs), chunk):
+        diff = xs[lo : lo + chunk, iu, :] - xs[lo : lo + chunk, ju, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        bands.append([dist.min(axis=1), np.median(dist, axis=1), dist.max(axis=1)])
+    return np.concatenate(bands, axis=1)
+
+
 def plot_pairwise_distances(path, traj: Trajectory, d0: Optional[float] = None) -> None:
+    """Pair distances |x_i - x_j| over time, with sqrt(d0) dashed if given.
+
+    While the n(n-1)/2 pairs fit the 10-colour palette (n <= 5), each pair
+    gets its own polyline.  Above that the plot draws three bands instead:
+    the min, median and max over all pairs at each sample, so the file size
+    does not grow with n^2.
+    """
     k, n, _ = traj.xs.shape
     idx = _thin_indices(k)
+    ts = traj.ts[idx]
     plot = SvgPlot("pairwise distances", "t", "|x_i - x_j|")
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = traj.xs[idx, i, :] - traj.xs[idx, j, :]
-            dist = np.sqrt((diff * diff).sum(axis=1))
-            plot.add_series(f"|x_{i + 1}-x_{j + 1}|", traj.ts[idx], dist)
+    if n * (n - 1) // 2 <= len(_SVG_PALETTE):
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = traj.xs[idx, i, :] - traj.xs[idx, j, :]
+                dist = np.sqrt((diff * diff).sum(axis=1))
+                plot.add_series(f"|x_{i + 1}-x_{j + 1}|", ts, dist)
+    else:
+        bands = _pair_distance_bands(traj.xs[idx])
+        for label, band in zip(("min", "median", "max"), bands):
+            plot.add_series(f"{label} |x_i-x_j|", ts, band)
     if d0 is not None:
         plot.add_hline("sqrt(d0)", math.sqrt(d0))
     plot.write(path)

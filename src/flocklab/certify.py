@@ -332,48 +332,45 @@ class TrajectoryAudit:
     first_violation_t: Optional[float]
 
 
-def _run_audit(traj: Trajectory, bound_rate, forcing=None) -> TrajectoryAudit:
+def _run_audit(traj: Trajectory, bound_terms) -> TrajectoryAudit:
     """Shared forward-difference audit loop.
 
-    bound_rate(k) gives the certified growth rate B at sample k; the audit
-    checks (S_{k+1} - S_k)/h <= S_k expm1(max(B_k, B_{k+1}) h)/h - forcing
-    within 10 (rtol S_k + atol) / h.
+    bound_terms(k) gives the certified growth rate B_k and the forcing F_k
+    at sample k; the audit checks (S_{k+1} - S_k)/h <= S_k expm1(max(B_k,
+    B_{k+1}) h)/h - min(F_k, F_{k+1}) within 10 (rtol S_k + atol) / h.
+    Steps with either end at or below the resolution floor are skipped
+    before any bound is evaluated, so bound_terms is called only at the ends
+    of the checked steps.
     """
     ts = traj.ts
     sv = traj.spread_v
-    floor = resolution_floor(traj)
     rtol, atol = traj.cfg.rtol, traj.cfg.atol
 
-    rates = np.array([bound_rate(k) for k in range(len(ts))])
-    force = np.zeros(len(ts)) if forcing is None else np.array([forcing(k) for k in range(len(ts))])
+    stepped = np.diff(ts) > 0
+    below = sv <= resolution_floor(traj)
+    steps = np.flatnonzero(stepped & ~below[:-1] & ~below[1:])
+    terms = {k: bound_terms(k) for k in np.union1d(steps, steps + 1).tolist()}
 
-    n_checked = 0
-    n_skipped = 0
     n_violations = 0
     worst = -math.inf
     first_t = None
-    for k in range(len(ts) - 1):
+    for k in steps.tolist():
+        (b_k, f_k), (b_next, f_next) = terms[k], terms[k + 1]
         h = ts[k + 1] - ts[k]
-        if h <= 0:
-            continue
-        if sv[k] <= floor[k] or sv[k + 1] <= floor[k + 1]:
-            n_skipped += 1
-            continue
         fd = (sv[k + 1] - sv[k]) / h
-        b = max(rates[k], rates[k + 1])
-        rhs = sv[k] * math.expm1(b * h) / h - min(force[k], force[k + 1])
+        rhs = sv[k] * math.expm1(max(b_k, b_next) * h) / h - min(f_k, f_next)
         tol = 10.0 * (rtol * sv[k] + atol) / h
         margin = fd - rhs - tol
-        n_checked += 1
         worst = max(worst, margin)
         if margin > 0.0:
             n_violations += 1
             if first_t is None:
                 first_t = float(ts[k])
+    n_checked = len(steps)
     return TrajectoryAudit(
         n_samples=len(ts),
         n_checked=n_checked,
-        n_skipped=n_skipped,
+        n_skipped=int(stepped.sum()) - n_checked,
         n_violations=n_violations,
         worst_margin=worst if n_checked else 0.0,
         first_violation_t=first_t,
@@ -384,10 +381,15 @@ def audit_sync_run(traj: Trajectory, env: Envelope, n: int, k_bound: float) -> T
     """Check d/dt S(v) <= (k - n psi(S(x))) S(v) sample by sample."""
     sx = traj.spread_x
 
-    def rate(k: int) -> float:
-        return k_bound - n * env.psi(float(sx[k]))
+    def terms(k: int) -> tuple[float, float]:
+        return k_bound - n * env.psi(float(sx[k])), 0.0
 
-    return _run_audit(traj, rate)
+    return _run_audit(traj, terms)
+
+
+def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; matmul takes the same BLAS dot as np.dot per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel], k: int):
@@ -395,6 +397,7 @@ def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel],
 
     Both are taken at the pair attaining the velocity spread.  Self weights
     drop out of the pair minimum, so the (i, i') cross terms enter directly.
+    Sums over the other agents run left to right, as a per-pair loop would.
     """
     t = float(traj.ts[k])
     x = traj.xs[k]
@@ -403,33 +406,33 @@ def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel],
     i, ip = rail.i, rail.j
     w = weights_matrix(coupling, t, x)
     n = x.shape[0]
-    others = [j for j in range(n) if j != i and j != ip]
-    rho = w[i, ip] + w[ip, i] + sum(min(w[i, j], w[ip, j]) for j in others)
+    others = np.setdiff1d(np.arange(n), [i, ip])
+    rho = w[i, ip] + w[ip, i] + sum(np.minimum(w[i, others], w[ip, others]).tolist())
 
     gamma = 0.0
     if rep is not None:
 
-        def dtail(a: int, b: int) -> float:
-            d2 = float(np.dot(x[a] - x[b], x[a] - x[b]))
-            inner = float(np.dot(x[a] - x[b], v[a] - v[b]))
-            return -2.0 * repulsion_strength(rep, d2, a, b) * inner
+        def dtail(a: int, b) -> np.ndarray:
+            """d/dt of the repulsion tail of each pair (a, b_m)."""
+            dx = x[a] - x[b]
+            d2 = _pair_dots(dx, dx)
+            inside = np.flatnonzero(d2 <= rep.d0)
+            if inside.size:  # repulsion_strength raises, naming the first such pair
+                m = inside[0]
+                repulsion_strength(rep, float(d2[m]), a, int(b[m]))
+            inner = _pair_dots(dx, v[a] - v[b])
+            return -2.0 * (rep.coeffs[a, b] / (d2 - rep.d0) ** rep.phi) * inner
 
-        gamma = 0.5 * (
-            dtail(i, ip)
-            + dtail(ip, i)
-            + sum(min(dtail(i, j), dtail(ip, j)) for j in others)
-        )
+        head = (dtail(i, [ip]) + dtail(ip, [i]))[0]
+        gamma = 0.5 * (head + sum(np.minimum(dtail(i, others), dtail(ip, others)).tolist()))
     return rho, gamma
 
 
 def audit_collision_run(traj: Trajectory, coupling, rep: RepulsionModel) -> TrajectoryAudit:
     """Check d/dt S(v) <= -rho S(v) - Gamma at the spread-attaining pair."""
-    terms = [_pair_decay_terms(traj, coupling, rep, k) for k in range(len(traj.ts))]
 
-    def rate(k: int) -> float:
-        return -terms[k][0]
+    def terms(k: int) -> tuple[float, float]:
+        rho, gamma = _pair_decay_terms(traj, coupling, rep, k)
+        return -rho, gamma
 
-    def forcing(k: int) -> float:
-        return terms[k][1]
-
-    return _run_audit(traj, rate, forcing)
+    return _run_audit(traj, terms)

@@ -93,14 +93,13 @@ class Trajectory:
     def __post_init__(self):
         self.spread_v = (self.vs.max(axis=1) - self.vs.min(axis=1)).max(axis=1)
         self.spread_x = (self.xs.max(axis=1) - self.xs.min(axis=1)).max(axis=1)
-        if self.xs.shape[1] >= 2:
-            diff = self.xs[:, :, None, :] - self.xs[:, None, :, :]
-            d2 = np.einsum("kijl,kijl->kij", diff, diff)
-            n = self.xs.shape[1]
-            iu, ju = np.triu_indices(n, k=1)
-            self.min_dist_sq = d2[:, iu, ju].min(axis=1)
-        else:
-            self.min_dist_sq = np.full(len(self.ts), np.inf)
+        # one agent row at a time: the full (k, n, n, r) difference array
+        # would be 40 MB at k=1001, n=50
+        self.min_dist_sq = np.full(len(self.ts), np.inf)
+        for i in range(self.xs.shape[1] - 1):
+            diff = self.xs[:, i : i + 1, :] - self.xs[:, i + 1 :, :]
+            d2 = np.einsum("kjl,kjl->kj", diff, diff)
+            np.minimum(self.min_dist_sq, d2.min(axis=1), out=self.min_dist_sq)
 
     def state_at(self, k: int) -> FlockState:
         return FlockState(t=float(self.ts[k]), x=self.xs[k], v=self.vs[k])

@@ -254,3 +254,56 @@ def test_plot_thinning_caps_point_count(tmp_path):
     text = path.read_text(encoding="utf-8")
     pts = text.split('points="')[1].split('"')[0]
     assert len(pts.split()) <= 2000
+
+
+def _random_flock(n: int, k: int = 201) -> Trajectory:
+    rng = np.random.default_rng(n)
+    ts = np.linspace(0.0, 2.0, k)
+    xs = rng.normal(size=(1, n, 2)) * 5.0 + np.cumsum(rng.normal(size=(k, n, 2)) * 0.05, axis=0)
+    return Trajectory(
+        ts=ts,
+        xs=xs,
+        vs=np.zeros((k, n, 2)),
+        termination=Completed(),
+        n_accepted=k - 1,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=2.0, sample_dt=0.01),
+    )
+
+
+def _legend(text: str) -> list[str]:
+    """Series labels; the y-axis label is spaced as "|x_i - x_j|"."""
+    return [el.text for el in _parse_svg(text).iter() if el.tag.endswith("text") and "-x_" in el.text]
+
+
+def test_pairwise_plot_draws_each_pair_while_pairs_fit_the_palette(tmp_path):
+    path = tmp_path / "d.svg"
+    plot_pairwise_distances(path, _random_flock(5), d0=0.25)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("<polyline") == 10
+    labels = [f"|x_{i + 1}-x_{j + 1}|" for i in range(5) for j in range(i + 1, 5)]
+    assert _legend(text) == labels
+
+
+def test_pairwise_plot_draws_bands_beyond_the_palette(tmp_path):
+    traj = _random_flock(6)
+    path = tmp_path / "d.svg"
+    plot_pairwise_distances(path, traj, d0=0.25)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("<polyline") == 3
+    assert _legend(text) == ["min |x_i-x_j|", "median |x_i-x_j|", "max |x_i-x_j|"]
+    assert text.count('stroke-dasharray="6,3"') == 2  # sqrt(d0) line and its legend
+    assert "sqrt(d0)" in text
+
+    # the min band is the smallest pair distance of each sample
+    root = _parse_svg(text)
+    low = next(el for el in root.iter() if el.tag.endswith("polyline"))
+    ys = [float(pt.split(",")[1]) for pt in low.attrib["points"].split()]
+    dist = np.sqrt(traj.min_dist_sq)
+    assert np.argmax(ys) == np.argmin(dist) and np.argmin(ys) == np.argmax(dist)
+
+
+def test_pairwise_plot_stays_small_for_large_flocks(tmp_path):
+    path = tmp_path / "d.svg"
+    plot_pairwise_distances(path, _random_flock(60), d0=0.25)
+    assert path.stat().st_size < 100_000

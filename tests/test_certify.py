@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flocklab.certify as certify_mod
 from flocklab.certify import (
+    TrajectoryAudit,
     audit_collision_run,
     audit_sync_run,
     certify_collision,
@@ -25,12 +27,13 @@ from flocklab.coupling import (
     ModulatedCoupling,
     envelope_of,
     psi_integral,
+    weights_matrix,
 )
-from flocklab.dynamics import RepulsionModel
+from flocklab.dynamics import RepulsionModel, repulsion_strength
 from flocklab.integrate import Completed, IntegratorConfig, Trajectory, integrate
 from flocklab.models import ModelSpec
 from flocklab.scenario import evaluate_certificate, load_scenario, resolve_k_bound
-from flocklab.state import FlockState, spread
+from flocklab.state import FlockState, spread, spread_report
 
 
 def bundled_text(name: str) -> str:
@@ -396,3 +399,138 @@ def test_audit_pair_form_reduces_without_repulsion(baseline_run):
     audit = audit_collision_run(traj, spec.coupling, None)
     assert audit.n_violations == 0
     assert audit.n_checked > 0
+
+
+def test_collision_audit_evaluates_weights_only_where_it_checks(monkeypatch):
+    sc = load_scenario(bundled_text("example3_strong"))
+    traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+    below = traj.spread_v <= resolution_floor(traj)
+    steps = np.flatnonzero(~below[:-1] & ~below[1:])
+    needed = np.union1d(steps, steps + 1)
+    assert below[-1] and 0 < len(needed) < len(traj.ts)
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return weights_matrix(*args)
+
+    monkeypatch.setattr(certify_mod, "weights_matrix", counting)
+    audit = audit_collision_run(traj, sc.coupling, sc.repulsion)
+    assert audit.n_checked == len(steps)
+    assert len(calls) == len(needed)
+
+
+def _loop_audit(traj: Trajectory, bound_rate, forcing=None) -> TrajectoryAudit:
+    """The audit as one Python loop over every sample (reference)."""
+    ts, sv = traj.ts, traj.spread_v
+    floor = resolution_floor(traj)
+    rtol, atol = traj.cfg.rtol, traj.cfg.atol
+    rates = np.array([bound_rate(k) for k in range(len(ts))])
+    force = np.zeros(len(ts)) if forcing is None else np.array([forcing(k) for k in range(len(ts))])
+    n_checked = n_skipped = n_violations = 0
+    worst = -math.inf
+    first_t = None
+    for k in range(len(ts) - 1):
+        h = ts[k + 1] - ts[k]
+        if h <= 0:
+            continue
+        if sv[k] <= floor[k] or sv[k + 1] <= floor[k + 1]:
+            n_skipped += 1
+            continue
+        fd = (sv[k + 1] - sv[k]) / h
+        b = max(rates[k], rates[k + 1])
+        rhs = sv[k] * math.expm1(b * h) / h - min(force[k], force[k + 1])
+        margin = fd - rhs - 10.0 * (rtol * sv[k] + atol) / h
+        n_checked += 1
+        worst = max(worst, margin)
+        if margin > 0.0:
+            n_violations += 1
+            if first_t is None:
+                first_t = float(ts[k])
+    return TrajectoryAudit(
+        n_samples=len(ts),
+        n_checked=n_checked,
+        n_skipped=n_skipped,
+        n_violations=n_violations,
+        worst_margin=worst if n_checked else 0.0,
+        first_violation_t=first_t,
+    )
+
+
+def _loop_pair_terms(traj: Trajectory, coupling, rep: RepulsionModel, k: int):
+    """rho and Gamma at sample k, one pair at a time (reference)."""
+    x, v = traj.xs[k], traj.vs[k]
+    rail = spread_report(v)
+    i, ip = rail.i, rail.j
+    w = weights_matrix(coupling, float(traj.ts[k]), x)
+    others = [j for j in range(x.shape[0]) if j != i and j != ip]
+    rho = w[i, ip] + w[ip, i] + sum(min(w[i, j], w[ip, j]) for j in others)
+
+    def dtail(a: int, b: int) -> float:
+        d2 = float(np.dot(x[a] - x[b], x[a] - x[b]))
+        inner = float(np.dot(x[a] - x[b], v[a] - v[b]))
+        return -2.0 * repulsion_strength(rep, d2, a, b) * inner
+
+    gamma = 0.5 * (
+        dtail(i, ip) + dtail(ip, i) + sum(min(dtail(i, j), dtail(ip, j)) for j in others)
+    )
+    return rho, gamma
+
+
+def test_collision_audit_matches_per_sample_loop():
+    rng = np.random.default_rng(17)
+    n, r, k = 6, 2, 80
+    ts = np.linspace(0.0, 4.0, k)
+    sites = 2.0 * np.array([[a, b] for a in range(3) for b in range(2)], dtype=float)
+    xs = sites + np.cumsum(rng.normal(scale=0.02, size=(k, n, r)), axis=0)
+    scale = np.exp(-0.5 * ts) * rng.uniform(0.8, 1.2, size=k)
+    scale[60:] = 1e-12  # below the resolution floor
+    vs = rng.normal(size=(k, n, r)) * scale[:, None, None]
+    traj = Trajectory(
+        ts=ts,
+        xs=xs,
+        vs=vs,
+        termination=Completed(),
+        n_accepted=k - 1,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=4.0, sample_dt=float(ts[1])),
+    )
+    coupling = ModulatedCoupling(w=2.0, delta=1.0, beta=np.full((n, n), 1.0))
+    rep = RepulsionModel(d0=0.25, phi=1.5, coeffs=rng.uniform(1.0, 2.0, size=(n, n)))
+
+    terms = [_loop_pair_terms(traj, coupling, rep, j) for j in range(k)]
+    expected = _loop_audit(traj, lambda j: -terms[j][0], lambda j: terms[j][1])
+    audit = audit_collision_run(traj, coupling, rep)
+    assert expected.n_checked > expected.n_violations > 0
+    assert expected.n_skipped > 0
+    assert audit.n_samples == expected.n_samples
+    assert audit.n_checked == expected.n_checked
+    assert audit.n_skipped == expected.n_skipped
+    assert audit.n_violations == expected.n_violations
+    assert audit.first_violation_t == expected.first_violation_t
+    assert audit.worst_margin == pytest.approx(expected.worst_margin, rel=1e-12)
+
+    # the alignment audit's arithmetic is unchanged, so it matches exactly
+    env = envelope_of(coupling)
+    sync = audit_sync_run(traj, env, n, 0.5)
+    assert sync == _loop_audit(traj, lambda j: 0.5 - n * env.psi(float(traj.spread_x[j])))
+
+
+def test_collision_audit_rejects_checked_pair_inside_d0():
+    ts = np.linspace(0.0, 1.0, 5)
+    xs = np.tile(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]), (5, 1, 1))
+    xs[2, 2] = [0.0, 0.4]  # squared distance 0.16 to agent 0 at a checked sample
+    vs = np.tile(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), (5, 1, 1))
+    traj = Trajectory(
+        ts=ts,
+        xs=xs,
+        vs=vs,
+        termination=Completed(),
+        n_accepted=4,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=1.0, sample_dt=0.25),
+    )
+    coupling = ModulatedCoupling(w=1.0, delta=1.0, beta=np.full((3, 3), 1.0))
+    with pytest.raises(ValueError, match="<= d0"):
+        audit_collision_run(traj, coupling, _rep(1.0, n=3))

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flocklab.coupling import ConstantCoupling, ModulatedCoupling
 from flocklab.dynamics import RepulsionModel, logistic_cosine, logistic_cosine_solution
@@ -19,7 +21,7 @@ from flocklab.integrate import (
     integrate_flat,
 )
 from flocklab.models import ModelSpec
-from flocklab.state import FlockState
+from flocklab.state import FlockState, min_pair_distance_sq
 
 
 def _single_agent_sync(v0: float) -> tuple[ModelSpec, FlockState]:
@@ -234,3 +236,27 @@ def test_trajectory_derives_summary_series():
     state = traj.state_at(1)
     assert state.t == 1.0
     np.testing.assert_array_equal(state.x, xs[1])
+
+
+@st.composite
+def _positions(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(1, 3))
+    return draw(arrays(float, (k, n, r), elements=st.floats(-1e3, 1e3, allow_nan=False)))
+
+
+@given(_positions())
+def test_trajectory_min_dist_sq_matches_per_sample_minimum(xs):
+    k, n, _ = xs.shape
+    traj = Trajectory(
+        ts=np.arange(k, dtype=float),
+        xs=xs,
+        vs=np.zeros_like(xs),
+        termination=Completed(),
+        n_accepted=0,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=float(k), sample_dt=1.0),
+    )
+    expected = [min_pair_distance_sq(x)[0] if n > 1 else math.inf for x in xs]
+    np.testing.assert_array_equal(traj.min_dist_sq, expected)
