@@ -64,6 +64,7 @@ from .models import (
 from .integrate import (
     CollisionEvent,
     Completed,
+    EventHit,
     IntegratorConfig,
     StepSizeUnderflow,
     Trajectory,
@@ -153,6 +154,7 @@ __all__ = [
     "Trajectory",
     "Completed",
     "CollisionEvent",
+    "EventHit",
     "StepSizeUnderflow",
     "integrate",
     "integrate_flat",

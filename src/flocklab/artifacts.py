@@ -379,13 +379,31 @@ def _thin_indices(k: int, cap: int = 2000) -> np.ndarray:
     return np.unique(idx)
 
 
+def _small_flock(n: int) -> bool:
+    """Whether a flock of n is plotted member by member: its pairs fit the palette."""
+    return n * (n - 1) // 2 <= len(_SVG_PALETTE)
+
+
 def plot_velocity_components(path, traj: Trajectory) -> None:
+    """Velocity components over time.
+
+    Small flocks (n <= 5) get one polyline per agent and axis.  Larger ones
+    get the min, median and max over agents for each axis, so the file size
+    and the legend do not grow with n.
+    """
     k, n, r = traj.vs.shape
     idx = _thin_indices(k)
+    ts, vs = traj.ts[idx], traj.vs[idx]
     plot = SvgPlot("velocity components", "t", "v")
-    for i in range(n):
+    if _small_flock(n):
+        for i in range(n):
+            for l in range(r):
+                plot.add_series(f"v[{i + 1},{l + 1}]", ts, vs[:, i, l])
+    else:
+        bands = (vs.min(axis=1), np.median(vs, axis=1), vs.max(axis=1))
         for l in range(r):
-            plot.add_series(f"v[{i + 1},{l + 1}]", traj.ts[idx], traj.vs[idx, i, l])
+            for label, band in zip(("min", "median", "max"), bands):
+                plot.add_series(f"{label} v[i,{l + 1}]", ts, band[:, l])
     plot.write(path)
 
 
@@ -417,7 +435,7 @@ def plot_pairwise_distances(path, traj: Trajectory, d0: Optional[float] = None) 
     idx = _thin_indices(k)
     ts = traj.ts[idx]
     plot = SvgPlot("pairwise distances", "t", "|x_i - x_j|")
-    if n * (n - 1) // 2 <= len(_SVG_PALETTE):
+    if _small_flock(n):
         for i in range(n):
             for j in range(i + 1, n):
                 diff = traj.xs[idx, i, :] - traj.xs[idx, j, :]

@@ -411,6 +411,13 @@ def cmd_audit(args) -> int:
         report = audit_sync_run(traj, sc.envelope(), sc.n, k_bound)
         kind = "alignment inequality"
 
+    if report.n_checked == 0 and report.n_samples > 1:
+        log.warning(
+            "audit checked no step: the velocity spread fell below the resolution floor "
+            "within the first step (sample_dt = %g), so nothing in this run was audited; "
+            "a finer sample_dt is needed to audit it",
+            traj.cfg.sample_dt,
+        )
     print(f"audit: {kind} on {report.n_samples} samples")
     print(f"checked: {report.n_checked}")
     print(f"skipped (below resolution floor): {report.n_skipped}")

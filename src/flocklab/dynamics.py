@@ -33,7 +33,12 @@ _FD_STEP = 1e-6
 class InternalDynamics:
     """Per-agent velocity generator v_i' = g(t, v_i) + coupling.
 
-    `jacobian` is optional; central finite differences with step
+    `g` acts on the last axis: given one agent's (r,) velocity it returns
+    (r,), and given all agents' (n, r) velocities it returns (n, r) whose row
+    i equals g(t, v_i) bit for bit.  Write it with `z[..., k]` for coordinate
+    k so that one call covers the whole flock.
+
+    `jacobian` takes one (r,) velocity and is optional; central finite differences with step
     1e-6 * max(1, |z|) fill in when it is absent.  `jacobian_affine` marks
     models whose Jacobian entries are affine in z, enabling exact corner
     maximisation in k_region.  `box` is an (r, 2) array of a compact
@@ -80,11 +85,10 @@ def _fd_jacobian(g, t: float, z: np.ndarray) -> np.ndarray:
 
 def zero_dynamics(dim: int) -> InternalDynamics:
     """No internal drive; the model reduces to pure alignment."""
-    zero = np.zeros(dim)
     return InternalDynamics(
         name="zero",
         dim=dim,
-        g=lambda t, z: zero,
+        g=lambda t, z: np.zeros_like(z, dtype=float),
         jacobian=lambda t, z: np.zeros((dim, dim)),
         jacobian_affine=True,
         box=np.column_stack([-np.ones(dim), np.ones(dim)]),
@@ -96,7 +100,7 @@ def logistic_cosine() -> InternalDynamics:
     return InternalDynamics(
         name="logistic_cosine",
         dim=1,
-        g=lambda t, z: np.array([math.cos(t) * (z[0] - 1.0) * (z[0] - 2.0)]),
+        g=lambda t, z: math.cos(t) * (z - 1.0) * (z - 2.0),
         jacobian=lambda t, z: np.array([[math.cos(t) * (2.0 * z[0] - 3.0)]]),
         jacobian_affine=True,
         box=np.array([[1.0, 2.0]]),
@@ -131,12 +135,9 @@ def lorenz() -> InternalDynamics:
     """Classic chaotic generator with the standard trapping box."""
 
     def g(t, z):
-        return np.array(
-            [
-                10.0 * (z[1] - z[0]),
-                -z[1] + z[0] * (28.0 - z[2]),
-                -(8.0 / 3.0) * z[2] + z[0] * z[1],
-            ]
+        z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
+        return np.stack(
+            [10.0 * (z1 - z0), -z1 + z0 * (28.0 - z2), -(8.0 / 3.0) * z2 + z0 * z1], axis=-1
         )
 
     def jac(t, z):

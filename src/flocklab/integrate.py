@@ -75,6 +75,14 @@ class StepSizeUnderflow:
 Termination = Completed | CollisionEvent | StepSizeUnderflow
 
 
+@dataclass(frozen=True, eq=False)
+class EventHit:
+    """Where `integrate_flat` stopped on its event: located time and state."""
+
+    t_star: float
+    y_star: np.ndarray
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Sampled solution plus step statistics and how the run ended."""
@@ -130,7 +138,8 @@ def integrate_flat(
 ):
     """Core loop on flat vectors.
 
-    Returns (sample_ts, sample_ys, termination, n_accepted, n_rejected).
+    Returns (sample_ts, sample_ys, termination, n_accepted, n_rejected),
+    where termination is Completed, StepSizeUnderflow or EventHit.
     `event` is a scalar function that is positive away from the event; a
     non-positive value at the end of an accepted step triggers bisection.
     """
@@ -204,7 +213,8 @@ def integrate_flat(
                 keep = next_sample
                 while keep > 0 and grid[keep - 1] > t_star:
                     keep -= 1
-                return grid[:keep], samples[:keep], (t_star, y_star), n_accepted + 1, n_rejected
+                term = EventHit(t_star=t_star, y_star=y_star)
+                return grid[:keep], samples[:keep], term, n_accepted + 1, n_rejected
 
             t = t_new
             y = y_new
@@ -257,11 +267,10 @@ def integrate(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig) -> Tra
 
     ts, ys, term, acc, rej = integrate_flat(f, y0, cfg, event)
 
-    if isinstance(term, tuple):  # event hit: locate the pair at t*
-        t_star, y_star = term
-        x_star, _ = unpack(y_star, n, r)
+    if isinstance(term, EventHit):  # locate the pair at t*
+        x_star, _ = unpack(term.y_star, n, r)
         _, i, j = min_pair_distance_sq(x_star)
-        term = CollisionEvent(t_star=float(t_star), i=i, j=j)
+        term = CollisionEvent(t_star=float(term.t_star), i=i, j=j)
 
     xs = ys[:, : n * r].reshape(-1, n, r)
     vs = ys[:, n * r :].reshape(-1, n, r)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupling import CouplingModel, weights_matrix
 from .dynamics import InternalDynamics, RepulsionModel
-from .state import FlockState, distance_sq_matrix, spread
+from .state import FlockState, spread
 
 SPREAD_GUARD = 1e-12
 
@@ -62,11 +62,27 @@ class ModelSpec:
                 raise ValueError(
                     f"internal dynamics dimension {self.internal.dim} != r={self.r}"
                 )
+            if not _acts_row_wise(self.internal.g, self.r):
+                raise ValueError(
+                    f"internal dynamics '{self.internal.name}' must act row-wise: "
+                    "g(t, V) on (n, r) velocities must equal g(t, v_i) for each row"
+                )
         if self.variant == "collision_free":
             if self.repulsion is None:
                 raise ValueError("collision_free model needs a repulsion model")
             if self.repulsion.coeffs.shape[0] != self.n:
                 raise ValueError("repulsion coefficient matrix does not match n")
+
+
+def _acts_row_wise(g, r: int) -> bool:
+    """Whether g on a two-row probe equals g on each row, bit for bit."""
+    probe = 0.25 + np.arange(1, 2 * r + 1, dtype=float).reshape(2, r) / 3.0
+    rows = np.stack([np.asarray(g(0.0, row)) for row in probe])
+    try:
+        whole = np.asarray(g(0.0, probe))
+    except (IndexError, ValueError):  # per-agent code indexing z[k] past the rows
+        return False
+    return whole.shape == rows.shape and bool(np.array_equal(whole, rows))
 
 
 def _alignment(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -81,15 +97,13 @@ def rhs_baseline(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
 
 def rhs_sync(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
     w = weights_matrix(spec.coupling, t, x)
-    drive = np.empty_like(v)
-    for i in range(spec.n):
-        drive[i] = spec.internal.g(t, v[i])
-    return v.copy(), drive + _alignment(w, v)
+    return v.copy(), spec.internal.g(t, v) + _alignment(w, v)
 
 
 def rhs_collision(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
     rep = spec.repulsion
-    dist_sq = distance_sq_matrix(x)
+    diff_x = x[:, None, :] - x[None, :, :]
+    dist_sq = np.einsum("ijk,ijk->ij", diff_x, diff_x)
     off = ~np.eye(spec.n, dtype=bool)
     gaps = dist_sq - rep.d0
     bad = (gaps <= 0.0) & off
@@ -101,7 +115,6 @@ def rhs_collision(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
     f = np.zeros_like(dist_sq)
     f[off] = rep.coeffs[off] / gaps[off] ** rep.phi
 
-    diff_x = x[:, None, :] - x[None, :, :]
     diff_v = v[:, None, :] - v[None, :, :]
     inner = np.einsum("ijk,ijk->ij", diff_x, diff_v)
     s_guard = max(spread(v), SPREAD_GUARD)

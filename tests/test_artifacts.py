@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -307,3 +308,44 @@ def test_pairwise_plot_stays_small_for_large_flocks(tmp_path):
     path = tmp_path / "d.svg"
     plot_pairwise_distances(path, _random_flock(60), d0=0.25)
     assert path.stat().st_size < 100_000
+
+
+def _velocity_legend(text: str) -> list[str]:
+    return [el.text for el in _parse_svg(text).iter() if el.tag.endswith("text") and "v[" in el.text]
+
+
+def _moving_flock(n: int, k: int = 201) -> Trajectory:
+    vs = np.random.default_rng(n + 1).normal(size=(k, n, 2))
+    return dataclasses.replace(_random_flock(n, k), vs=vs)
+
+
+def test_velocity_plot_draws_each_agent_while_pairs_fit_the_palette(tmp_path):
+    path = tmp_path / "v.svg"
+    plot_velocity_components(path, _moving_flock(5))
+    text = path.read_text(encoding="utf-8")
+    assert text.count("<polyline") == 10
+    assert _velocity_legend(text) == [f"v[{i + 1},{l + 1}]" for i in range(5) for l in range(2)]
+
+
+def test_velocity_plot_draws_bands_beyond_the_palette(tmp_path):
+    traj = _moving_flock(6)
+    path = tmp_path / "v.svg"
+    plot_velocity_components(path, traj)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("<polyline") == 6
+    assert _velocity_legend(text) == [
+        f"{band} v[i,{l}]" for l in (1, 2) for band in ("min", "median", "max")
+    ]
+    # the first band is the smallest first component of each sample
+    root = _parse_svg(text)
+    low = next(el for el in root.iter() if el.tag.endswith("polyline"))
+    ys = [float(pt.split(",")[1]) for pt in low.attrib["points"].split()]
+    lowest = traj.vs[:, :, 0].min(axis=1)
+    assert np.argmax(ys) == np.argmin(lowest) and np.argmin(ys) == np.argmax(lowest)
+
+
+def test_velocity_plot_stays_small_for_large_flocks(tmp_path):
+    path = tmp_path / "v.svg"
+    plot_velocity_components(path, _moving_flock(50, k=1001))
+    assert path.stat().st_size < 100_000
+    assert len(_velocity_legend(path.read_text(encoding="utf-8"))) == 6

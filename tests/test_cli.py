@@ -225,6 +225,30 @@ def test_audit_flags_tampered_penalty_bound(control_run, tmp_path, capsys):
     assert "first violation at t" in out
 
 
+def test_audit_that_checks_nothing_warns(tmp_path, capsys, caplog):
+    # example2_strong's w=150 coupling aligns the flock within one coarse sample
+    doc = json.loads(Path(bundled_path("example2_strong")).read_text(encoding="utf-8"))
+    doc["integrator"] = {"t_end": 0.3, "sample_dt": 0.1}
+    scenario = tmp_path / "coarse.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "coarse"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--full"]) == EXIT_OK
+    capsys.readouterr()
+    caplog.clear()
+
+    assert main(["audit", "--out", str(out)]) == EXIT_OK
+    assert "checked: 0\n" in capsys.readouterr().out
+    (record,) = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert "resolution floor" in record.getMessage()
+    assert "sample_dt = 0.1" in record.getMessage()
+
+
+def test_audit_that_checks_steps_does_not_warn(control_run, capsys, caplog):
+    assert main(["audit", "--out", str(control_run)]) == EXIT_OK
+    assert "checked: 0\n" not in capsys.readouterr().out
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
 def test_audit_on_collision_variant(tmp_path, capsys):
     out = tmp_path / "coll"
     assert (

@@ -35,6 +35,27 @@ def test_zero_dynamics_is_zero():
     assert np.all(dyn.eval_jacobian(0.0, np.zeros(3)) == 0.0)
 
 
+@given(
+    st.sampled_from(["lorenz", "logistic_cosine", "zero1", "zero2", "zero3"]),
+    st.integers(1, 8),
+    st.floats(-10.0, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_builtin_generators_act_row_wise(name, n, t, seed):
+    dyn = {
+        "lorenz": lorenz,
+        "logistic_cosine": logistic_cosine,
+        "zero1": lambda: zero_dynamics(1),
+        "zero2": lambda: zero_dynamics(2),
+        "zero3": lambda: zero_dynamics(3),
+    }[name]()
+    z = np.random.default_rng(seed).uniform(-20.0, 20.0, size=(n, dyn.dim))
+    whole = dyn.g(t, z)
+    assert whole.shape == (n, dyn.dim)
+    assert np.array_equal(whole, np.stack([dyn.g(t, row) for row in z]))
+
+
 def test_logistic_cosine_solution_solves_the_ode():
     dyn = logistic_cosine()
     ts = np.linspace(0.0, 12.0, 25)

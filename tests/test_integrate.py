@@ -14,6 +14,7 @@ from flocklab.dynamics import RepulsionModel, logistic_cosine, logistic_cosine_s
 from flocklab.integrate import (
     Completed,
     CollisionEvent,
+    EventHit,
     IntegratorConfig,
     StepSizeUnderflow,
     Trajectory,
@@ -202,6 +203,17 @@ def test_step_size_underflow_reported_with_location():
     assert len(grid) == len(samples)
     assert grid[-1] <= term.t + 1e-12
     assert np.all(np.isfinite(samples))
+
+
+def test_event_ends_flat_run_with_located_hit():
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.1)
+    grid, samples, term, n_acc, n_rej = integrate_flat(
+        lambda t, y: -np.ones_like(y), np.array([1.0]), cfg, event=lambda t, y: y[0] - 0.45
+    )
+    assert isinstance(term, EventHit)
+    assert term.t_star == pytest.approx(0.55, abs=1e-6)
+    assert term.y_star == pytest.approx([0.45], abs=1e-6)
+    assert grid[-1] <= term.t_star and len(grid) == len(samples) == 6
 
 
 def test_config_validation():

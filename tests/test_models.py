@@ -1,11 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flocklab.coupling import ConstantCoupling, ModulatedCoupling, PowerLawCoupling
-from flocklab.dynamics import RepulsionModel, logistic_cosine, zero_dynamics
+from flocklab.coupling import (
+    ConstantCoupling,
+    ModulatedCoupling,
+    PowerLawCoupling,
+    weights_matrix,
+)
+from flocklab.dynamics import (
+    InternalDynamics,
+    RepulsionModel,
+    logistic_cosine,
+    lorenz,
+    zero_dynamics,
+)
 from flocklab.models import (
     ModelSpec,
     SingularDistanceError,
@@ -124,6 +137,67 @@ def test_sync_equal_velocities_follow_the_generator():
     _, dv = rhs(spec, 0.0, x, v)
     # coupling vanishes at consensus; cos(0) (1.5-1)(1.5-2) = -0.25
     assert np.allclose(dv, -0.25)
+
+
+def _lorenz_flock(n=40, seed=5):
+    rng = np.random.default_rng(seed)
+    coupling = ModulatedCoupling(w=150.0, delta=0.5, beta=rng.uniform(0.5, 1.4, size=(n, n)))
+    internal = lorenz()
+    spec = ModelSpec(variant="sync", n=n, r=3, coupling=coupling, internal=internal)
+    box = internal.box
+    return spec, rng.uniform(-4.5, 4.5, size=(n, 3)), rng.uniform(box[:, 0], box[:, 1], size=(n, 3))
+
+
+def test_sync_rhs_matches_per_agent_loop():
+    spec, x, v = _lorenz_flock()
+    # the per-agent form of the model: g applied to one agent's velocity at a time
+    w = weights_matrix(spec.coupling, 0.9, x)
+    drive = np.empty_like(v)
+    for i in range(spec.n):
+        drive[i] = spec.internal.g(0.9, v[i])
+    want = drive + (w @ v - w.sum(axis=1)[:, None] * v)
+    dx, dv = rhs(spec, 0.9, x, v)
+    assert np.array_equal(dx, v)
+    assert np.array_equal(dv, want)
+
+
+def test_sync_rhs_calls_the_generator_once_per_evaluation():
+    spec, x, v = _lorenz_flock()
+    calls = []
+    inner = spec.internal.g
+
+    def counting(t, z):
+        calls.append(np.shape(z))
+        return inner(t, z)
+
+    internal = dataclasses.replace(spec.internal, g=counting)
+    counted = ModelSpec(variant="sync", n=spec.n, r=3, coupling=spec.coupling, internal=internal)
+    calls.clear()  # the spec's own row-wise probe
+    f = flat_rhs(counted)
+    y = pack(x, v)
+    for t in (0.0, 0.5, 1.0):
+        f(t, y)
+    assert calls == [(spec.n, 3)] * 3
+
+
+def test_sync_spec_rejects_per_agent_generator():
+    cube = InternalDynamics(name="cube", dim=1, g=lambda t, z: np.array([z[0] ** 3]))
+    with pytest.raises(ValueError, match="row-wise"):
+        ModelSpec(variant="sync", n=3, r=1, coupling=ConstantCoupling(w=1.0), internal=cube)
+    per_agent_lorenz = InternalDynamics(
+        name="lorenz_per_agent",
+        dim=3,
+        g=lambda t, z: np.array(
+            [10.0 * (z[1] - z[0]), -z[1] + z[0] * (28.0 - z[2]), -(8.0 / 3.0) * z[2] + z[0] * z[1]]
+        ),
+    )
+    with pytest.raises(ValueError, match="row-wise"):
+        ModelSpec(
+            variant="sync", n=3, r=3, coupling=ConstantCoupling(w=1.0), internal=per_agent_lorenz
+        )
+    # the row-wise forms of the same generators are accepted
+    row_cube = InternalDynamics(name="cube", dim=1, g=lambda t, z: z**3)
+    ModelSpec(variant="sync", n=3, r=1, coupling=ConstantCoupling(w=1.0), internal=row_cube)
 
 
 # ---------------------------------------------------------------------------
