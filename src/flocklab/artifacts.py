@@ -10,11 +10,11 @@ every in-code API stays 0-based.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
 import re
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -55,33 +55,31 @@ def timeseries_header(n: int, r: int, full: bool) -> list[str]:
 
 def write_timeseries_csv(path, traj: Trajectory, full: bool = False) -> None:
     k, n, r = traj.xs.shape
+    cols = [traj.ts, traj.spread_v, traj.spread_x, traj.min_dist_sq]
+    if full:
+        cols += [traj.vs.reshape(k, n * r), traj.xs.reshape(k, n * r)]
+    data = np.column_stack(cols)
+    # RFC-4180 rows ending in CRLF: "%.17g" prints exactly fmt_sig's digits
+    # and no cell needs quoting.  Rows are converted one at a time, since a
+    # whole-array tolist() would hold every cell as a Python float at once.
+    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)  # csv defaults are RFC-4180 (CRLF rows)
-        writer.writerow(timeseries_header(n, r, full))
-        for row in range(k):
-            rec = [
-                fmt_sig(traj.ts[row]),
-                fmt_sig(traj.spread_v[row]),
-                fmt_sig(traj.spread_x[row]),
-                fmt_sig(traj.min_dist_sq[row]),
-            ]
-            if full:
-                rec += [fmt_sig(val) for val in traj.vs[row].ravel()]
-                rec += [fmt_sig(val) for val in traj.xs[row].ravel()]
-            writer.writerow(rec)
+        fh.write(",".join(timeseries_header(n, r, full)) + "\r\n")
+        fh.writelines(row_fmt % tuple(rec.tolist()) for rec in data)
 
 
 def read_timeseries_csv(path) -> dict:
     """Parse a timeseries CSV back into arrays.
 
     Returns ts / spread_v / spread_x / min_dist_sq always, and xs / vs of
-    shape (k, n, r) when the file carries full-state columns.
+    shape (k, n, r) when the file carries full-state columns.  A ragged or
+    non-numeric row raises ValueError.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(cell) for cell in rec] for rec in reader if rec]
-    data = np.asarray(rows, dtype=float)
+        header = fh.readline().rstrip("\r\n").split(",")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     expected = ["t", "S_v", "S_x", "min_dist_sq"]

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .state import _as_2d
+from .state import _as_2d, distance_sq_matrix
 
 # Modulated weights draw their pair offsets beta_ij from (0, sqrt(2)), so
 # (distance + beta_ij^2) < (distance + 2) always; 2.0 is the envelope offset.
@@ -84,12 +84,16 @@ class ConstantCoupling:
 CouplingModel = PowerLawCoupling | ModulatedCoupling | ConstantCoupling
 
 
-def weights_matrix(model, t: float, x) -> np.ndarray:
-    """Full (n, n) weight matrix at time t; diagonal forced to zero."""
+def weights_matrix(model, t: float, x, dist_sq: Optional[np.ndarray] = None) -> np.ndarray:
+    """Full (n, n) weight matrix at time t; diagonal forced to zero.
+
+    `dist_sq`, when given, must be `distance_sq_matrix(x)`; a caller that
+    already holds the squared distances passes them to skip the rebuild.
+    """
     x = _as_2d(x)
     n = x.shape[0]
-    diff = x[:, None, :] - x[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+    if dist_sq is None:
+        dist_sq = distance_sq_matrix(x)
     if isinstance(model, PowerLawCoupling):
         w = model.gain / (model.sigma**2 + dist_sq) ** model.exponent
     elif isinstance(model, ModulatedCoupling):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupling import CouplingModel, weights_matrix
 from .dynamics import InternalDynamics, RepulsionModel
-from .state import FlockState, spread
+from .state import FlockState, pair_differences, pair_dot, spread
 
 SPREAD_GUARD = 1e-12
 
@@ -102,8 +102,8 @@ def rhs_sync(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
 
 def rhs_collision(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
     rep = spec.repulsion
-    diff_x = x[:, None, :] - x[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", diff_x, diff_x)
+    diff_x = pair_differences(x)
+    dist_sq = pair_dot(diff_x, diff_x)
     off = ~np.eye(spec.n, dtype=bool)
     gaps = dist_sq - rep.d0
     bad = (gaps <= 0.0) & off
@@ -111,12 +111,11 @@ def rhs_collision(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
         i, j = np.argwhere(bad)[0]
         raise SingularDistanceError(int(i), int(j), float(dist_sq[i, j]), rep.d0)
 
-    w = weights_matrix(spec.coupling, t, x)
+    w = weights_matrix(spec.coupling, t, x, dist_sq=dist_sq)
     f = np.zeros_like(dist_sq)
     f[off] = rep.coeffs[off] / gaps[off] ** rep.phi
 
-    diff_v = v[:, None, :] - v[None, :, :]
-    inner = np.einsum("ijk,ijk->ij", diff_x, diff_v)
+    inner = pair_dot(diff_x, pair_differences(v))
     s_guard = max(spread(v), SPREAD_GUARD)
     b = -f * inner / s_guard
     return v.copy(), _alignment(w + b, v)

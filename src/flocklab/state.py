@@ -8,6 +8,7 @@ helpers here are deliberately small and allocation-light.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,11 +72,54 @@ def pairwise_distance_sq(x, i: int, j: int) -> float:
     return float(d @ d)
 
 
+def pair_differences(y) -> np.ndarray:
+    """Pair differences y_i - y_j, coordinate major: shape (r, n, n).
+
+    Entry [k, i, j] is y[i, k] - y[j, k].  Each coordinate's n x n block is
+    contiguous, so the subtraction and every product on it run over n * n
+    adjacent entries instead of an inner axis of length r.
+    """
+    yt = np.ascontiguousarray(_as_2d(y).T)
+    return yt[:, :, None] - yt[:, None, :]
+
+
+def pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a[k] * b[k] over the leading (coordinate) axis.
+
+    The sum runs in the order numpy's einsum uses for a short contiguous axis
+    in x86-64 builds, whose baseline vectors hold two float64 lanes: one
+    running sum over the even coordinates, one over the odd, then
+    even + odd.  For r <= 7 that reproduces the values of
+    `np.einsum("ijk,ijk->ij", ...)` on the coordinate-last layout bit for
+    bit; from r = 8 einsum unrolls its loop and sums in another order, and
+    the two agree to a few ulp.  A zero sum keeps its sign here, where
+    einsum, accumulating from +0.0, returns +0.0.
+    """
+    even = a[0] * b[0]
+    for k in range(2, a.shape[0], 2):
+        even += a[k] * b[k]
+    if a.shape[0] == 1:
+        return even
+    odd = a[1] * b[1]
+    for k in range(3, a.shape[0], 2):
+        odd += a[k] * b[k]
+    even += odd
+    return even
+
+
 def distance_sq_matrix(x) -> np.ndarray:
     """All pairwise squared distances; diagonal is zero."""
-    x = _as_2d(x)
-    diff = x[:, None, :] - x[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    d = pair_differences(x)
+    return pair_dot(d, d)
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (i, j) indices of the pairs i < j, read-only."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def min_pair_distance_sq(x):
@@ -88,7 +132,7 @@ def min_pair_distance_sq(x):
     if n < 2:
         raise ValueError("need at least two agents for a pairwise minimum")
     d2 = distance_sq_matrix(x)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_pairs(n)
     vals = d2[iu, ju]
     k = int(np.argmin(vals))
     return float(vals[k]), int(iu[k]), int(ju[k])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -101,6 +102,91 @@ def test_timeseries_round_trip_is_exact(tmp_path, small_traj):
     np.testing.assert_array_equal(data["min_dist_sq"], small_traj.min_dist_sq)
     np.testing.assert_array_equal(data["xs"], small_traj.xs)
     np.testing.assert_array_equal(data["vs"], small_traj.vs)
+
+
+def _edge_traj(n: int) -> Trajectory:
+    """Values that stress a float formatter: -0.0, subnormals, 1e308."""
+    k, r = 4, 2
+    edges = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, -1.5e-7])
+    xs = np.resize(edges, (k, n, r))
+    vs = np.resize(np.append(edges, 1e308), (k, n, r))
+    if n > 1:
+        xs[:, 1:, 0] += np.arange(1, n)  # keep pairs apart so min_dist_sq is finite
+    ts = np.array([0.0, 5e-324, 0.1, 1e308])
+    return Trajectory(
+        ts=ts,
+        xs=xs,
+        vs=vs,
+        termination=Completed(),
+        n_accepted=3,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=1.0, sample_dt=0.25),
+    )
+
+
+def _csv_writer_reference(path, traj: Trajectory, full: bool) -> None:
+    """Cell-by-cell writer: csv.writer rows of fmt_sig strings."""
+    k, n, r = traj.xs.shape
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(timeseries_header(n, r, full))
+        for row in range(k):
+            cols = [traj.ts, traj.spread_v, traj.spread_x, traj.min_dist_sq]
+            rec = [fmt_sig(col[row]) for col in cols]
+            if full:
+                rec += [fmt_sig(val) for val in traj.vs[row].ravel()]
+                rec += [fmt_sig(val) for val in traj.xs[row].ravel()]
+            writer.writerow(rec)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["summary", "full"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_timeseries_csv_bytes_match_cell_writer(tmp_path, n, full):
+    traj = _edge_traj(n)
+    assert math.isinf(traj.min_dist_sq[0]) == (n == 1)
+    write_timeseries_csv(tmp_path / "rows.csv", traj, full=full)
+    _csv_writer_reference(tmp_path / "cells.csv", traj, full=full)
+    raw = (tmp_path / "rows.csv").read_bytes()
+    assert raw == (tmp_path / "cells.csv").read_bytes()
+    if full:
+        assert b",-0," in raw and b"4.9406564584124654e-324" in raw and b"e+308" in raw
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_timeseries_round_trip_keeps_edge_values(tmp_path, n):
+    traj = _edge_traj(n)
+    path = tmp_path / "ts.csv"
+    write_timeseries_csv(path, traj, full=True)
+    data = read_timeseries_csv(path)
+    # byte comparison: assert_array_equal would not tell -0.0 from 0.0
+    for key, want in [
+        ("ts", traj.ts),
+        ("spread_v", traj.spread_v),
+        ("spread_x", traj.spread_x),
+        ("min_dist_sq", traj.min_dist_sq),
+        ("xs", traj.xs),
+        ("vs", traj.vs),
+    ]:
+        assert data[key].shape == want.shape
+        assert data[key].tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "no data rows"),
+        ("t,S_v,S_x,min_dist_sq\r\n", "no data rows"),
+        ("t,S_x,S_v,min_dist_sq\r\n0,1,2,3\r\n", "unexpected header"),
+        ("t,S_v,S_x,min_dist_sq\r\n0,1,2,3\r\n0.1,1,2\r\n", None),
+        ("t,S_v,S_x,min_dist_sq\r\n0,1,2,3\r\n0.1,1,x,3\r\n", None),
+    ],
+    ids=["empty", "header_only", "bad_header", "ragged_row", "non_numeric"],
+)
+def test_timeseries_read_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "ts.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=message):
+        read_timeseries_csv(path)
 
 
 def test_summary_csv_has_no_state_columns(tmp_path, small_traj):

@@ -16,6 +16,7 @@ from flocklab.coupling import (
     weight,
     weights_matrix,
 )
+from flocklab.state import distance_sq_matrix
 
 
 def beta_matrix(n: int, value: float = 1.4) -> np.ndarray:
@@ -63,6 +64,24 @@ def test_weights_matrix_zero_diagonal():
     assert w.shape == (4, 4)
     assert np.all(np.diag(w) == 0.0)
     assert np.allclose(w, w.T)  # distance-based families are symmetric
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PowerLawCoupling(gain=1.3, sigma=0.7, exponent=0.8),
+        ModulatedCoupling(w=1.1, delta=1.4, beta=beta_matrix(6, 0.9)),
+        ConstantCoupling(w=0.6),
+    ],
+    ids=["power_law", "modulated", "constant"],
+)
+def test_weights_matrix_takes_given_squared_distances(model):
+    x = np.random.default_rng(11).normal(size=(6, 3))
+    w = weights_matrix(model, 0.4, x)
+    assert np.array_equal(weights_matrix(model, 0.4, x, dist_sq=distance_sq_matrix(x)), w)
+    # the given distances are the ones used: those of 2x give the weights at 2x
+    doubled = weights_matrix(model, 0.4, x, dist_sq=distance_sq_matrix(2.0 * x))
+    assert np.array_equal(doubled, weights_matrix(model, 0.4, 2.0 * x))
 
 
 def test_modulated_beta_shape_mismatch():

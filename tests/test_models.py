@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flocklab import models
 from flocklab.coupling import (
     ConstantCoupling,
     ModulatedCoupling,
@@ -28,7 +29,7 @@ from flocklab.models import (
     rhs_state,
     unpack,
 )
-from flocklab.state import FlockState
+from flocklab.state import FlockState, distance_sq_matrix
 
 
 def baseline_spec(n=2, r=1, w=1.0):
@@ -275,6 +276,62 @@ def test_collision_momentum_conserved_for_symmetric_repulsion(state):
     _, dv = rhs(spec, 0.0, x, v)
     scale = max(1.0, float(np.abs(dv).max()))
     assert np.abs(dv.sum(axis=0)).max() <= 1e-9 * scale
+
+
+def _modulated_collision_flock(n, r, seed=7):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(
+        variant="collision_free",
+        n=n,
+        r=r,
+        coupling=ModulatedCoupling(w=1.0, delta=0.6, beta=np.full((n, n), 0.8)),
+        repulsion=RepulsionModel(d0=0.25, phi=1.5, coeffs=rng.uniform(0.5, 2.0, size=(n, n))),
+    )
+    # a jittered lattice keeps every pair clear of d0
+    side = np.arange(np.ceil(n ** (1.0 / r)))
+    grid = np.stack(np.meshgrid(*[side] * r, indexing="ij"), axis=-1).reshape(-1, r)
+    x = 1.6 * grid[:n] + rng.uniform(-0.3, 0.3, size=(n, r))
+    return spec, x, rng.normal(size=(n, r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_collision_rhs_matches_coordinate_last_reference(r):
+    spec, x, v = _modulated_collision_flock(12, r)
+    # the coordinate-last einsum form of the collision term, kept as reference
+    diff_x = x[:, None, :] - x[None, :, :]
+    diff_v = v[:, None, :] - v[None, :, :]
+    dist_sq = np.einsum("ijk,ijk->ij", diff_x, diff_x)
+    off = ~np.eye(spec.n, dtype=bool)
+    f = np.zeros_like(dist_sq)
+    f[off] = spec.repulsion.coeffs[off] / (dist_sq[off] - spec.repulsion.d0) ** spec.repulsion.phi
+    inner = np.einsum("ijk,ijk->ij", diff_x, diff_v)
+    b = -f * inner / (v.max(axis=0) - v.min(axis=0)).max()
+    a = weights_matrix(spec.coupling, 0.3, x) + b
+    want = a @ v - a.sum(axis=1)[:, None] * v
+    _, dv = rhs(spec, 0.3, x, v)
+    assert np.array_equal(dv, want)
+
+
+def test_collision_rhs_builds_pair_geometry_once(monkeypatch):
+    spec, x, v = _modulated_collision_flock(9, 2)
+    built, given = [], []
+    pair_differences, weights = models.pair_differences, models.weights_matrix
+
+    def counting_differences(y):
+        built.append(np.shape(y))
+        return pair_differences(y)
+
+    def recording_weights(model, t, x, dist_sq=None):
+        given.append(dist_sq)
+        return weights(model, t, x, dist_sq=dist_sq)
+
+    monkeypatch.setattr(models, "pair_differences", counting_differences)
+    monkeypatch.setattr(models, "weights_matrix", recording_weights)
+    for t in (0.0, 0.5):
+        rhs(spec, t, x, v)
+    assert built == [(9, 2)] * 4  # x and v, once each per evaluation
+    assert len(given) == 2
+    assert all(d is not None and np.array_equal(d, distance_sq_matrix(x)) for d in given)
 
 
 # ---------------------------------------------------------------------------

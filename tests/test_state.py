@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flocklab.state import (
     FlockState,
     distance_sq_matrix,
     min_pair_distance_sq,
+    pair_differences,
+    pair_dot,
     pairwise_distance_sq,
     spread,
     spread_dim,
@@ -119,6 +121,71 @@ def test_min_pair_distance_matches_brute_force(x):
 def test_min_pair_distance_needs_two_agents():
     with pytest.raises(ValueError):
         min_pair_distance_sq(np.zeros((1, 3)))
+
+
+def test_min_pair_distance_ties_resolve_to_smallest_pair():
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])  # (0,1), (1,2), (2,3) tie at 1
+    for _ in range(2):  # the second call reads the cached pair indices
+        assert min_pair_distance_sq(x) == (1.0, 0, 1)
+    assert min_pair_distance_sq(x[::-1]) == (1.0, 0, 1)
+
+
+def test_min_pair_distance_reuses_pair_indices(monkeypatch):
+    x = np.random.default_rng(5).normal(size=(7, 2))
+    first = min_pair_distance_sq(x)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("triu_indices rebuilt for a size already seen")
+
+    monkeypatch.setattr(np, "triu_indices", rebuilt)
+    assert min_pair_distance_sq(x) == first
+
+
+def _einsum_pair_geometry(x, v):
+    """Coordinate-last reference: (n, n, r) differences reduced by einsum."""
+    dx = x[:, None, :] - x[None, :, :]
+    dv = v[:, None, :] - v[None, :, :]
+    return np.einsum("ijk,ijk->ij", dx, dx), np.einsum("ijk,ijk->ij", dx, dv), dx, dv
+
+
+@st.composite
+def pair_geometry_inputs(draw, min_r, max_r):
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(min_r, max_r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # coordinates of very different magnitudes make every rounding count
+    scale = 10.0 ** rng.integers(-6, 7, size=r)
+    x = rng.normal(size=(n, r)) * scale
+    v = rng.normal(size=(n, r))
+    if draw(st.booleans()):  # repeated agents and a still coordinate give exact zeros
+        x[-1] = x[0]
+        v[:, 0] = 0.0
+    return x, v
+
+
+@given(pair_geometry_inputs(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_pair_geometry_matches_einsum_reference(xv):
+    x, v = xv
+    want_d2, want_inner, _, _ = _einsum_pair_geometry(x, v)
+    dx = pair_differences(x)
+    assert dx.shape == (x.shape[1], x.shape[0], x.shape[0])
+    assert np.array_equal(distance_sq_matrix(x), want_d2)
+    assert np.array_equal(pair_dot(dx, dx), want_d2)
+    assert np.array_equal(pair_dot(dx, pair_differences(v)), want_inner)
+
+
+@given(pair_geometry_inputs(4, 8))
+@settings(max_examples=100, deadline=None)
+def test_pair_geometry_near_einsum_reference_for_wide_states(xv):
+    # from r = 8 einsum unrolls its loop and sums in another order
+    x, v = xv
+    want_d2, want_inner, dx_ref, dv_ref = _einsum_pair_geometry(x, v)
+    dx = pair_differences(x)
+    tol = 4 * np.finfo(float).eps
+    inner_scale = np.einsum("ijk,ijk->ij", np.abs(dx_ref), np.abs(dv_ref))
+    assert np.all(np.abs(distance_sq_matrix(x) - want_d2) <= tol * want_d2)
+    assert np.all(np.abs(pair_dot(dx, pair_differences(v)) - want_inner) <= tol * inner_scale)
 
 
 def test_distance_sq_matrix_symmetric_zero_diagonal():
