@@ -32,7 +32,6 @@ from .coupling import (
     PowerLawCoupling,
     envelope_of,
     psi_integral,
-    weight,
     weights_matrix,
 )
 from .dynamics import (
@@ -58,7 +57,6 @@ from .models import (
     flat_rhs,
     pack,
     rhs,
-    rhs_state,
     unpack,
 )
 from .integrate import (
@@ -122,7 +120,6 @@ __all__ = [
     "Envelope",
     "envelope_of",
     "psi_integral",
-    "weight",
     "weights_matrix",
     "BETA_SQ_SUP",
     # dynamics
@@ -145,7 +142,6 @@ __all__ = [
     "SingularDistanceError",
     "SPREAD_GUARD",
     "rhs",
-    "rhs_state",
     "flat_rhs",
     "pack",
     "unpack",

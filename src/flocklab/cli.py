@@ -297,6 +297,7 @@ def _sweep_point(payload) -> dict:
                 row["eps_observed"] = None
         row["error"] = ""
     except Exception as exc:  # per-point failures recorded, sweep continues
+        log.debug("sweep point %d failed", idx, exc_info=True)
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 

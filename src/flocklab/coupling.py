@@ -14,7 +14,7 @@ sound sandwich psi(sqrt(r) * S(x)) <= w_ij <= w_bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,6 +55,7 @@ class ModulatedCoupling:
     w: float
     delta: float
     beta: np.ndarray
+    beta_sq: np.ndarray = field(init=False, repr=False)  # beta**2, read-only
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -68,6 +69,9 @@ class ModulatedCoupling:
         beta = beta.copy()
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+        beta_sq = beta**2
+        beta_sq.setflags(write=False)
+        object.__setattr__(self, "beta_sq", beta_sq)
 
 
 @dataclass(frozen=True)
@@ -100,21 +104,13 @@ def weights_matrix(model, t: float, x, dist_sq: Optional[np.ndarray] = None) -> 
         if model.beta.shape[0] != n:
             raise ValueError(f"beta is {model.beta.shape[0]}x{model.beta.shape[0]}, state has n={n}")
         dist = np.sqrt(dist_sq)
-        w = model.w * (1.5 + 0.5 * math.sin(t)) / (dist + model.beta**2) ** model.delta
+        w = model.w * (1.5 + 0.5 * math.sin(t)) / (dist + model.beta_sq) ** model.delta
     elif isinstance(model, ConstantCoupling):
         w = np.full((n, n), model.w)
     else:
         raise TypeError(f"unknown coupling model {type(model).__name__}")
-    np.fill_diagonal(w, 0.0)
+    w.flat[:: n + 1] = 0.0
     return w
-
-
-def weight(model, i: int, j: int, t: float, x) -> float:
-    """Single pair weight w_ij(t, x); i and j are zero based and distinct."""
-    if i == j:
-        raise ValueError("weights are defined for distinct pairs only")
-    x = _as_2d(x)
-    return float(weights_matrix(model, t, x)[i, j])
 
 
 @dataclass(frozen=True)

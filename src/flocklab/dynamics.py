@@ -136,9 +136,11 @@ def lorenz() -> InternalDynamics:
 
     def g(t, z):
         z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
-        return np.stack(
-            [10.0 * (z1 - z0), -z1 + z0 * (28.0 - z2), -(8.0 / 3.0) * z2 + z0 * z1], axis=-1
-        )
+        out = np.empty(z.shape)
+        out[..., 0] = 10.0 * (z1 - z0)
+        out[..., 1] = -z1 + z0 * (28.0 - z2)
+        out[..., 2] = -(8.0 / 3.0) * z2 + z0 * z1
+        return out
 
     def jac(t, z):
         return np.array(

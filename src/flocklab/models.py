@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupling import CouplingModel, weights_matrix
 from .dynamics import InternalDynamics, RepulsionModel
-from .state import FlockState, pair_differences, pair_dot, spread
+from .state import pair_differences, pair_dot, spread
 
 SPREAD_GUARD = 1e-12
 
@@ -85,52 +85,66 @@ def _acts_row_wise(g, r: int) -> bool:
     return whole.shape == rows.shape and bool(np.array_equal(whole, rows))
 
 
-def _alignment(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _alignment(w: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     # sum_j w_ij (v_j - v_i); diagonal of w is zero
-    return w @ v - w.sum(axis=1)[:, None] * v
+    return np.subtract(w @ v, w.sum(axis=1)[:, None] * v, out=out)
 
 
-def rhs_baseline(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
-    w = weights_matrix(spec.coupling, t, x)
-    return v.copy(), _alignment(w, v)
-
-
-def rhs_sync(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
-    w = weights_matrix(spec.coupling, t, x)
-    return v.copy(), spec.internal.g(t, v) + _alignment(w, v)
-
-
-def rhs_collision(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
-    rep = spec.repulsion
+def _collision_weights(rep: RepulsionModel, coupling, t: float, x: np.ndarray, v: np.ndarray):
+    """w + b of the collision_free velocity law, from one build of pair geometry."""
+    n = x.shape[0]
     diff_x = pair_differences(x)
     dist_sq = pair_dot(diff_x, diff_x)
-    off = ~np.eye(spec.n, dtype=bool)
     gaps = dist_sq - rep.d0
-    bad = (gaps <= 0.0) & off
+    gaps.flat[:: n + 1] = 1.0  # self pairs: a placeholder the wall check passes
+    bad = gaps <= 0.0
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise SingularDistanceError(int(i), int(j), float(dist_sq[i, j]), rep.d0)
 
-    w = weights_matrix(spec.coupling, t, x, dist_sq=dist_sq)
-    f = np.zeros_like(dist_sq)
-    f[off] = rep.coeffs[off] / gaps[off] ** rep.phi
+    w = weights_matrix(coupling, t, x, dist_sq=dist_sq)
+    f = rep.coeffs / gaps**rep.phi
+    f.flat[:: n + 1] = 0.0
 
     inner = pair_dot(diff_x, pair_differences(v))
     s_guard = max(spread(v), SPREAD_GUARD)
     b = -f * inner / s_guard
-    return v.copy(), _alignment(w + b, v)
+    return w + b
 
 
-_RHS = {"baseline": rhs_baseline, "sync": rhs_sync, "collision_free": rhs_collision}
+def flat_rhs(spec: ModelSpec):
+    """The RHS on flat vectors y = (x, v), suitable for the stepper.
+
+    The variant and its constants are resolved once here; each call writes
+    dx = v and dv into one fresh 2nr vector.
+    """
+    n, r = spec.n, spec.r
+    nr = n * r
+    variant, coupling = spec.variant, spec.coupling
+    g = spec.internal.g if variant == "sync" else None
+    rep = spec.repulsion
+
+    def f(t: float, y: np.ndarray) -> np.ndarray:
+        x = y[:nr].reshape(n, r)
+        v = y[nr:].reshape(n, r)
+        out = np.empty(2 * nr)
+        out[:nr] = y[nr:]
+        dv = out[nr:].reshape(n, r)
+        if variant == "collision_free":
+            _alignment(_collision_weights(rep, coupling, t, x, v), v, out=dv)
+        elif variant == "sync":
+            np.add(g(t, v), _alignment(weights_matrix(coupling, t, x), v), out=dv)
+        else:
+            _alignment(weights_matrix(coupling, t, x), v, out=dv)
+        return out
+
+    return f
 
 
 def rhs(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
-    """Dispatch to the variant RHS; returns (dx, dv) as (n, r) arrays."""
-    return _RHS[spec.variant](spec, t, x, v)
-
-
-def rhs_state(spec: ModelSpec, state: FlockState):
-    return rhs(spec, state.t, np.asarray(state.x), np.asarray(state.v))
+    """(dx, dv) as (n, r) arrays at time t; a thin wrapper over `flat_rhs`."""
+    y = pack(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    return unpack(flat_rhs(spec)(t, y), spec.n, spec.r)
 
 
 def pack(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -142,16 +156,3 @@ def unpack(y: np.ndarray, n: int, r: int):
     x = y[: n * r].reshape(n, r)
     v = y[n * r :].reshape(n, r)
     return x, v
-
-
-def flat_rhs(spec: ModelSpec):
-    """RHS closure on flat vectors, suitable for the stepper."""
-    n, r = spec.n, spec.r
-    fn = _RHS[spec.variant]
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        x, v = unpack(y, n, r)
-        dx, dv = fn(spec, t, x, v)
-        return pack(dx, dv)
-
-    return f

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -706,6 +707,12 @@ def load_scenario_file(path, seed_override: Optional[int] = None, seed_path=None
 # certificates from scenarios
 
 
+@lru_cache(maxsize=32)
+def _region_k(internal_json: str, r: int) -> float:
+    """`k_region` of the dynamics that an `internal` block builds at dimension r."""
+    return k_region(_build_internal(json.loads(internal_json), r))
+
+
 def resolve_k_bound(sc: Scenario) -> tuple[float, str]:
     """K bound for a sync certificate, resolved from the configured source.
 
@@ -714,6 +721,10 @@ def resolve_k_bound(sc: Scenario) -> tuple[float, str]:
     closed-form orbit envelope of the logistic-cosine dynamics through the
     largest initial velocity, a diagnostic-grade estimate.  user: taken
     verbatim from the scenario.
+
+    The region bound is memoized on the canonical JSON of the scenario's
+    `internal` block and r, from which `materialize` builds `sc.internal`,
+    so a sweep computes it once per process instead of once per point.
     """
     if sc.certificate is None or sc.certificate.k_source is None:
         raise ValueError("scenario has no certificate block with a K source")
@@ -723,7 +734,7 @@ def resolve_k_bound(sc: Scenario) -> tuple[float, str]:
     if source == "region":
         if sc.internal is None or sc.internal.box is None:
             raise ValueError("region K source needs internal dynamics with an invariant box")
-        return k_region(sc.internal), "region"
+        return _region_k(canonical_json(sc.doc["internal"]), sc.r), "region"
     # trajectory: logistic_cosine only (validated on load)
     z_top = float(sc.v0.max())
     if not 1.0 < z_top < 2.0:

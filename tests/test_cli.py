@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from flocklab.cli import (
     EXIT_USAGE,
     _parse_axis,
     _set_by_path,
+    _sweep_point,
     _termination_exit,
     main,
 )
@@ -372,6 +374,18 @@ def test_sweep_records_per_point_failures(tmp_path, capsys):
     assert rows[0]["error"] == ""
     assert rows[1]["error"] != "" and rows[1]["feasible"] == ""
     assert "1 errors" in capsys.readouterr().out
+
+
+def test_sweep_point_failure_logs_its_traceback(caplog):
+    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
+    payload = (json.dumps(doc), 3, [("coupling.w", -1.0)], True, False)
+    with caplog.at_level(logging.DEBUG, logger="flocklab"):
+        row = _sweep_point(payload)
+    assert row["error"].startswith("ScenarioError: ")
+    (record,) = [r for r in caplog.records if r.levelname == "DEBUG"]
+    assert record.getMessage() == "sweep point 3 failed"
+    assert record.exc_info[0].__name__ == "ScenarioError"
+    assert f"{record.exc_info[0].__name__}: {record.exc_info[1]}" == row["error"]
 
 
 # ---------------------------------------------------------------------------

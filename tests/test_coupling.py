@@ -13,7 +13,6 @@ from flocklab.coupling import (
     PowerLawCoupling,
     envelope_of,
     psi_integral,
-    weight,
     weights_matrix,
 )
 from flocklab.state import distance_sq_matrix
@@ -30,31 +29,32 @@ def beta_matrix(n: int, value: float = 1.4) -> np.ndarray:
 def test_power_law_zero_distance():
     model = PowerLawCoupling(gain=1.0, sigma=1.0, exponent=1.0)
     x = np.zeros((2, 1))
-    assert weight(model, 0, 1, 0.0, x) == 1.0
+    assert weights_matrix(model, 0.0, x)[0, 1] == 1.0
 
 
 def test_power_law_reference_value():
     model = PowerLawCoupling(gain=2.0, sigma=1.0, exponent=1.0)
     x = np.array([[0.0], [math.sqrt(3.0)]])  # squared distance 3
-    assert weight(model, 0, 1, 0.0, x) == pytest.approx(0.5, rel=1e-12)
+    assert weights_matrix(model, 0.0, x)[0, 1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_modulated_exponent_zero_is_pure_modulation():
     model = ModulatedCoupling(w=1.0, delta=0.0, beta=beta_matrix(2))
     x = np.array([[0.0], [7.0]])
-    assert weight(model, 0, 1, 0.0, x) == pytest.approx(1.5, rel=1e-12)
-    assert weight(model, 0, 1, math.pi / 2.0, x) == pytest.approx(2.0, rel=1e-12)
+    assert weights_matrix(model, 0.0, x)[0, 1] == pytest.approx(1.5, rel=1e-12)
+    assert weights_matrix(model, math.pi / 2.0, x)[0, 1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_constant_coupling_ignores_geometry():
     model = ConstantCoupling(w=0.7)
     x = np.array([[0.0, 0.0], [5.0, -3.0]])
-    assert weight(model, 0, 1, 3.0, x) == 0.7
+    assert weights_matrix(model, 3.0, x)[0, 1] == 0.7
 
 
-def test_weight_rejects_same_agent():
-    with pytest.raises(ValueError):
-        weight(ConstantCoupling(w=1.0), 2, 2, 0.0, np.zeros((3, 1)))
+def test_weights_matrix_has_no_self_weight():
+    # weights are defined for distinct pairs only: an agent's own entry is zero
+    w = weights_matrix(ConstantCoupling(w=1.0), 0.0, np.zeros((3, 1)))
+    assert w[2, 2] == 0.0 and w[2, 1] == 1.0
 
 
 def test_weights_matrix_zero_diagonal():

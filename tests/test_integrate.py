@@ -18,6 +18,7 @@ from flocklab.integrate import (
     IntegratorConfig,
     StepSizeUnderflow,
     Trajectory,
+    _hermite,
     integrate,
     integrate_flat,
 )
@@ -272,3 +273,95 @@ def test_trajectory_min_dist_sq_matches_per_sample_minimum(xs):
     )
     expected = [min_pair_distance_sq(x)[0] if n > 1 else math.inf for x in xs]
     np.testing.assert_array_equal(traj.min_dist_sq, expected)
+
+
+# ---------------------------------------------------------------------------
+# dense output: one Hermite evaluation per step
+
+
+def _hermite_per_theta(y0, f0, y1, f1, h, a):
+    # the scalar formula, one theta at a time, kept as the reference
+    h00 = (1.0 + 2.0 * a) * (1.0 - a) ** 2
+    h10 = a * (1.0 - a) ** 2
+    h01 = a * a * (3.0 - 2.0 * a)
+    h11 = a * a * (a - 1.0)
+    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+
+@st.composite
+def _hermite_step(draw):
+    size = draw(st.integers(1, 12))
+    vecs = [
+        draw(arrays(float, size, elements=st.floats(-1e3, 1e3, allow_nan=False)))
+        for _ in range(4)
+    ]
+    h = draw(st.floats(1e-6, 10.0))
+    # a step from t spanning several grid samples (h > sample_dt), thetas
+    # formed and clamped as integrate_flat forms them
+    dt = h / draw(st.floats(1.0, 40.0, exclude_min=True))
+    t = dt * draw(st.integers(0, 1000)) + draw(st.floats(0.0, 1.0)) * dt
+    grid = [dt * k for k in range(math.ceil(t / dt), math.floor((t + h) / dt) + 2)]
+    thetas = [min(max((g - t) / h, 0.0), 1.0) for g in grid]
+    thetas += [0.0, 1.0]  # both clamps
+    thetas += draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+    return (*vecs, h, thetas)
+
+
+@given(_hermite_step())
+def test_block_hermite_matches_per_theta_evaluation(step):
+    y0, f0, y1, f1, h, thetas = step
+    block = _hermite(y0, f0, y1, f1, h, thetas)
+    assert block.shape == (len(thetas), y0.size)
+    for row, theta in zip(block, thetas):
+        want = _hermite_per_theta(y0, f0, y1, f1, h, theta)
+        np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(_hermite(y0, f0, y1, f1, h, theta), want)
+
+
+def test_block_hermite_squares_like_the_scalar_formula():
+    # an array square and libm's pow(x, 2) differ in about one of 1000
+    # thetas; 8192 of them make sure the block forms its weights per theta
+    rng = np.random.default_rng(3)
+    y0, f0, y1, f1 = rng.normal(size=(4, 3))
+    thetas = rng.uniform(0.0, 1.0, 8192).tolist()
+    block = _hermite(y0, f0, y1, f1, 0.7, thetas)
+    want = [_hermite_per_theta(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
+    np.testing.assert_array_equal(block, np.array(want))
+
+
+@pytest.mark.parametrize("h_max, sample_dt", [(0.037, 0.01), (0.1, 0.1)])
+def test_long_steps_fill_their_samples_bit_for_bit(h_max, sample_dt):
+    # every step is accepted at h_max, so the accepted steps can be rebuilt
+    # from the k4 calls f(t + h, y_new).  At h_max = 3.7 sample steps each
+    # step fills several samples; at h_max = sample_dt the accumulated t
+    # falls just short of some grid times, whose theta is clamped to 1.
+    a = np.array([[-0.3, 1.0, 0.0, 0.2], [-1.0, -0.3, 0.1, 0.0],
+                  [0.0, 0.4, -0.2, 1.5], [0.3, 0.0, -1.5, -0.2]])
+    calls = []
+
+    def f(t, y):
+        out = a @ y + math.sin(t)
+        calls.append((t, y, out))
+        return out
+
+    y0 = np.array([1.0, -0.5, 0.25, 2.0])
+    cfg = IntegratorConfig(
+        t_end=1.0, sample_dt=sample_dt, rtol=1e9, atol=1e9, h_init=h_max, h_max=h_max
+    )
+    ts, ys, term, n_acc, n_rej = integrate_flat(f, y0, cfg)
+    assert isinstance(term, Completed) and n_rej == 0
+
+    t, y, k1 = calls[0]
+    want, k, clamped = [y0], 1, 0
+    for t_new, y_new, k4 in calls[3::3]:
+        h = min(cfg.h_max, cfg.t_end - t)
+        while k < len(ts) and ts[k] <= t_new + 1e-15 * cfg.t_end:
+            theta = (ts[k] - t) / h
+            clamped += theta > 1.0
+            want.append(_hermite_per_theta(y, k1, y_new, k4, h, min(max(theta, 0.0), 1.0)))
+            k += 1
+        t, y, k1 = t_new, y_new, k4
+    want += [y] * (len(ts) - k)  # grid tail within rounding of t_end
+    assert n_acc == len(calls[3::3])
+    assert clamped > 0 or h_max > sample_dt
+    np.testing.assert_array_equal(ys, np.array(want))

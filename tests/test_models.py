@@ -26,7 +26,6 @@ from flocklab.models import (
     flat_rhs,
     pack,
     rhs,
-    rhs_state,
     unpack,
 )
 from flocklab.state import FlockState, distance_sq_matrix
@@ -356,9 +355,65 @@ def test_flat_rhs_matches_structured_rhs():
     assert np.array_equal(f(1.1, pack(x, v)), pack(dx, dv))
 
 
-def test_rhs_state_wrapper():
+def _reference_rhs(spec, t, x, v):
+    # each variant written out on its own, as the RHS was before flat_rhs
+    # resolved the variant once per spec
+    w = weights_matrix(spec.coupling, t, x)
+    if spec.variant == "collision_free":
+        rep = spec.repulsion
+        diff_x = x[:, None, :] - x[None, :, :]
+        dist_sq = np.einsum("ijk,ijk->ij", diff_x, diff_x)
+        off = ~np.eye(spec.n, dtype=bool)
+        f = np.zeros_like(dist_sq)
+        f[off] = rep.coeffs[off] / (dist_sq[off] - rep.d0) ** rep.phi
+        inner = np.einsum("ijk,ijk->ij", diff_x, v[:, None, :] - v[None, :, :])
+        w = w + -f * inner / max((v.max(axis=0) - v.min(axis=0)).max(), models.SPREAD_GUARD)
+    dv = w @ v - w.sum(axis=1)[:, None] * v
+    if spec.variant == "sync":
+        drive = np.empty_like(v)
+        for i in range(spec.n):
+            drive[i] = spec.internal.g(t, v[i])
+        dv = drive + dv
+    return np.concatenate([v.ravel(), dv.ravel()])
+
+
+_COUPLINGS = {
+    "power_law": lambda n: PowerLawCoupling(gain=1.3, sigma=0.7, exponent=0.9),
+    "modulated": lambda n: ModulatedCoupling(
+        w=1.1, delta=0.8, beta=np.random.default_rng(n).uniform(0.3, 1.4, size=(n, n))
+    ),
+    "constant": lambda n: ConstantCoupling(w=0.6),
+}
+_INTERNAL = {1: logistic_cosine, 2: lambda: zero_dynamics(2), 3: lorenz}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(_COUPLINGS))
+@pytest.mark.parametrize("variant", models.MODEL_VARIANTS)
+def test_flat_rhs_matches_per_variant_reference(variant, family, r):
+    n = 7
+    spec, x, v = _modulated_collision_flock(n, r, seed=11)
+    spec = ModelSpec(
+        variant=variant,
+        n=n,
+        r=r,
+        coupling=_COUPLINGS[family](n),
+        internal=_INTERNAL[r]() if variant == "sync" else None,
+        repulsion=spec.repulsion if variant == "collision_free" else None,
+    )
+    if variant == "sync":
+        box = spec.internal.box
+        v = np.random.default_rng(r).uniform(box[:, 0], box[:, 1], size=(n, r))
+    f = flat_rhs(spec)
+    for t in (0.0, 0.4, 2.5):
+        got = f(t, pack(x, v))
+        assert got.shape == (2 * n * r,)
+        assert np.array_equal(got, _reference_rhs(spec, t, x, v))
+
+
+def test_rhs_on_flock_state():
     spec = baseline_spec()
     state = FlockState(t=0.0, x=np.zeros((2, 1)), v=np.array([[0.0], [2.0]]))
-    dx, dv = rhs_state(spec, state)
+    dx, dv = rhs(spec, state.t, state.x, state.v)
     assert np.array_equal(dx, state.v)
     assert np.allclose(dv, [[2.0], [-2.0]])

@@ -10,7 +10,9 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from flocklab import scenario as scenario_module
 from flocklab.coupling import ConstantCoupling, ModulatedCoupling
+from flocklab.dynamics import k_region
 from flocklab.scenario import (
     InitialGenerator,
     Scenario,
@@ -360,6 +362,31 @@ def test_region_penalty_source_uses_invariant_box():
     k, source = resolve_k_bound(sc)
     assert source == "region"
     assert k == pytest.approx(1.0, abs=1e-12)
+
+
+def test_region_penalty_is_computed_once_per_internal_block(monkeypatch):
+    calls = []
+
+    def counting_k_region(dyn):
+        calls.append(dyn.name)
+        return k_region(dyn)
+
+    monkeypatch.setattr(scenario_module, "k_region", counting_k_region)
+    scenario_module._region_k.cache_clear()
+    doc = json.loads(bundled_text("negative_control"))
+    first, second = materialize(doc), materialize(copy.deepcopy(doc))
+    k1, _ = resolve_k_bound(first)
+    k2, _ = resolve_k_bound(second)
+    assert calls == ["logistic_cosine"]
+    assert k1 == k2 == k_region(second.internal)  # exactly the uncached value
+
+    doc["internal"]["box"] = [[1.0, 2.5]]
+    wider = materialize(doc)
+    k3, source = resolve_k_bound(wider)
+    assert calls == ["logistic_cosine"] * 2
+    assert (k3, source) == (k_region(wider.internal), "region")
+    assert k3 == pytest.approx(2.0, abs=1e-12)  # max of cos(t) (2z - 3) at z = 2.5
+    scenario_module._region_k.cache_clear()
 
 
 def test_certificate_dispatch_by_variant():
