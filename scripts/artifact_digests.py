@@ -1,10 +1,12 @@
 """SHA-256 digests of every artifact and printed report of the bundled scenarios.
 
-For each bundled scenario this runs `simulate --full`, `certify` and `audit`
-through `flocklab.cli.main` into a temporary directory and prints one
-`sha256  scenario/file` line per artifact and per command's stdout (with
-its exit code).  The temporary path is stripped from the output, so two
-checkouts can be compared with a plain diff:
+For each bundled scenario this runs `validate`, `simulate --full`, `certify`
+and `audit` through `flocklab.cli.main` into a temporary directory, then one
+`sweep --simulate --jobs 1` of `example1_sweep` over coupling.delta.  It
+prints one `sha256  scenario/file` line per artifact and per command's
+stdout (with its exit code); the sweep's lines are tagged `sweep/`.  The
+temporary path is stripped from the output, so two checkouts can be
+compared with a plain diff:
 
     python3 scripts/artifact_digests.py > after.txt
     (cd ../other-checkout && python3 scripts/artifact_digests.py) > before.txt
@@ -29,6 +31,7 @@ sys.path.insert(0, str(SRC))
 from flocklab import cli  # noqa: E402
 
 SCENARIO_DIR = SRC / "flocklab" / "scenarios"
+SWEEP_AXIS = "coupling.delta=0.5:2.0:0.25"
 
 
 def _sha256(data: bytes) -> str:
@@ -44,22 +47,32 @@ def _run(argv: list[str], tmp: str) -> bytes:
     return f"{text}exit: {code}\n".encode("utf-8")
 
 
+def _print_digests(tag: str, commands, out: Path, tmp: str) -> None:
+    """Run each (command, argv) in turn, then digest each stdout and every file in out."""
+    lines = [(f"{command}.stdout", _sha256(_run(argv, tmp))) for command, argv in commands]
+    for path in sorted(out.iterdir()):
+        lines.append((path.name, _sha256(path.read_bytes())))
+    for label, digest in sorted(lines):
+        print(f"{digest}  {tag}/{label}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in sorted(SCENARIO_DIR.glob("*.json")):
             name = scenario.stem
             out = Path(tmp) / name
-            lines = []
-            for command, argv in (
+            commands = (
+                ("validate", ["validate", "--scenario", str(scenario)]),
                 ("simulate", ["simulate", "--scenario", str(scenario), "--out", str(out), "--full"]),
                 ("certify", ["certify", "--scenario", str(scenario)]),
                 ("audit", ["audit", "--out", str(out)]),
-            ):
-                lines.append((f"{command}.stdout", _sha256(_run(argv, tmp))))
-            for path in sorted(out.iterdir()):
-                lines.append((path.name, _sha256(path.read_bytes())))
-            for label, digest in sorted(lines):
-                print(f"{digest}  {name}/{label}")
+            )
+            _print_digests(name, commands, out, tmp)
+        out = Path(tmp) / "sweep"
+        scenario = SCENARIO_DIR / "example1_sweep.json"
+        sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
+                 "--jobs", "1", "--axis", SWEEP_AXIS]
+        _print_digests("sweep", [("sweep", sweep)], out, tmp)
     return 0
 
 

@@ -15,12 +15,11 @@ import json
 import math
 import re
 import warnings
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
-from .certify import CollisionCertificate, StandardCertificate, SyncCertificate
-from .integrate import CollisionEvent, Completed, IntegratorConfig, StepSizeUnderflow, Trajectory
+from .integrate import IntegratorConfig, Termination, Trajectory
 
 _SVG_PALETTE = (
     "#1f77b4",
@@ -127,25 +126,19 @@ def trajectory_from_artifacts(csv_path, cfg: IntegratorConfig, termination, stat
 # termination <-> manifest
 
 
+_TERMINATIONS = {cls.kind: cls for cls in get_args(Termination)}
+
+
 def termination_to_doc(term) -> dict:
-    if isinstance(term, Completed):
-        return {"kind": "completed"}
-    if isinstance(term, CollisionEvent):
-        return {"kind": "collision", "t_star": term.t_star, "i": term.i, "j": term.j}
-    if isinstance(term, StepSizeUnderflow):
-        return {"kind": "underflow", "t": term.t}
-    raise TypeError(f"unknown termination {term!r}")
+    return {"kind": term.kind, **dataclasses.asdict(term)}
 
 
 def termination_from_doc(doc: dict):
     kind = doc["kind"]
-    if kind == "completed":
-        return Completed()
-    if kind == "collision":
-        return CollisionEvent(t_star=doc["t_star"], i=doc["i"], j=doc["j"])
-    if kind == "underflow":
-        return StepSizeUnderflow(t=doc["t"])
-    raise ValueError(f"unknown termination kind {kind!r}")
+    if kind not in _TERMINATIONS:
+        raise ValueError(f"unknown termination kind {kind!r}")
+    cls = _TERMINATIONS[kind]
+    return cls(**{fld.name: doc[fld.name] for fld in dataclasses.fields(cls)})
 
 
 def write_manifest(path, manifest: dict) -> None:
@@ -163,7 +156,8 @@ def read_manifest(path) -> dict:
 # certificate reports
 
 
-def _report_value(val) -> str:
+def report_value(val) -> str:
+    """One value as reports and sweep CSVs print it."""
     if isinstance(val, bool):
         return "true" if val else "false"
     if val is None:
@@ -173,34 +167,17 @@ def _report_value(val) -> str:
     return str(val)
 
 
-# model variant -> (certificate class, label printed in reports, manifests
-# and sweep CSVs)
-CERTIFICATE_KINDS = {
-    "sync": (SyncCertificate, "sync"),
-    "collision_free": (CollisionCertificate, "collision"),
-    "baseline": (StandardCertificate, "standard"),
-}
-
-
-def _certificate_label(cert) -> str:
-    for cls, label in CERTIFICATE_KINDS.values():
-        if type(cert) is cls:
-            return label
-    return type(cert).__name__
-
-
 def certificate_report(cert) -> str:
     """Flat `key: value` text block, one line per certificate field."""
-    label = _certificate_label(cert)
-    lines = [f"certificate: {label}"]
+    lines = [f"certificate: {cert.kind}"]
     for fld in dataclasses.fields(cert):
-        lines.append(f"{fld.name}: {_report_value(getattr(cert, fld.name))}")
+        lines.append(f"{fld.name}: {report_value(getattr(cert, fld.name))}")
     return "\n".join(lines) + "\n"
 
 
 def certificate_fields(cert) -> dict:
     """Certificate as a flat dict for sweep CSV rows and manifests."""
-    out = {"certificate": _certificate_label(cert)}
+    out = {"certificate": cert.kind}
     out.update(dataclasses.asdict(cert))
     return out
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -74,6 +74,7 @@ def contraction_coefficient(p, row_sum_tol: float = 1e-9) -> ContractionResult:
 
 @dataclass(frozen=True)
 class StandardCertificate:
+    kind: ClassVar[str] = "standard"
     feasible: bool
     spread_x0: float
     spread_v0: float
@@ -93,6 +94,7 @@ def certify_standard(env: Envelope, spread_x0: float, spread_v0: float) -> Stand
 
 @dataclass(frozen=True)
 class SyncCertificate:
+    kind: ClassVar[str] = "sync"
     feasible: bool
     k_bound: float
     k_source: str
@@ -115,47 +117,16 @@ def _budget(env: Envelope, c: int, k: float, s_x0: float, d: float) -> float:
     return c * psi_integral(env, s_x0, d) - k * (d - s_x0)
 
 
-def certify_sync(
-    env: Envelope,
-    spread_x0: float,
-    spread_v0: float,
-    n: int,
-    k_bound: float,
-    k_source: str = "user",
-    relaxed: bool = False,
-) -> SyncCertificate:
-    """Exponential alignment certificate for the driven model.
-
-    Feasible when the integral of c psi(r) - k over [S(x0), d] exceeds
-    S(v0) for some d below the last radius d_max where c psi still beats k.
-    c counts the full network (c = n) or drops to 1 under the relaxed
-    connectivity reading.  On success d* solves the budget equation and
-    epsilon = c psi(d*) - k is the certified rate.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    c = 1 if relaxed else n
+def _sync_radii(
+    env: Envelope, c: int, k_bound: float, spread_x0: float, spread_v0: float
+) -> tuple[float, Optional[float]]:
+    """(d_max, d*) of the sync budget; d* is None when the budget falls short."""
 
     def head(r: float) -> float:
         return c * env.psi(r) - k_bound
 
-    def infeasible(d_max: float) -> SyncCertificate:
-        return SyncCertificate(
-            feasible=False,
-            k_bound=k_bound,
-            k_source=k_source,
-            relaxed=relaxed,
-            c=c,
-            n=n,
-            spread_x0=spread_x0,
-            spread_v0=spread_v0,
-            d_max=d_max,
-            d_star=None,
-            epsilon=None,
-        )
-
     if head(spread_x0) <= 0.0:
-        return infeasible(d_max=spread_x0)
+        return spread_x0, None
 
     # locate d_max: psi is non-increasing, so head has a single sign change
     lo, hi = spread_x0, spread_x0 + 1.0
@@ -191,7 +162,7 @@ def certify_sync(
         budget_sup = _budget(env, c, k_bound, spread_x0, d_max)
 
     if not budget_sup > spread_v0:
-        return infeasible(d_max=d_max)
+        return d_max, None
 
     # root of the budget equation in (S(x0), d_max)
     if math.isinf(d_max):
@@ -209,10 +180,33 @@ def certify_sync(
             hi = mid
         if hi - lo <= _D_STAR_TOL:
             break
-    d_star = 0.5 * (lo + hi)
-    epsilon = c * env.psi(d_star) - k_bound
+    return d_max, 0.5 * (lo + hi)
+
+
+def certify_sync(
+    env: Envelope,
+    spread_x0: float,
+    spread_v0: float,
+    n: int,
+    k_bound: float,
+    k_source: str = "user",
+    relaxed: bool = False,
+) -> SyncCertificate:
+    """Exponential alignment certificate for the driven model.
+
+    Feasible when the integral of c psi(r) - k over [S(x0), d] exceeds
+    S(v0) for some d below the last radius d_max where c psi still beats k.
+    c counts the full network (c = n) or drops to 1 under the relaxed
+    connectivity reading.  On success d* solves the budget equation and
+    epsilon = c psi(d*) - k is the certified rate.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    c = 1 if relaxed else n
+    d_max, d_star = _sync_radii(env, c, k_bound, spread_x0, spread_v0)
+    feasible = d_star is not None
     return SyncCertificate(
-        feasible=True,
+        feasible=feasible,
         k_bound=k_bound,
         k_source=k_source,
         relaxed=relaxed,
@@ -222,12 +216,13 @@ def certify_sync(
         spread_v0=spread_v0,
         d_max=d_max,
         d_star=d_star,
-        epsilon=epsilon,
+        epsilon=c * env.psi(d_star) - k_bound if feasible else None,
     )
 
 
 @dataclass(frozen=True)
 class CollisionCertificate:
+    kind: ClassVar[str] = "collision"
     feasible: bool
     n: int
     spread_x0: float
@@ -259,36 +254,25 @@ def certify_collision(
     lhs = spread_v0 / n
     psi_term = 0.5 * psi_integral(env, s_x0, math.inf)
 
-    if not separation_ok:
-        return CollisionCertificate(
-            feasible=False,
-            n=n,
-            spread_x0=s_x0,
-            spread_v0=spread_v0,
-            lhs=lhs,
-            psi_term=psi_term,
-            repulsion_term=math.inf,
-            separation_ok=False,
-            min_dist_sq=min_d2,
-        )
+    # the repulsion tails are finite only outside d0
+    worst = math.inf
+    if separation_ok:
+        d2 = distance_sq_matrix(x0)
+        worst = 0.0
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    worst = max(worst, repulsion_tail(rep, float(d2[i, j]), i, j))
 
-    d2 = distance_sq_matrix(x0)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                worst = max(worst, repulsion_tail(rep, float(d2[i, j]), i, j))
-
-    feasible = bool(lhs < psi_term - worst)
     return CollisionCertificate(
-        feasible=feasible,
+        feasible=bool(separation_ok and lhs < psi_term - worst),
         n=n,
         spread_x0=s_x0,
         spread_v0=spread_v0,
         lhs=lhs,
         psi_term=psi_term,
         repulsion_term=worst,
-        separation_ok=True,
+        separation_ok=separation_ok,
         min_dist_sq=min_d2,
     )
 

@@ -30,8 +30,9 @@ from .certify import (
     audit_sync_run,
     decay_rate_fit,
 )
-from .integrate import CollisionEvent, Completed, StepSizeUnderflow, integrate
+from .integrate import integrate
 from .scenario import (
+    CERTIFICATE_CLASSES,
     Scenario,
     ScenarioError,
     evaluate_certificate,
@@ -46,6 +47,13 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_COLLISION = 3
 EXIT_UNDERFLOW = 4
+
+# termination kind -> exit code
+_TERMINATION_EXITS = {
+    "completed": EXIT_OK,
+    "collision": EXIT_COLLISION,
+    "underflow": EXIT_UNDERFLOW,
+}
 
 log = logging.getLogger("flocklab")
 
@@ -82,11 +90,7 @@ def _load(args) -> Scenario:
 
 
 def _termination_exit(term) -> int:
-    if isinstance(term, Completed):
-        return EXIT_OK
-    if isinstance(term, CollisionEvent):
-        return EXIT_COLLISION
-    return EXIT_UNDERFLOW
+    return _TERMINATION_EXITS[term.kind]
 
 
 def _maybe_certificate(sc: Scenario):
@@ -267,9 +271,8 @@ def _set_by_path(doc: dict, dotted: str, value) -> None:
 
 
 def _sweep_columns(variant: str, axis_keys: list[str], with_sim: bool) -> list[str]:
-    cert_cls, _ = artifacts.CERTIFICATE_KINDS[variant]
     cols = ["index", *axis_keys, "certificate"]
-    cols += [fld.name for fld in dataclasses.fields(cert_cls)]
+    cols += [fld.name for fld in dataclasses.fields(CERTIFICATE_CLASSES[variant])]
     if with_sim:
         cols.append("eps_observed")
     cols.append("error")
@@ -303,13 +306,7 @@ def _sweep_point(payload) -> dict:
 
 
 def _csv_cell(val) -> str:
-    if val is None or val == "":
-        return ""
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, float):
-        return artifacts.fmt_sig(val)
-    return str(val)
+    return "" if val is None else artifacts.report_value(val)
 
 
 def cmd_sweep(args) -> int:
@@ -317,7 +314,7 @@ def cmd_sweep(args) -> int:
 
     text = _read_text(args.scenario)
     doc = json.loads(text)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     diags = validate(doc)
     if diags:
@@ -370,6 +367,8 @@ def cmd_validate(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"document: invalid JSON ({exc})")
         return EXIT_USAGE
+    if args.seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": args.seed}
     diags = validate(doc)
     if not diags:
         try:
@@ -440,26 +439,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, scenario=True, out_required=False, out=True):
-        p = sub.add_parser(name, help=help_text)
-        if scenario:
-            p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        if out:
-            p.add_argument(
-                "--out",
+    def add(name, fn, help_text, *flags, out_required=True):
+        """A subcommand that takes exactly `flags`, each defined once here."""
+        options = {
+            "--scenario": dict(required=True, help="path to a scenario JSON file"),
+            "--out": dict(
                 required=out_required,
                 default=None,
                 help="output directory" if name != "audit" else "run directory to audit",
-            )
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (sweep)")
-        p.add_argument("--full", action="store_true", help="write full state columns to CSV")
+            ),
+            "--seed": dict(type=int, default=None, help="override the scenario seed"),
+            "--jobs": dict(type=int, default=1, help="parallel workers"),
+            "--full": dict(action="store_true", help="write full state columns to CSV"),
+        }
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(fn=fn)
         return p
 
-    add("simulate", cmd_simulate, "run a scenario and write artifacts", out_required=True)
-    add("certify", cmd_certify, "evaluate the scenario certificate")
-    sweep = add("sweep", cmd_sweep, "grid of certificates over axis values", out_required=True)
+    add("simulate", cmd_simulate, "run a scenario and write artifacts",
+        "--scenario", "--out", "--seed", "--full")
+    add("certify", cmd_certify, "evaluate the scenario certificate",
+        "--scenario", "--out", "--seed", out_required=False)
+    sweep = add("sweep", cmd_sweep, "grid of certificates over axis values",
+                "--scenario", "--out", "--seed", "--jobs")
     sweep.add_argument(
         "--axis",
         action="append",
@@ -471,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also simulate each point and record the observed decay rate",
     )
-    add("validate", cmd_validate, "check a scenario file and report diagnostics", out=False)
-    add("audit", cmd_audit, "recheck a finished run against the certified inequalities",
-        scenario=False, out_required=True)
+    add("validate", cmd_validate, "check a scenario file and report diagnostics",
+        "--scenario", "--seed")
+    add("audit", cmd_audit, "recheck a finished run against the certified inequalities", "--out")
     return parser
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -57,13 +57,15 @@ class IntegratorConfig:
             raise ValueError("collision_margin must be nonnegative")
 
 
+# each termination names its own kind, the label manifests carry
 @dataclass(frozen=True)
 class Completed:
-    pass
+    kind: ClassVar[str] = "completed"
 
 
 @dataclass(frozen=True)
 class CollisionEvent:
+    kind: ClassVar[str] = "collision"
     t_star: float
     i: int
     j: int
@@ -71,6 +73,7 @@ class CollisionEvent:
 
 @dataclass(frozen=True)
 class StepSizeUnderflow:
+    kind: ClassVar[str] = "underflow"
     t: float
 
 

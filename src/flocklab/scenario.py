@@ -15,6 +15,7 @@ block id per randomised quantity.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -416,20 +417,15 @@ def validate(doc) -> list[str]:
 # ---------------------------------------------------------------------------
 # normalization and hashing
 
-_INTEGRATOR_DEFAULTS = {
-    "t0": 0.0,
-    "rtol": 1e-6,
-    "atol": 1e-9,
-    "h_init": None,
-    "h_max": None,
-    "collision_margin": 1e-9,
-}
-
 
 def normalized(doc: dict) -> dict:
-    """Deep copy with every optional default made explicit (idempotent)."""
+    """Deep copy with every optional default made explicit (idempotent).
+
+    The integrator defaults are `IntegratorConfig`'s own.
+    """
     out = copy.deepcopy(doc)
-    integ = dict(_INTEGRATOR_DEFAULTS)
+    fields = dataclasses.fields(IntegratorConfig)
+    integ = {fld.name: fld.default for fld in fields if fld.default is not dataclasses.MISSING}
     integ.update(out.get("integrator", {}))
     out["integrator"] = integ
     if "internal" not in out:
@@ -643,29 +639,12 @@ def materialize(doc: dict, seed_path=None) -> Scenario:
             if abs(got - target) > _SPREAD_MATCH_TOL * max(1.0, target):
                 raise ValueError(f"generated spread {got} missed target {target}")
 
-    integ = doc["integrator"]
     cfg = IntegratorConfig(
-        t_end=float(integ["t_end"]),
-        sample_dt=float(integ["sample_dt"]),
-        t0=float(integ["t0"]),
-        rtol=float(integ["rtol"]),
-        atol=float(integ["atol"]),
-        h_init=None if integ["h_init"] is None else float(integ["h_init"]),
-        h_max=None if integ["h_max"] is None else float(integ["h_max"]),
-        collision_margin=float(integ["collision_margin"]),
+        **{key: None if val is None else float(val) for key, val in doc["integrator"].items()}
     )
 
     cert_block = doc["certificate"]
-    cert = None
-    if cert_block is not None:
-        if doc["variant"] == "sync":
-            cert = CertificateSettings(
-                k_source=cert_block["k_source"],
-                k_value=cert_block["k_value"],
-                relaxed=cert_block["relaxed"],
-            )
-        else:
-            cert = CertificateSettings()
+    cert = None if cert_block is None else CertificateSettings(**cert_block)
 
     return Scenario(
         name=doc["name"],
@@ -742,6 +721,14 @@ def resolve_k_bound(sc: Scenario) -> tuple[float, str]:
     return logistic_cosine_envelope_bound(z_top), "trajectory"
 
 
+# model variant -> the certificate class `evaluate_certificate` returns
+CERTIFICATE_CLASSES = {
+    "sync": SyncCertificate,
+    "collision_free": CollisionCertificate,
+    "baseline": StandardCertificate,
+}
+
+
 def evaluate_certificate(sc: Scenario):
     """Dispatch to the certificate matching the scenario variant."""
     env = sc.envelope()
@@ -761,6 +748,3 @@ def evaluate_certificate(sc: Scenario):
     if sc.variant == "collision_free":
         return certify_collision(env, sc.repulsion, sc.x0, s_v0, sc.n)
     return certify_standard(env, s_x0, s_v0)
-
-
-CertificateResult = SyncCertificate | CollisionCertificate | StandardCertificate

@@ -28,8 +28,9 @@ from flocklab.artifacts import (
     write_manifest,
     write_timeseries_csv,
 )
-from flocklab.certify import certify_standard, certify_sync
+from flocklab.certify import certify_collision, certify_standard, certify_sync
 from flocklab.coupling import ConstantCoupling, envelope_of
+from flocklab.dynamics import RepulsionModel
 from flocklab.integrate import (
     CollisionEvent,
     Completed,
@@ -228,6 +229,19 @@ def test_termination_documents_round_trip():
         termination_from_doc({"kind": "exploded"})
 
 
+def test_termination_documents_keep_field_order():
+    # no bundled run ends in a collision or an underflow, so the artifact
+    # digests never see these two documents
+    collision = termination_to_doc(CollisionEvent(t_star=0.1875, i=0, j=1))
+    assert list(collision.items()) == [("kind", "collision"), ("t_star", 0.1875), ("i", 0), ("j", 1)]
+    assert str(collision) == "{'kind': 'collision', 't_star': 0.1875, 'i': 0, 'j': 1}"
+    underflow = termination_to_doc(StepSizeUnderflow(t=2.5))
+    assert list(underflow.items()) == [("kind", "underflow"), ("t", 2.5)]
+    assert str(underflow) == "{'kind': 'underflow', 't': 2.5}"
+    with pytest.raises(KeyError):
+        termination_from_doc({"kind": "underflow"})
+
+
 def test_manifest_round_trip_and_stability(tmp_path):
     manifest = {
         "seed": 7,
@@ -277,6 +291,27 @@ def test_certificate_fields_flatten_for_csv():
     assert fields["feasible"] is True
     assert fields["epsilon"] == cert.epsilon
     assert set(fields) > {"d_star", "d_max", "k_bound", "relaxed"}
+
+
+def _certificate_of_each_kind():
+    env = envelope_of(ConstantCoupling(w=1.0))
+    rep = RepulsionModel(d0=0.25, phi=1.5, coeffs=np.ones((2, 2)))
+    return [
+        ("sync", certify_sync(env, 1.0, 0.4, n=5, k_bound=0.462)),
+        ("collision", certify_collision(env, rep, np.array([[0.0], [3.0]]), 0.1, 2)),
+        ("standard", certify_standard(env, 0.0, 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("label", ["sync", "collision", "standard"])
+def test_certificate_label_of_each_kind(label):
+    cert = dict(_certificate_of_each_kind())[label]
+    assert certificate_fields(cert)["certificate"] == label
+    assert certificate_report(cert).splitlines()[0] == f"certificate: {label}"
+    # the label is not a field: reports, manifests and sweep columns keep theirs
+    names = [fld.name for fld in dataclasses.fields(cert)]
+    assert "kind" not in names
+    assert list(certificate_fields(cert)) == ["certificate", *names]
 
 
 def _parse_svg(text: str) -> ET.Element:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import logging
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import flocklab
+import flocklab.cli as cli_module
 from flocklab.cli import (
     EXIT_COLLISION,
     EXIT_INFEASIBLE,
@@ -25,6 +27,7 @@ from flocklab.cli import (
     _set_by_path,
     _sweep_point,
     _termination_exit,
+    build_parser,
     main,
 )
 from flocklab.integrate import CollisionEvent, Completed, StepSizeUnderflow
@@ -71,6 +74,35 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().out
 
 
+def test_validate_applies_seed_override(monkeypatch, capsys):
+    seeds = []
+    materialize = cli_module.materialize
+
+    def recording(doc, **kwargs):
+        seeds.append(doc["seed"])
+        return materialize(doc, **kwargs)
+
+    monkeypatch.setattr(cli_module, "materialize", recording)
+    scenario = bundled_path("example3_strong")
+    assert main(["validate", "--scenario", scenario, "--seed", "99"]) == EXIT_OK
+    assert seeds == [99]
+    # the override is validated like the file's own seed
+    assert main(["validate", "--scenario", scenario, "--seed", "-1"]) == EXIT_USAGE
+    assert "seed: must be >= 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_seed_override_on_a_non_object_document_is_a_diagnostic(command, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]", encoding="utf-8")
+    argv = [command, "--scenario", str(path), "--seed", "3"]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "document: must be a JSON object" in captured.out + captured.err
+
+
 def test_missing_scenario_file_is_usage_error():
     assert main(["certify", "--scenario", "/no/such/file.json"]) == EXIT_USAGE
 
@@ -80,6 +112,49 @@ def test_usage_errors_exit_one(capsys):
     assert main(["simulate", "--scenario", "x.json"]) == EXIT_USAGE  # --out missing
     assert main(["certify", "--scenario", "x.json", "--bogus"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# every option each subcommand reads, and options it must reject as unread
+_OPTIONS = {
+    "simulate": ["--scenario", "s.json", "--out", "o", "--seed", "3", "--full"],
+    "certify": ["--scenario", "s.json", "--out", "o", "--seed", "3"],
+    "sweep": ["--scenario", "s.json", "--out", "o", "--seed", "3", "--jobs", "2",
+              "--axis", "seed=[1]", "--simulate"],
+    "validate": ["--scenario", "s.json", "--seed", "3"],
+    "audit": ["--out", "o"],
+}
+_REMOVED = [
+    ("simulate", "--jobs"),
+    ("certify", "--jobs"),
+    ("certify", "--full"),
+    ("sweep", "--full"),
+    ("validate", "--jobs"),
+    ("validate", "--full"),
+    ("audit", "--seed"),
+    ("audit", "--jobs"),
+    ("audit", "--full"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_subcommand_parses_every_option_it_reads(command):
+    args = build_parser().parse_args([command, *_OPTIONS[command]])
+    given = {flag[2:] for flag in _OPTIONS[command] if flag.startswith("--")}
+    assert set(vars(args)) - {"command", "fn"} == given
+
+
+def test_cli_has_sixteen_settable_options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {name: [a.dest for a in p._actions if a.dest != "help"] for name, p in sub.choices.items()}
+    assert sorted(dests) == sorted(_OPTIONS)
+    assert sum(map(len, dests.values())) == 16
+
+
+@pytest.mark.parametrize("command,flag", _REMOVED)
+def test_subcommand_rejects_options_it_does_not_read(command, flag, capsys):
+    value = [] if flag == "--full" else ["1"]
+    assert main([command, *_OPTIONS[command], flag, *value]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -13,7 +13,10 @@ import pytest
 from flocklab import scenario as scenario_module
 from flocklab.coupling import ConstantCoupling, ModulatedCoupling
 from flocklab.dynamics import k_region
+from flocklab.integrate import IntegratorConfig
 from flocklab.scenario import (
+    CERTIFICATE_CLASSES,
+    CertificateSettings,
     InitialGenerator,
     Scenario,
     ScenarioError,
@@ -220,6 +223,25 @@ def test_normalization_fills_integrator_defaults():
 # materialization
 
 
+def test_materialize_takes_integrator_defaults_from_the_config():
+    assert materialize(base_doc()).integrator == IntegratorConfig(t_end=1.0, sample_dt=0.1)
+    doc = base_doc()
+    doc["integrator"] = {"t_end": 2, "sample_dt": 1, "h_max": None}
+    cfg = materialize(doc).integrator
+    assert cfg == IntegratorConfig(t_end=2.0, sample_dt=1.0)
+    assert type(cfg.t_end) is float and type(cfg.sample_dt) is float
+    assert cfg.h_max is None
+
+
+def test_materialize_builds_certificate_settings_from_the_block():
+    doc = base_doc()
+    doc["certificate"] = {}
+    assert materialize(doc).certificate == CertificateSettings()
+    sync = json.loads(bundled_text("example1_delta09"))
+    sync["certificate"] = {"k_source": "user", "k_value": 0.5}
+    assert materialize(sync).certificate == CertificateSettings(k_source="user", k_value=0.5)
+
+
 def test_bundled_explicit_scenario_loads_exactly():
     sc = load_scenario(bundled_text("example1_delta09"))
     assert isinstance(sc, Scenario)
@@ -398,6 +420,15 @@ def test_certificate_dispatch_by_variant():
     doc["initial"] = {"mode": "explicit", "x": [[0, 0], [1, 1], [2, 2]], "v": [[0, 0], [0.1, 0.1], [0.2, 0.2]]}
     std_cert = evaluate_certificate(materialize(doc))
     assert hasattr(std_cert, "tail")
+
+
+def test_certificate_classes_name_what_dispatch_returns():
+    docs = [json.loads(bundled_text(name)) for name in ("example1_delta09", "example3_strong")]
+    docs.append(base_doc())
+    assert sorted(doc["variant"] for doc in docs) == sorted(CERTIFICATE_CLASSES)
+    for doc in docs:
+        sc = materialize(doc)
+        assert type(evaluate_certificate(sc)) is CERTIFICATE_CLASSES[sc.variant]
 
 
 @pytest.mark.parametrize(
