@@ -332,10 +332,11 @@ def cmd_sweep(args) -> int:
         (json.dumps(doc), idx, list(zip(axis_keys, values)), isolate, with_sim)
         for idx, values in enumerate(points)
     ]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(payloads))  # a pool starts every worker up front
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(payload) for payload in payloads]
@@ -432,6 +433,16 @@ def cmd_audit(args) -> int:
 # entry point
 
 
+def _worker_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flocklab",
@@ -449,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="output directory" if name != "audit" else "run directory to audit",
             ),
             "--seed": dict(type=int, default=None, help="override the scenario seed"),
-            "--jobs": dict(type=int, default=1, help="parallel workers"),
+            "--jobs": dict(type=_worker_count, default=1, help="parallel workers, at least 1"),
             "--full": dict(action="store_true", help="write full state columns to CSV"),
         }
         p = sub.add_parser(name, help=help_text)

@@ -4,7 +4,9 @@ The stepper is the classic four-stage pair with the first-same-as-last
 property: the third-order solution is propagated, the embedded second-order
 solution drives step control.  Sample output lands on a uniform grid via
 cubic Hermite interpolation inside each accepted step, so tightening the
-step controller never changes the reported grid.
+step controller never changes the reported grid.  The samples are filled
+one block of accepted steps at a time, with the bits each would have if
+its step were interpolated alone.
 
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
@@ -25,10 +27,12 @@ from .state import FlockState, min_pair_distance_sq, pair_dot
 
 UNDERFLOW_FACTOR = 1e-14
 
-# classic 3(2) pair coefficients, as Python floats: indexing them costs
-# less than indexing an array, and the products are the same
-_B_HIGH = (2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0, 0.0)
-_E = (-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0)
+BLOCK = 64  # a flush fills the samples of up to this many recorded steps
+
+# classic 3(2) pair coefficients, one per stage row of k1..k4; an axis-0
+# reduction adds the weighted rows in order, as b0*k1 + b1*k2 + b2*k3 does
+_B_HIGH = np.array([2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0])[:, None]
+_E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -126,29 +130,113 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     return np.append(grid, t_end)
 
 
-def _hermite(y0, f0, y1, f1, h, theta):
-    """Cubic Hermite evaluation at fraction theta of the step.
+def _hermite_weights(theta, h):
+    """Cubic Hermite weights of (y0, f0, y1, f1) at fraction theta of a step h.
 
-    A scalar theta gives one state; a sequence of thetas gives one row per
-    theta.  The four weights are formed per theta in Python float arithmetic
-    (libm's pow for the squares, which an array square can differ from by
-    an ulp) and applied to the vectors in one pass, summed left to right,
-    so a row equals the scalar evaluation at its theta bit for bit.
+    theta and h are Python floats, or float arrays of one shape.  Each
+    (1 - theta)**2 goes through libm's pow, element by element for arrays,
+    as Python's float `**` does: an array square can differ from pow by an
+    ulp in about one of 1000 thetas.  The other products are the same
+    expressions in the same order, so an array element has the bits of the
+    scalar weight at its theta.
     """
-    single = np.isscalar(theta)
-    weights = []
-    for a in map(float, [theta] if single else theta):
-        weights.append(
-            (
-                (1.0 + 2.0 * a) * (1.0 - a) ** 2,
-                a * (1.0 - a) ** 2 * h,
-                a * a * (3.0 - 2.0 * a),
-                a * a * (a - 1.0) * h,
-            )
-        )
-    wt = np.array(weights).reshape(-1, 4).T[:, :, None]
-    out = wt[0] * y0 + wt[1] * f0 + wt[2] * y1 + wt[3] * f1
-    return out[0] if single else out
+    b = 1.0 - theta
+    sq = np.array([x**2 for x in b.tolist()]) if isinstance(b, np.ndarray) else b**2
+    return (
+        (1.0 + 2.0 * theta) * sq,
+        theta * sq * h,
+        theta * theta * (3.0 - 2.0 * theta),
+        theta * theta * (theta - 1.0) * h,
+    )
+
+
+def _hermite(y0, f0, y1, f1, h, theta):
+    """One state at fraction theta of the step, its terms summed left to right."""
+    w0, w1, w2, w3 = _hermite_weights(theta, h)
+    return w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1
+
+
+def _hermite_rows(basis, theta, h, out=None):
+    """One Hermite state per theta, equal bit for bit to `_hermite` at it.
+
+    basis is (4, m, N), or broadcasts to it: row i's (y0, f0, y1, f1) are
+    basis[:, i].  theta and h are (m,) arrays.  An axis-0 reduction adds
+    the four weighted terms in order, as `_hermite`'s sum does.
+    """
+    weights = np.array(_hermite_weights(theta, h))[:, :, None]
+    return np.add.reduce(weights * basis, axis=0, out=out)
+
+
+# index offsets of a step's (y0, f0, y1, f1) among the (state, slope) rows
+_BASIS_ROWS = np.arange(4)[:, None]
+
+
+class _DenseOutput:
+    """The sample grid, filled from the accepted steps one block at a time.
+
+    An accepted step that reaches a new grid sample is recorded: its start,
+    length and reach into the grid, its end (state, slope) and, unless the
+    step before it was recorded and ended there, its start (state, slope).
+    `flush` fills every sample the recorded steps reach with `_hermite_rows`,
+    so a sample has the bits it would have if its step were interpolated
+    alone.  A flush runs when the (state, slope) buffer is full, and must
+    run before the samples are read.
+    """
+
+    def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
+        self.grid = grid
+        self.grid_t = grid.tolist()  # the same times as Python floats, for the per-step search
+        self.slack = 1e-15 * float(grid[-1] - grid[0])
+        self.samples = np.empty((len(grid), y0.size))
+        self.samples[0] = y0
+        self.filled = self.covered = 1  # samples filled; samples the recorded steps reach
+        self.points = np.empty((BLOCK + 1, 2, y0.size))  # (state, slope) rows
+        self.n_points = 0
+        self.chained = False  # the last point is where the next step starts
+        self._put(y0, f0)
+        self.firsts: list[int] = []  # each recorded step's start point
+        self.starts: list[float] = []
+        self.hs: list[float] = []
+        self.stops: list[int] = []
+
+    def _put(self, y: np.ndarray, f: np.ndarray) -> None:
+        self.points[self.n_points, 0] = y
+        self.points[self.n_points, 1] = f
+        self.n_points += 1
+        self.chained = True
+
+    def push(self, t: float, h: float, y0, f0, y1, f1) -> None:
+        """Record the accepted step from (t, y0, f0) to (t + h, y1, f1)."""
+        stop = bisect_right(self.grid_t, t + h + self.slack, self.covered)
+        if stop == self.covered:
+            self.chained = False
+            return
+        if self.n_points + (1 if self.chained else 2) > len(self.points):
+            self.flush()
+        if not self.chained:
+            self._put(y0, f0)
+        self.firsts.append(self.n_points - 1)
+        self._put(y1, f1)
+        self.starts.append(t)
+        self.hs.append(h)
+        self.stops.append(stop)
+        self.covered = stop
+
+    def flush(self) -> None:
+        lo, hi = self.filled, self.covered
+        if hi > lo:
+            step = np.repeat(np.arange(len(self.stops)), np.diff(self.stops, prepend=lo))
+            h = np.array(self.hs)[step]
+            theta = np.clip((self.grid[lo:hi] - np.array(self.starts)[step]) / h, 0.0, 1.0)
+            first = 2 * np.array(self.firsts)[step]
+            rows = self.points.reshape(-1, self.points.shape[-1])
+            _hermite_rows(rows[first + _BASIS_ROWS], theta, h, out=self.samples[lo:hi])
+            self.filled = hi
+        if self.chained:
+            self.points[0] = self.points[self.n_points - 1]
+        self.n_points = int(self.chained)
+        for recorded in (self.firsts, self.starts, self.hs, self.stops):
+            recorded.clear()
 
 
 def integrate_flat(
@@ -165,20 +253,21 @@ def integrate_flat(
     non-positive value at the end of an accepted step triggers bisection.
     """
     t0, t_end = cfg.t0, cfg.t_end
+    atol, rtol, sample_dt = cfg.atol, cfg.rtol, cfg.sample_dt
     span = t_end - t0
     h_max = cfg.h_max if cfg.h_max is not None else span
     h = cfg.h_init if cfg.h_init is not None else min(h_max, span / 1000.0)
     h_floor = UNDERFLOW_FACTOR * span
 
-    grid = _sample_grid(t0, t_end, cfg.sample_dt)
-    grid_t = grid.tolist()  # the same times as Python floats, for the per-step search
-    samples = np.empty((len(grid), y0.size))
-    samples[0] = y0
-    next_sample = 1
-
     t = t0
     y = np.asarray(y0, dtype=float).copy()
-    k1 = f(t, y)
+    stages = np.empty((4, y.size))  # k1..k4, one row each
+    k1, k2, k3, k4 = stages
+    first3 = stages[:3]
+    k1[:] = f(t, y)
+    scale = atol + rtol * float(np.abs(y).max())
+    grid = _sample_grid(t0, t_end, sample_dt)
+    dense = _DenseOutput(grid, y, k1)
     n_accepted = 0
     n_rejected = 0
 
@@ -187,26 +276,25 @@ def integrate_flat(
         if h < h_floor:
             if t_end - t < h_floor:
                 break  # t reached t_end to within rounding of the accumulated sum
+            dense.flush()
+            keep = dense.covered
             term = StepSizeUnderflow(t=t)
-            return grid[:next_sample], samples[:next_sample], term, n_accepted, n_rejected
+            return grid[:keep], dense.samples[:keep], term, n_accepted, n_rejected
 
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.75 * h, y + 0.75 * h * k2)
-        y_new = y + h * (_B_HIGH[0] * k1 + _B_HIGH[1] * k2 + _B_HIGH[2] * k3)
-        k4 = f(t + h, y_new)
-        err = h * (_E[0] * k1 + _E[1] * k2 + _E[2] * k3 + _E[3] * k4)
-
-        scale = cfg.atol + cfg.rtol * float(np.abs(y).max())
-        err_norm = float(np.abs(err).max()) / scale
+        k2[:] = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3[:] = f(t + 0.75 * h, y + 0.75 * h * k2)
+        y_new = y + h * np.add.reduce(_B_HIGH * first3, axis=0)
+        k4[:] = f(t + h, y_new)
+        # max|h * e| is h * max|e| bit for bit: rounding is monotone and
+        # symmetric in sign, so one multiply by h replaces the vector one
+        err_norm = h * float(np.abs(np.add.reduce(_E * stages, axis=0)).max()) / scale
 
         if err_norm <= 1.0:
-            t_new = t + h
-
             # scan the dense output at sample resolution: a long accepted
             # step must not jump over a brief excursion past the threshold
             bracket = None
             if event is not None:
-                n_scan = max(1, min(1024, math.ceil(h / cfg.sample_dt - 1e-12)))
+                n_scan = max(1, min(1024, math.ceil(h / sample_dt - 1e-12)))
                 theta_prev = 0.0
                 for m in range(1, n_scan + 1):
                     theta = m / n_scan
@@ -216,14 +304,10 @@ def integrate_flat(
                         break
                     theta_prev = theta
 
-            # every grid sample inside the step, in one Hermite evaluation
-            stop = bisect_right(grid_t, t_new + 1e-15 * span, next_sample)
-            if stop > next_sample:
-                thetas = [min(max((g - t) / h, 0.0), 1.0) for g in grid_t[next_sample:stop]]
-                samples[next_sample:stop] = _hermite(y, k1, y_new, k4, h, thetas)
-                next_sample = stop
+            dense.push(t, h, y, k1, y_new, k4)
 
             if bracket is not None:
+                dense.flush()
                 lo, hi = bracket  # event(t + lo*h) > 0 >= event(t + hi*h)
                 for _ in range(20):
                     mid = 0.5 * (lo + hi)
@@ -234,15 +318,16 @@ def integrate_flat(
                         hi = mid
                 t_star = t + hi * h
                 y_star = _hermite(y, k1, y_new, k4, h, hi)
-                keep = next_sample
+                keep = dense.covered
                 while keep > 0 and grid[keep - 1] > t_star:
                     keep -= 1
                 term = EventHit(t_star=t_star, y_star=y_star)
-                return grid[:keep], samples[:keep], term, n_accepted + 1, n_rejected
+                return grid[:keep], dense.samples[:keep], term, n_accepted + 1, n_rejected
 
-            t = t_new
+            t = t + h
             y = y_new
-            k1 = k4  # first-same-as-last
+            k1[:] = k4  # first-same-as-last
+            scale = atol + rtol * float(np.abs(y).max())
             n_accepted += 1
         else:
             n_rejected += 1
@@ -252,10 +337,9 @@ def integrate_flat(
         else:
             h *= min(5.0, max(0.2, 0.9 * err_norm ** (-1.0 / 3.0)))
 
-    while next_sample < len(grid):  # grid tail within rounding of t_end
-        samples[next_sample] = y
-        next_sample += 1
-    return grid, samples, Completed(), n_accepted, n_rejected
+    dense.flush()
+    dense.samples[dense.covered :] = y  # grid tail within rounding of t_end
+    return grid, dense.samples, Completed(), n_accepted, n_rejected
 
 
 def integrate(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig) -> Trajectory:

@@ -430,6 +430,55 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
     capsys.readouterr()
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, points, pool",
+    [(8, 2, [2]), (2, 3, [2]), (4, 1, [])],
+    ids=["8-jobs-2-points", "2-jobs-3-points", "4-jobs-1-point"],
+)
+def test_sweep_pool_never_exceeds_the_points(jobs, points, pool, tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    deltas = ",".join(str(0.8 + 0.1 * k) for k in range(points))
+    argv = ["sweep", "--scenario", bundled_path("example1_sweep"), "--out", str(tmp_path),
+            "--axis", f"coupling.delta=[{deltas}]", "--jobs", str(jobs)]
+    assert main(argv) == EXIT_OK
+    assert _RecordingPool.sizes == pool
+    assert f"sweep: {points} points" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_sweep_rejects_a_worker_count_below_one(jobs, tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    argv = ["sweep", "--scenario", bundled_path("example1_sweep"), "--out", str(tmp_path / "o"),
+            "--axis", "coupling.delta=[0.8,1.0]", "--jobs", jobs]
+    assert main(argv) == EXIT_USAGE
+    assert "argument --jobs" in capsys.readouterr().err
+    assert _RecordingPool.sizes == [] and not (tmp_path / "o").exists()
+
+
 def test_sweep_records_per_point_failures(tmp_path, capsys):
     out = tmp_path / "err"
     code = main(

@@ -12,13 +12,16 @@ from hypothesis.extra.numpy import arrays
 from flocklab.coupling import ConstantCoupling, ModulatedCoupling
 from flocklab.dynamics import RepulsionModel, logistic_cosine, logistic_cosine_solution
 from flocklab.integrate import (
+    BLOCK,
     Completed,
     CollisionEvent,
     EventHit,
     IntegratorConfig,
     StepSizeUnderflow,
     Trajectory,
+    _DenseOutput,
     _hermite,
+    _hermite_rows,
     integrate,
     integrate_flat,
 )
@@ -204,6 +207,8 @@ def test_step_size_underflow_reported_with_location():
     assert len(grid) == len(samples)
     assert grid[-1] <= term.t + 1e-12
     assert np.all(np.isfinite(samples))
+    # the samples of the accepted steps, not leftover buffer memory
+    np.testing.assert_allclose(samples[:, 0], np.exp(-grid), rtol=1e-5)
 
 
 def test_event_ends_flat_run_with_located_hit():
@@ -310,7 +315,8 @@ def _hermite_step(draw):
 @given(_hermite_step())
 def test_block_hermite_matches_per_theta_evaluation(step):
     y0, f0, y1, f1, h, thetas = step
-    block = _hermite(y0, f0, y1, f1, h, thetas)
+    basis = np.array([y0, f0, y1, f1])[:, None]
+    block = _hermite_rows(basis, np.array(thetas), np.full(len(thetas), h))
     assert block.shape == (len(thetas), y0.size)
     for row, theta in zip(block, thetas):
         want = _hermite_per_theta(y0, f0, y1, f1, h, theta)
@@ -320,40 +326,56 @@ def test_block_hermite_matches_per_theta_evaluation(step):
 
 def test_block_hermite_squares_like_the_scalar_formula():
     # an array square and libm's pow(x, 2) differ in about one of 1000
-    # thetas; 8192 of them make sure the block forms its weights per theta
+    # thetas; 8192 of them make sure the scalar weights, the block weights
+    # and a block flush of the dense output all take the square through pow
     rng = np.random.default_rng(3)
     y0, f0, y1, f1 = rng.normal(size=(4, 3))
     thetas = rng.uniform(0.0, 1.0, 8192).tolist()
-    block = _hermite(y0, f0, y1, f1, 0.7, thetas)
+    want = np.array([_hermite_per_theta(y0, f0, y1, f1, 0.7, theta) for theta in thetas])
+    basis = np.array([y0, f0, y1, f1])[:, None]
+    block = _hermite_rows(basis, np.array(thetas), np.full(8192, 0.7))
+    np.testing.assert_array_equal(block, want)
+    scalar = [_hermite(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
+    np.testing.assert_array_equal(np.array(scalar), want)
+
+    # one recorded step from t = 0 over h = 0.7, its samples filled in a flush
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.7, 8192))])
+    dense = _DenseOutput(grid, y0, f0)
+    dense.push(0.0, 0.7, y0, f0, y1, f1)
+    dense.flush()
+    thetas = [min(max(g / 0.7, 0.0), 1.0) for g in grid[1:]]
     want = [_hermite_per_theta(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
-    np.testing.assert_array_equal(block, np.array(want))
+    np.testing.assert_array_equal(dense.samples[1:], np.array(want))
 
 
-@pytest.mark.parametrize("h_max, sample_dt", [(0.037, 0.01), (0.1, 0.1)])
-def test_long_steps_fill_their_samples_bit_for_bit(h_max, sample_dt):
-    # every step is accepted at h_max, so the accepted steps can be rebuilt
-    # from the k4 calls f(t + h, y_new).  At h_max = 3.7 sample steps each
-    # step fills several samples; at h_max = sample_dt the accumulated t
-    # falls just short of some grid times, whose theta is clamped to 1.
-    a = np.array([[-0.3, 1.0, 0.0, 0.2], [-1.0, -0.3, 0.1, 0.0],
-                  [0.0, 0.4, -0.2, 1.5], [0.3, 0.0, -1.5, -0.2]])
-    calls = []
+_LINEAR = np.array([[-0.3, 1.0, 0.0, 0.2], [-1.0, -0.3, 0.1, 0.0],
+                    [0.0, 0.4, -0.2, 1.5], [0.3, 0.0, -1.5, -0.2]])
+_Y0 = np.array([1.0, -0.5, 0.25, 2.0])
 
+
+def _recording_rhs(calls, nan_after=None):
+    # a forced linear system; every call is kept as (t, y, f(t, y)), and
+    # from call `nan_after` on every slope is NaN, so every step is rejected
     def f(t, y):
-        out = a @ y + math.sin(t)
+        out = _LINEAR @ y + math.sin(t)
+        if nan_after is not None and len(calls) >= nan_after:
+            out = np.full_like(y, np.nan)
         calls.append((t, y, out))
         return out
 
-    y0 = np.array([1.0, -0.5, 0.25, 2.0])
-    cfg = IntegratorConfig(
-        t_end=1.0, sample_dt=sample_dt, rtol=1e9, atol=1e9, h_init=h_max, h_max=h_max
-    )
-    ts, ys, term, n_acc, n_rej = integrate_flat(f, y0, cfg)
-    assert isinstance(term, Completed) and n_rej == 0
+    return f
 
+
+def _per_step_reference(calls, ts, cfg, n_acc):
+    """The samples of fixed steps at h_max, interpolated one step at a time.
+
+    Every step is accepted, so step m's end is the k4 call f(t + h, y_new),
+    calls[3 m].  Returns the samples the first n_acc steps reach and how
+    many of their thetas were clamped down to 1.
+    """
     t, y, k1 = calls[0]
-    want, k, clamped = [y0], 1, 0
-    for t_new, y_new, k4 in calls[3::3]:
+    want, k, clamped = [y], 1, 0
+    for t_new, y_new, k4 in calls[3 : 3 * n_acc + 1 : 3]:
         h = min(cfg.h_max, cfg.t_end - t)
         while k < len(ts) and ts[k] <= t_new + 1e-15 * cfg.t_end:
             theta = (ts[k] - t) / h
@@ -361,7 +383,72 @@ def test_long_steps_fill_their_samples_bit_for_bit(h_max, sample_dt):
             want.append(_hermite_per_theta(y, k1, y_new, k4, h, min(max(theta, 0.0), 1.0)))
             k += 1
         t, y, k1 = t_new, y_new, k4
-    want += [y] * (len(ts) - k)  # grid tail within rounding of t_end
+    return want, clamped
+
+
+def _fixed_step_cfg(t_end, h_max, sample_dt):
+    return IntegratorConfig(
+        t_end=t_end, sample_dt=sample_dt, rtol=1e9, atol=1e9, h_init=h_max, h_max=h_max
+    )
+
+
+@pytest.mark.parametrize(
+    "h_max, sample_dt, t_end",
+    [
+        pytest.param(0.037, 0.01, 1.0, id="0.037-0.01"),
+        pytest.param(0.1, 0.1, 1.0, id="0.1-0.1"),
+        pytest.param(0.037, 0.01, 10.0, id="0.037-0.01-several-blocks"),
+        pytest.param(0.003, 0.01, 1.0, id="0.003-0.01-short-steps"),
+    ],
+)
+def test_long_steps_fill_their_samples_bit_for_bit(h_max, sample_dt, t_end):
+    # every step is accepted at h_max, so the accepted steps can be rebuilt
+    # from the k4 calls f(t + h, y_new).  At h_max = 3.7 sample steps each
+    # step fills several samples; at h_max = sample_dt the accumulated t
+    # falls just short of some grid times, whose theta is clamped to 1.
+    # Over t_end = 10 the 271 steps fill four whole blocks and part of a fifth.
+    # At h_max = 0.3 sample steps most steps reach no sample and are not
+    # recorded, so a recorded step's start is not the previous recorded end.
+    calls = []
+    cfg = _fixed_step_cfg(t_end, h_max, sample_dt)
+    ts, ys, term, n_acc, n_rej = integrate_flat(_recording_rhs(calls), _Y0, cfg)
+    assert isinstance(term, Completed) and n_rej == 0
     assert n_acc == len(calls[3::3])
-    assert clamped > 0 or h_max > sample_dt
+    assert t_end < 5 or n_acc > 4 * BLOCK and n_acc % BLOCK
+
+    want, clamped = _per_step_reference(calls, ts, cfg, n_acc)
+    want += [calls[-1][1]] * (len(ts) - len(want))  # grid tail within rounding of t_end
+    assert clamped > 0 or h_max != sample_dt
     np.testing.assert_array_equal(ys, np.array(want))
+
+
+def test_underflow_mid_block_returns_the_per_step_samples():
+    # 150 fixed steps are accepted (two whole blocks and 22 steps of the
+    # third), then every slope is NaN and the step shrinks to the floor.
+    # The early-end tests start where no other test does, so a freed
+    # buffer holding another run's samples cannot stand in for unfilled ones.
+    calls = []
+    cfg = _fixed_step_cfg(10.0, 0.037, 0.01)
+    f = _recording_rhs(calls, 1 + 3 * 150)
+    ts, ys, term, n_acc, n_rej = integrate_flat(f, _Y0[::-1], cfg)
+    assert isinstance(term, StepSizeUnderflow)
+    assert n_acc == 150 and n_acc % BLOCK and n_rej > 0
+    want, _ = _per_step_reference(calls, ts, cfg, n_acc)
+    assert len(want) == len(ts) > 500
+    np.testing.assert_array_equal(ys, np.array(want))
+
+
+def test_event_hit_mid_block_returns_the_per_step_samples():
+    # the event fires in step 117 (t = 4.3 / 0.037), inside the second block;
+    # the run keeps the samples up to the located time
+    calls = []
+    cfg = _fixed_step_cfg(10.0, 0.037, 0.01)
+    ts, ys, term, n_acc, n_rej = integrate_flat(
+        _recording_rhs(calls), -_Y0, cfg, event=lambda t, y: 4.3 - t
+    )
+    assert isinstance(term, EventHit)
+    assert term.t_star == pytest.approx(4.3, abs=1e-6)
+    assert n_acc == 117 and n_acc % BLOCK and n_rej == 0
+    want, _ = _per_step_reference(calls, ts, cfg, n_acc)
+    assert len(ts) == 431 and ts[-1] <= term.t_star < ts[-1] + cfg.sample_dt
+    np.testing.assert_array_equal(ys, np.array(want[: len(ts)]))
