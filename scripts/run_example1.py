@@ -55,7 +55,7 @@ def main() -> None:
 
         if cert.feasible:
             k_bound, _ = resolve_k_bound(sc)
-            audit = audit_sync_run(traj, sc.envelope(), sc.n, k_bound)
+            audit = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k_bound)
             print(f"{'':20s} audit: {audit.n_violations} violations on {audit.n_checked} checked segments")
 
     print(f"artifacts: {args.out}")

@@ -25,12 +25,12 @@ from .state import (
 )
 from .coupling import (
     BETA_SQ_SUP,
+    COUPLING_FAMILIES,
     ConstantCoupling,
     CouplingModel,
     Envelope,
     ModulatedCoupling,
     PowerLawCoupling,
-    envelope_of,
     psi_integral,
     weights_matrix,
 )
@@ -117,8 +117,8 @@ __all__ = [
     "ModulatedCoupling",
     "ConstantCoupling",
     "CouplingModel",
+    "COUPLING_FAMILIES",
     "Envelope",
-    "envelope_of",
     "psi_integral",
     "weights_matrix",
     "BETA_SQ_SUP",

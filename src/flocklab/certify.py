@@ -257,12 +257,9 @@ def certify_collision(
     # the repulsion tails are finite only outside d0
     worst = math.inf
     if separation_ok:
-        d2 = distance_sq_matrix(x0)
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    worst = max(worst, repulsion_tail(rep, float(d2[i, j]), i, j))
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        tails = repulsion_tail(rep, distance_sq_matrix(x0)[i, j], i, j)
+        worst = float(np.max(tails, initial=0.0))
 
     return CollisionCertificate(
         feasible=bool(separation_ok and lhs < psi_term - worst),
@@ -399,13 +396,8 @@ def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel],
         def dtail(a: int, b) -> np.ndarray:
             """d/dt of the repulsion tail of each pair (a, b_m)."""
             dx = x[a] - x[b]
-            d2 = _pair_dots(dx, dx)
-            inside = np.flatnonzero(d2 <= rep.d0)
-            if inside.size:  # repulsion_strength raises, naming the first such pair
-                m = inside[0]
-                repulsion_strength(rep, float(d2[m]), a, int(b[m]))
-            inner = _pair_dots(dx, v[a] - v[b])
-            return -2.0 * (rep.coeffs[a, b] / (d2 - rep.d0) ** rep.phi) * inner
+            f = repulsion_strength(rep, _pair_dots(dx, dx), a, b)
+            return -2.0 * f * _pair_dots(dx, v[a] - v[b])
 
         head = (dtail(i, [ip]) + dtail(ip, [i]))[0]
         gamma = 0.5 * (head + sum(np.minimum(dtail(i, others), dtail(ip, others)).tolist()))

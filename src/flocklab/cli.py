@@ -38,6 +38,7 @@ from .scenario import (
     evaluate_certificate,
     load_scenario,
     materialize,
+    read_document,
     scenario_sha256,
     validate,
 )
@@ -312,10 +313,7 @@ def _csv_cell(val) -> str:
 def cmd_sweep(args) -> int:
     import csv as _csv
 
-    text = _read_text(args.scenario)
-    doc = json.loads(text)
-    if args.seed is not None and isinstance(doc, dict):
-        doc["seed"] = args.seed
+    doc = read_document(_read_text(args.scenario), args.seed)
     diags = validate(doc)
     if diags:
         raise ScenarioError(diags)
@@ -364,18 +362,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        doc = json.loads(_read_text(args.scenario))
-    except json.JSONDecodeError as exc:
-        print(f"document: invalid JSON ({exc})")
-        return EXIT_USAGE
-    if args.seed is not None and isinstance(doc, dict):
-        doc = {**doc, "seed": args.seed}
-    diags = validate(doc)
-    if not diags:
-        try:
-            materialize(doc)
-        except (ScenarioError, ValueError) as exc:
-            diags = [f"materialization: {exc}"]
+        doc = read_document(_read_text(args.scenario), args.seed)
+    except ScenarioError as exc:
+        diags = exc.diagnostics
+    else:
+        diags = validate(doc)
+        if not diags:
+            try:
+                materialize(doc)
+            except (ScenarioError, ValueError) as exc:
+                diags = [f"materialization: {exc}"]
     if diags:
         for diag in diags:
             print(diag)
@@ -409,7 +405,7 @@ def cmd_audit(args) -> int:
             k_bound = float(resolved["k_bound"])
         else:
             k_bound = 0.0
-        report = audit_sync_run(traj, sc.envelope(), sc.n, k_bound)
+        report = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k_bound)
         kind = "alignment inequality"
 
     if report.n_checked == 0 and report.n_samples > 1:

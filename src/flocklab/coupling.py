@@ -1,9 +1,12 @@
 """Communication weight families and their certified lower envelopes.
 
-Each family provides per-pair weights w_ij(t, x) together with an Envelope:
-a non-increasing function psi with w_ij(t, x) >= psi(S(x)) along with the
-uniform upper bound w_bar.  Certificates only ever touch the envelope, so
-every family carries closed-form tail integrals where they exist.
+Each family is one class that names itself (`family`, the scenario file's
+key for it) and carries both of its laws: `weights(t, dist_sq)`, the
+per-pair weights w_ij(t, x) from squared pair distances, and `envelope()`,
+an Envelope holding a non-increasing psi with w_ij(t, x) >= psi(S(x)) and
+the uniform upper bound w_bar.  Certificates only ever touch the envelope,
+so every family carries closed-form tail integrals where they exist.
+`COUPLING_FAMILIES` maps each family name to its class.
 
 The envelope treats the position spread itself as the pairwise-distance
 argument, mirroring how the certificates are normally stated.  For r > 1 a
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional, get_args
 
 import numpy as np
 
@@ -35,6 +38,7 @@ _QUAD_ABS_TOL = 1e-10
 class PowerLawCoupling:
     """w_ij(x) = gain / (sigma^2 + |x_i - x_j|^2) ** exponent."""
 
+    family: ClassVar[str] = "power_law"
     gain: float
     sigma: float
     exponent: float
@@ -42,6 +46,22 @@ class PowerLawCoupling:
     def __post_init__(self):
         if self.gain <= 0 or self.sigma <= 0 or self.exponent <= 0:
             raise ValueError("power-law coupling needs gain, sigma, exponent > 0")
+
+    def weights(self, t: float, dist_sq: np.ndarray) -> np.ndarray:
+        return self.gain / (self.sigma**2 + dist_sq) ** self.exponent
+
+    def envelope(self) -> Envelope:
+        gain, sig2, b = self.gain, self.sigma**2, self.exponent
+
+        def psi(s: float) -> float:
+            return gain / (sig2 + s * s) ** b
+
+        def integral(lo: float, hi: float) -> float:
+            if math.isinf(hi) and 2.0 * b <= 1.0:
+                return math.inf
+            return _quad(psi, lo, hi)
+
+        return Envelope(psi=psi, w_bar=gain / sig2**b, integral_fn=integral)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +72,7 @@ class ModulatedCoupling:
     ignored.  delta >= 0 controls how fast communication decays with distance.
     """
 
+    family: ClassVar[str] = "modulated"
     w: float
     delta: float
     beta: np.ndarray
@@ -73,19 +94,57 @@ class ModulatedCoupling:
         beta_sq.setflags(write=False)
         object.__setattr__(self, "beta_sq", beta_sq)
 
+    def weights(self, t: float, dist_sq: np.ndarray) -> np.ndarray:
+        n = dist_sq.shape[0]
+        if self.beta.shape[0] != n:
+            raise ValueError(f"beta is {self.beta.shape[0]}x{self.beta.shape[0]}, state has n={n}")
+        dist = np.sqrt(dist_sq)
+        return self.w * (1.5 + 0.5 * math.sin(t)) / (dist + self.beta_sq) ** self.delta
+
+    def envelope(self) -> Envelope:
+        # modulation minimum is 1.0, offset uses the draw-interval supremum
+        # so the envelope does not depend on the realised beta matrix
+        amp, delta = self.w, self.delta
+        off = ~np.eye(self.beta.shape[0], dtype=bool)
+        beta_min = float(self.beta[off].min()) if off.any() else 1.0
+
+        def psi(s: float) -> float:
+            return amp / (s + BETA_SQ_SUP) ** delta
+
+        return Envelope(
+            psi=psi,
+            w_bar=2.0 * amp / beta_min ** (2.0 * delta),
+            integral_fn=_power_tail_integral(amp, BETA_SQ_SUP, delta),
+        )
+
 
 @dataclass(frozen=True)
 class ConstantCoupling:
     """Distance-independent weight w_ij = w; the tightest possible envelope."""
 
+    family: ClassVar[str] = "constant"
     w: float
 
     def __post_init__(self):
         if self.w <= 0:
             raise ValueError("constant coupling needs w > 0")
 
+    def weights(self, t: float, dist_sq: np.ndarray) -> np.ndarray:
+        return np.full(dist_sq.shape, self.w)
+
+    def envelope(self) -> Envelope:
+        w = self.w
+        return Envelope(
+            psi=lambda s: w,
+            w_bar=w,
+            integral_fn=_power_tail_integral(w, 0.0, 0.0),
+        )
+
 
 CouplingModel = PowerLawCoupling | ModulatedCoupling | ConstantCoupling
+
+# scenario `coupling.family` -> the class it builds
+COUPLING_FAMILIES = {cls.family: cls for cls in get_args(CouplingModel)}
 
 
 def weights_matrix(model, t: float, x, dist_sq: Optional[np.ndarray] = None) -> np.ndarray:
@@ -95,21 +154,10 @@ def weights_matrix(model, t: float, x, dist_sq: Optional[np.ndarray] = None) -> 
     already holds the squared distances passes them to skip the rebuild.
     """
     x = _as_2d(x)
-    n = x.shape[0]
     if dist_sq is None:
         dist_sq = distance_sq_matrix(x)
-    if isinstance(model, PowerLawCoupling):
-        w = model.gain / (model.sigma**2 + dist_sq) ** model.exponent
-    elif isinstance(model, ModulatedCoupling):
-        if model.beta.shape[0] != n:
-            raise ValueError(f"beta is {model.beta.shape[0]}x{model.beta.shape[0]}, state has n={n}")
-        dist = np.sqrt(dist_sq)
-        w = model.w * (1.5 + 0.5 * math.sin(t)) / (dist + model.beta_sq) ** model.delta
-    elif isinstance(model, ConstantCoupling):
-        w = np.full((n, n), model.w)
-    else:
-        raise TypeError(f"unknown coupling model {type(model).__name__}")
-    w.flat[:: n + 1] = 0.0
+    w = model.weights(t, dist_sq)
+    w.flat[:: x.shape[0] + 1] = 0.0
     return w
 
 
@@ -145,54 +193,12 @@ def _power_tail_integral(amp: float, offset: float, exponent: float):
     return integral
 
 
-def envelope_of(model) -> Envelope:
-    """Lower envelope and uniform upper bound for a coupling family."""
-    if isinstance(model, PowerLawCoupling):
-        gain, sig2, b = model.gain, model.sigma**2, model.exponent
+def _quad(psi: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive quadrature of psi over [a, b]; b may be inf."""
+    from scipy.integrate import quad
 
-        def psi(s: float) -> float:
-            return gain / (sig2 + s * s) ** b
-
-        def integral(lo: float, hi: float) -> float:
-            from scipy.integrate import quad
-
-            if hi < lo:
-                raise ValueError("integral needs b >= a")
-            if math.isinf(hi):
-                if 2.0 * b <= 1.0:
-                    return math.inf
-                val, _ = quad(psi, lo, np.inf, epsabs=_QUAD_ABS_TOL, limit=200)
-                return val
-            val, _ = quad(psi, lo, hi, epsabs=_QUAD_ABS_TOL, limit=200)
-            return val
-
-        return Envelope(psi=psi, w_bar=gain / sig2**b, integral_fn=integral)
-
-    if isinstance(model, ModulatedCoupling):
-        # modulation minimum is 1.0, offset uses the draw-interval supremum
-        # so the envelope does not depend on the realised beta matrix
-        amp, delta = model.w, model.delta
-        off = ~np.eye(model.beta.shape[0], dtype=bool)
-        beta_min = float(model.beta[off].min()) if off.any() else 1.0
-
-        def psi(s: float) -> float:
-            return amp / (s + BETA_SQ_SUP) ** delta
-
-        return Envelope(
-            psi=psi,
-            w_bar=2.0 * amp / beta_min ** (2.0 * delta),
-            integral_fn=_power_tail_integral(amp, BETA_SQ_SUP, delta),
-        )
-
-    if isinstance(model, ConstantCoupling):
-        w = model.w
-        return Envelope(
-            psi=lambda s: w,
-            w_bar=w,
-            integral_fn=_power_tail_integral(w, 0.0, 0.0),
-        )
-
-    raise TypeError(f"unknown coupling model {type(model).__name__}")
+    val, _ = quad(psi, a, b, epsabs=_QUAD_ABS_TOL, limit=200)
+    return val
 
 
 def psi_integral(env: Envelope, a: float, b: float) -> float:
@@ -209,10 +215,4 @@ def psi_integral(env: Envelope, a: float, b: float) -> float:
         return 0.0
     if env.integral_fn is not None:
         return env.integral_fn(a, b)
-    from scipy.integrate import quad
-
-    if math.isinf(b):
-        val, _ = quad(env.psi, a, np.inf, epsabs=_QUAD_ABS_TOL, limit=200)
-        return val
-    val, _ = quad(env.psi, a, b, epsabs=_QUAD_ABS_TOL, limit=200)
-    return val
+    return _quad(env.psi, a, b)

@@ -266,15 +266,29 @@ class RepulsionModel:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def repulsion_strength(rep: RepulsionModel, s: float, i: int, j: int) -> float:
-    """f_ij at squared distance s; errors inside the singular region."""
-    if s <= rep.d0:
-        raise ValueError(f"pair ({i}, {j}) at squared distance {s} <= d0={rep.d0}")
-    return float(rep.coeffs[i, j] / (s - rep.d0) ** rep.phi)
+def _require_outside(rep: RepulsionModel, s, i, j, message: str) -> None:
+    """Raise `message` for the first of the broadcast pairs at s <= d0."""
+    s, i, j = np.broadcast_arrays(s, i, j)
+    inside = np.flatnonzero(s <= rep.d0)
+    if inside.size:
+        m = inside[0]
+        s_m, i_m, j_m = float(s.flat[m]), int(i.flat[m]), int(j.flat[m])
+        raise ValueError(message.format(s=s_m, i=i_m, j=j_m, d0=rep.d0))
 
 
-def repulsion_tail(rep: RepulsionModel, s: float, i: int, j: int) -> float:
-    """Tail integral int_s^inf f_ij(u) du, closed form."""
-    if s <= rep.d0:
-        raise ValueError(f"tail undefined at squared distance {s} <= d0={rep.d0}")
-    return float(rep.coeffs[i, j] * (s - rep.d0) ** (1.0 - rep.phi) / (rep.phi - 1.0))
+def repulsion_strength(rep: RepulsionModel, s, i, j):
+    """f_ij at squared distance s; errors inside the singular region.
+
+    s, i and j broadcast together: a float for one pair, an array for an
+    array of pairs, whose first pair inside d0 the error names.
+    """
+    _require_outside(rep, s, i, j, "pair ({i}, {j}) at squared distance {s} <= d0={d0}")
+    f = rep.coeffs[i, j] / (s - rep.d0) ** rep.phi
+    return f if isinstance(f, np.ndarray) else float(f)
+
+
+def repulsion_tail(rep: RepulsionModel, s, i, j):
+    """Tail integral int_s^inf f_ij(u) du, closed form; broadcasts like repulsion_strength."""
+    _require_outside(rep, s, i, j, "tail undefined at squared distance {s} <= d0={d0}")
+    tail = rep.coeffs[i, j] * (s - rep.d0) ** (1.0 - rep.phi) / (rep.phi - 1.0)
+    return tail if isinstance(tail, np.ndarray) else float(tail)

@@ -25,14 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import (
-    ConstantCoupling,
-    CouplingModel,
-    Envelope,
-    ModulatedCoupling,
-    PowerLawCoupling,
-    envelope_of,
-)
+from .coupling import COUPLING_FAMILIES, CouplingModel
 from .certify import (
     CollisionCertificate,
     StandardCertificate,
@@ -112,9 +105,6 @@ class Scenario:
             repulsion=self.repulsion,
         )
 
-    def envelope(self) -> Envelope:
-        return envelope_of(self.coupling)
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -182,27 +172,25 @@ def _matrix_or_none(diags, path, values, n):
 def _validate_coupling(diags, block, n):
     path = "coupling."
     family = block.get("family")
-    if family == "power_law":
-        _expect_keys(diags, path, block, ["family", "gain", "sigma", "exponent"], [])
-        _number(diags, path, block, "gain", lo=0.0, lo_open=True)
-        _number(diags, path, block, "sigma", lo=0.0, lo_open=True)
-        _number(diags, path, block, "exponent", lo=0.0, lo_open=True)
-    elif family == "modulated":
-        _expect_keys(diags, path, block, ["family", "w", "delta", "beta"], [])
-        _number(diags, path, block, "w", lo=0.0, lo_open=True)
-        _number(diags, path, block, "delta", lo=0.0)
-        beta = block.get("beta")
-        if not isinstance(beta, dict):
-            diags.append(f"{path}beta: must be an object")
+    cls = COUPLING_FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        if family is None:
+            diags.append(f"{path}family: required key missing")
         else:
-            _validate_draw_spec(diags, f"{path}beta.", beta, n, lo_limit=0.0, hi_limit=math.sqrt(2.0))
-    elif family == "constant":
-        _expect_keys(diags, path, block, ["family", "w"], [])
-        _number(diags, path, block, "w", lo=0.0, lo_open=True)
-    elif family is None:
-        diags.append(f"{path}family: required key missing")
-    else:
-        diags.append(f"{path}family: unknown family {family!r}")
+            diags.append(f"{path}family: unknown family {family!r}")
+        return
+    params = [fld.name for fld in dataclasses.fields(cls) if fld.init]
+    _expect_keys(diags, path, block, ["family", *params], [])
+    for key in params:
+        if key != "beta":
+            # every parameter must be > 0 except delta, whose 0 ignores distance
+            _number(diags, path, block, key, lo=0.0, lo_open=key != "delta")
+        elif isinstance(block.get("beta"), dict):
+            _validate_draw_spec(
+                diags, f"{path}beta.", block["beta"], n, lo_limit=0.0, hi_limit=math.sqrt(2.0)
+            )
+        else:
+            diags.append(f"{path}beta: must be an object")
 
 
 def _validate_draw_spec(diags, path, block, n, lo_limit, hi_limit):
@@ -560,17 +548,10 @@ def _as_center(val, r: int) -> np.ndarray:
 
 
 def _build_coupling(block: dict, n: int, seed_path) -> CouplingModel:
-    family = block["family"]
-    if family == "power_law":
-        return PowerLawCoupling(
-            gain=float(block["gain"]),
-            sigma=float(block["sigma"]),
-            exponent=float(block["exponent"]),
-        )
-    if family == "modulated":
-        beta = _draw_matrix(block["beta"], n, _BLOCK_BETA, seed_path)
-        return ModulatedCoupling(w=float(block["w"]), delta=float(block["delta"]), beta=beta)
-    return ConstantCoupling(w=float(block["w"]))
+    params = {key: float(val) for key, val in block.items() if key not in ("family", "beta")}
+    if "beta" in block:
+        params["beta"] = _draw_matrix(block["beta"], n, _BLOCK_BETA, seed_path)
+    return COUPLING_FAMILIES[block["family"]](**params)
 
 
 def _build_internal(block, r: int) -> Optional[InternalDynamics]:
@@ -580,14 +561,7 @@ def _build_internal(block, r: int) -> Optional[InternalDynamics]:
     dyn = zero_dynamics(r) if name == "zero" else BUILTIN_DYNAMICS[name]()
     box = block.get("box")
     if box is not None:
-        dyn = InternalDynamics(
-            name=dyn.name,
-            dim=dyn.dim,
-            g=dyn.g,
-            jacobian=dyn.jacobian,
-            jacobian_affine=dyn.jacobian_affine,
-            box=np.asarray(box, dtype=float),
-        )
+        dyn = dataclasses.replace(dyn, box=np.asarray(box, dtype=float))
     return dyn
 
 
@@ -663,8 +637,12 @@ def materialize(doc: dict, seed_path=None) -> Scenario:
     )
 
 
-def load_scenario(text: str, seed_override: Optional[int] = None, seed_path=None) -> Scenario:
-    """Parse, validate, and materialize a scenario document."""
+def read_document(text: str, seed_override: Optional[int] = None):
+    """Parse a scenario document and apply a seed override; no validation.
+
+    Invalid JSON, and a seed override on a document that is not an object,
+    raise ScenarioError with a `document:` diagnostic.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -673,7 +651,12 @@ def load_scenario(text: str, seed_override: Optional[int] = None, seed_path=None
         if not isinstance(doc, dict):
             raise ScenarioError(["document: must be a JSON object"])
         doc = {**doc, "seed": seed_override}
-    return materialize(doc, seed_path=seed_path)
+    return doc
+
+
+def load_scenario(text: str, seed_override: Optional[int] = None, seed_path=None) -> Scenario:
+    """Parse, validate, and materialize a scenario document."""
+    return materialize(read_document(text, seed_override), seed_path=seed_path)
 
 
 def load_scenario_file(path, seed_override: Optional[int] = None, seed_path=None) -> Scenario:
@@ -731,7 +714,7 @@ CERTIFICATE_CLASSES = {
 
 def evaluate_certificate(sc: Scenario):
     """Dispatch to the certificate matching the scenario variant."""
-    env = sc.envelope()
+    env = sc.coupling.envelope()
     s_x0 = spread(sc.x0)
     s_v0 = spread(sc.v0)
     if sc.variant == "sync":

@@ -21,7 +21,7 @@ from flocklab.certify import (
     contraction_coefficient,
 )
 from flocklab.cli import EXIT_OK, main
-from flocklab.coupling import ConstantCoupling, PowerLawCoupling, envelope_of
+from flocklab.coupling import ConstantCoupling, PowerLawCoupling
 from flocklab.dynamics import (
     k_region,
     logistic_cosine,
@@ -184,7 +184,7 @@ def test_criterion_6_audits_accept_clean_runs_and_flag_tampering(criterion, runs
         for name in ("example1_delta09", "example2_strong", "negative_control"):
             sc, traj = runs(name)
             k, _ = resolve_k_bound(sc)
-            audit = audit_sync_run(traj, sc.envelope(), sc.n, k)
+            audit = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k)
             assert audit.n_violations == 0, name
             assert audit.n_checked > 0, name
 
@@ -195,7 +195,7 @@ def test_criterion_6_audits_accept_clean_runs_and_flag_tampering(criterion, runs
 
         scn, trajn = runs("negative_control")
         kn, _ = resolve_k_bound(scn)
-        tampered = audit_sync_run(trajn, scn.envelope(), scn.n, kn / 10.0)
+        tampered = audit_sync_run(trajn, scn.coupling.envelope(), scn.n, kn / 10.0)
         assert tampered.n_violations > 0
 
 
@@ -228,7 +228,7 @@ def test_criterion_7_certified_decay_bounds_hold_on_random_instances(criterion):
             sx0, sv0 = spread(x0), spread(v0)
             if sv0 < 1e-3:
                 continue
-            cert = certify_sync(envelope_of(coupling), sx0, sv0, n, k_bound)
+            cert = certify_sync(coupling.envelope(), sx0, sv0, n, k_bound)
             if not cert.feasible:
                 continue
 

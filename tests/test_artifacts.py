@@ -29,7 +29,7 @@ from flocklab.artifacts import (
     write_timeseries_csv,
 )
 from flocklab.certify import certify_collision, certify_standard, certify_sync
-from flocklab.coupling import ConstantCoupling, envelope_of
+from flocklab.coupling import ConstantCoupling
 from flocklab.dynamics import RepulsionModel
 from flocklab.integrate import (
     CollisionEvent,
@@ -267,7 +267,7 @@ def test_manifest_rejects_non_finite_values(tmp_path):
 
 
 def test_certificate_report_formatting():
-    env = envelope_of(ConstantCoupling(w=0.1))
+    env = ConstantCoupling(w=0.1).envelope()
     cert = certify_sync(env, 2.0, 0.1, n=2, k_bound=10.0)
     report = certificate_report(cert)
     lines = report.splitlines()
@@ -284,7 +284,7 @@ def test_certificate_report_formatting():
 
 
 def test_certificate_fields_flatten_for_csv():
-    env = envelope_of(ConstantCoupling(w=1.0))
+    env = ConstantCoupling(w=1.0).envelope()
     cert = certify_sync(env, 1.0, 0.4, n=5, k_bound=0.462)
     fields = certificate_fields(cert)
     assert fields["certificate"] == "sync"
@@ -294,7 +294,7 @@ def test_certificate_fields_flatten_for_csv():
 
 
 def _certificate_of_each_kind():
-    env = envelope_of(ConstantCoupling(w=1.0))
+    env = ConstantCoupling(w=1.0).envelope()
     rep = RepulsionModel(d0=0.25, phi=1.5, coeffs=np.ones((2, 2)))
     return [
         ("sync", certify_sync(env, 1.0, 0.4, n=5, k_bound=0.462)),

@@ -25,15 +25,14 @@ from flocklab.coupling import (
     ConstantCoupling,
     Envelope,
     ModulatedCoupling,
-    envelope_of,
     psi_integral,
     weights_matrix,
 )
-from flocklab.dynamics import RepulsionModel, repulsion_strength
+from flocklab.dynamics import RepulsionModel, repulsion_strength, repulsion_tail
 from flocklab.integrate import Completed, IntegratorConfig, Trajectory, integrate
 from flocklab.models import ModelSpec
 from flocklab.scenario import evaluate_certificate, load_scenario, resolve_k_bound
-from flocklab.state import FlockState, spread, spread_report
+from flocklab.state import FlockState, distance_sq_matrix, spread, spread_report
 
 
 def bundled_text(name: str) -> str:
@@ -116,7 +115,7 @@ def test_standard_zero_envelope_is_infeasible():
 
 def test_standard_divergent_tail_is_always_feasible():
     model = ModulatedCoupling(w=1.0, delta=1.0, beta=np.full((2, 2), 1.0))
-    cert = certify_standard(envelope_of(model), spread_x0=3.0, spread_v0=1e6)
+    cert = certify_standard(model.envelope(), spread_x0=3.0, spread_v0=1e6)
     assert cert.feasible
     assert math.isinf(cert.tail)
 
@@ -124,7 +123,7 @@ def test_standard_divergent_tail_is_always_feasible():
 def test_standard_threshold_at_finite_tail():
     # envelope 1/(s+2)^2 from 0 integrates to 1/2
     model = ModulatedCoupling(w=1.0, delta=2.0, beta=np.full((2, 2), 1.0))
-    env = envelope_of(model)
+    env = model.envelope()
     assert certify_standard(env, 0.0, 0.4).feasible
     assert not certify_standard(env, 0.0, 0.6).feasible
     assert certify_standard(env, 0.0, 0.4).tail == pytest.approx(0.5, rel=1e-12)
@@ -137,7 +136,7 @@ def test_standard_threshold_at_finite_tail():
 def test_sync_constant_coupling_closed_form():
     # psi == 1, c = 5: budget grows at 5 - k per unit radius, so
     # d* = S(x0) + S(v0) / (5 - k) and the rate is 5 - k
-    env = envelope_of(ConstantCoupling(w=1.0))
+    env = ConstantCoupling(w=1.0).envelope()
     cert = certify_sync(env, spread_x0=1.0, spread_v0=0.4, n=5, k_bound=0.462)
     assert cert.feasible
     assert math.isinf(cert.d_max)
@@ -147,7 +146,7 @@ def test_sync_constant_coupling_closed_form():
 
 
 def test_sync_relaxed_drops_connectivity_to_one():
-    env = envelope_of(ConstantCoupling(w=1.0))
+    env = ConstantCoupling(w=1.0).envelope()
     cert = certify_sync(env, 1.0, 0.4, n=5, k_bound=0.462, relaxed=True)
     assert cert.feasible and cert.c == 1 and cert.n == 5
     assert cert.epsilon == pytest.approx(1.0 - 0.462, abs=1e-12)
@@ -155,7 +154,7 @@ def test_sync_relaxed_drops_connectivity_to_one():
 
 
 def test_sync_dominant_penalty_is_infeasible_at_the_gate():
-    env = envelope_of(ConstantCoupling(w=0.1))
+    env = ConstantCoupling(w=0.1).envelope()
     cert = certify_sync(env, 2.0, 0.1, n=2, k_bound=10.0)
     assert not cert.feasible
     assert cert.d_max == 2.0
@@ -167,13 +166,13 @@ def test_sync_dominant_penalty_is_infeasible_at_the_gate():
 def test_sync_exhausted_budget_is_infeasible():
     # finite tail 2 * integral = 2 * (2 + 2)^-0.5 / 0.5 ... stays below S(v0)
     model = ModulatedCoupling(w=1.0, delta=1.5, beta=np.full((3, 3), 1.0))
-    cert = certify_sync(envelope_of(model), 2.0, 50.0, n=2, k_bound=0.0)
+    cert = certify_sync(model.envelope(), 2.0, 50.0, n=2, k_bound=0.0)
     assert not cert.feasible
     assert math.isinf(cert.d_max)
 
 
 def test_sync_decay_bound_evaluates_the_certified_envelope():
-    env = envelope_of(ConstantCoupling(w=2.0))
+    env = ConstantCoupling(w=2.0).envelope()
     cert = certify_sync(env, 0.0, 1.0, n=3, k_bound=0.0)
     t = np.array([0.0, 0.5, 1.0])
     np.testing.assert_allclose(cert.decay_bound(t), np.exp(-6.0 * t), rtol=1e-12)
@@ -183,7 +182,7 @@ def test_sync_decay_bound_evaluates_the_certified_envelope():
 
 
 def test_sync_negative_k_is_accepted():
-    env = envelope_of(ConstantCoupling(w=1.0))
+    env = ConstantCoupling(w=1.0).envelope()
     cert = certify_sync(env, 1.0, 0.5, n=2, k_bound=-1.0)
     assert cert.feasible
     assert cert.epsilon == pytest.approx(3.0, abs=1e-12)
@@ -198,7 +197,7 @@ def sync_problem(draw):
     frac = draw(st.floats(min_value=0.0, max_value=0.9))
     n = draw(st.integers(min_value=2, max_value=8))
     model = ModulatedCoupling(w=w, delta=delta, beta=np.full((n, n), 1.0))
-    env = envelope_of(model)
+    env = model.envelope()
     k = frac * n * env.psi(sx0 + 1.0)
     return env, sx0, sv0, n, k
 
@@ -249,7 +248,7 @@ def _rep(c: float, d0: float = 0.25, phi: float = 1.5, n: int = 2) -> RepulsionM
 def test_collision_requires_initial_separation():
     x0 = np.array([[0.0], [0.0], [3.0]])
     model = ModulatedCoupling(w=1.0, delta=2.0, beta=np.full((3, 3), 1.0))
-    cert = certify_collision(envelope_of(model), _rep(1.0, n=3), x0, 1.0, 3)
+    cert = certify_collision(model.envelope(), _rep(1.0, n=3), x0, 1.0, 3)
     assert not cert.feasible
     assert not cert.separation_ok
     assert cert.min_dist_sq == 0.0
@@ -260,7 +259,7 @@ def test_collision_budget_arithmetic():
     # lattice 0..4: S(x0) = 4, nearest squared separation 1
     x0 = np.arange(5.0)[:, None]
     model = ModulatedCoupling(w=1.0, delta=2.0, beta=np.full((5, 5), 1.0))
-    cert = certify_collision(envelope_of(model), _rep(2.0, n=5), x0, 6.0, 5)
+    cert = certify_collision(model.envelope(), _rep(2.0, n=5), x0, 6.0, 5)
     assert cert.separation_ok
     assert cert.min_dist_sq == 1.0
     assert cert.lhs == pytest.approx(6.0 / 5.0, abs=1e-15)
@@ -273,7 +272,7 @@ def test_collision_budget_arithmetic():
 def test_collision_divergent_envelope_wins():
     x0 = np.array([[0.0], [1.0]])
     model = ModulatedCoupling(w=1.0, delta=1.0, beta=np.full((2, 2), 1.0))
-    cert = certify_collision(envelope_of(model), _rep(5.0), x0, 100.0, 2)
+    cert = certify_collision(model.envelope(), _rep(5.0), x0, 100.0, 2)
     assert cert.feasible
     assert math.isinf(cert.psi_term)
 
@@ -281,10 +280,32 @@ def test_collision_divergent_envelope_wins():
 def test_collision_feasible_with_weak_repulsion():
     x0 = np.array([[0.0], [1.0]])
     model = ModulatedCoupling(w=10.0, delta=1.5, beta=np.full((2, 2), 1.0))
-    cert = certify_collision(envelope_of(model), _rep(1e-8, d0=0.01), x0, 2.0, 2)
+    cert = certify_collision(model.envelope(), _rep(1e-8, d0=0.01), x0, 2.0, 2)
     assert cert.feasible
     assert cert.lhs == pytest.approx(1.0)
     assert cert.psi_term == pytest.approx(10.0 / math.sqrt(3.0), rel=1e-12)
+
+
+def test_collision_repulsion_term_is_the_worst_pair_tail():
+    # coefficients are larger below the diagonal, so a loop over only the
+    # pairs i < j misses the worst tail
+    n = 7
+    rng = np.random.default_rng(11)
+    x0 = rng.uniform(-3.0, 3.0, size=(n, 2))
+    coeffs = rng.uniform(0.5, 1.0, size=(n, n)) * np.where(np.tri(n, k=-1, dtype=bool), 4.0, 1.0)
+    rep = RepulsionModel(d0=0.01, phi=1.7, coeffs=coeffs)
+    cert = certify_collision(ConstantCoupling(w=1.0).envelope(), rep, x0, 1.0, n)
+    assert cert.separation_ok
+    d2 = distance_sq_matrix(x0)
+    tails = {
+        (i, j): repulsion_tail(rep, float(d2[i, j]), i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    }
+    want = max(tails.values())
+    assert want > max(tail for (i, j), tail in tails.items() if i < j)
+    assert abs(cert.repulsion_term - want) <= math.ulp(want)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +379,7 @@ def baseline_run():
 
 def test_audit_clean_on_baseline_alignment(baseline_run):
     spec, traj = baseline_run
-    audit = audit_sync_run(traj, envelope_of(spec.coupling), spec.n, k_bound=0.0)
+    audit = audit_sync_run(traj, spec.coupling.envelope(), spec.n, k_bound=0.0)
     assert audit.n_violations == 0
     assert audit.first_violation_t is None
     assert audit.n_checked > 0
@@ -368,7 +389,7 @@ def test_audit_clean_on_baseline_alignment(baseline_run):
 def test_audit_clean_on_driven_run(delta09_run):
     sc, traj = delta09_run
     k, _ = resolve_k_bound(sc)
-    audit = audit_sync_run(traj, sc.envelope(), sc.n, k)
+    audit = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k)
     assert audit.n_violations == 0
     assert audit.n_checked > 0
     assert audit.n_checked + audit.n_skipped == audit.n_samples - 1
@@ -378,9 +399,9 @@ def test_audit_flags_understated_penalty():
     sc = load_scenario(bundled_text("negative_control"))
     traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
     k, _ = resolve_k_bound(sc)
-    clean = audit_sync_run(traj, sc.envelope(), sc.n, k)
+    clean = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k)
     assert clean.n_violations == 0
-    tampered = audit_sync_run(traj, sc.envelope(), sc.n, k / 10.0)
+    tampered = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k / 10.0)
     assert tampered.n_violations > 0
     assert tampered.worst_margin > 0.0
     assert tampered.first_violation_t is not None
@@ -512,7 +533,7 @@ def test_collision_audit_matches_per_sample_loop():
     assert audit.worst_margin == pytest.approx(expected.worst_margin, rel=1e-12)
 
     # the alignment audit's arithmetic is unchanged, so it matches exactly
-    env = envelope_of(coupling)
+    env = coupling.envelope()
     sync = audit_sync_run(traj, env, n, 0.5)
     assert sync == _loop_audit(traj, lambda j: 0.5 - n * env.psi(float(traj.spread_x[j])))
 

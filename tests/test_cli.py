@@ -74,6 +74,14 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["certify", "simulate", "sweep"])
+def test_truncated_json_is_a_document_diagnostic(command, tmp_path, capsys):
+    bad = tmp_path / "cut.json"
+    bad.write_text('{"name": "cut', encoding="utf-8")
+    assert main([command, "--scenario", str(bad), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "document: invalid JSON" in capsys.readouterr().err
+
+
 def test_validate_applies_seed_override(monkeypatch, capsys):
     seeds = []
     materialize = cli_module.materialize
@@ -599,8 +607,8 @@ def test_power_law_tail_integral_loads_quadrature_on_demand(family_fn):
     # int_0^inf 2 / (1.5^2 + s^2) ds = 2 * pi / (2 * 1.5)
     got = _fresh_python(
         "import json, math, sys\n"
-        "from flocklab.coupling import Envelope, PowerLawCoupling, envelope_of, psi_integral\n"
-        "env = envelope_of(PowerLawCoupling(gain=2.0, sigma=1.5, exponent=1.0))\n"
+        "from flocklab.coupling import Envelope, PowerLawCoupling, psi_integral\n"
+        "env = PowerLawCoupling(gain=2.0, sigma=1.5, exponent=1.0).envelope()\n"
         f"if not {family_fn}:\n"
         "    env = Envelope(psi=env.psi, w_bar=env.w_bar)\n"
         "before = 'scipy.integrate' in sys.modules\n"

@@ -11,7 +11,6 @@ from flocklab.coupling import (
     ConstantCoupling,
     ModulatedCoupling,
     PowerLawCoupling,
-    envelope_of,
     psi_integral,
     weights_matrix,
 )
@@ -113,19 +112,19 @@ def test_modulated_envelope_closed_form():
     # offset is the supremum 2.0 of the admissible beta-squared values, so
     # the same envelope serves every realized beta matrix
     model = ModulatedCoupling(w=1.0, delta=0.9, beta=beta_matrix(5, 0.3))
-    env = envelope_of(model)
+    env = model.envelope()
     for s in (0.0, 1.0, 3.0, 10.0):
         assert env.psi(s) == pytest.approx(1.0 / (s + 2.0) ** 0.9, rel=1e-12)
 
 
 def test_constant_envelope_is_flat():
-    env = envelope_of(ConstantCoupling(w=0.4))
+    env = ConstantCoupling(w=0.4).envelope()
     assert env.psi(0.0) == env.psi(100.0) == 0.4
     assert env.w_bar == 0.4
 
 
 def test_power_law_envelope_at_zero():
-    env = envelope_of(PowerLawCoupling(gain=1.0, sigma=1.0, exponent=1.0))
+    env = PowerLawCoupling(gain=1.0, sigma=1.0, exponent=1.0).envelope()
     assert env.psi(0.0) == 1.0
 
 
@@ -187,7 +186,7 @@ def test_envelope_sandwich(sized, r, t, seed):
     model, n = sized
     x = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(n, r))
     s = float((x.max(axis=0) - x.min(axis=0)).max())
-    env = envelope_of(model)
+    env = model.envelope()
     w = weights_matrix(model, t, x)
     off = w[~np.eye(n, dtype=bool)]
     lo = env.psi(math.sqrt(r) * s)
@@ -198,7 +197,7 @@ def test_envelope_sandwich(sized, r, t, seed):
 @given(coupling_models)
 @settings(max_examples=60, deadline=None)
 def test_envelope_monotone_non_increasing(model):
-    env = envelope_of(model)
+    env = model.envelope()
     grid = np.linspace(0.0, 50.0, 101)
     vals = [env.psi(float(s)) for s in grid]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -212,35 +211,35 @@ def test_envelope_monotone_non_increasing(model):
 def test_psi_integral_reference_segment():
     # int_9^11.67 (s+2)^{-1/2} ds = 2 (sqrt(13.67) - sqrt(11))
     model = ModulatedCoupling(w=1.0, delta=0.5, beta=beta_matrix(5))
-    env = envelope_of(model)
+    env = model.envelope()
     exact = 2.0 * (math.sqrt(13.67) - math.sqrt(11.0))
     assert psi_integral(env, 9.0, 11.67) == pytest.approx(exact, rel=1e-12)
 
 
 def test_psi_integral_log_case():
     model = ModulatedCoupling(w=3.0, delta=1.0, beta=beta_matrix(2))
-    env = envelope_of(model)
+    env = model.envelope()
     assert psi_integral(env, 1.0, 5.0) == pytest.approx(3.0 * math.log(7.0 / 3.0), rel=1e-12)
     assert psi_integral(env, 1.0, math.inf) == math.inf
 
 
 def test_psi_integral_heavy_tail_diverges_light_tail_converges():
-    heavy = envelope_of(ModulatedCoupling(w=1.0, delta=0.7, beta=beta_matrix(2)))
-    light = envelope_of(ModulatedCoupling(w=1.0, delta=2.0, beta=beta_matrix(2)))
+    heavy = ModulatedCoupling(w=1.0, delta=0.7, beta=beta_matrix(2)).envelope()
+    light = ModulatedCoupling(w=1.0, delta=2.0, beta=beta_matrix(2)).envelope()
     assert psi_integral(heavy, 0.0, math.inf) == math.inf
     assert psi_integral(light, 0.0, math.inf) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_psi_integral_power_law_tail():
-    conv = envelope_of(PowerLawCoupling(gain=1.0, sigma=1.0, exponent=1.0))
-    div = envelope_of(PowerLawCoupling(gain=1.0, sigma=1.0, exponent=0.5))
+    conv = PowerLawCoupling(gain=1.0, sigma=1.0, exponent=1.0).envelope()
+    div = PowerLawCoupling(gain=1.0, sigma=1.0, exponent=0.5).envelope()
     # int_0^inf (1+s^2)^{-1} ds = pi/2
     assert psi_integral(conv, 0.0, math.inf) == pytest.approx(math.pi / 2.0, abs=1e-8)
     assert psi_integral(div, 0.0, math.inf) == math.inf
 
 
 def test_psi_integral_constant_and_degenerate():
-    env = envelope_of(ConstantCoupling(w=2.5))
+    env = ConstantCoupling(w=2.5).envelope()
     assert psi_integral(env, 1.0, 4.0) == pytest.approx(7.5, rel=1e-12)
     assert psi_integral(env, 3.0, 3.0) == 0.0
     assert psi_integral(env, 0.0, math.inf) == math.inf
@@ -257,7 +256,7 @@ def test_psi_integral_constant_and_degenerate():
 )
 @settings(max_examples=60, deadline=None)
 def test_psi_integral_matches_quadrature(model, a, width):
-    env = envelope_of(model)
+    env = model.envelope()
     b = a + width
     expected, _ = quad(env.psi, a, b, epsabs=1e-12, limit=200)
     assert psi_integral(env, a, b) == pytest.approx(expected, abs=1e-8)

@@ -239,6 +239,22 @@ def test_repulsion_singular_region_errors():
         repulsion_tail(rep, 0.1, 0, 1)
 
 
+def test_array_repulsion_names_the_first_pair_inside_d0():
+    # pair (2, j) for each j; coefficients differ per pair so a wrong index shows
+    rep = RepulsionModel(d0=0.25, phi=1.5, coeffs=np.arange(1.0, 26.0).reshape(5, 5))
+    j = np.array([0, 1, 3, 4])
+    s = np.array([1.0, 3.5, 0.75, 2.0])
+    for fn in (repulsion_strength, repulsion_tail):
+        got = fn(rep, s, 2, j)
+        want = [fn(rep, float(sm), 2, int(jm)) for sm, jm in zip(s, j)]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    s_in = np.array([1.0, 0.2, 0.25, 3.0])
+    with pytest.raises(ValueError, match=r"^pair \(2, 1\) at squared distance 0\.2 <= d0=0\.25$"):
+        repulsion_strength(rep, s_in, 2, j)
+    with pytest.raises(ValueError, match=r"^tail undefined at squared distance 0\.2 <= d0=0\.25$"):
+        repulsion_tail(rep, s_in, 2, j)
+
+
 def test_repulsion_constructor_validation():
     with pytest.raises(ValueError):
         RepulsionModel(d0=0.0, phi=1.5, coeffs=np.ones((2, 2)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from flocklab.integrate import (
     integrate,
     integrate_flat,
 )
-from flocklab.models import ModelSpec
+from flocklab.models import ModelSpec, flat_rhs
 from flocklab.state import FlockState, min_pair_distance_sq
 
 
@@ -126,18 +127,37 @@ def test_integration_is_deterministic():
     assert a.n_accepted == b.n_accepted and a.n_rejected == b.n_rejected
 
 
-def test_endpoint_reached_when_fixed_step_accumulates_rounding():
+def test_endpoint_reached_when_fixed_step_accumulates_rounding(monkeypatch):
     # 100 steps of h=0.2 sum to slightly under 20.0 in floats; the run must
-    # still complete and fill the final sample rather than report underflow
-    spec, state = _single_agent_sync(1.5)
-    cfg = IntegratorConfig(
-        t_end=20.0, sample_dt=0.5, rtol=1e9, atol=1e9, h_init=0.2, h_max=0.2
-    )
+    # still complete and fill the final sample rather than report underflow.
+    # The samples are rebuilt step by step from the run's own RHS calls.  It
+    # starts where no other run in this module does, so a freed buffer
+    # holding another run's samples cannot stand in for unfilled ones.
+    calls = []
+
+    def recording_rhs(spec):
+        f = flat_rhs(spec)
+
+        def rec(t, y):
+            out = f(t, y)
+            calls.append((t, y, out))
+            return out
+
+        return rec
+
+    # the package's `integrate` function shadows the module's name
+    monkeypatch.setattr(importlib.import_module("flocklab.integrate"), "flat_rhs", recording_rhs)
+    spec, state = _single_agent_sync(1.35)
+    cfg = _fixed_step_cfg(20.0, 0.2, 0.5)
     traj = integrate(spec, state, cfg)
     assert isinstance(traj.termination, Completed)
     assert len(traj.ts) == 41
     assert traj.ts[-1] == 20.0
-    assert np.all(np.isfinite(traj.vs))
+    want, _ = _per_step_reference(calls, traj.ts, cfg, traj.n_accepted)
+    assert len(want) == 40  # t = 20.0 lies past the steps' accumulated end
+    want.append(calls[-1][1])  # so it takes the final state
+    np.testing.assert_array_equal(traj.vs[:, 0, 0], np.array(want)[:, 1])
+    np.testing.assert_array_equal(traj.xs[:, 0, 0], np.array(want)[:, 0])
 
 
 def test_baseline_stays_in_initial_velocity_hull():

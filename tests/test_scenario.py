@@ -6,12 +6,13 @@ import copy
 import json
 import math
 from importlib.resources import files
+from typing import get_args
 
 import numpy as np
 import pytest
 
 from flocklab import scenario as scenario_module
-from flocklab.coupling import ConstantCoupling, ModulatedCoupling
+from flocklab.coupling import COUPLING_FAMILIES, ConstantCoupling, CouplingModel, ModulatedCoupling
 from flocklab.dynamics import k_region
 from flocklab.integrate import IntegratorConfig
 from flocklab.scenario import (
@@ -80,6 +81,37 @@ def test_unknown_nested_key_reports_path():
     doc = base_doc()
     doc["coupling"]["zeta"] = 1
     assert validate(doc) == ["coupling.zeta: unknown key"]
+
+
+# one valid `coupling` block per family, without its "family" key
+_FAMILY_BLOCKS = {
+    "power_law": {"gain": 2.0, "sigma": 1.5, "exponent": 0.75},
+    "modulated": {"w": 1.0, "delta": 1.2, "beta": {"mode": "constant", "value": 1.1}},
+    "constant": {"w": 0.5},
+}
+
+
+def test_coupling_families_name_every_coupling_class_once():
+    classes = get_args(CouplingModel)
+    assert len(COUPLING_FAMILIES) == len(classes)
+    assert set(COUPLING_FAMILIES.values()) == set(classes)
+    assert all(COUPLING_FAMILIES[cls.family] is cls for cls in classes)
+
+
+@pytest.mark.parametrize("family", sorted(COUPLING_FAMILIES))
+def test_each_coupling_family_materializes_to_its_class(family):
+    block = _FAMILY_BLOCKS[family]
+    doc = base_doc()
+    doc["coupling"] = {"family": family, **block}
+    assert validate(doc) == []
+    coupling = materialize(doc).coupling
+    assert type(coupling) is COUPLING_FAMILIES[family]
+    for key, val in block.items():
+        if key == "beta":
+            off = ~np.eye(3, dtype=bool)
+            assert (coupling.beta[off] == val["value"]).all()
+        else:
+            assert getattr(coupling, key) == val
 
 
 def test_collision_variant_requires_repulsion():
