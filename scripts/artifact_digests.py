@@ -2,11 +2,13 @@
 
 For each bundled scenario this runs `validate`, `simulate --full`, `certify`
 and `audit` through `flocklab.cli.main` into a temporary directory, then one
-`sweep --simulate --jobs 1` of `example1_sweep` over coupling.delta.  It
+`sweep --simulate --jobs 1` of `example1_sweep` over coupling.delta, and
+`certify` on a copy of `example2_strong` with a region K bound (the exact
+corner maximum over the Lorenz box), which no bundled scenario uses.  It
 prints one `sha256  scenario/file` line per artifact and per command's
-stdout (with its exit code); the sweep's lines are tagged `sweep/`.  The
-temporary path is stripped from the output, so two checkouts can be
-compared with a plain diff:
+stdout (with its exit code); the sweep's lines are tagged `sweep/` and the
+region copy's `region_k/`.  The temporary path is stripped from the output,
+so two checkouts can be compared with a plain diff:
 
     python3 scripts/artifact_digests.py > after.txt
     (cd ../other-checkout && python3 scripts/artifact_digests.py) > before.txt
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -73,6 +76,13 @@ def main() -> int:
         sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
                  "--jobs", "1", "--axis", SWEEP_AXIS]
         _print_digests("sweep", [("sweep", sweep)], out, tmp)
+        out = Path(tmp) / "region_k"
+        out.mkdir()
+        doc = json.loads((SCENARIO_DIR / "example2_strong.json").read_text(encoding="utf-8"))
+        doc["certificate"] = {"k_source": "region", "relaxed": True}
+        scenario = out / "example2_strong.json"
+        scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        _print_digests("region_k", [("certify", ["certify", "--scenario", str(scenario)])], out, tmp)
     return 0
 
 

@@ -15,11 +15,11 @@ from flocklab import (
     audit_sync_run,
     decay_rate_fit,
     evaluate_certificate,
-    integrate,
     load_scenario,
     resolve_k_bound,
 )
 from flocklab.artifacts import certificate_report, plot_spread_v, write_timeseries_csv
+from flocklab.integrate import integrate
 
 SCENARIOS = ["example1_delta09", "example1_delta4", "example1_delta10"]
 

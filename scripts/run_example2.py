@@ -14,8 +14,9 @@ from importlib.resources import files
 
 import numpy as np
 
-from flocklab import evaluate_certificate, integrate, load_scenario, resolution_floor
+from flocklab import evaluate_certificate, load_scenario, resolution_floor
 from flocklab.artifacts import certificate_report, plot_spread_v, write_timeseries_csv
+from flocklab.integrate import integrate
 
 SCENARIOS = ["example2_strong", "example2_weak"]
 

@@ -18,7 +18,6 @@ from flocklab import (
     Completed,
     audit_collision_run,
     evaluate_certificate,
-    integrate,
     load_scenario,
 )
 from flocklab.artifacts import (
@@ -27,6 +26,7 @@ from flocklab.artifacts import (
     plot_spread_v,
     write_timeseries_csv,
 )
+from flocklab.integrate import integrate
 
 SCENARIOS = ["example3_strong", "example3_weak"]
 

@@ -66,7 +66,6 @@ from .integrate import (
     IntegratorConfig,
     StepSizeUnderflow,
     Trajectory,
-    integrate,
     integrate_flat,
 )
 from .certify import (
@@ -152,7 +151,6 @@ __all__ = [
     "CollisionEvent",
     "EventHit",
     "StepSizeUnderflow",
-    "integrate",
     "integrate_flat",
     # certify
     "ContractionResult",

@@ -8,7 +8,8 @@ The certificates need one scalar per dynamics model: the largest value of
 over the operating region.  The segment integrals are done with 16-point
 Gauss-Legendre; when the Jacobian entries are affine in the state they equal
 the entry at the segment midpoint, so the regional maximum is attained at
-box corners and can be computed exactly.
+box corners and can be computed exactly.  `g` and its Jacobian act row-wise,
+so one call covers a flock, the 16 nodes of a segment, or a block of corners.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,18 +27,20 @@ _GL_Q = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 _FD_STEP = 1e-6
+_K_BLOCK = 1024  # box points per Jacobian call in k_region: bounded memory as 2^r grows
 
 
 @dataclass(frozen=True)
 class InternalDynamics:
     """Per-agent velocity generator v_i' = g(t, v_i) + coupling.
 
-    `g` acts on the last axis: given one agent's (r,) velocity it returns
-    (r,), and given all agents' (n, r) velocities it returns (n, r) whose row
-    i equals g(t, v_i) bit for bit.  Write it with `z[..., k]` for coordinate
-    k so that one call covers the whole flock.
+    `g` and `jacobian` act on the last axis: given one (r,) velocity they
+    return (r,) and the (r, r) matrix dg_l/dz_h, and given (m, r) velocities
+    (m, r) and (m, r, r) whose row i equals the one-row call bit for bit.
+    Write them with `z[..., k]` for coordinate k; construction checks both
+    on a two-row probe and raises ValueError for a per-agent function.
 
-    `jacobian` takes one (r,) velocity and is optional; central finite differences with step
+    `jacobian` is optional; central finite differences with step
     1e-6 * max(1, |z|) fill in when it is absent.  `jacobian_affine` marks
     models whose Jacobian entries are affine in z, enabling exact corner
     maximisation in k_region.  `box` is an (r, 2) array of a compact
@@ -55,6 +57,12 @@ class InternalDynamics:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dynamics dimension must be >= 1")
+        for label, fn in (("g", self.g), ("jacobian", self.jacobian)):
+            if fn is not None and not _acts_row_wise(fn, self.dim):
+                raise ValueError(
+                    f"internal dynamics '{self.name}' must act row-wise: {label}(t, V) on "
+                    f"(m, r) velocities must equal {label}(t, v_i) for each row"
+                )
         if self.box is not None:
             box = np.asarray(self.box, dtype=float)
             if box.shape != (self.dim, 2) or not (box[:, 0] <= box[:, 1]).all():
@@ -70,17 +78,26 @@ class InternalDynamics:
         return _fd_jacobian(self.g, t, z)
 
 
+def _acts_row_wise(fn, r: int) -> bool:
+    """Whether fn on a two-row probe equals fn on each row, bit for bit."""
+    probe = 0.25 + np.arange(1, 2 * r + 1, dtype=float).reshape(2, r) / 3.0
+    try:
+        whole = np.asarray(fn(0.0, probe))
+    except (IndexError, TypeError, ValueError):  # per-agent code: z[k] past the rows, math.*
+        return False
+    return np.array_equal(whole, [fn(0.0, row) for row in probe])  # False if shapes differ
+
+
 def _fd_jacobian(g, t: float, z: np.ndarray) -> np.ndarray:
-    h = _FD_STEP * max(1.0, float(np.linalg.norm(z)))
-    r = z.size
-    jac = np.empty((r, r))
-    for h_idx in range(r):
-        zp = z.copy()
-        zm = z.copy()
-        zp[h_idx] += h
-        zm[h_idx] -= h
-        jac[:, h_idx] = (np.asarray(g(t, zp)) - np.asarray(g(t, zm))) / (2.0 * h)
-    return jac
+    r, k = z.shape[-1], np.arange(z.shape[-1])
+    h = _FD_STEP * np.maximum(1.0, np.linalg.norm(z, axis=-1))
+    # central differences from one g call per side; row k of zp is z with z_k + h
+    zp = np.repeat(z[..., None, :], r, axis=-2)
+    zm = zp.copy()
+    zp[..., k, k] += h[..., None]
+    zm[..., k, k] -= h[..., None]
+    gp, gm = (np.asarray(g(t, zs.reshape(-1, r))).reshape(zs.shape) for zs in (zp, zm))
+    return np.swapaxes(gp - gm, -1, -2) / (2.0 * h[..., None, None])
 
 
 def zero_dynamics(dim: int) -> InternalDynamics:
@@ -89,7 +106,7 @@ def zero_dynamics(dim: int) -> InternalDynamics:
         name="zero",
         dim=dim,
         g=lambda t, z: np.zeros_like(z, dtype=float),
-        jacobian=lambda t, z: np.zeros((dim, dim)),
+        jacobian=lambda t, z: np.zeros(np.shape(z) + (dim,)),
         jacobian_affine=True,
         box=np.column_stack([-np.ones(dim), np.ones(dim)]),
     )
@@ -101,7 +118,7 @@ def logistic_cosine() -> InternalDynamics:
         name="logistic_cosine",
         dim=1,
         g=lambda t, z: math.cos(t) * (z - 1.0) * (z - 2.0),
-        jacobian=lambda t, z: np.array([[math.cos(t) * (2.0 * z[0] - 3.0)]]),
+        jacobian=lambda t, z: (math.cos(t) * (2.0 * z - 3.0))[..., None],
         jacobian_affine=True,
         box=np.array([[1.0, 2.0]]),
     )
@@ -143,13 +160,11 @@ def lorenz() -> InternalDynamics:
         return out
 
     def jac(t, z):
-        return np.array(
-            [
-                [-10.0, 10.0, 0.0],
-                [28.0 - z[2], -1.0, -z[0]],
-                [z[1], z[0], -8.0 / 3.0],
-            ]
-        )
+        out = np.empty(z.shape + (3,))
+        out[..., 0, :] = (-10.0, 10.0, 0.0)
+        out[..., 1, 0], out[..., 1, 1], out[..., 1, 2] = 28.0 - z[..., 2], -1.0, -z[..., 0]
+        out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = z[..., 1], z[..., 0], -8.0 / 3.0
+        return out
 
     return InternalDynamics(
         name="lorenz", dim=3, g=g, jacobian=jac, jacobian_affine=True, box=_LORENZ_BOX.copy()
@@ -169,10 +184,9 @@ def segment_jacobian_integrals(dyn: InternalDynamics, t: float, y, w) -> np.ndar
     w = np.asarray(w, dtype=float)
     if y.shape != (dyn.dim,) or w.shape != (dyn.dim,):
         raise ValueError(f"segment endpoints must have shape ({dyn.dim},)")
-    acc = np.zeros((dyn.dim, dyn.dim))
-    for q, wt in zip(_GL_Q, _GL_W):
-        acc += wt * dyn.eval_jacobian(t, q * y + (1.0 - q) * w)
-    return acc
+    nodes = _GL_Q[:, None] * y + (1.0 - _GL_Q)[:, None] * w
+    # a running sum in node order, from +0.0 (an entry -0.0 at every node is 0.0)
+    return np.cumsum(_GL_W[:, None, None] * dyn.eval_jacobian(t, nodes), axis=0)[-1] + 0.0
 
 
 def k_pair(dyn: InternalDynamics, t: float, dim: int, y, w) -> float:
@@ -190,12 +204,11 @@ def k_pair(dyn: InternalDynamics, t: float, dim: int, y, w) -> float:
 
 
 def _row_penalties(jac: np.ndarray) -> np.ndarray:
-    diag = np.diag(jac)
-    return diag + np.abs(jac).sum(axis=1) - np.abs(diag)
+    diag = np.diagonal(jac, axis1=-2, axis2=-1)
+    return diag + np.abs(jac).sum(axis=-1) - np.abs(diag)
 
 
 DEFAULT_T_GRID = np.linspace(0.0, 2.0 * math.pi, 257)
-
 
 def k_region(
     dyn: InternalDynamics,
@@ -220,20 +233,24 @@ def k_region(
         t_grid = DEFAULT_T_GRID
 
     if dyn.jacobian_affine:
-        points = [box[d] for d in range(dyn.dim)]
+        grid = box
     else:
         warnings.warn(
             "k_region sampling a non-affine Jacobian on a grid; "
             "the result is an estimate, not a certified bound",
             stacklevel=2,
         )
-        points = [np.linspace(box[d, 0], box[d, 1], samples_per_dim) for d in range(dyn.dim)]
+        grid = np.linspace(box[:, 0], box[:, 1], samples_per_dim, axis=1)
 
+    # point p takes grid[d, i_d] for the base-len(grid[0]) digits i of p
+    shape = (grid.shape[1],) * dyn.dim
+    n_points = math.prod(shape)
     best = -math.inf
-    for t in np.atleast_1d(t_grid):
-        for z in product(*points):
-            jac = dyn.eval_jacobian(float(t), np.array(z))
-            best = max(best, float(_row_penalties(jac).max()))
+    for start in range(0, n_points, _K_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(start + _K_BLOCK, n_points)), shape)
+        z = grid[np.arange(dyn.dim), np.stack(idx, axis=-1)]
+        for t in np.atleast_1d(t_grid):
+            best = max(best, float(_row_penalties(dyn.eval_jacobian(float(t), z)).max()))
     return best
 
 

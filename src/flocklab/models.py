@@ -62,27 +62,11 @@ class ModelSpec:
                 raise ValueError(
                     f"internal dynamics dimension {self.internal.dim} != r={self.r}"
                 )
-            if not _acts_row_wise(self.internal.g, self.r):
-                raise ValueError(
-                    f"internal dynamics '{self.internal.name}' must act row-wise: "
-                    "g(t, V) on (n, r) velocities must equal g(t, v_i) for each row"
-                )
         if self.variant == "collision_free":
             if self.repulsion is None:
                 raise ValueError("collision_free model needs a repulsion model")
             if self.repulsion.coeffs.shape[0] != self.n:
                 raise ValueError("repulsion coefficient matrix does not match n")
-
-
-def _acts_row_wise(g, r: int) -> bool:
-    """Whether g on a two-row probe equals g on each row, bit for bit."""
-    probe = 0.25 + np.arange(1, 2 * r + 1, dtype=float).reshape(2, r) / 3.0
-    rows = np.stack([np.asarray(g(0.0, row)) for row in probe])
-    try:
-        whole = np.asarray(g(0.0, probe))
-    except (IndexError, ValueError):  # per-agent code indexing z[k] past the rows
-        return False
-    return whole.shape == rows.shape and bool(np.array_equal(whole, rows))
 
 
 def _alignment(w: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:

@@ -279,12 +279,11 @@ def validate(doc) -> list[str]:
     if isinstance(internal, dict):
         _expect_keys(diags, "internal.", internal, ["name"], ["box"])
         name = internal.get("name")
-        if name is not None and name not in BUILTIN_DYNAMICS:
+        dyn = _builtin_dynamics(name, r if isinstance(r, int) else 1)  # a bad r is reported above
+        if name is not None and dyn is None:
             diags.append(f"internal.name: unknown dynamics {name!r}")
-        elif name is not None and isinstance(r, int):
-            dim = r if name == "zero" else BUILTIN_DYNAMICS[name]().dim
-            if dim != r:
-                diags.append(f"internal.name: {name!r} is {dim}-dimensional but r={r}")
+        elif dyn is not None and isinstance(r, int) and dyn.dim != r:
+            diags.append(f"internal.name: {name!r} is {dyn.dim}-dimensional but r={r}")
         if internal.get("box") is not None and isinstance(r, int):
             box = _validate_vectors(diags, "internal.box", internal["box"], r, 2)
             if box is not None and not (box[:, 0] <= box[:, 1]).all():
@@ -554,11 +553,17 @@ def _build_coupling(block: dict, n: int, seed_path) -> CouplingModel:
     return COUPLING_FAMILIES[block["family"]](**params)
 
 
+def _builtin_dynamics(name, r: int) -> Optional[InternalDynamics]:
+    """The built-in dynamics called `name` at dimension r; None for any other name."""
+    if not isinstance(name, str) or name not in BUILTIN_DYNAMICS:
+        return None
+    return zero_dynamics(r) if name == "zero" else BUILTIN_DYNAMICS[name]()
+
+
 def _build_internal(block, r: int) -> Optional[InternalDynamics]:
     if block is None:
         return None
-    name = block["name"]
-    dyn = zero_dynamics(r) if name == "zero" else BUILTIN_DYNAMICS[name]()
+    dyn = _builtin_dynamics(block["name"], r)
     box = block.get("box")
     if box is not None:
         dyn = dataclasses.replace(dyn, box=np.asarray(box, dtype=float))

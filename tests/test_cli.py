@@ -67,6 +67,16 @@ def test_validate_reports_path_tagged_diagnostics(tmp_path, capsys):
     assert "coupling.mystery: unknown key" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", [["lorenz"], {"name": "lorenz"}])
+def test_validate_reports_non_string_dynamics_name(name, tmp_path, capsys):
+    doc = json.loads(Path(bundled_path("example2_strong")).read_text(encoding="utf-8"))
+    doc["internal"]["name"] = name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--scenario", str(bad)]) == EXIT_USAGE
+    assert f"internal.name: unknown dynamics {name!r}" in capsys.readouterr().out
+
+
 def test_validate_rejects_broken_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,31 @@ def test_builtin_generators_act_row_wise(name, n, t, seed):
     whole = dyn.g(t, z)
     assert whole.shape == (n, dyn.dim)
     assert np.array_equal(whole, np.stack([dyn.g(t, row) for row in z]))
+    jac = dyn.jacobian(t, z)
+    assert jac.shape == (n, dyn.dim, dyn.dim)
+    assert jac.tobytes() == np.stack([dyn.jacobian(t, row) for row in z]).tobytes()
+
+
+def test_per_agent_jacobian_rejected_at_construction():
+    # row-wise generators with the one-agent Jacobians the builtins used to carry
+    with pytest.raises(ValueError, match="row-wise"):
+        InternalDynamics(
+            name="cube",
+            dim=1,
+            g=lambda t, z: z**3,
+            jacobian=lambda t, z: np.array([[3.0 * z[0] ** 2]]),
+        )
+    with pytest.raises(ValueError, match="row-wise"):
+        dataclasses.replace(
+            lorenz(),
+            jacobian=lambda t, z: np.array(
+                [[-10.0, 10.0, 0.0], [28.0 - z[2], -1.0, -z[0]], [z[1], z[0], -8.0 / 3.0]]
+            ),
+        )
+    # the row-wise forms are accepted
+    InternalDynamics(
+        name="cube", dim=1, g=lambda t, z: z**3, jacobian=lambda t, z: (3.0 * z**2)[..., None]
+    )
 
 
 def test_logistic_cosine_solution_solves_the_ode():
@@ -163,17 +189,61 @@ def test_k_region_requires_a_box():
 
 
 def test_k_region_warns_on_sampled_non_affine():
+    # the maximum 3 z^2 = 3 sits at the last sample, not the first (0.75)
     dyn = InternalDynamics(
         name="cubic",
         dim=1,
-        g=lambda t, z: np.array([z[0] ** 3]),
-        jacobian=lambda t, z: np.array([[3.0 * z[0] ** 2]]),
+        g=lambda t, z: z**3,
+        jacobian=lambda t, z: (3.0 * z**2)[..., None],
         jacobian_affine=False,
-        box=np.array([[-1.0, 1.0]]),
+        box=np.array([[-0.5, 1.0]]),
     )
     with pytest.warns(UserWarning):
         k = k_region(dyn, t_grid=np.array([0.0]))
     assert k == pytest.approx(3.0, rel=1e-9)
+
+
+def test_k_region_takes_corners_in_bounded_blocks():
+    # every row of J is z, so row l's penalty is z_l + sum_{h != l} |z_h|; on
+    # [-2, 1]^r the maximum 1 + 2 (r - 1) sits at the r corners with one +1
+    r = 11
+    sizes = []
+
+    def jac(t, z):
+        sizes.append(z.shape[:-1])
+        return np.repeat(z[..., None, :], r, axis=-2)
+
+    box = np.tile([-2.0, 1.0], (r, 1))
+    dyn = InternalDynamics(
+        name="rows", dim=r, g=lambda t, z: z, jacobian=jac, jacobian_affine=True, box=box
+    )
+    sizes.clear()  # the construction's row-wise probe
+    assert k_region(dyn, t_grid=np.array([0.0, 1.0])) == 1.0 + 2.0 * (r - 1)
+    assert all(len(size) == 1 and size[0] <= 1024 for size in sizes)
+    assert sum(size[0] for size in sizes) == 2 * 2**r
+
+
+def _segment_reference(dyn, t, y, w):
+    acc = np.zeros((dyn.dim, dyn.dim))
+    for q, wt in zip(*np.polynomial.legendre.leggauss(16)):
+        q, wt = 0.5 * (q + 1.0), 0.5 * wt
+        acc += wt * dyn.eval_jacobian(t, q * np.asarray(y) + (1.0 - q) * np.asarray(w))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "dyn",
+    [logistic_cosine(), lorenz(), dataclasses.replace(lorenz(), jacobian=None)],
+    ids=["logistic_cosine", "lorenz", "lorenz_fd"],
+)
+def test_segment_integrals_match_per_node_loop(dyn):
+    rng = np.random.default_rng(7)
+    lo, hi = dyn.box[:, 0], dyn.box[:, 1]
+    for _ in range(50):
+        t = float(rng.uniform(0.0, 2.0 * math.pi))
+        y, w = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        got = segment_jacobian_integrals(dyn, t, y, w)
+        assert got.tobytes() == _segment_reference(dyn, t, y, w).tobytes()
 
 
 def test_builtin_jacobians_match_finite_differences():

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import flocklab.integrate as integrate_module
 from flocklab.coupling import ConstantCoupling, ModulatedCoupling
 from flocklab.dynamics import RepulsionModel, logistic_cosine, logistic_cosine_solution
 from flocklab.integrate import (
@@ -28,6 +29,13 @@ from flocklab.integrate import (
 )
 from flocklab.models import ModelSpec, flat_rhs
 from flocklab.state import FlockState, min_pair_distance_sq
+
+
+def test_package_attribute_names_the_integrate_module():
+    # `import flocklab.integrate as m` reads the package attribute, so a
+    # package-level function of the same name would be bound instead
+    assert integrate_module is sys.modules["flocklab.integrate"]
+    assert integrate_module.integrate is integrate
 
 
 def _single_agent_sync(v0: float) -> tuple[ModelSpec, FlockState]:
@@ -145,8 +153,7 @@ def test_endpoint_reached_when_fixed_step_accumulates_rounding(monkeypatch):
 
         return rec
 
-    # the package's `integrate` function shadows the module's name
-    monkeypatch.setattr(importlib.import_module("flocklab.integrate"), "flat_rhs", recording_rhs)
+    monkeypatch.setattr(integrate_module, "flat_rhs", recording_rhs)
     spec, state = _single_agent_sync(1.35)
     cfg = _fixed_step_cfg(20.0, 0.2, 0.5)
     traj = integrate(spec, state, cfg)

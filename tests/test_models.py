@@ -172,7 +172,7 @@ def test_sync_rhs_calls_the_generator_once_per_evaluation():
 
     internal = dataclasses.replace(spec.internal, g=counting)
     counted = ModelSpec(variant="sync", n=spec.n, r=3, coupling=spec.coupling, internal=internal)
-    calls.clear()  # the spec's own row-wise probe
+    calls.clear()  # the dynamics' own row-wise probe
     f = flat_rhs(counted)
     y = pack(x, v)
     for t in (0.0, 0.5, 1.0):
@@ -181,19 +181,20 @@ def test_sync_rhs_calls_the_generator_once_per_evaluation():
 
 
 def test_sync_spec_rejects_per_agent_generator():
-    cube = InternalDynamics(name="cube", dim=1, g=lambda t, z: np.array([z[0] ** 3]))
+    # rejected where the dynamics is built, before any ModelSpec sees it
     with pytest.raises(ValueError, match="row-wise"):
-        ModelSpec(variant="sync", n=3, r=1, coupling=ConstantCoupling(w=1.0), internal=cube)
-    per_agent_lorenz = InternalDynamics(
-        name="lorenz_per_agent",
-        dim=3,
-        g=lambda t, z: np.array(
-            [10.0 * (z[1] - z[0]), -z[1] + z[0] * (28.0 - z[2]), -(8.0 / 3.0) * z[2] + z[0] * z[1]]
-        ),
-    )
+        InternalDynamics(name="cube", dim=1, g=lambda t, z: np.array([z[0] ** 3]))
     with pytest.raises(ValueError, match="row-wise"):
-        ModelSpec(
-            variant="sync", n=3, r=3, coupling=ConstantCoupling(w=1.0), internal=per_agent_lorenz
+        InternalDynamics(
+            name="lorenz_per_agent",
+            dim=3,
+            g=lambda t, z: np.array(
+                [
+                    10.0 * (z[1] - z[0]),
+                    -z[1] + z[0] * (28.0 - z[2]),
+                    -(8.0 / 3.0) * z[2] + z[0] * z[1],
+                ]
+            ),
         )
     # the row-wise forms of the same generators are accepted
     row_cube = InternalDynamics(name="cube", dim=1, g=lambda t, z: z**3)

@@ -159,6 +159,25 @@ def test_trajectory_source_needs_logistic_cosine():
     assert any("trajectory" in d and "logistic_cosine" in d for d in diags)
 
 
+@pytest.mark.parametrize("name", [["lorenz"], {"name": "lorenz"}])
+def test_non_string_dynamics_name_is_a_diagnostic(name):
+    doc = _sync_doc()
+    doc["internal"] = {"name": name}
+    assert validate(doc) == [f"internal.name: unknown dynamics {name!r}"]
+
+
+def test_dynamics_dimension_checked_against_r():
+    doc = _sync_doc()
+    doc["internal"] = {"name": "lorenz"}
+    assert validate(doc) == ["internal.name: 'lorenz' is 3-dimensional but r=1"]
+    # zero takes its dimension from r: 2^20 box corners for the region bound
+    doc["internal"] = {"name": "zero"}
+    doc["r"] = 20
+    doc["initial"] = {"mode": "generate", "spread_x": 2.0, "spread_v": 1.0}
+    doc["certificate"] = {"k_source": "region"}
+    assert validate(doc) == []
+
+
 def test_collision_rejects_coincident_generation():
     doc = base_doc()
     doc["variant"] = "collision_free"

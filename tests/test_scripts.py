@@ -1,4 +1,7 @@
-"""Smoke test of the example scripts, the other consumers of the public API."""
+"""Smoke test of the example scripts and README's Library example.
+
+They are the other consumers of the public API.
+"""
 
 from __future__ import annotations
 
@@ -38,3 +41,19 @@ def test_example_script_runs(script, tmp_path):
         assert report.splitlines()[0] == f"certificate: {kind}"
         assert (tmp_path / f"{name}.csv").is_file()
     assert lines[-1] == f"artifacts: {tmp_path}"
+
+
+def test_readme_library_example_runs():
+    # the python block under README's "## Library" heading, whose last line
+    # prints `feasible spread` and gives the expected value in a comment
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    mantissa, exponent = code.rstrip().rsplit("# ", 1)[1].rsplit("e", 1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.strip()
+    assert line.startswith(mantissa) and line.endswith("e" + exponent), (line, mantissa)
