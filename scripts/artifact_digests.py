@@ -2,12 +2,14 @@
 
 For each bundled scenario this runs `validate`, `simulate --full`, `certify`
 and `audit` through `flocklab.cli.main` into a temporary directory, then one
-`sweep --simulate --jobs 1` of `example1_sweep` over coupling.delta, and
+`sweep --simulate --jobs 1` of `example1_sweep` over coupling.delta,
 `certify` on a copy of `example2_strong` with a region K bound (the exact
-corner maximum over the Lorenz box), which no bundled scenario uses.  It
-prints one `sha256  scenario/file` line per artifact and per command's
-stdout (with its exit code); the sweep's lines are tagged `sweep/` and the
-region copy's `region_k/`.  The temporary path is stripped from the output,
+corner maximum over the Lorenz box), which no bundled scenario uses, and one
+`sweep --simulate --jobs 2` of the collision-free `example3_strong` over
+coupling.w, whose first two points are integrated as one batch.  It prints
+one `sha256  scenario/file` line per artifact and per command's stdout (with
+its exit code); the sweeps' lines are tagged `sweep/` and `sweep_collision/`
+and the region copy's `region_k/`.  The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
 
     python3 scripts/artifact_digests.py > after.txt
@@ -35,6 +37,7 @@ from flocklab import cli  # noqa: E402
 
 SCENARIO_DIR = SRC / "flocklab" / "scenarios"
 SWEEP_AXIS = "coupling.delta=0.5:2.0:0.25"
+COLLISION_SWEEP_AXIS = "coupling.w=[8.0,10.0,12.0]"
 
 
 def _sha256(data: bytes) -> str:
@@ -83,6 +86,11 @@ def main() -> int:
         scenario = out / "example2_strong.json"
         scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")
         _print_digests("region_k", [("certify", ["certify", "--scenario", str(scenario)])], out, tmp)
+        out = Path(tmp) / "sweep_collision"
+        scenario = SCENARIO_DIR / "example3_strong.json"
+        sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
+                 "--jobs", "2", "--axis", COLLISION_SWEEP_AXIS]
+        _print_digests("sweep_collision", [("sweep", sweep)], out, tmp)
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Each family is one class that names itself (`family`, the scenario file's
 key for it) and carries both of its laws: `weights(t, dist_sq)`, the
-per-pair weights w_ij(t, x) from squared pair distances, and `envelope()`,
+per-pair weights w_ij(t, x) from squared pair distances (also for a batch,
+as `models.batch_rhs` stacks it: parameters held as per-member arrays, t a
+(B, 1, 1) array and dist_sq (B, n, n)), and `envelope()`,
 an Envelope holding a non-increasing psi with w_ij(t, x) >= psi(S(x)) and
 the uniform upper bound w_bar.  Certificates only ever touch the envelope,
 so every family carries closed-form tail integrals where they exist.
@@ -22,7 +24,7 @@ from typing import Callable, ClassVar, Optional, get_args
 
 import numpy as np
 
-from .state import _as_2d, distance_sq_matrix
+from .state import _as_stack, distance_sq_matrix, libm, power
 
 # Modulated weights draw their pair offsets beta_ij from (0, sqrt(2)), so
 # (distance + beta_ij^2) < (distance + 2) always; 2.0 is the envelope offset.
@@ -42,16 +44,18 @@ class PowerLawCoupling:
     gain: float
     sigma: float
     exponent: float
+    sigma_sq: float = field(init=False, repr=False, compare=False)  # sigma**2, libm's pow
 
     def __post_init__(self):
         if self.gain <= 0 or self.sigma <= 0 or self.exponent <= 0:
             raise ValueError("power-law coupling needs gain, sigma, exponent > 0")
+        object.__setattr__(self, "sigma_sq", self.sigma**2)
 
     def weights(self, t: float, dist_sq: np.ndarray) -> np.ndarray:
-        return self.gain / (self.sigma**2 + dist_sq) ** self.exponent
+        return self.gain / power(self.sigma_sq + dist_sq, self.exponent)
 
     def envelope(self) -> Envelope:
-        gain, sig2, b = self.gain, self.sigma**2, self.exponent
+        gain, sig2, b = self.gain, self.sigma_sq, self.exponent
 
         def psi(s: float) -> float:
             return gain / (sig2 + s * s) ** b
@@ -95,11 +99,11 @@ class ModulatedCoupling:
         object.__setattr__(self, "beta_sq", beta_sq)
 
     def weights(self, t: float, dist_sq: np.ndarray) -> np.ndarray:
-        n = dist_sq.shape[0]
-        if self.beta.shape[0] != n:
-            raise ValueError(f"beta is {self.beta.shape[0]}x{self.beta.shape[0]}, state has n={n}")
+        n, m = dist_sq.shape[-1], self.beta.shape[-1]
+        if m != n:
+            raise ValueError(f"beta is {m}x{m}, state has n={n}")
         dist = np.sqrt(dist_sq)
-        return self.w * (1.5 + 0.5 * math.sin(t)) / (dist + self.beta_sq) ** self.delta
+        return self.w * (1.5 + 0.5 * libm(math.sin, t)) / power(dist + self.beta_sq, self.delta)
 
     def envelope(self) -> Envelope:
         # modulation minimum is 1.0, offset uses the draw-interval supremum
@@ -152,12 +156,15 @@ def weights_matrix(model, t: float, x, dist_sq: Optional[np.ndarray] = None) -> 
 
     `dist_sq`, when given, must be `distance_sq_matrix(x)`; a caller that
     already holds the squared distances passes them to skip the rebuild.
+    A stacked model (see the module docstring) with (B, n, r) positions
+    gives (B, n, n).
     """
-    x = _as_2d(x)
+    x = _as_stack(x)
     if dist_sq is None:
         dist_sq = distance_sq_matrix(x)
-    w = model.weights(t, dist_sq)
-    w.flat[:: x.shape[0] + 1] = 0.0
+    w = model.weights(t, dist_sq)  # a fresh C-ordered array, so the reshape is a view
+    n = x.shape[-2]
+    w.reshape(-1, n * n)[:, :: n + 1] = 0.0
     return w
 
 

@@ -9,17 +9,21 @@ over the operating region.  The segment integrals are done with 16-point
 Gauss-Legendre; when the Jacobian entries are affine in the state they equal
 the entry at the segment midpoint, so the regional maximum is attained at
 box corners and can be computed exactly.  `g` and its Jacobian act row-wise,
-so one call covers a flock, the 16 nodes of a segment, or a block of corners.
+so one call covers a flock, the 16 nodes of a segment, a block of corners,
+or a batch of flocks each at its own time.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .state import libm
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # map from [-1, 1] to [0, 1]
@@ -37,13 +41,18 @@ class InternalDynamics:
     `g` and `jacobian` act on the last axis: given one (r,) velocity they
     return (r,) and the (r, r) matrix dg_l/dz_h, and given (m, r) velocities
     (m, r) and (m, r, r) whose row i equals the one-row call bit for bit.
-    Write them with `z[..., k]` for coordinate k; construction checks both
-    on a two-row probe and raises ValueError for a per-agent function.
+    A batch of B flocks passes (B, m, r) velocities with t a (B, 1, 1)
+    array of the members' times; member b must equal the call at its own
+    float time.  Write them with `z[..., k]` for coordinate k and
+    `state.libm(math.cos, t)` for a function of t; construction checks both
+    on a two-row probe and a two-member batch, and raises ValueError for a
+    per-agent function.
 
     `jacobian` is optional; central finite differences with step
     1e-6 * max(1, |z|) fill in when it is absent.  `jacobian_affine` marks
     models whose Jacobian entries are affine in z, enabling exact corner
-    maximisation in k_region.  `box` is an (r, 2) array of a compact
+    maximisation in k_region; `autonomous` marks a `g` that does not depend
+    on t, so k_region takes one time.  `box` is an (r, 2) array of a compact
     invariant region when one is known.
     """
 
@@ -52,6 +61,7 @@ class InternalDynamics:
     g: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     jacobian_affine: bool = False
+    autonomous: bool = False
     box: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -61,15 +71,17 @@ class InternalDynamics:
             if fn is not None and not _acts_row_wise(fn, self.dim):
                 raise ValueError(
                     f"internal dynamics '{self.name}' must act row-wise: {label}(t, V) on "
-                    f"(m, r) velocities must equal {label}(t, v_i) for each row"
+                    f"(m, r) velocities must equal {label}(t, v_i) for each row, and on "
+                    f"a (B, m, r) batch at (B, 1, 1) times equal each member's call"
                 )
         if self.box is not None:
-            box = np.asarray(self.box, dtype=float)
-            if box.shape != (self.dim, 2) or not (box[:, 0] <= box[:, 1]).all():
-                raise ValueError("box must be (r, 2) with lo <= hi")
-            box = box.copy()
-            box.setflags(write=False)
-            object.__setattr__(self, "box", box)
+            object.__setattr__(self, "box", _checked_box(self.box, self.dim))
+
+    def with_box(self, box) -> InternalDynamics:
+        """These dynamics over another invariant box, without re-checking g and jacobian."""
+        out = copy.copy(self)
+        object.__setattr__(out, "box", _checked_box(box, self.dim))
+        return out
 
     def eval_jacobian(self, t: float, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -78,14 +90,32 @@ class InternalDynamics:
         return _fd_jacobian(self.g, t, z)
 
 
+def _checked_box(box, dim: int) -> np.ndarray:
+    box = np.asarray(box, dtype=float)
+    if box.shape != (dim, 2) or not (box[:, 0] <= box[:, 1]).all():
+        raise ValueError("box must be (r, 2) with lo <= hi")
+    box = box.copy()
+    box.setflags(write=False)
+    return box
+
+
 def _acts_row_wise(fn, r: int) -> bool:
-    """Whether fn on a two-row probe equals fn on each row, bit for bit."""
+    """Whether fn acts row-wise and per batch member, bit for bit.
+
+    The probe is two rows, compared with fn on each row, and a batch of two
+    members at times 0 and 1, compared with fn on each member at its time.
+    """
     probe = 0.25 + np.arange(1, 2 * r + 1, dtype=float).reshape(2, r) / 3.0
+    batch = np.stack([probe, probe[::-1]])
     try:
         whole = np.asarray(fn(0.0, probe))
+        rows = [fn(0.0, row) for row in probe]
+        members = np.asarray(fn(np.array([0.0, 1.0])[:, None, None], batch))
+        last = fn(1.0, batch[1])
     except (IndexError, TypeError, ValueError):  # per-agent code: z[k] past the rows, math.*
         return False
-    return np.array_equal(whole, [fn(0.0, row) for row in probe])  # False if shapes differ
+    # array_equal is False where the shapes differ
+    return np.array_equal(whole, rows) and np.array_equal(members, [whole, last])
 
 
 def _fd_jacobian(g, t: float, z: np.ndarray) -> np.ndarray:
@@ -108,6 +138,7 @@ def zero_dynamics(dim: int) -> InternalDynamics:
         g=lambda t, z: np.zeros_like(z, dtype=float),
         jacobian=lambda t, z: np.zeros(np.shape(z) + (dim,)),
         jacobian_affine=True,
+        autonomous=True,
         box=np.column_stack([-np.ones(dim), np.ones(dim)]),
     )
 
@@ -117,8 +148,8 @@ def logistic_cosine() -> InternalDynamics:
     return InternalDynamics(
         name="logistic_cosine",
         dim=1,
-        g=lambda t, z: math.cos(t) * (z - 1.0) * (z - 2.0),
-        jacobian=lambda t, z: (math.cos(t) * (2.0 * z - 3.0))[..., None],
+        g=lambda t, z: libm(math.cos, t) * (z - 1.0) * (z - 2.0),
+        jacobian=lambda t, z: (libm(math.cos, t) * (2.0 * z - 3.0))[..., None],
         jacobian_affine=True,
         box=np.array([[1.0, 2.0]]),
     )
@@ -167,7 +198,13 @@ def lorenz() -> InternalDynamics:
         return out
 
     return InternalDynamics(
-        name="lorenz", dim=3, g=g, jacobian=jac, jacobian_affine=True, box=_LORENZ_BOX.copy()
+        name="lorenz",
+        dim=3,
+        g=g,
+        jacobian=jac,
+        jacobian_affine=True,
+        autonomous=True,
+        box=_LORENZ_BOX.copy(),
     )
 
 
@@ -221,6 +258,8 @@ def k_region(
     For affine Jacobians the per-time maximum is attained at box corners and
     is computed exactly.  Otherwise the box is sampled on a grid and the
     result is only an estimate; a warning flags the loss of rigour.
+    Autonomous dynamics are evaluated at the first time only: every time
+    gives the same maximum.
     """
     if box is None:
         box = dyn.box
@@ -231,6 +270,9 @@ def k_region(
         raise ValueError(f"box must have shape ({dyn.dim}, 2)")
     if t_grid is None:
         t_grid = DEFAULT_T_GRID
+    times = np.atleast_1d(t_grid)
+    if dyn.autonomous:
+        times = times[:1]
 
     if dyn.jacobian_affine:
         grid = box
@@ -249,7 +291,7 @@ def k_region(
     for start in range(0, n_points, _K_BLOCK):
         idx = np.unravel_index(np.arange(start, min(start + _K_BLOCK, n_points)), shape)
         z = grid[np.arange(dyn.dim), np.stack(idx, axis=-1)]
-        for t in np.atleast_1d(t_grid):
+        for t in times:
             best = max(best, float(_row_penalties(dyn.eval_jacobian(float(t), z)).max()))
     return best
 

@@ -11,6 +11,16 @@ its step were interpolated alone.
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
 the dense output and terminates the run with the offending pair.
+
+`integrate_batch` steps B flocks of one kind in lockstep, as the rows of one
+(B, 2nr) block: each step attempt makes one RHS call per stage for every
+member still running.  Each member keeps its own time, step size, accept or
+reject decision, event scan, dense output and termination, and leaves the
+block when it stops, so it gets the Trajectory `integrate` gives it, bit for
+bit.  Both paths share the stage rule (`_attempt`), the coefficients, the
+per-run bookkeeping (`_Run`) and the step-size controller; only the
+per-member scalars (error norm, controller) stay Python floats, because
+numpy's array `pow` is not libm's.
 """
 
 from __future__ import annotations
@@ -22,12 +32,14 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .models import ModelSpec, flat_rhs, pack, unpack
+from .models import ModelSpec, batch_rhs, flat_rhs, pack, unpack
 from .state import FlockState, min_pair_distance_sq, pair_dot
 
 UNDERFLOW_FACTOR = 1e-14
 
 BLOCK = 64  # a flush fills the samples of up to this many recorded steps
+
+BATCH_BYTES = 2**20  # sample buffers of the members of one batch, at most
 
 # classic 3(2) pair coefficients, one per stage row of k1..k4; an axis-0
 # reduction adds the weighted rows in order, as b0*k1 + b1*k2 + b2*k3 does
@@ -128,6 +140,12 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     k = math.ceil(span / dt - 1e-12)
     grid = t0 + dt * np.arange(k)
     return np.append(grid, t_end)
+
+
+def batch_size(n: int, r: int, cfg: IntegratorConfig) -> int:
+    """Most members of one `integrate_batch` call whose samples fit BATCH_BYTES."""
+    rows = len(_sample_grid(cfg.t0, cfg.t_end, cfg.sample_dt))
+    return max(1, BATCH_BYTES // (rows * 2 * n * r * 8))
 
 
 def _hermite_weights(theta, h):
@@ -239,6 +257,135 @@ class _DenseOutput:
             recorded.clear()
 
 
+def _attempt(f, t, h, y: np.ndarray, stages: np.ndarray):
+    """One attempt at a step of size h from (t, y), whose slope is stages[0].
+
+    Fills the stages k2..k4 and returns the third-order state and max|E k|,
+    the max-norm of the error estimate before its factor h.  y is one (N,)
+    run with float t and h, or a (B, N) block with (B, 1) arrays t and h;
+    elementwise, the two are the same arithmetic.
+    """
+    b_high, e = (_B_HIGH, _E) if y.ndim == 1 else (_B_HIGH[..., None], _E[..., None])
+    k1, k2, k3, k4 = stages
+    k2[...] = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3[...] = f(t + 0.75 * h, y + 0.75 * h * k2)
+    y_new = y + h * np.add.reduce(b_high * stages[:3], axis=0)
+    k4[...] = f(t + h, y_new)
+    return y_new, np.abs(np.add.reduce(e * stages, axis=0)).max(axis=-1)
+
+
+def _step_factor(err_norm: float) -> float:
+    """The step-size controller: h's factor after an attempt with this error norm."""
+    if err_norm == 0.0:  # estimate cancelled to zero: open up fully
+        return 5.0
+    return min(5.0, max(0.2, 0.9 * err_norm ** (-1.0 / 3.0)))
+
+
+def _locate_event(event, t: float, h: float, y, k1, y_new, k4, sample_dt: float):
+    """(t*, y*) where the event fires first in the accepted step, or None.
+
+    The dense output is scanned at sample resolution, so a long step cannot
+    jump over a brief excursion past the threshold; the first bracket of a
+    sign change is then bisected.
+    """
+    n_scan = max(1, min(1024, math.ceil(h / sample_dt - 1e-12)))
+    lo = 0.0
+    for m in range(1, n_scan + 1):
+        hi = m / n_scan
+        y_th = y_new if m == n_scan else _hermite(y, k1, y_new, k4, h, hi)
+        if event(t + hi * h, y_th) <= 0.0:
+            break
+        lo = hi
+    else:
+        return None
+    for _ in range(20):  # event(t + lo*h) > 0 >= event(t + hi*h)
+        mid = 0.5 * (lo + hi)
+        y_mid = _hermite(y, k1, y_new, k4, h, mid)
+        if event(t + mid * h, y_mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return t + hi * h, _hermite(y, k1, y_new, k4, h, hi)
+
+
+class _Run:
+    """One run's stepping state: t, h, counters, dense output and, once stopped, its result.
+
+    `result` is (sample_ts, sample_ys, termination, n_accepted, n_rejected),
+    where termination is Completed, StepSizeUnderflow or EventHit.
+    """
+
+    def __init__(self, cfg: IntegratorConfig, y0: np.ndarray, f0: np.ndarray, event):
+        span = cfg.t_end - cfg.t0
+        self.t, self.t_end, self.sample_dt = cfg.t0, cfg.t_end, cfg.sample_dt
+        self.atol, self.rtol = cfg.atol, cfg.rtol
+        self.h_max = cfg.h_max if cfg.h_max is not None else span
+        self.h = cfg.h_init if cfg.h_init is not None else min(self.h_max, span / 1000.0)
+        self.h_floor = UNDERFLOW_FACTOR * span
+        self.event = event
+        self.scale = self.atol + self.rtol * float(np.abs(y0).max())
+        self.dense = _DenseOutput(_sample_grid(cfg.t0, cfg.t_end, cfg.sample_dt), y0, f0)
+        self.n_accepted = 0
+        self.n_rejected = 0
+        self.result = None
+
+    def ready(self, y: np.ndarray) -> bool:
+        """Clamp h for an attempt from (t, y); False, with the result set, once the run is over."""
+        if self.result is not None:
+            return False
+        if self.t < self.t_end:
+            h = min(self.h, self.h_max, self.t_end - self.t)
+            if h >= self.h_floor:
+                self.h = h
+                return True
+            if self.t_end - self.t >= self.h_floor:
+                self._stop(StepSizeUnderflow(t=self.t))
+                return False
+            # else t reached t_end to within rounding of the accumulated sum
+        self._stop(Completed(), y)
+        return False
+
+    def settle(self, err: float, y_max: float, y, k1, y_new, k4) -> bool:
+        """Accept or reject the attempt from (t, y) to y_new; True when accepted.
+
+        err is the attempt's max|E k| and y_max is max|y_new|.  An accepted
+        step is recorded in the dense output, and an event inside it stops
+        the run there.
+        """
+        t, h = self.t, self.h
+        # max|h * e| is h * max|e| bit for bit: rounding is monotone and
+        # symmetric in sign, so one multiply by h replaces the vector one
+        err_norm = h * err / self.scale
+        accepted = err_norm <= 1.0
+        if accepted:
+            hit = None
+            if self.event is not None:
+                hit = _locate_event(self.event, t, h, y, k1, y_new, k4, self.sample_dt)
+            self.dense.push(t, h, y, k1, y_new, k4)
+            self.n_accepted += 1
+            if hit is not None:
+                self._stop(EventHit(*hit))
+                return True
+            self.t = t + h
+            self.scale = self.atol + self.rtol * y_max
+        else:
+            self.n_rejected += 1
+        self.h = h * _step_factor(err_norm)
+        return accepted
+
+    def _stop(self, term, y=None) -> None:
+        dense = self.dense
+        dense.flush()
+        keep = dense.covered
+        if isinstance(term, Completed):
+            dense.samples[keep:] = y  # grid tail within rounding of t_end
+            keep = len(dense.grid)
+        elif isinstance(term, EventHit):
+            while keep > 0 and dense.grid[keep - 1] > term.t_star:
+                keep -= 1
+        self.result = (dense.grid[:keep], dense.samples[:keep], term, self.n_accepted, self.n_rejected)
+
+
 def integrate_flat(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -252,129 +399,47 @@ def integrate_flat(
     `event` is a scalar function that is positive away from the event; a
     non-positive value at the end of an accepted step triggers bisection.
     """
-    t0, t_end = cfg.t0, cfg.t_end
-    atol, rtol, sample_dt = cfg.atol, cfg.rtol, cfg.sample_dt
-    span = t_end - t0
-    h_max = cfg.h_max if cfg.h_max is not None else span
-    h = cfg.h_init if cfg.h_init is not None else min(h_max, span / 1000.0)
-    h_floor = UNDERFLOW_FACTOR * span
-
-    t = t0
     y = np.asarray(y0, dtype=float).copy()
     stages = np.empty((4, y.size))  # k1..k4, one row each
-    k1, k2, k3, k4 = stages
-    first3 = stages[:3]
-    k1[:] = f(t, y)
-    scale = atol + rtol * float(np.abs(y).max())
-    grid = _sample_grid(t0, t_end, sample_dt)
-    dense = _DenseOutput(grid, y, k1)
-    n_accepted = 0
-    n_rejected = 0
-
-    while t < t_end:
-        h = min(h, h_max, t_end - t)
-        if h < h_floor:
-            if t_end - t < h_floor:
-                break  # t reached t_end to within rounding of the accumulated sum
-            dense.flush()
-            keep = dense.covered
-            term = StepSizeUnderflow(t=t)
-            return grid[:keep], dense.samples[:keep], term, n_accepted, n_rejected
-
-        k2[:] = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3[:] = f(t + 0.75 * h, y + 0.75 * h * k2)
-        y_new = y + h * np.add.reduce(_B_HIGH * first3, axis=0)
-        k4[:] = f(t + h, y_new)
-        # max|h * e| is h * max|e| bit for bit: rounding is monotone and
-        # symmetric in sign, so one multiply by h replaces the vector one
-        err_norm = h * float(np.abs(np.add.reduce(_E * stages, axis=0)).max()) / scale
-
-        if err_norm <= 1.0:
-            # scan the dense output at sample resolution: a long accepted
-            # step must not jump over a brief excursion past the threshold
-            bracket = None
-            if event is not None:
-                n_scan = max(1, min(1024, math.ceil(h / sample_dt - 1e-12)))
-                theta_prev = 0.0
-                for m in range(1, n_scan + 1):
-                    theta = m / n_scan
-                    y_th = y_new if m == n_scan else _hermite(y, k1, y_new, k4, h, theta)
-                    if event(t + theta * h, y_th) <= 0.0:
-                        bracket = (theta_prev, theta)
-                        break
-                    theta_prev = theta
-
-            dense.push(t, h, y, k1, y_new, k4)
-
-            if bracket is not None:
-                dense.flush()
-                lo, hi = bracket  # event(t + lo*h) > 0 >= event(t + hi*h)
-                for _ in range(20):
-                    mid = 0.5 * (lo + hi)
-                    y_mid = _hermite(y, k1, y_new, k4, h, mid)
-                    if event(t + mid * h, y_mid) > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                t_star = t + hi * h
-                y_star = _hermite(y, k1, y_new, k4, h, hi)
-                keep = dense.covered
-                while keep > 0 and grid[keep - 1] > t_star:
-                    keep -= 1
-                term = EventHit(t_star=t_star, y_star=y_star)
-                return grid[:keep], dense.samples[:keep], term, n_accepted + 1, n_rejected
-
-            t = t + h
+    k1, k4 = stages[0], stages[3]
+    k1[:] = f(cfg.t0, y)
+    run = _Run(cfg, y, k1, event)
+    while run.ready(y):
+        y_new, err = _attempt(f, run.t, run.h, y, stages)
+        if run.settle(float(err), float(np.abs(y_new).max()), y, k1, y_new, k4):
             y = y_new
             k1[:] = k4  # first-same-as-last
-            scale = atol + rtol * float(np.abs(y).max())
-            n_accepted += 1
-        else:
-            n_rejected += 1
-
-        if err_norm == 0.0:  # estimate cancelled to zero: open up fully
-            h *= 5.0
-        else:
-            h *= min(5.0, max(0.2, 0.9 * err_norm ** (-1.0 / 3.0)))
-
-    dense.flush()
-    dense.samples[dense.covered :] = y  # grid tail within rounding of t_end
-    return grid, dense.samples, Completed(), n_accepted, n_rejected
+    return run.result
 
 
-def integrate(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate a model from state0 under cfg.
-
-    collision_free runs are watched for the smallest squared pair distance
-    crossing d0 + collision_margin; the initial state must sit strictly
-    outside that band.
-    """
+def _start(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig):
+    """(y0, cfg from state0's time, collision event or None) of one run."""
     n, r = spec.n, spec.r
     if (state0.n, state0.r) != (n, r):
         raise ValueError("initial state shape does not match the model spec")
-    f = flat_rhs(spec)
     y0 = pack(np.asarray(state0.x), np.asarray(state0.v))
     cfg = replace(cfg, t0=state0.t)
+    if spec.variant != "collision_free":
+        return y0, cfg, None
 
-    event = None
-    if spec.variant == "collision_free":
-        d0 = spec.repulsion.d0
-        threshold = d0 + cfg.collision_margin
+    threshold = spec.repulsion.d0 + cfg.collision_margin
 
-        def event(t, y):
-            x, _ = unpack(y, n, r)
-            val, _, _ = min_pair_distance_sq(x)
-            return val - threshold
+    def event(t, y):
+        x, _ = unpack(y, n, r)
+        val, _, _ = min_pair_distance_sq(x)
+        return val - threshold
 
-        if event(state0.t, y0) <= 0.0:
-            val, i, j = min_pair_distance_sq(np.asarray(state0.x))
-            raise ValueError(
-                f"initial pair ({i}, {j}) already at squared distance {val:.6g}"
-                f" <= d0 + margin = {threshold:.6g}"
-            )
+    if event(state0.t, y0) <= 0.0:
+        val, i, j = min_pair_distance_sq(np.asarray(state0.x))
+        raise ValueError(
+            f"initial pair ({i}, {j}) already at squared distance {val:.6g}"
+            f" <= d0 + margin = {threshold:.6g}"
+        )
+    return y0, cfg, event
 
-    ts, ys, term, acc, rej = integrate_flat(f, y0, cfg, event)
 
+def _trajectory(spec: ModelSpec, cfg: IntegratorConfig, ts, ys, term, acc, rej) -> Trajectory:
+    n, r = spec.n, spec.r
     if isinstance(term, EventHit):  # locate the pair at t*
         x_star, _ = unpack(term.y_star, n, r)
         _, i, j = min_pair_distance_sq(x_star)
@@ -385,3 +450,57 @@ def integrate(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig) -> Tra
     return Trajectory(
         ts=ts, xs=xs, vs=vs, termination=term, n_accepted=acc, n_rejected=rej, cfg=cfg
     )
+
+
+def integrate(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate a model from state0 under cfg.
+
+    collision_free runs are watched for the smallest squared pair distance
+    crossing d0 + collision_margin; the initial state must sit strictly
+    outside that band.
+    """
+    y0, cfg, event = _start(spec, state0, cfg)
+    return _trajectory(spec, cfg, *integrate_flat(flat_rhs(spec), y0, cfg, event))
+
+
+def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
+    """Integrate B flocks in lockstep; see the module docstring.
+
+    Member b's Trajectory equals `integrate(specs[b], states0[b], cfgs[b])`
+    bit for bit.  The specs must share variant, n, r, coupling family and
+    internal dynamics (`models.batch_rhs`).  An error in any member's start
+    or RHS propagates, as it does from `integrate` on that member.
+    """
+    if not specs or not len(specs) == len(states0) == len(cfgs):
+        raise ValueError("integrate_batch needs one state and one config per spec")
+    starts = [_start(spec, state0, cfg) for spec, state0, cfg in zip(specs, states0, cfgs)]
+    f = batch_rhs(specs)
+    y = np.stack([y0 for y0, _, _ in starts])
+    stages = np.empty((4, *y.shape))
+    stages[0] = f(np.array([[cfg.t0] for _, cfg, _ in starts]), y)
+    runs = [_Run(cfg, y[b], stages[0, b], event) for b, (_, cfg, event) in enumerate(starts)]
+    live = list(range(len(specs)))  # the members in the block's rows
+    block = runs
+    while True:
+        going = [i for i, run in enumerate(block) if run.ready(y[i])]
+        if not going:
+            break
+        if len(going) < len(block):  # stopped members leave the block
+            live, block = [live[i] for i in going], [block[i] for i in going]
+            y, k1 = y[going], stages[0, going]
+            stages = np.empty((4, *y.shape))
+            stages[0] = k1
+            f = batch_rhs([specs[b] for b in live])
+        t = np.array([[run.t] for run in block])
+        h = np.array([[run.h] for run in block])
+        y_new, err = _attempt(f, t, h, y, stages)
+        errs, y_max = err.tolist(), np.abs(y_new).max(axis=1).tolist()
+        accepted = [
+            run.settle(errs[i], y_max[i], y[i], stages[0, i], y_new[i], stages[3, i])
+            for i, run in enumerate(block)
+        ]
+        y[accepted] = y_new[accepted]
+        stages[0, accepted] = stages[3, accepted]  # first-same-as-last
+    return [
+        _trajectory(spec, cfg, *run.result) for spec, (_, cfg, _), run in zip(specs, starts, runs)
+    ]

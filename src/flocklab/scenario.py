@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -438,6 +437,8 @@ def canonical_json(doc: dict) -> str:
 
 
 def scenario_sha256(doc: dict) -> str:
+    import hashlib  # loads OpenSSL (about 3 MiB); only `simulate` hashes
+
     return hashlib.sha256(canonical_json(normalized(doc)).encode("utf-8")).hexdigest()
 
 
@@ -554,9 +555,19 @@ def _build_coupling(block: dict, n: int, seed_path) -> CouplingModel:
 
 
 def _builtin_dynamics(name, r: int) -> Optional[InternalDynamics]:
-    """The built-in dynamics called `name` at dimension r; None for any other name."""
+    """The built-in dynamics called `name` at dimension r; None for any other name.
+
+    Each (name, r) is built, and its g and jacobian probed, once per
+    process: validation, materialization and every point of a sweep share
+    the object, which is immutable.
+    """
     if not isinstance(name, str) or name not in BUILTIN_DYNAMICS:
         return None
+    return _build_builtin(name, r)
+
+
+@lru_cache(maxsize=16)
+def _build_builtin(name: str, r: int) -> InternalDynamics:
     return zero_dynamics(r) if name == "zero" else BUILTIN_DYNAMICS[name]()
 
 
@@ -565,9 +576,7 @@ def _build_internal(block, r: int) -> Optional[InternalDynamics]:
         return None
     dyn = _builtin_dynamics(block["name"], r)
     box = block.get("box")
-    if box is not None:
-        dyn = dataclasses.replace(dyn, box=np.asarray(box, dtype=float))
-    return dyn
+    return dyn if box is None else dyn.with_box(box)
 
 
 def _build_repulsion(block, n: int, seed_path) -> Optional[RepulsionModel]:
@@ -575,6 +584,11 @@ def _build_repulsion(block, n: int, seed_path) -> Optional[RepulsionModel]:
         return None
     coeffs = _draw_matrix(block["coeffs"], n, _BLOCK_REPULSION, seed_path)
     return RepulsionModel(d0=float(block["d0"]), phi=float(block["phi"]), coeffs=coeffs)
+
+
+def integrator_config(block: dict) -> IntegratorConfig:
+    """The IntegratorConfig of a normalized `integrator` block."""
+    return IntegratorConfig(**{key: None if val is None else float(val) for key, val in block.items()})
 
 
 def materialize(doc: dict, seed_path=None) -> Scenario:
@@ -618,9 +632,7 @@ def materialize(doc: dict, seed_path=None) -> Scenario:
             if abs(got - target) > _SPREAD_MATCH_TOL * max(1.0, target):
                 raise ValueError(f"generated spread {got} missed target {target}")
 
-    cfg = IntegratorConfig(
-        **{key: None if val is None else float(val) for key, val in doc["integrator"].items()}
-    )
+    cfg = integrator_config(doc["integrator"])
 
     cert_block = doc["certificate"]
     cert = None if cert_block is None else CertificateSettings(**cert_block)

@@ -13,13 +13,49 @@ from functools import lru_cache
 import numpy as np
 
 
-def _as_2d(y) -> np.ndarray:
+def _as_stack(y) -> np.ndarray:
+    """y as (n, r) agents, or (B, n, r) for a batch of B flocks; (n,) reads as r = 1."""
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
+    return y[:, None] if y.ndim == 1 else y
+
+
+def _as_2d(y) -> np.ndarray:
+    y = _as_stack(y)
     if y.ndim != 2:
         raise ValueError(f"expected (n, r) array, got shape {y.shape}")
     return y
+
+
+# numpy's `array ** float` takes a fast path at these exponents (sqrt, square,
+# reciprocal, ...) that can differ in the last bit from np.power
+_FAST_EXPONENTS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
+
+
+def power(base: np.ndarray, exponent):
+    """base ** exponent, for a float or a (B, 1, 1) array of per-member exponents.
+
+    Member b of an array exponent gets the bits of `base[b] ** e` with e its
+    exponent as a float.  np.power with an array exponent has those bits
+    except at numpy's fast-path exponents, so those members take the float form.
+    """
+    if not isinstance(exponent, np.ndarray):
+        return base**exponent
+    out = np.power(base, exponent)
+    for b, e in enumerate(exponent.ravel().tolist()):
+        if e in _FAST_EXPONENTS:
+            out[b] = base[b] ** e
+    return out
+
+
+def libm(fn, t):
+    """fn (math.sin, math.cos) of a float, or of each element of an array.
+
+    An array goes through Python's math call element by element, so each
+    element has the bits the float call gives.
+    """
+    if isinstance(t, np.ndarray):
+        return np.array([fn(x) for x in t.ravel().tolist()]).reshape(t.shape)
+    return fn(t)
 
 
 def spread_dim(y, dim: int) -> float:
@@ -34,8 +70,12 @@ def spread_dim(y, dim: int) -> float:
 
 def spread(y) -> float:
     """Largest per-coordinate range over all agents (the spread S(y))."""
-    y = _as_2d(y)
-    return float((y.max(axis=0) - y.min(axis=0)).max())
+    return float(spreads(_as_2d(y)))
+
+
+def spreads(y: np.ndarray) -> np.ndarray:
+    """S of an (n, r) flock as a 0-d array, or of each flock of a (B, n, r) batch."""
+    return (y.max(axis=-2) - y.min(axis=-2)).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -77,10 +117,12 @@ def pair_differences(y) -> np.ndarray:
 
     Entry [k, i, j] is y[i, k] - y[j, k].  Each coordinate's n x n block is
     contiguous, so the subtraction and every product on it run over n * n
-    adjacent entries instead of an inner axis of length r.
+    adjacent entries instead of an inner axis of length r.  A (B, n, r)
+    batch gives (r, B, n, n).
     """
-    yt = np.ascontiguousarray(_as_2d(y).T)
-    return yt[:, :, None] - yt[:, None, :]
+    y = _as_stack(y)
+    yt = np.ascontiguousarray(y.T if y.ndim == 2 else y.transpose(2, 0, 1))
+    return yt[..., :, None] - yt[..., None, :]
 
 
 def pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

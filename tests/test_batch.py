@@ -1,0 +1,223 @@
+"""Lockstep batched integration: each member is `integrate` on it, bit for bit."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flocklab.coupling import (
+    COUPLING_FAMILIES,
+    ConstantCoupling,
+    ModulatedCoupling,
+    PowerLawCoupling,
+)
+from flocklab.dynamics import RepulsionModel, logistic_cosine, lorenz, zero_dynamics
+from flocklab.integrate import (
+    CollisionEvent,
+    Completed,
+    IntegratorConfig,
+    StepSizeUnderflow,
+    batch_size,
+    integrate,
+    integrate_batch,
+)
+from flocklab.models import MODEL_VARIANTS, ModelSpec, SingularDistanceError, batch_rhs, flat_rhs
+from flocklab.state import FlockState, libm, power
+
+# members of one batch share their dynamics object: one g drives the block
+DYNAMICS = {
+    "zero": {r: zero_dynamics(r) for r in (1, 2, 3)},
+    "logistic_cosine": {1: logistic_cosine()},
+    "lorenz": {3: lorenz()},
+}
+T_END = 0.3
+
+
+def _coupling(family: str, n: int, rng, exponent: float, scale: float):
+    if family == "constant":
+        return ConstantCoupling(w=scale)
+    if family == "power_law":
+        return PowerLawCoupling(gain=scale, sigma=rng.uniform(0.5, 1.5), exponent=exponent)
+    return ModulatedCoupling(w=scale, delta=exponent, beta=rng.uniform(0.5, 1.3, size=(n, n)))
+
+
+def _member(variant, family, dyn, n, r, role, exponent, phi, seed):
+    """(spec, state, cfg) of one member; `role` picks how its run ends.
+
+    plain runs to t_end; underflow has a weight scale of 1e300, whose first
+    stages overflow, so h shrinks to the floor; collision (collision_free)
+    sends agents 0 and 1 head on past a wide event margin; singular
+    (collision_free) starts with a step so long that a stage puts them inside d0.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 1e300 if role == "underflow" else rng.uniform(0.5, 2.0)
+    coupling = _coupling(family, n, rng, exponent, scale)
+    x = 1.5 * np.arange(n)[:, None] + rng.uniform(-0.2, 0.2, size=(n, r))
+    if dyn is not None and dyn.name == "logistic_cosine":
+        v = rng.uniform(1.1, 1.9, size=(n, r))
+    elif dyn is not None and dyn.name == "lorenz":
+        v = rng.uniform(-2.0, 2.0, size=(n, r)) + np.array([0.0, 0.0, 20.0])
+    else:
+        v = rng.uniform(-1.0, 1.0, size=(n, r))
+    cfg = IntegratorConfig(t_end=T_END, sample_dt=0.02)
+    repulsion = None
+    if variant == "collision_free":
+        d0 = 0.05 if role == "singular" else rng.uniform(0.01, 0.04)
+        coeffs = rng.uniform(0.5, 1.5, size=(n, n))
+        repulsion = RepulsionModel(d0=d0, phi=phi, coeffs=coeffs)
+        if role in ("collision", "singular"):
+            x[1] = x[0] + np.eye(r)[0] * (0.6 if role == "collision" else 0.3)
+            v[0], v[1] = np.eye(r)[0] * 3.0, -np.eye(r)[0] * 3.0
+        if role == "collision":
+            cfg = IntegratorConfig(t_end=T_END, sample_dt=0.02, collision_margin=0.2)
+        if role == "singular":
+            v[0], v[1] = 10.0 * v[0], 10.0 * v[1]
+            cfg = IntegratorConfig(t_end=T_END, sample_dt=0.02, h_init=0.05)
+    spec = ModelSpec(
+        variant=variant,
+        n=n,
+        r=r,
+        coupling=coupling,
+        internal=dyn if variant == "sync" else None,
+        repulsion=repulsion,
+    )
+    return spec, FlockState(t=0.0, x=x, v=v), cfg
+
+
+def _assert_same(alone, batched):
+    assert batched.termination == alone.termination
+    assert (batched.n_accepted, batched.n_rejected) == (alone.n_accepted, alone.n_rejected)
+    for name in ("ts", "xs", "vs"):
+        a, b = getattr(alone, name), getattr(batched, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _check_members(members):
+    """integrate_batch against integrate on each member; a raising member raises the batch."""
+    alone = []
+    for member in members:
+        try:
+            alone.append(integrate(*member))
+        except SingularDistanceError as exc:
+            alone.append(exc)
+    failed = [isinstance(a, SingularDistanceError) for a in alone]
+    if any(failed):
+        with pytest.raises(SingularDistanceError):
+            integrate_batch(*zip(*members))
+        members = [m for m, bad in zip(members, failed) if not bad]
+        alone = [a for a, bad in zip(alone, failed) if not bad]
+    if members:
+        for a, b in zip(alone, integrate_batch(*zip(*members))):
+            _assert_same(a, b)
+    return alone
+
+
+@st.composite
+def member_sets(draw):
+    variant = draw(st.sampled_from(MODEL_VARIANTS))
+    family = draw(st.sampled_from(sorted(COUPLING_FAMILIES)))
+    dyn = None
+    if variant == "sync":
+        name = draw(st.sampled_from(sorted(DYNAMICS)))
+        r = draw(st.sampled_from(sorted(DYNAMICS[name])))
+        dyn = DYNAMICS[name][r]
+    else:
+        r = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    roles = ["plain", "plain", "underflow"]
+    if variant == "collision_free":
+        roles += ["collision", "singular"]
+    special = st.sampled_from([0.5, 2.0])
+    members = []
+    for _ in range(draw(st.integers(2, 4))):
+        role = draw(st.sampled_from(roles))
+        exponent = draw(st.one_of(special, st.floats(0.3, 2.5)))
+        phi = draw(st.one_of(st.just(2.0), st.floats(1.2, 3.0)))
+        seed = draw(st.integers(0, 2**16))
+        members.append(_member(variant, family, dyn, n, r, role, exponent, phi, seed))
+    return members
+
+
+# an underflow member overflows on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(member_sets())
+def test_batch_members_equal_integrate_bit_for_bit(members):
+    _check_members(members)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_members_stop_on_their_own():
+    # one block holds runs that complete, collide mid-batch and underflow,
+    # at the exponents numpy's `**` special-cases; the singular member
+    # raises the batch, as it raises `integrate`
+    members = [
+        _member("collision_free", "modulated", None, 3, 2, role, exponent, 2.0, seed)
+        for seed, (role, exponent) in enumerate(
+            [("plain", 0.5), ("plain", 2.0), ("collision", 1.3), ("underflow", 0.7), ("singular", 1.0)]
+        )
+    ]
+    alone = _check_members(members)
+    kinds = [type(traj.termination) for traj in alone]
+    assert kinds == [Completed, Completed, CollisionEvent, StepSizeUnderflow]
+    assert 0.0 < alone[2].termination.t_star < T_END / 2
+    assert alone[3].termination.t == 0.0 and len(alone[3].ts) == 1
+
+
+def test_batch_rhs_rows_equal_each_member_at_its_own_time():
+    rng = np.random.default_rng(4)
+    members = [
+        _member("sync", "modulated", DYNAMICS["logistic_cosine"][1], 4, 1, "plain", e, 2.0, s)
+        for s, e in enumerate([0.5, 2.0, 1.7])
+    ]
+    specs = [spec for spec, _, _ in members]
+    y = rng.uniform(1.0, 2.0, size=(3, 8))
+    t = np.array([[0.3], [2.1], [-4.0]])
+    block = batch_rhs(specs)(t, y)
+    for b, spec in enumerate(specs):
+        assert block[b].tobytes() == flat_rhs(spec)(float(t[b, 0]), y[b]).tobytes()
+
+
+def test_batch_rhs_rejects_members_of_different_kinds():
+    base = _member("sync", "constant", DYNAMICS["zero"][1], 3, 1, "plain", 1.0, 2.0, 0)[0]
+    other = [
+        _member("baseline", "constant", None, 3, 1, "plain", 1.0, 2.0, 0)[0],
+        _member("sync", "power_law", DYNAMICS["zero"][1], 3, 1, "plain", 1.0, 2.0, 0)[0],
+        ModelSpec(variant="sync", n=3, r=1, coupling=base.coupling, internal=zero_dynamics(1)),
+    ]
+    for spec in other:
+        with pytest.raises(ValueError, match="batch members must share"):
+            batch_rhs([base, spec])
+
+
+@pytest.mark.parametrize("exponent", [-1.0, 0.0, 0.5, 1.0, 2.0, 1.5, 0.73])
+def test_power_gives_each_member_the_float_exponent_bits(exponent):
+    # at -1, 0.5 and 2 numpy's `array ** float` is a reciprocal, sqrt or
+    # square, which differs from np.power in about 5 % of elements
+    rng = np.random.default_rng(7)
+    base = rng.uniform(0.01, 10.0, size=(4, 5, 5))
+    exponents = np.array([exponent, 1.1, exponent, 2.6])[:, None, None]
+    got = power(base, exponents)
+    for b in range(4):
+        assert got[b].tobytes() == (base[b] ** float(exponents[b, 0, 0])).tobytes()
+    assert power(base[0], exponent).tobytes() == (base[0] ** exponent).tobytes()
+
+
+def test_libm_matches_the_math_call_per_element():
+    t = np.random.default_rng(8).uniform(-50.0, 50.0, size=(64, 1, 1))
+    for fn in (math.sin, math.cos):
+        got = libm(fn, t)
+        assert got.shape == t.shape
+        assert got.ravel().tolist() == [fn(x) for x in t.ravel().tolist()]
+    assert libm(math.sin, 0.5) == math.sin(0.5)
+
+
+def test_batch_size_keeps_sample_buffers_under_one_mebibyte():
+    # the frontier sweep's points: n = 5, r = 1, 801 samples of 10 floats
+    cfg = IntegratorConfig(t_end=40.0, sample_dt=0.05)
+    assert batch_size(5, 1, cfg) == 16 == 2**20 // (801 * 10 * 8)
+    assert batch_size(50, 3, cfg) == 1
+    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 2**20 // (3 * 80)

@@ -530,6 +530,116 @@ def test_sweep_point_failure_logs_its_traceback(caplog):
     assert f"{record.exc_info[0].__name__}: {record.exc_info[1]}" == row["error"]
 
 
+# the hazard exponents 0.5 and 2.0 next to ordinary ones, in two w groups
+_BATCH_AXES = ["--axis", "coupling.delta=[0.5,0.75,1.0,2.0]", "--axis", "coupling.w=[1.0,1.5]"]
+
+
+def _read_rows(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_batched_sweep_equals_each_point_integrated_alone(tmp_path, capsys):
+    from flocklab import artifacts
+    from flocklab.certify import decay_rate_fit
+    from flocklab.integrate import integrate
+    from flocklab.scenario import evaluate_certificate, materialize
+
+    base = ["sweep", "--scenario", bundled_path("example1_sweep"), "--simulate", *_BATCH_AXES]
+    assert main([*base, "--out", str(tmp_path / "serial")]) == EXIT_OK  # one batch of 8
+    assert main([*base, "--out", str(tmp_path / "pool"), "--jobs", "2"]) == EXIT_OK  # two of 4
+    serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    assert serial == (tmp_path / "pool" / "sweep.csv").read_bytes()
+
+    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
+    rows = _read_rows(tmp_path / "serial" / "sweep.csv")
+    assert len(rows) == 8
+    for idx, row in enumerate(rows):
+        delta, w = [0.5, 0.75, 1.0, 2.0][idx // 2], [1.0, 1.5][idx % 2]
+        point = json.loads(json.dumps(doc))
+        point["coupling"].update(delta=delta, w=w)
+        sc = materialize(point, seed_path=(doc["seed"], idx))
+        want = artifacts.certificate_fields(evaluate_certificate(sc))
+        want["eps_observed"] = decay_rate_fit(
+            integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+        )
+        assert row["error"] == ""
+        for key, val in want.items():
+            assert row[key] == cli_module._csv_cell(val), key
+    capsys.readouterr()
+
+
+def test_sweep_batch_that_raises_reruns_each_point_alone(monkeypatch, caplog):
+    # the batched run fails; rerun alone, the point with delta 2.0 fails on
+    # its own row and the others get their own runs
+    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
+    payloads = [
+        (json.dumps(doc), idx, [("coupling.delta", delta)], True, True)
+        for idx, delta in enumerate([0.5, 1.0, 2.0])
+    ]
+    want = [_sweep_point(payload) for payload in payloads]
+    integrate = cli_module.integrate
+
+    def failing_batch(*args):
+        raise RuntimeError("batch failed")
+
+    def alone(spec, state, cfg):
+        if spec.coupling.delta == 2.0:
+            raise RuntimeError("point failed")
+        return integrate(spec, state, cfg)
+
+    monkeypatch.setattr(cli_module, "integrate_batch", failing_batch)
+    monkeypatch.setattr(cli_module, "integrate", alone)
+    with caplog.at_level(logging.DEBUG, logger="flocklab"):
+        rows = cli_module._sweep_batch(payloads)
+    assert rows[0] == want[0] and rows[1] == want[1]
+    assert rows[2]["error"] == "RuntimeError: point failed" and "eps_observed" not in rows[2]
+    assert rows[2]["d_star"] == want[2]["d_star"]  # its certificate still recorded
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages == ["sweep batch of 3 runs failed; running each alone", "sweep point 2 failed"]
+
+
+def test_sweep_batch_of_one_runs_through_integrate(monkeypatch):
+    def no_batch(*args):
+        raise AssertionError("a lone point must not be batched")
+
+    monkeypatch.setattr(cli_module, "integrate_batch", no_batch)
+    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
+    payload = (json.dumps(doc), 0, [("coupling.delta", 1.0)], True, True)
+    assert cli_module._sweep_batch([payload]) == [_sweep_point(payload)]
+    # a batch whose other points fail before their runs leaves one run alone
+    bad = (json.dumps(doc), 1, [("coupling.w", -1.0)], True, True)
+    rows = cli_module._sweep_batch([payload, bad])
+    assert rows[0] == _sweep_point(payload) and rows[1]["error"].startswith("ScenarioError")
+
+
+def _payloads(doc: dict, assignments: list) -> list:
+    return [(json.dumps(doc), idx, point, True, True) for idx, point in enumerate(assignments)]
+
+
+@pytest.mark.parametrize("jobs, sizes", [(1, [16, 16] + [15] * 6), (2, [16, 16] + [15] * 6),
+                                         (9, [14] * 5 + [13] * 4)])
+def test_sweep_batches_hold_at_most_a_mebibyte_of_samples(jobs, sizes):
+    # the frontier sweep: 122 points, 801 samples of 2nr = 10 floats each
+    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
+    points = [[("coupling.delta", 0.5 + 0.025 * k), ("coupling.w", w)]
+              for k in range(61) for w in (1.0, 1.5)]
+    batches = cli_module._sweep_batches(_payloads(doc, points), jobs)
+    assert [len(batch) for batch in batches] == sizes
+    assert [p[1] for batch in batches for p in batch] == list(range(122))
+
+
+def test_sweep_batches_group_points_that_can_run_together():
+    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
+    points = [[("integrator.t_end", t_end), ("coupling.delta", delta)]
+              for t_end in (1.0, 2.0) for delta in (0.5, 1.0, 1.5)]
+    points.append([("coupling.family", "constant")])  # fails alone: w without delta and beta
+    batches = cli_module._sweep_batches(_payloads(doc, points), 2)
+    assert [[p[1] for p in batch] for batch in batches] == [[0, 1], [2], [3, 4], [5], [6]]
+    # each group is cut into at least min(jobs, its points) batches
+    assert [len(b) for b in cli_module._sweep_batches(_payloads(doc, points[:3]), 8)] == [1] * 3
+
+
 # ---------------------------------------------------------------------------
 # axis parsing helpers
 
@@ -610,6 +720,17 @@ def test_simulate_leaves_scipy_integrate_unloaded(tmp_path):
     )
     assert got == {"code": EXIT_OK, "loaded": False}
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_certify_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL's libcrypto (about 3 MiB); only simulate hashes
+    got = _fresh_python(
+        "import json, sys\n"
+        "from flocklab.cli import main\n"
+        f"code = main(['certify', '--scenario', {bundled_path('example1_sweep')!r}])\n"
+        "print(json.dumps({'code': code, 'loaded': '_hashlib' in sys.modules}))\n"
+    )
+    assert got == {"code": EXIT_OK, "loaded": False}
 
 
 @pytest.mark.parametrize("family_fn", [True, False], ids=["family_integral", "generic_quad"])

@@ -22,8 +22,10 @@ from flocklab.dynamics import (
     segment_jacobian_integrals,
     zero_dynamics,
 )
+from flocklab.state import libm
 
 LORENZ_K = 24.5 + 17.5 - 8.0 / 3.0  # worst row of the corner maximum
+_LORENZ_BOX_ROWS = [[-17.0, 17.5], [-22.0, 24.5], [7.0, 45.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +60,39 @@ def test_builtin_generators_act_row_wise(name, n, t, seed):
     jac = dyn.jacobian(t, z)
     assert jac.shape == (n, dyn.dim, dyn.dim)
     assert jac.tobytes() == np.stack([dyn.jacobian(t, row) for row in z]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["lorenz", "logistic_cosine", "zero"])
+def test_builtin_generators_act_per_batch_member(name):
+    # a (B, m, r) batch at (B, 1, 1) times: member b is the call at its own time
+    dyn = lorenz() if name == "lorenz" else logistic_cosine() if name == "logistic_cosine" else zero_dynamics(2)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-20.0, 20.0, size=(4, 3, dyn.dim))
+    t = rng.uniform(-10.0, 10.0, size=(4, 1, 1))
+    for fn in (dyn.g, dyn.jacobian):
+        whole = fn(t, z)
+        assert whole.tobytes() == np.stack([fn(float(t[b, 0, 0]), z[b]) for b in range(4)]).tobytes()
+
+
+def test_generator_of_a_float_time_only_rejected_at_construction():
+    # math.cos of a (B, 1, 1) time array raises: the generator cannot step a batch
+    with pytest.raises(ValueError, match="row-wise"):
+        InternalDynamics(name="cos", dim=1, g=lambda t, z: math.cos(t) * z)
+    InternalDynamics(name="cos", dim=1, g=lambda t, z: libm(math.cos, t) * z)
+
+
+def test_with_box_keeps_the_checked_functions(monkeypatch):
+    import flocklab.dynamics as dynamics_module
+
+    dyn = lorenz()
+    probes = []
+    monkeypatch.setattr(dynamics_module, "_acts_row_wise", lambda fn, r: probes.append(r) or True)
+    boxed = dyn.with_box([[-1.0, 1.0]] * 3)
+    assert probes == [] and boxed.g is dyn.g and boxed.jacobian is dyn.jacobian
+    assert boxed.box.tolist() == [[-1.0, 1.0]] * 3 and not boxed.box.flags.writeable
+    assert dyn.box.tolist() == _LORENZ_BOX_ROWS
+    with pytest.raises(ValueError, match="box must be"):
+        dyn.with_box([[1.0, -1.0]] * 3)
 
 
 def test_per_agent_jacobian_rejected_at_construction():
@@ -201,6 +236,27 @@ def test_k_region_warns_on_sampled_non_affine():
     with pytest.warns(UserWarning):
         k = k_region(dyn, t_grid=np.array([0.0]))
     assert k == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("make", [lambda: zero_dynamics(10), lorenz], ids=["zero10", "lorenz"])
+def test_k_region_evaluates_autonomous_dynamics_at_one_time(make):
+    dyn = make()
+    calls = []
+
+    def jac(t, z):
+        calls.append(t)
+        return dyn.jacobian(t, z)
+
+    counted = dataclasses.replace(dyn, jacobian=jac)
+    calls.clear()  # the construction's row-wise probe
+    k = k_region(counted)
+    assert calls == [0.0]  # one block of at most 1024 corners, at the first time
+    timed = dataclasses.replace(counted, autonomous=False)
+    calls.clear()
+    every_time = k_region(timed)
+    assert len(calls) == 257
+    assert k == every_time  # 0 for zero, criterion 4's 39.33... for lorenz
+    assert k == (0.0 if dyn.name == "zero" else LORENZ_K)
 
 
 def test_k_region_takes_corners_in_bounded_blocks():

@@ -462,6 +462,32 @@ def test_region_penalty_is_computed_once_per_internal_block(monkeypatch):
     scenario_module._region_k.cache_clear()
 
 
+@pytest.mark.parametrize("name, box", [("example1_sweep", None), ("example2_strong", None),
+                                       ("example2_strong", [[-20, 20], [-25, 25], [5, 50]])])
+def test_each_load_builds_its_dynamics_once(name, box, monkeypatch):
+    import flocklab.dynamics as dynamics_module
+
+    probes = []
+    probe = dynamics_module._acts_row_wise
+
+    def counting(fn, r):
+        probes.append(r)
+        return probe(fn, r)
+
+    monkeypatch.setattr(dynamics_module, "_acts_row_wise", counting)
+    scenario_module._build_builtin.cache_clear()
+    doc = json.loads(bundled_text(name))
+    if box is not None:
+        doc["internal"]["box"] = box
+    sc = materialize(doc)
+    assert len(probes) == 2  # g and jacobian, once each
+    again = materialize(doc)
+    assert len(probes) == 2 and again.internal.g is sc.internal.g
+    if box is not None:
+        assert sc.internal.box.tolist() == box
+    scenario_module._build_builtin.cache_clear()
+
+
 def test_certificate_dispatch_by_variant():
     sync_cert = evaluate_certificate(load_scenario(bundled_text("example1_delta09")))
     assert hasattr(sync_cert, "epsilon")
