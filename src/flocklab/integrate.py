@@ -12,15 +12,20 @@ A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
 the dense output and terminates the run with the offending pair.
 
-`integrate_batch` steps B flocks of one kind in lockstep, as the rows of one
-(B, 2nr) block: each step attempt makes one RHS call per stage for every
+`integrate_batch` steps B flocks of one kind, on one sample grid, in
+lockstep, as the rows of one (B, 2nr) block: each step attempt makes one RHS call per stage for every
 member still running.  Each member keeps its own time, step size, accept or
 reject decision, event scan, dense output and termination, and leaves the
 block when it stops, so it gets the Trajectory `integrate` gives it, bit for
-bit.  Both paths share the stage rule (`_attempt`), the coefficients, the
-per-run bookkeeping (`_Run`) and the step-size controller; only the
-per-member scalars (error norm, controller) stay Python floats, because
-numpy's array `pow` is not libm's.
+bit.  The members' times, step sizes, error scales and counters are (B,)
+arrays, and one attempt's clamp, accept or reject and dense-output record
+are a fixed number of array operations whatever B is, with the IEEE
+operations `_Run` applies to one run, in the same order.  Only the
+step-size controller (libm's `pow`, Python's NaN-ignoring `min` and `max`)
+and the event scan run per member, in Python.  Both paths share the stage
+rule (`_attempt`), the coefficients, the Hermite rows, the controller, the
+event scan and the sample grid; the one-run path keeps Python floats, which
+cost less than arrays of one.
 """
 
 from __future__ import annotations
@@ -187,6 +192,8 @@ def _hermite_rows(basis, theta, h, out=None):
 
 # index offsets of a step's (y0, f0, y1, f1) among the (state, slope) rows
 _BASIS_ROWS = np.arange(4)[:, None]
+# a point's (state, slope) offsets among them, on the middle axis of (2, 2, m) indices
+_PAIR_ROWS = np.arange(2)[:, None]
 
 
 class _DenseOutput:
@@ -255,6 +262,84 @@ class _DenseOutput:
         self.n_points = int(self.chained)
         for recorded in (self.firsts, self.starts, self.hs, self.stops):
             recorded.clear()
+
+
+class _BatchDense:
+    """The sample grids of a batch's members, filled from their accepted steps.
+
+    Every attempt writes the end (state, slope) of each block row into one
+    buffer of (BLOCK + 1) * B points and records, as arrays over the rows,
+    where each row's step starts and ends in it, the step's start and
+    length, and the grid samples it reaches; one `searchsorted` over the
+    shared grid finds those for every row.  A step starts at its row's
+    last accepted end point, or at the point the buffer restarted with, so
+    each recorded step has the (y0, f0, y1, f1) `_DenseOutput` records for
+    it.  `flush` fills every sample the recorded steps reach with one
+    `_hermite_rows` call; it runs when the buffer is full and must run
+    before the samples are read.  The row arrays follow the block: `keep`
+    drops the rows of members that left it.
+    """
+
+    def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
+        members, size = y0.shape
+        self.grid = grid
+        self.slack = 1e-15 * float(grid[-1] - grid[0])
+        self.samples = np.empty((members, len(grid), size))
+        self.samples[:, 0] = y0
+        self.points = np.empty(((BLOCK + 1) * members, 2, size))
+        self.covered = np.ones(members, dtype=np.intp)  # each row's samples reached so far
+        self.records: list[tuple] = []  # one per attempt, see `push`
+        self._restart(y0, f0)
+
+    def _restart(self, y: np.ndarray, f: np.ndarray) -> None:
+        """Empty the point buffer; row i's next step starts at (y[i], f[i])."""
+        rows = len(y)
+        self.points[:rows, 0] = y
+        self.points[:rows, 1] = f
+        self.row_ids = np.arange(rows)
+        self.firsts = self.row_ids  # each row's next step starts at this point
+        self.used = rows
+
+    def push(self, members, accepted, t, h, end, y, k1, y_new, k4) -> None:
+        """Record the attempt from (t, y, k1) to (end = t + h, y_new, k4) of each block row.
+
+        Row i runs member members[i]; its step is kept when accepted[i].
+        """
+        if self.used + len(y) > len(self.points):
+            self.flush()
+            self._restart(y, k1)
+        start, self.used = self.used, self.used + len(y)
+        self.points[start : self.used, 0] = y_new
+        self.points[start : self.used, 1] = k4
+        at = start + self.row_ids
+        covered = self.covered
+        stop = np.maximum(np.searchsorted(self.grid, end + self.slack, side="right"), covered)
+        recorded = accepted & (stop > covered)  # a step that reaches no new sample is not
+        self.records.append((members, self.firsts, at, t, h, covered, stop, recorded))
+        self.firsts = np.where(accepted, at, self.firsts)
+        self.covered = np.where(recorded, stop, covered)
+
+    def flush(self) -> None:
+        if not self.records:
+            return
+        columns = [np.concatenate(column) for column in zip(*self.records)]
+        self.records = []
+        recorded = columns.pop()
+        members, firsts, ends, starts, hs, lo, hi = (column[recorded] for column in columns)
+        counts = hi - lo  # samples per recorded step
+        step = np.repeat(np.arange(len(counts)), counts)
+        sample = np.arange(len(step)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        h = hs[step]
+        theta = np.clip((self.grid[sample] - starts[step]) / h, 0.0, 1.0)
+        # (y0, f0, y1, f1) of each sample's step among the (state, slope) rows
+        basis = (2 * np.stack((firsts, ends)))[:, None, step] + _PAIR_ROWS
+        rows = self.points.reshape(-1, self.points.shape[-1])
+        self.samples[members[step], sample] = _hermite_rows(rows[basis.reshape(4, -1)], theta, h)
+
+    def keep(self, rows, y: np.ndarray, f: np.ndarray) -> None:
+        """Keep only these block rows, restarting from their (y, f); call it after `flush`."""
+        self.covered = self.covered[rows]
+        self._restart(y, f)
 
 
 def _attempt(f, t, h, y: np.ndarray, stages: np.ndarray):
@@ -376,14 +461,24 @@ class _Run:
     def _stop(self, term, y=None) -> None:
         dense = self.dense
         dense.flush()
-        keep = dense.covered
-        if isinstance(term, Completed):
-            dense.samples[keep:] = y  # grid tail within rounding of t_end
-            keep = len(dense.grid)
-        elif isinstance(term, EventHit):
-            while keep > 0 and dense.grid[keep - 1] > term.t_star:
-                keep -= 1
-        self.result = (dense.grid[:keep], dense.samples[:keep], term, self.n_accepted, self.n_rejected)
+        ts, ys = _kept(dense.grid, dense.samples, dense.covered, term, y)
+        self.result = (ts, ys, term, self.n_accepted, self.n_rejected)
+
+
+def _kept(grid, samples, covered: int, term, y):
+    """(sample_ts, sample_ys) a run keeps when it stops with term, its samples filled up to covered.
+
+    A completed run fills the grid's tail, within rounding of t_end, with
+    its last state y; an event run keeps the samples up to t*.
+    """
+    keep = covered
+    if isinstance(term, Completed):
+        samples[keep:] = y
+        keep = len(grid)
+    elif isinstance(term, EventHit):
+        while keep > 0 and grid[keep - 1] > term.t_star:
+            keep -= 1
+    return grid[:keep], samples[:keep]
 
 
 def integrate_flat(
@@ -468,39 +563,97 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
 
     Member b's Trajectory equals `integrate(specs[b], states0[b], cfgs[b])`
     bit for bit.  The specs must share variant, n, r, coupling family and
-    internal dynamics (`models.batch_rhs`).  An error in any member's start
-    or RHS propagates, as it does from `integrate` on that member.
+    internal dynamics (`models.batch_rhs`), and the members one sample
+    grid: the same t0 (the states' time), t_end and sample_dt.  An error in
+    any member's start or RHS propagates, as it does from `integrate` on
+    that member.
     """
     if not specs or not len(specs) == len(states0) == len(cfgs):
         raise ValueError("integrate_batch needs one state and one config per spec")
+    if len({(state0.t, cfg.t_end, cfg.sample_dt) for state0, cfg in zip(states0, cfgs)}) > 1:
+        raise ValueError("integrate_batch members must share t0, t_end and sample_dt")
     starts = [_start(spec, state0, cfg) for spec, state0, cfg in zip(specs, states0, cfgs)]
+    cfgs = [cfg for _, cfg, _ in starts]
+    events = [event for _, _, event in starts]
+    t_end, sample_dt = cfgs[0].t_end, cfgs[0].sample_dt
+    span = t_end - cfgs[0].t0
+    h_floor = UNDERFLOW_FACTOR * span
     f = batch_rhs(specs)
     y = np.stack([y0 for y0, _, _ in starts])
     stages = np.empty((4, *y.shape))
-    stages[0] = f(np.array([[cfg.t0] for _, cfg, _ in starts]), y)
-    runs = [_Run(cfg, y[b], stages[0, b], event) for b, (_, cfg, event) in enumerate(starts)]
-    live = list(range(len(specs)))  # the members in the block's rows
-    block = runs
+    t = np.array([cfg.t0 for cfg in cfgs])
+    stages[0] = f(t[:, None], y)
+    dense = _BatchDense(_sample_grid(cfgs[0].t0, t_end, sample_dt), y, stages[0])
+    # each block row's step control, as `_Run` keeps it; row i runs member live[i]
+    live = np.arange(len(specs))
+    h_max = np.array([span if cfg.h_max is None else cfg.h_max for cfg in cfgs])
+    h = np.array([
+        min(hm, span / 1000.0) if cfg.h_init is None else cfg.h_init
+        for cfg, hm in zip(cfgs, h_max.tolist())
+    ])
+    atol, rtol = np.array([cfg.atol for cfg in cfgs]), np.array([cfg.rtol for cfg in cfgs])
+    scale = atol + rtol * np.abs(y).max(axis=1)
+    n_accepted = np.zeros(len(specs), dtype=np.intp)
+    attempts = 0  # every row in the block makes every attempt
+    results = [None] * len(specs)
+    hits: dict[int, EventHit] = {}  # rows whose last step ended on the event
     while True:
-        going = [i for i, run in enumerate(block) if run.ready(y[i])]
-        if not going:
-            break
-        if len(going) < len(block):  # stopped members leave the block
-            live, block = [live[i] for i in going], [block[i] for i in going]
-            y, k1 = y[going], stages[0, going]
+        # clamp h as `_Run.ready` does; rows that cannot attempt a step stop
+        left = t_end - t
+        clamped = np.minimum(h, h_max)
+        np.minimum(clamped, left, out=clamped)
+        going = (t < t_end) & (clamped >= h_floor)
+        if hits:
+            going[list(hits)] = False
+        if not going.all():
+            done = np.flatnonzero(~going).tolist()
+            rows = np.flatnonzero(going)
+            dense.flush()
+            for i in done:
+                if i in hits:
+                    term, y_end = hits[i], None
+                elif t[i] < t_end and left[i] >= h_floor:
+                    term, y_end = StepSizeUnderflow(t=float(t[i])), None
+                else:
+                    term, y_end = Completed(), y[i]
+                b = int(live[i])
+                kept = _kept(dense.grid, dense.samples[b], int(dense.covered[i]), term, y_end)
+                results[b] = (*kept, term, int(n_accepted[i]), attempts - int(n_accepted[i]))
+            hits = {}
+            if not rows.size:
+                break
+            # stopped members leave the block
+            live, y, t, clamped, h_max, atol, rtol, scale, n_accepted = (
+                a[rows] for a in (live, y, t, clamped, h_max, atol, rtol, scale, n_accepted)
+            )
+            events = [events[i] for i in rows.tolist()]
+            k1 = stages[0, rows]
             stages = np.empty((4, *y.shape))
             stages[0] = k1
-            f = batch_rhs([specs[b] for b in live])
-        t = np.array([[run.t] for run in block])
-        h = np.array([[run.h] for run in block])
-        y_new, err = _attempt(f, t, h, y, stages)
-        errs, y_max = err.tolist(), np.abs(y_new).max(axis=1).tolist()
-        accepted = [
-            run.settle(errs[i], y_max[i], y[i], stages[0, i], y_new[i], stages[3, i])
-            for i, run in enumerate(block)
-        ]
-        y[accepted] = y_new[accepted]
-        stages[0, accepted] = stages[3, accepted]  # first-same-as-last
+            dense.keep(rows, y, k1)
+            f = batch_rhs([specs[b] for b in live.tolist()])
+        h = clamped
+        y_new, err = _attempt(f, t[:, None], h[:, None], y, stages)
+        attempts += 1
+        # accept or reject as `_Run.settle` does
+        err_norm = h * err / scale
+        accepted = err_norm <= 1.0
+        factor = np.fromiter(map(_step_factor, err_norm.tolist()), float, len(err_norm))
+        k1, k4 = stages[0], stages[3]
+        if events[0] is not None:
+            t_list, h_list = t.tolist(), h.tolist()
+            for i in np.flatnonzero(accepted).tolist():
+                hit = _locate_event(events[i], t_list[i], h_list[i], y[i], k1[i], y_new[i], k4[i], sample_dt)
+                if hit is not None:
+                    hits[i] = EventHit(*hit)
+        end = t + h
+        dense.push(live, accepted, t, h, end, y, k1, y_new, k4)
+        t = np.where(accepted, end, t)
+        scale = np.where(accepted, atol + rtol * np.abs(y_new).max(axis=1), scale)
+        np.copyto(y, y_new, where=accepted[:, None])
+        np.copyto(k1, k4, where=accepted[:, None])  # first-same-as-last
+        n_accepted += accepted
+        h = h * factor
     return [
-        _trajectory(spec, cfg, *run.result) for spec, (_, cfg, _), run in zip(specs, starts, runs)
+        _trajectory(spec, cfg, *result) for spec, cfg, result in zip(specs, cfgs, results)
     ]

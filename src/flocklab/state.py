@@ -28,7 +28,9 @@ def _as_2d(y) -> np.ndarray:
 
 # numpy's `array ** float` takes a fast path at these exponents (sqrt, square,
 # reciprocal, ...) that can differ in the last bit from np.power
-_FAST_EXPONENTS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
+_FAST_EXPONENTS = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+# the same, with a sentinel past the end for searchsorted's last index
+_FAST_LOOKUP = np.append(_FAST_EXPONENTS, np.inf)
 
 
 def power(base: np.ndarray, exponent):
@@ -36,14 +38,16 @@ def power(base: np.ndarray, exponent):
 
     Member b of an array exponent gets the bits of `base[b] ** e` with e its
     exponent as a float.  np.power with an array exponent has those bits
-    except at numpy's fast-path exponents, so those members take the float form.
+    except at numpy's fast-path exponents, so those members, found with one
+    sorted lookup, take the float form.
     """
     if not isinstance(exponent, np.ndarray):
         return base**exponent
     out = np.power(base, exponent)
-    for b, e in enumerate(exponent.ravel().tolist()):
-        if e in _FAST_EXPONENTS:
-            out[b] = base[b] ** e
+    flat = exponent.ravel()
+    fast = _FAST_LOOKUP.take(_FAST_EXPONENTS.searchsorted(flat)) == flat
+    for b in fast.nonzero()[0].tolist():
+        out[b] = base[b] ** float(flat[b])
     return out
 
 
@@ -54,7 +58,7 @@ def libm(fn, t):
     element has the bits the float call gives.
     """
     if isinstance(t, np.ndarray):
-        return np.array([fn(x) for x in t.ravel().tolist()]).reshape(t.shape)
+        return np.fromiter(map(fn, t.ravel().tolist()), float, t.size).reshape(t.shape)
     return fn(t)
 
 

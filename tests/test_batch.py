@@ -16,6 +16,7 @@ from flocklab.coupling import (
 )
 from flocklab.dynamics import RepulsionModel, logistic_cosine, lorenz, zero_dynamics
 from flocklab.integrate import (
+    BLOCK,
     CollisionEvent,
     Completed,
     IntegratorConfig,
@@ -167,6 +168,47 @@ def test_batch_members_stop_on_their_own():
     assert alone[3].termination.t == 0.0 and len(alone[3].ts) == 1
 
 
+# the drift member's positions overflow on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_members_equal_integrate_over_many_blocks():
+    # h_max <= sample_dt, so each member records one step per sample: 400
+    # steps on 401 samples, more than 3 * BLOCK, so each member flushes
+    # several times, at attempts of its own.  The last member drifts at
+    # 6e307, so from t ~ 3 its stage positions overflow, its error norm is
+    # NaN, and only the controller's max(0.2, nan) = 0.2 shrinks h to the floor
+    grid = dict(t_end=4.0, sample_dt=0.01)
+    cfgs = [
+        IntegratorConfig(**grid, h_max=0.01),
+        IntegratorConfig(**grid, rtol=1e-9, atol=1e-12, h_max=0.007, h_init=1e-4),
+        IntegratorConfig(**grid, rtol=1e-4, atol=1e-7, h_max=0.0099, h_init=0.003),
+        IntegratorConfig(**grid, rtol=1e-7, h_max=0.008),
+    ]
+    members = []
+    for seed, cfg in enumerate(cfgs):
+        spec, state, _ = _member("baseline", "power_law", None, 3, 2, "plain", 0.8 + 0.3 * seed, 2.0, seed)
+        if seed == 3:
+            v = state.v.copy()
+            v[:, 0] += 6e307
+            state = FlockState(t=0.0, x=state.x, v=v)
+        members.append((spec, state, cfg))
+    alone = _check_members(members)
+    assert [type(traj.termination) for traj in alone] == [Completed] * 3 + [StepSizeUnderflow]
+    assert all(len(traj.ts) > 3 * BLOCK + 1 for traj in alone)
+    assert 2.9 < alone[3].termination.t < 3.0 and alone[3].n_rejected > 0
+
+
+def test_batch_members_must_share_one_sample_grid():
+    spec, state, cfg = _member("baseline", "constant", None, 3, 1, "plain", 1.0, 2.0, 0)
+    others = [
+        (state, IntegratorConfig(t_end=T_END + 0.1, sample_dt=0.02)),
+        (state, IntegratorConfig(t_end=T_END, sample_dt=0.03)),
+        (FlockState(t=0.1, x=state.x, v=state.v), cfg),
+    ]
+    for state1, cfg1 in others:
+        with pytest.raises(ValueError, match="share t0, t_end and sample_dt"):
+            integrate_batch([spec, spec], [state, state1], [cfg, cfg1])
+
+
 def test_batch_rhs_rows_equal_each_member_at_its_own_time():
     rng = np.random.default_rng(4)
     members = [
@@ -198,11 +240,14 @@ def test_power_gives_each_member_the_float_exponent_bits(exponent):
     # at -1, 0.5 and 2 numpy's `array ** float` is a reciprocal, sqrt or
     # square, which differs from np.power in about 5 % of elements
     rng = np.random.default_rng(7)
-    base = rng.uniform(0.01, 10.0, size=(4, 5, 5))
-    exponents = np.array([exponent, 1.1, exponent, 2.6])[:, None, None]
-    got = power(base, exponents)
-    for b in range(4):
-        assert got[b].tobytes() == (base[b] ** float(exponents[b, 0, 0])).tobytes()
+    base = rng.uniform(0.01, 10.0, size=(5, 5, 5))
+    # with this exponent twice, with no fast-path member and with only fast ones
+    batches = ([exponent, 1.1, exponent, 2.6, 0.73], [1.1, 2.6, 0.73, 3.0, 1.7], [-1.0, 0.0, 0.5, 1.0, 2.0])
+    for members in batches:
+        exponents = np.array(members)[:, None, None]
+        got = power(base, exponents)
+        for b in range(5):
+            assert got[b].tobytes() == (base[b] ** float(exponents[b, 0, 0])).tobytes()
     assert power(base[0], exponent).tobytes() == (base[0] ** exponent).tobytes()
 
 
