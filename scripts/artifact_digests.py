@@ -6,10 +6,13 @@ and `audit` through `flocklab.cli.main` into a temporary directory, then one
 `certify` on a copy of `example2_strong` with a region K bound (the exact
 corner maximum over the Lorenz box), which no bundled scenario uses, and one
 `sweep --simulate --jobs 2` of the collision-free `example3_strong` over
-coupling.w, whose first two points are integrated as one batch.  It prints
-one `sha256  scenario/file` line per artifact and per command's stdout (with
-its exit code); the sweeps' lines are tagged `sweep/` and `sweep_collision/`
-and the region copy's `region_k/`.  The temporary path is stripped from the output,
+coupling.w, whose first and third points are integrated as one batch, and
+one `sweep --simulate --jobs 2` of `example1_sweep` over two t_end values
+and two coupling.delta values, whose worker holds runs on two sample grids.
+It prints one `sha256  scenario/file` line per artifact and per command's
+stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
+`sweep_collision/` and `sweep_grids/` and the region copy's `region_k/`.
+The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
 
     python3 scripts/artifact_digests.py > after.txt
@@ -38,6 +41,7 @@ from flocklab import cli  # noqa: E402
 SCENARIO_DIR = SRC / "flocklab" / "scenarios"
 SWEEP_AXIS = "coupling.delta=0.5:2.0:0.25"
 COLLISION_SWEEP_AXIS = "coupling.w=[8.0,10.0,12.0]"
+GRID_SWEEP_AXES = ("integrator.t_end=[20.0,40.0]", "coupling.delta=[0.75,1.25]")
 
 
 def _sha256(data: bytes) -> str:
@@ -91,6 +95,11 @@ def main() -> int:
         sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
                  "--jobs", "2", "--axis", COLLISION_SWEEP_AXIS]
         _print_digests("sweep_collision", [("sweep", sweep)], out, tmp)
+        out = Path(tmp) / "sweep_grids"
+        scenario = SCENARIO_DIR / "example1_sweep.json"
+        sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
+                 "--jobs", "2", *(arg for axis in GRID_SWEEP_AXES for arg in ("--axis", axis))]
+        _print_digests("sweep_grids", [("sweep", sweep)], out, tmp)
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .coupling import Envelope, psi_integral, weights_matrix
 from .dynamics import RepulsionModel, repulsion_strength, repulsion_tail
 from .integrate import Trajectory
-from .state import distance_sq_matrix, min_pair_distance_sq, spread_report
+from .state import closest_pair, distance_sq_matrix, spread_report
 
 _D_STAR_TOL = 1e-10
 _MAX_BISECT = 200
@@ -249,7 +249,8 @@ def certify_collision(
     x0 = np.asarray(x0, dtype=float)
     rail = spread_report(x0)
     s_x0 = float(rail.value)
-    min_d2, _, _ = min_pair_distance_sq(x0)
+    d2 = distance_sq_matrix(x0)
+    min_d2, _, _ = closest_pair(d2)
     separation_ok = bool(min_d2 > rep.d0)
     lhs = spread_v0 / n
     psi_term = 0.5 * psi_integral(env, s_x0, math.inf)
@@ -258,7 +259,7 @@ def certify_collision(
     worst = math.inf
     if separation_ok:
         i, j = np.nonzero(~np.eye(n, dtype=bool))
-        tails = repulsion_tail(rep, distance_sq_matrix(x0)[i, j], i, j)
+        tails = repulsion_tail(rep, d2[i, j], i, j)
         worst = float(np.max(tails, initial=0.0))
 
     return CollisionCertificate(

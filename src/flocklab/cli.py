@@ -5,6 +5,10 @@ certificate), sweep (Cartesian parameter grid of certificates, optionally
 with simulations), validate (schema diagnostics), audit (replay a finished
 run against the spread differential inequalities).
 
+A sweep deals its points round-robin to at most --jobs workers.  Each
+worker certifies its points one by one and hands their runs to
+`integrate.integrate_runs`, which decides which runs share a lockstep block.
+
 Exit codes: 0 success/feasible, 1 usage or IO error, 2 infeasible or audit
 violations, 3 collision termination, 4 step-size underflow.  FLOCKLAB_LOG
 selects the logging level (DEBUG, INFO, WARNING, ...).
@@ -30,16 +34,14 @@ from .certify import (
     audit_sync_run,
     decay_rate_fit,
 )
-from .integrate import batch_size, integrate, integrate_batch
+from .integrate import integrate, integrate_runs
 from .scenario import (
     CERTIFICATE_CLASSES,
     Scenario,
     ScenarioError,
     evaluate_certificate,
-    integrator_config,
     load_scenario,
     materialize,
-    normalized,
     read_document,
     scenario_sha256,
     validate,
@@ -282,22 +284,17 @@ def _sweep_columns(variant: str, axis_keys: list[str], with_sim: bool) -> list[s
     return cols
 
 
-def _point_doc(doc_json: str, assignments) -> dict:
-    doc = json.loads(doc_json)
-    for key, value in assignments:
-        _set_by_path(doc, key, value)
-    return doc
-
-
 def _point_failed(row: dict, exc: Exception) -> None:
     log.debug("sweep point %d failed", row["index"], exc_info=exc)
     row["error"] = f"{type(exc).__name__}: {exc}"
 
 
-def _certified_point(payload):
-    """The point's row with its certificate, and its Scenario if it is to be simulated."""
+def _sweep_point(payload):
+    """The point's row with its certificate, and its (spec, state0, cfg) run if it is to be simulated."""
     doc_json, idx, assignments, isolate_stream, with_sim = payload
-    doc = _point_doc(doc_json, assignments)
+    doc = json.loads(doc_json)
+    for key, value in assignments:
+        _set_by_path(doc, key, value)
     row = {"index": idx, **dict(assignments)}
     try:
         seed = doc.get("seed", 0)
@@ -308,93 +305,30 @@ def _certified_point(payload):
         _point_failed(row, exc)
         return row, None
     row["error"] = ""
-    return row, sc if with_sim else None
+    return row, (sc.model_spec(), sc.initial_state(), sc.integrator) if with_sim else None
 
 
-def _observe(row: dict, sc: Scenario, traj=None) -> None:
-    """Record the observed decay rate of traj, by default sc's run alone, or its error."""
+def _observe(row: dict, traj) -> None:
+    """Record the observed decay rate of traj, or the error its run or its fit raised."""
+    if isinstance(traj, Exception):
+        _point_failed(row, traj)
+        return
     try:
-        if traj is None:
-            traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
-        try:
-            row["eps_observed"] = decay_rate_fit(traj)
-        except ValueError:
-            row["eps_observed"] = None
+        row["eps_observed"] = decay_rate_fit(traj)
+    except ValueError:
+        row["eps_observed"] = None
     except Exception as exc:  # per-point failures recorded, sweep continues
         _point_failed(row, exc)
 
 
-def _sweep_point(payload) -> dict:
-    """One sweep point on its own: its certificate and, if asked, its run by `integrate`."""
-    row, sc = _certified_point(payload)
-    if sc is not None:
-        _observe(row, sc)
-    return row
-
-
-def _sweep_batch(payloads) -> list[dict]:
-    """Rows of one batch: each point certified on its own, the runs integrated together.
-
-    A batch of one is `_sweep_point`.  If the batched integration raises,
-    every run is redone through `integrate` alone, so that each error
-    lands on its own row.
-    """
-    if len(payloads) == 1:
-        return [_sweep_point(payloads[0])]
-    points = [_certified_point(payload) for payload in payloads]
-    runs = [(row, sc) for row, sc in points if sc is not None]
-    trajs = [None] * len(runs)
-    if len(runs) > 1:
-        try:
-            trajs = integrate_batch(
-                [sc.model_spec() for _, sc in runs],
-                [sc.initial_state() for _, sc in runs],
-                [sc.integrator for _, sc in runs],
-            )
-        except Exception:
-            log.debug("sweep batch of %d runs failed; running each alone", len(runs), exc_info=True)
-    for (row, sc), traj in zip(runs, trajs):
-        _observe(row, sc, traj)
+def _sweep_chunk(payloads) -> list[dict]:
+    """Rows of one worker's points: each certified on its own, then their runs integrated."""
+    points = [_sweep_point(payload) for payload in payloads]
+    simulated = [(row, run) for row, run in points if run is not None]
+    for i, traj in integrate_runs([run for _, run in simulated]):
+        _observe(simulated[i][0], traj)
+        del traj  # a trajectory holds its block's samples; let them go before the next block
     return [row for row, _ in points]
-
-
-# the document keys that decide whether two sweep points can be integrated together
-_BATCH_KEYS = ("variant", "n", "r", "internal", "integrator")
-
-
-def _sweep_batches(payloads, jobs: int) -> list[list]:
-    """The simulated points cut into batches for `_sweep_batch`.
-
-    Points are grouped by variant, n, r, coupling family, `internal` and
-    `integrator`.  A batch holds at most `integrate.batch_size` points, so
-    that its sample buffers stay under 1 MiB, and each group is cut into
-    at least min(jobs, its points) batches of near-equal size, in index
-    order.
-    """
-    groups: dict[str, list] = {}
-    caps: dict[str, int] = {}
-    for payload in payloads:
-        doc = _point_doc(payload[0], payload[2])
-        coupling = doc.get("coupling")
-        family = coupling.get("family") if isinstance(coupling, dict) else None
-        key = json.dumps([*(doc.get(k) for k in _BATCH_KEYS), family], sort_keys=True)
-        if key not in groups:
-            try:
-                cfg = integrator_config(normalized(doc)["integrator"])
-                caps[key] = batch_size(int(doc["n"]), int(doc["r"]), cfg)
-            except (KeyError, TypeError, ValueError):  # the points fail on their own
-                caps[key] = 1
-        groups.setdefault(key, []).append(payload)
-    batches = []
-    for key, members in groups.items():
-        count = max(-(-len(members) // caps[key]), min(jobs, len(members)))
-        size, extra = divmod(len(members), count)
-        start = 0
-        for k in range(count):
-            stop = start + size + (k < extra)
-            batches.append(members[start:stop])
-            start = stop
-    return batches
 
 
 def _csv_cell(val) -> str:
@@ -411,30 +345,26 @@ def cmd_sweep(args) -> int:
 
     axes = [_parse_axis(spec) for spec in args.axis or []]
     axis_keys = [key for key, _ in axes]
-    grids = [values for _, values in axes]
-    points = list(product(*grids)) if axes else [()]
-    isolate = bool(axes)
-
-    variant = doc["variant"]
+    points = product(*(values for _, values in axes))  # one empty point when there are no axes
     with_sim = bool(args.simulate)
     payloads = [
-        (json.dumps(doc), idx, list(zip(axis_keys, values)), isolate, with_sim)
+        (json.dumps(doc), idx, list(zip(axis_keys, values)), bool(axes), with_sim)
         for idx, values in enumerate(points)
     ]
-    batches = _sweep_batches(payloads, args.jobs) if with_sim else [[p] for p in payloads]
-    workers = min(args.jobs, len(batches))  # a pool starts every worker up front
+    workers = min(args.jobs, len(payloads))  # a pool starts every worker up front
+    chunks = [payloads[k::workers] for k in range(workers)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_sweep_batch, batches))
+            done = list(pool.map(_sweep_chunk, chunks))
     else:
-        done = [_sweep_batch(batch) for batch in batches]
-    rows = sorted((row for batch in done for row in batch), key=lambda row: row["index"])
+        done = [_sweep_chunk(chunk) for chunk in chunks]
+    rows = sorted((row for chunk in done for row in chunk), key=lambda row: row["index"])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cols = _sweep_columns(variant, axis_keys, with_sim)
+    cols = _sweep_columns(doc["variant"], axis_keys, with_sim)
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh)

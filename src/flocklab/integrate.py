@@ -26,25 +26,32 @@ and the event scan run per member, in Python.  Both paths share the stage
 rule (`_attempt`), the coefficients, the Hermite rows, the controller, the
 event scan and the sample grid; the one-run path keeps Python floats, which
 cost less than arrays of one.
+
+`integrate_runs` takes runs of any kinds and sample grids and owns every
+batching rule: which runs share a block, how many, and what runs alone.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .models import ModelSpec, batch_rhs, flat_rhs, pack, unpack
+from .models import ModelSpec, batch_key, batch_rhs, flat_rhs, pack, unpack
 from .state import FlockState, min_pair_distance_sq, pair_dot
+
+log = logging.getLogger(__name__)
 
 UNDERFLOW_FACTOR = 1e-14
 
 BLOCK = 64  # a flush fills the samples of up to this many recorded steps
 
-BATCH_BYTES = 2**20  # sample buffers of the members of one batch, at most
+BATCH_BYTES = 2**20  # a batch's sample buffer, and its dense-output point buffer, at most
 
 # classic 3(2) pair coefficients, one per stage row of k1..k4; an axis-0
 # reduction adds the weighted rows in order, as b0*k1 + b1*k2 + b2*k3 does
@@ -148,8 +155,13 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
 
 
 def batch_size(n: int, r: int, cfg: IntegratorConfig) -> int:
-    """Most members of one `integrate_batch` call whose samples fit BATCH_BYTES."""
-    rows = len(_sample_grid(cfg.t0, cfg.t_end, cfg.sample_dt))
+    """Most members of one `integrate_batch` call whose buffers each fit BATCH_BYTES.
+
+    A member holds its samples and 2 * (BLOCK + 1) rows of dense-output
+    points, so it is sized by the larger count.
+    """
+    samples = len(_sample_grid(cfg.t0, cfg.t_end, cfg.sample_dt))
+    rows = max(samples, 2 * (BLOCK + 1))
     return max(1, BATCH_BYTES // (rows * 2 * n * r * 8))
 
 
@@ -558,19 +570,22 @@ def integrate(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig) -> Tra
     return _trajectory(spec, cfg, *integrate_flat(flat_rhs(spec), y0, cfg, event))
 
 
+def _grid_key(state0: FlockState, cfg: IntegratorConfig) -> tuple:
+    """A run's sample grid: t0 (its state's time), t_end and sample_dt."""
+    return state0.t, cfg.t_end, cfg.sample_dt
+
+
 def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
-    """Integrate B flocks in lockstep; see the module docstring.
+    """Integrate B flocks in lockstep, as one block; see the module docstring.
 
     Member b's Trajectory equals `integrate(specs[b], states0[b], cfgs[b])`
-    bit for bit.  The specs must share variant, n, r, coupling family and
-    internal dynamics (`models.batch_rhs`), and the members one sample
-    grid: the same t0 (the states' time), t_end and sample_dt.  An error in
-    any member's start or RHS propagates, as it does from `integrate` on
-    that member.
+    bit for bit.  The specs must share one `models.batch_key`, and the
+    members one sample grid (`_grid_key`).  An error in any member's start
+    or RHS propagates, as it does from `integrate` on that member.
     """
     if not specs or not len(specs) == len(states0) == len(cfgs):
         raise ValueError("integrate_batch needs one state and one config per spec")
-    if len({(state0.t, cfg.t_end, cfg.sample_dt) for state0, cfg in zip(states0, cfgs)}) > 1:
+    if len({_grid_key(state0, cfg) for state0, cfg in zip(states0, cfgs)}) > 1:
         raise ValueError("integrate_batch members must share t0, t_end and sample_dt")
     starts = [_start(spec, state0, cfg) for spec, state0, cfg in zip(specs, states0, cfgs)]
     cfgs = [cfg for _, cfg, _ in starts]
@@ -657,3 +672,47 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
     return [
         _trajectory(spec, cfg, *result) for spec, cfg, result in zip(specs, cfgs, results)
     ]
+
+
+def _alone(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig):
+    """`integrate` on one run, or the exception it raises."""
+    try:
+        return integrate(spec, state0, cfg)
+    except Exception as exc:  # a run's own failure is its result
+        return exc
+
+
+def _block(runs):
+    """The results of one block's runs: several step together, one runs alone."""
+    if len(runs) > 1:
+        try:
+            return integrate_batch(*zip(*runs))
+        except Exception:
+            log.debug("batch of %d runs failed; running each alone", len(runs), exc_info=True)
+    return starmap(_alone, runs)
+
+
+def integrate_runs(runs):
+    """Integrate (spec, state0, cfg) runs of any kinds and grids; yield (index, result) per block.
+
+    Runs that share a `models.batch_key` and a sample grid are cut, in
+    index order, into near-equal blocks of at most `batch_size` runs.  A
+    block of several goes through `integrate_batch`; a lone run, which is
+    faster alone, and each run of a block that raises go through
+    `integrate`.  Run i's result is `integrate(*runs[i])`, bit for bit, or
+    the exception that call raises.  A block is integrated when its first
+    result is asked for, so a caller that drops each result holds at most
+    one block's trajectories.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (spec, state0, cfg) in enumerate(runs):
+        groups.setdefault((batch_key(spec), _grid_key(state0, cfg)), []).append(i)
+    for members in groups.values():
+        spec, state0, cfg = runs[members[0]]
+        try:
+            cap = batch_size(spec.n, spec.r, replace(cfg, t0=state0.t))
+        except (ValueError, OverflowError):  # a grid `integrate` rejects: each run fails alone
+            cap = 1
+        for block in np.array_split(members, -(-len(members) // cap)):
+            block = block.tolist()
+            yield from zip(block, _block([runs[i] for i in block]))

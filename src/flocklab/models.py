@@ -14,7 +14,7 @@ only matters in exact-consensus states where the whole term is zero anyway.
 
 `batch_rhs` is the RHS of B flocks of one kind as rows of a (B, 2nr) block,
 each row at its own time and with its own parameters, and equal bit for bit
-to that flock's own `flat_rhs`.
+to that flock's own `flat_rhs`; `batch_key` says which flocks are of one kind.
 """
 
 from __future__ import annotations
@@ -159,24 +159,27 @@ def _stack(models):
     return out
 
 
+def batch_key(spec: ModelSpec) -> tuple:
+    """Variant, n, r, coupling family and `g`: what `batch_rhs` members share.
+
+    `g` compares by identity, because one `g` drives every member.
+    """
+    g = spec.internal.g if spec.internal is not None else None
+    return spec.variant, spec.n, spec.r, type(spec.coupling), g
+
+
 def batch_rhs(specs):
     """`flat_rhs` of B flocks stepped together; see the module docstring.
 
     The returned f(t, y) takes a (B, 2nr) block y and a (B, 1) array t of
-    the members' times.  The specs must share variant, n, r, coupling
-    family and internal dynamics (one `g` function drives every member).
+    the members' times.  The specs must share one `batch_key`.
     """
     first = specs[0]
-    g = first.internal.g if first.internal is not None else None
-    for spec in specs[1:]:
-        if (
-            (spec.variant, spec.n, spec.r) != (first.variant, first.n, first.r)
-            or type(spec.coupling) is not type(first.coupling)
-            or (spec.internal.g if spec.internal is not None else None) is not g
-        ):
-            raise ValueError(
-                "batch members must share variant, n, r, coupling family and internal dynamics"
-            )
+    key = batch_key(first)
+    if any(batch_key(spec) != key for spec in specs[1:]):
+        raise ValueError(
+            "batch members must share variant, n, r, coupling family and internal dynamics"
+        )
     repulsion = None if first.repulsion is None else _stack([s.repulsion for s in specs])
     coupling = _stack([s.coupling for s in specs])
     law = _velocity_law(dataclasses.replace(first, coupling=coupling, repulsion=repulsion))

@@ -586,11 +586,6 @@ def _build_repulsion(block, n: int, seed_path) -> Optional[RepulsionModel]:
     return RepulsionModel(d0=float(block["d0"]), phi=float(block["phi"]), coeffs=coeffs)
 
 
-def integrator_config(block: dict) -> IntegratorConfig:
-    """The IntegratorConfig of a normalized `integrator` block."""
-    return IntegratorConfig(**{key: None if val is None else float(val) for key, val in block.items()})
-
-
 def materialize(doc: dict, seed_path=None) -> Scenario:
     """Validated document -> Scenario with all draws resolved."""
     diags = validate(doc)
@@ -632,7 +627,8 @@ def materialize(doc: dict, seed_path=None) -> Scenario:
             if abs(got - target) > _SPREAD_MATCH_TOL * max(1.0, target):
                 raise ValueError(f"generated spread {got} missed target {target}")
 
-    cfg = integrator_config(doc["integrator"])
+    integ = doc["integrator"]
+    cfg = IntegratorConfig(**{key: None if val is None else float(val) for key, val in integ.items()})
 
     cert_block = doc["certificate"]
     cert = None if cert_block is None else CertificateSettings(**cert_block)

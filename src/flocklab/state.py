@@ -169,15 +169,18 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def min_pair_distance_sq(x):
-    """Smallest squared distance over distinct pairs, with its pair.
+    """Smallest squared distance over distinct pairs, with its pair; see `closest_pair`."""
+    return closest_pair(distance_sq_matrix(_as_2d(x)))
 
-    Returns (value, i, j) with i < j; ties resolve to the smallest (i, j).
+
+def closest_pair(d2: np.ndarray):
+    """(value, i, j) of the smallest pair entry of a `distance_sq_matrix`.
+
+    i < j; ties resolve to the smallest (i, j).
     """
-    x = _as_2d(x)
-    n = x.shape[0]
+    n = d2.shape[0]
     if n < 2:
         raise ValueError("need at least two agents for a pairwise minimum")
-    d2 = distance_sq_matrix(x)
     iu, ju = _upper_pairs(n)
     vals = d2[iu, ju]
     k = int(np.argmin(vals))

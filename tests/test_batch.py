@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import logging
 import math
+import random
+import weakref
+from importlib.resources import files
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flocklab.integrate as integrate_module
 from flocklab.coupling import (
     COUPLING_FAMILIES,
     ConstantCoupling,
@@ -24,8 +30,10 @@ from flocklab.integrate import (
     batch_size,
     integrate,
     integrate_batch,
+    integrate_runs,
 )
 from flocklab.models import MODEL_VARIANTS, ModelSpec, SingularDistanceError, batch_rhs, flat_rhs
+from flocklab.scenario import materialize
 from flocklab.state import FlockState, libm, power
 
 # members of one batch share their dynamics object: one g drives the block
@@ -265,4 +273,156 @@ def test_batch_size_keeps_sample_buffers_under_one_mebibyte():
     cfg = IntegratorConfig(t_end=40.0, sample_dt=0.05)
     assert batch_size(5, 1, cfg) == 16 == 2**20 // (801 * 10 * 8)
     assert batch_size(50, 3, cfg) == 1
-    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 2**20 // (3 * 80)
+    # 3 samples, but 2 * (BLOCK + 1) = 130 rows of dense-output points per member
+    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 100 == 2**20 // (130 * 80)
+
+
+# ---------------------------------------------------------------------------
+# integrate_runs: grouping, block sizes, lone runs and failures
+
+
+def _batch_spy(monkeypatch, blocks, result=None):
+    """Record each integrate_batch call's members (as ids of their specs) in blocks.
+
+    The calls go through to integrate_batch, or return result(specs) when given.
+    """
+    real = integrate_module.integrate_batch
+
+    def spy(specs, states0, cfgs):
+        blocks.append([id(spec) for spec in specs])
+        return real(specs, states0, cfgs) if result is None else result(specs)
+
+    monkeypatch.setattr(integrate_module, "integrate_batch", spy)
+
+
+def _results(members) -> dict:
+    out = dict(integrate_runs(members))
+    assert sorted(out) == list(range(len(members)))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_runs_groups_runs_of_mixed_kinds_and_grids(monkeypatch):
+    sync = DYNAMICS["logistic_cosine"][1]
+    longer = IntegratorConfig(t_end=0.5, sample_dt=0.02)
+    labelled = []
+    for seed in range(3):
+        labelled += [
+            ("sync", _member("sync", "modulated", sync, 3, 1, "plain", 0.5 + seed, 2.0, seed)),
+            ("baseline", _member("baseline", "power_law", None, 3, 2, "plain", 1.1, 2.0, seed)),
+            ("collision", _member("collision_free", "modulated", None, 3, 2,
+                                  ("plain", "collision", "underflow")[seed], 2.0, 2.0, seed)),
+        ]
+        spec, state, _ = _member("baseline", "power_law", None, 3, 2, "plain", 1.1, 2.0, 10 + seed)
+        labelled.append(("longer grid", (spec, state, longer)))
+    # runs alone in their group: another n, another coupling family, a later t0
+    spec, state, cfg = _member("baseline", "power_law", None, 4, 2, "plain", 1.1, 2.0, 20)
+    labelled += [
+        ("n = 4", (spec, state, cfg)),
+        ("constant", _member("baseline", "constant", None, 3, 2, "plain", 1.0, 2.0, 21)),
+        ("t0 = 0.1", (spec, FlockState(t=0.1, x=state.x, v=state.v), cfg)),
+    ]
+    random.Random(5).shuffle(labelled)
+    members = [member for _, member in labelled]
+    blocks = []
+    _batch_spy(monkeypatch, blocks)
+    results = _results(members)
+    for i, member in enumerate(members):
+        _assert_same(integrate(*member), results[i])
+    ids = [id(spec) for spec, _, _ in members]
+    groups = {}
+    for label, (spec, _, _) in labelled:
+        groups.setdefault(label, []).append(id(spec))
+    # each group of several runs is one block, in index order; lone runs skip integrate_batch
+    assert sorted(blocks) == sorted(group for group in groups.values() if len(group) > 1)
+    assert all(block == sorted(block, key=ids.index) for block in blocks)
+
+
+def test_integrate_runs_sends_a_lone_run_through_integrate(monkeypatch):
+    blocks = []
+    _batch_spy(monkeypatch, blocks)
+    lone = [_member("baseline", "constant", None, 3, 1, "plain", 1.0, 2.0, 0)]
+    _assert_same(integrate(*lone[0]), _results(lone)[0])
+    # a group whose cap is one runner is cut into blocks of one
+    frontier = IntegratorConfig(t_end=40.0, sample_dt=0.05)
+    alone = []
+    monkeypatch.setattr(integrate_module, "integrate", lambda *run: alone.append(run) or "alone")
+    big = [_member("baseline", "constant", None, 50, 3, "plain", 1.0, 2.0, s)[:2] + (frontier,)
+           for s in range(3)]
+    assert batch_size(50, 3, frontier) == 1
+    assert _results(big) == {0: "alone", 1: "alone", 2: "alone"}
+    assert alone == big and blocks == []
+
+
+def test_integrate_runs_redoes_a_raising_block_run_by_run(caplog):
+    # the singular member raises the block; alone, it raises again and
+    # its exception is its result, while the others get their trajectories
+    members = [
+        _member("collision_free", "modulated", None, 3, 2, role, 1.3, 2.0, seed)
+        for seed, role in enumerate(["plain", "singular", "collision", "plain"])
+    ]
+    # two runs whose sample grid `integrate` cannot build fail alone too
+    spec, state, _ = members[0]
+    members += [(spec, state, IntegratorConfig(t_end=math.nan, sample_dt=0.02))] * 2
+    with caplog.at_level(logging.DEBUG, logger="flocklab"):
+        results = _results(members)
+    for i in (1, 4, 5):
+        with pytest.raises(type(results[i])) as alone:
+            integrate(*members[i])
+        assert str(alone.value) == str(results[i])
+    assert isinstance(results[1], SingularDistanceError) and isinstance(results[4], ValueError)
+    for i in (0, 2, 3):
+        _assert_same(integrate(*members[i]), results[i])
+    assert [r.getMessage() for r in caplog.records] == ["batch of 4 runs failed; running each alone"]
+
+
+def _frontier_runs() -> list:
+    """(spec, state, cfg) of the frontier sweep's 122 points: 61 delta x 2 w values."""
+    path = files("flocklab") / "scenarios" / "example1_sweep.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    runs = []
+    for idx in range(122):
+        doc["coupling"].update(delta=0.5 + 0.025 * (idx // 2), w=(1.0, 1.5)[idx % 2])
+        sc = materialize(doc, seed_path=(doc["seed"], idx))
+        runs.append((sc.model_spec(), sc.initial_state(), sc.integrator))
+    return runs
+
+
+def test_integrate_runs_cuts_the_frontier_runs_into_blocks_of_at_most_16(monkeypatch):
+    # 801 samples of 2nr = 10 floats: at most 16 runs keep a block's samples under 1 MiB
+    runs = _frontier_runs()
+    blocks = []
+    _batch_spy(monkeypatch, blocks, result=lambda specs: [None] * len(specs))
+    for share, sizes in ((runs, [16, 16] + [15] * 6), (runs[::2], [16, 15, 15, 15])):
+        blocks.clear()
+        assert _results(share) == dict.fromkeys(range(len(share)))
+        assert [len(block) for block in blocks] == sizes
+        assert sum(blocks, []) == [id(spec) for spec, _, _ in share]
+
+
+class _Token:
+    """Stands in for a Trajectory: only whether it is still alive matters."""
+
+
+def test_integrate_runs_yields_each_block_before_integrating_the_next(monkeypatch):
+    runs = [_member("baseline", "constant", None, 3, 1, "plain", 1.0, 2.0, s)
+            for s in range(5)]
+    monkeypatch.setattr(integrate_module, "batch_size", lambda n, r, cfg: 2)
+    made: list = []  # weak references to every block's results
+    alive_at_call = []
+
+    def batch(specs, states0, cfgs):
+        alive_at_call.append(sum(ref() is not None for ref in made))
+        tokens = [_Token() for _ in specs]
+        made.extend(weakref.ref(token) for token in tokens)
+        return tokens
+
+    monkeypatch.setattr(integrate_module, "integrate_batch", batch)
+    seen = []
+    for i, result in integrate_runs(runs):
+        seen.append((i, len(alive_at_call)))
+        del result  # drop each result before asking for the next
+    # blocks of 2, 2 and 1 runs; the last runs alone, through integrate
+    assert seen == [(0, 1), (1, 1), (2, 2), (3, 2), (4, 2)]
+    # a block's results are gone once the caller has dropped them
+    assert alive_at_call == [0, 0]

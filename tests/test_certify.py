@@ -308,6 +308,20 @@ def test_collision_repulsion_term_is_the_worst_pair_tail():
     assert abs(cert.repulsion_term - want) <= math.ulp(want)
 
 
+def test_collision_certificate_builds_pair_geometry_once(monkeypatch):
+    x0 = np.random.default_rng(12).uniform(-3.0, 3.0, size=(6, 2))
+    rep = RepulsionModel(d0=0.01, phi=1.7, coeffs=np.full((6, 6), 0.8))
+    env = ConstantCoupling(w=1.0).envelope()
+    want = certify_collision(env, rep, x0, 1.0, 6)
+    calls = []
+    build = certify_mod.distance_sq_matrix
+    monkeypatch.setattr(certify_mod, "distance_sq_matrix", lambda x: calls.append(1) or build(x))
+    cert = certify_collision(env, rep, x0, 1.0, 6)
+    assert calls == [1]
+    assert cert.min_dist_sq == float(np.min(distance_sq_matrix(x0)[~np.eye(6, dtype=bool)]))
+    assert cert.repulsion_term == want.repulsion_term and cert.feasible == want.feasible
+
+
 # ---------------------------------------------------------------------------
 # observed decay rates
 

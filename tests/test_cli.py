@@ -449,9 +449,10 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the points dealt, maps in process."""
 
     sizes: list = []
+    dealt: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -462,8 +463,9 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, chunks):
+        self.dealt.append([[payload[1] for payload in chunk] for chunk in chunks])
+        return map(fn, chunks)
 
 
 @pytest.mark.parametrize(
@@ -482,6 +484,18 @@ def test_sweep_pool_never_exceeds_the_points(jobs, points, pool, tmp_path, monke
     assert main(argv) == EXIT_OK
     assert _RecordingPool.sizes == pool
     assert f"sweep: {points} points" in capsys.readouterr().out
+
+
+def test_sweep_deals_points_round_robin_to_the_workers(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "dealt", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    argv = ["sweep", "--scenario", bundled_path("example1_sweep"), "--out", str(tmp_path),
+            "--axis", "coupling.delta=[0.6,0.7,0.8,0.9,1.0]", "--jobs", "2"]
+    assert main(argv) == EXIT_OK
+    assert _RecordingPool.dealt == [[[0, 2, 4], [1, 3]]]
+    assert "sweep: 5 points" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
@@ -522,8 +536,8 @@ def test_sweep_point_failure_logs_its_traceback(caplog):
     doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
     payload = (json.dumps(doc), 3, [("coupling.w", -1.0)], True, False)
     with caplog.at_level(logging.DEBUG, logger="flocklab"):
-        row = _sweep_point(payload)
-    assert row["error"].startswith("ScenarioError: ")
+        row, run = _sweep_point(payload)
+    assert run is None and row["error"].startswith("ScenarioError: ")
     (record,) = [r for r in caplog.records if r.levelname == "DEBUG"]
     assert record.getMessage() == "sweep point 3 failed"
     assert record.exc_info[0].__name__ == "ScenarioError"
@@ -546,8 +560,8 @@ def test_batched_sweep_equals_each_point_integrated_alone(tmp_path, capsys):
     from flocklab.scenario import evaluate_certificate, materialize
 
     base = ["sweep", "--scenario", bundled_path("example1_sweep"), "--simulate", *_BATCH_AXES]
-    assert main([*base, "--out", str(tmp_path / "serial")]) == EXIT_OK  # one batch of 8
-    assert main([*base, "--out", str(tmp_path / "pool"), "--jobs", "2"]) == EXIT_OK  # two of 4
+    assert main([*base, "--out", str(tmp_path / "serial")]) == EXIT_OK  # one block of 8
+    assert main([*base, "--out", str(tmp_path / "pool"), "--jobs", "2"]) == EXIT_OK  # 4 per worker
     serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
     assert serial == (tmp_path / "pool" / "sweep.csv").read_bytes()
 
@@ -569,16 +583,17 @@ def test_batched_sweep_equals_each_point_integrated_alone(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_batch_that_raises_reruns_each_point_alone(monkeypatch, caplog):
-    # the batched run fails; rerun alone, the point with delta 2.0 fails on
-    # its own row and the others get their own runs
-    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
-    payloads = [
-        (json.dumps(doc), idx, [("coupling.delta", delta)], True, True)
-        for idx, delta in enumerate([0.5, 1.0, 2.0])
-    ]
-    want = [_sweep_point(payload) for payload in payloads]
-    integrate = cli_module.integrate
+def test_sweep_run_that_fails_keeps_its_certificate_row(monkeypatch, caplog):
+    # point 3 fails its certificate; the batched run of the others fails,
+    # and rerun alone the point with delta 2.0 fails on its own row
+    import flocklab.integrate as integrate_module
+
+    doc = json.dumps(json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8")))
+    assignments = [[("coupling.delta", 0.5)], [("coupling.delta", 1.0)],
+                   [("coupling.delta", 2.0)], [("coupling.w", -1.0)]]
+    payloads = [(doc, idx, point, True, True) for idx, point in enumerate(assignments)]
+    want = [cli_module._sweep_chunk([payload])[0] for payload in payloads]
+    integrate = integrate_module.integrate
 
     def failing_batch(*args):
         raise RuntimeError("batch failed")
@@ -588,56 +603,43 @@ def test_sweep_batch_that_raises_reruns_each_point_alone(monkeypatch, caplog):
             raise RuntimeError("point failed")
         return integrate(spec, state, cfg)
 
-    monkeypatch.setattr(cli_module, "integrate_batch", failing_batch)
-    monkeypatch.setattr(cli_module, "integrate", alone)
+    monkeypatch.setattr(integrate_module, "integrate_batch", failing_batch)
+    monkeypatch.setattr(integrate_module, "integrate", alone)
     with caplog.at_level(logging.DEBUG, logger="flocklab"):
-        rows = cli_module._sweep_batch(payloads)
-    assert rows[0] == want[0] and rows[1] == want[1]
+        rows = cli_module._sweep_chunk(payloads)
+    assert rows[0] == want[0] and rows[1] == want[1] and rows[3] == want[3]
     assert rows[2]["error"] == "RuntimeError: point failed" and "eps_observed" not in rows[2]
     assert rows[2]["d_star"] == want[2]["d_star"]  # its certificate still recorded
+    assert rows[3]["error"].startswith("ScenarioError") and "eps_observed" not in rows[3]
     messages = [record.getMessage() for record in caplog.records]
-    assert messages == ["sweep batch of 3 runs failed; running each alone", "sweep point 2 failed"]
+    assert messages == ["sweep point 3 failed", "batch of 3 runs failed; running each alone",
+                        "sweep point 2 failed"]
 
 
-def test_sweep_batch_of_one_runs_through_integrate(monkeypatch):
-    def no_batch(*args):
-        raise AssertionError("a lone point must not be batched")
+def test_sweep_worker_drops_each_block_before_integrating_the_next(monkeypatch):
+    import weakref
 
-    monkeypatch.setattr(cli_module, "integrate_batch", no_batch)
+    import flocklab.integrate as integrate_module
+
+    batch = integrate_module.integrate_batch
+    made: list = []  # weak references to every trajectory a block returned
+    alive_at_call = []
+
+    def counting_batch(*args):
+        alive_at_call.append(sum(ref() is not None for ref in made))
+        trajs = batch(*args)
+        made.extend(weakref.ref(traj) for traj in trajs)
+        return trajs
+
+    monkeypatch.setattr(integrate_module, "integrate_batch", counting_batch)
+    monkeypatch.setattr(integrate_module, "batch_size", lambda n, r, cfg: 2)
     doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
-    payload = (json.dumps(doc), 0, [("coupling.delta", 1.0)], True, True)
-    assert cli_module._sweep_batch([payload]) == [_sweep_point(payload)]
-    # a batch whose other points fail before their runs leaves one run alone
-    bad = (json.dumps(doc), 1, [("coupling.w", -1.0)], True, True)
-    rows = cli_module._sweep_batch([payload, bad])
-    assert rows[0] == _sweep_point(payload) and rows[1]["error"].startswith("ScenarioError")
-
-
-def _payloads(doc: dict, assignments: list) -> list:
-    return [(json.dumps(doc), idx, point, True, True) for idx, point in enumerate(assignments)]
-
-
-@pytest.mark.parametrize("jobs, sizes", [(1, [16, 16] + [15] * 6), (2, [16, 16] + [15] * 6),
-                                         (9, [14] * 5 + [13] * 4)])
-def test_sweep_batches_hold_at_most_a_mebibyte_of_samples(jobs, sizes):
-    # the frontier sweep: 122 points, 801 samples of 2nr = 10 floats each
-    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
-    points = [[("coupling.delta", 0.5 + 0.025 * k), ("coupling.w", w)]
-              for k in range(61) for w in (1.0, 1.5)]
-    batches = cli_module._sweep_batches(_payloads(doc, points), jobs)
-    assert [len(batch) for batch in batches] == sizes
-    assert [p[1] for batch in batches for p in batch] == list(range(122))
-
-
-def test_sweep_batches_group_points_that_can_run_together():
-    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
-    points = [[("integrator.t_end", t_end), ("coupling.delta", delta)]
-              for t_end in (1.0, 2.0) for delta in (0.5, 1.0, 1.5)]
-    points.append([("coupling.family", "constant")])  # fails alone: w without delta and beta
-    batches = cli_module._sweep_batches(_payloads(doc, points), 2)
-    assert [[p[1] for p in batch] for batch in batches] == [[0, 1], [2], [3, 4], [5], [6]]
-    # each group is cut into at least min(jobs, its points) batches
-    assert [len(b) for b in cli_module._sweep_batches(_payloads(doc, points[:3]), 8)] == [1] * 3
+    doc["integrator"]["t_end"] = 2.0
+    payloads = [(json.dumps(doc), idx, [("coupling.delta", delta)], True, True)
+                for idx, delta in enumerate([0.5, 0.75, 1.0, 1.25])]
+    rows = cli_module._sweep_chunk(payloads)
+    assert all(row["error"] == "" and row["eps_observed"] is not None for row in rows)
+    assert alive_at_call == [0, 0]
 
 
 # ---------------------------------------------------------------------------
