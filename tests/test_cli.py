@@ -642,6 +642,37 @@ def test_sweep_worker_drops_each_block_before_integrating_the_next(monkeypatch):
     assert alive_at_call == [0, 0]
 
 
+@pytest.mark.parametrize("jobs, sizes", [(1, [16, 16] + [15] * 6), (2, [16, 15, 15, 15] * 2),
+                                         (9, [14] * 5 + [13] * 4)])
+def test_sweep_batches_hold_at_most_a_mebibyte_of_samples(jobs, sizes, tmp_path, monkeypatch,
+                                                          capsys):
+    # the frontier sweep: 122 points, 801 samples of 2nr = 10 floats each;
+    # each worker's round-robin share is cut into blocks of at most 16 runs
+    import concurrent.futures
+
+    import flocklab.integrate as integrate_module
+
+    blocks = []
+
+    def recording_batch(specs, states0, cfgs):
+        blocks.append((len(specs), {(spec.n * spec.r, state.t, cfg.t_end, cfg.sample_dt)
+                                    for spec, state, cfg in zip(specs, states0, cfgs)}))
+        return [None] * len(specs)  # no trajectories: only the blocks matter here
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(integrate_module, "integrate_batch", recording_batch)
+    deltas = json.dumps([0.5 + 0.025 * k for k in range(61)])
+    argv = ["sweep", "--scenario", bundled_path("example1_sweep"), "--out", str(tmp_path),
+            "--axis", f"coupling.delta={deltas}", "--axis", "coupling.w=[1.0,1.5]",
+            "--simulate", "--jobs", str(jobs)]
+    assert main(argv) == EXIT_OK
+    assert [size for size, _ in blocks] == sizes
+    # nr = 5 and a grid from 0 to 40 by 0.05: 801 samples of 10 floats per run
+    assert all(grids == {(5, 0.0, 40.0, 0.05)} for _, grids in blocks)
+    assert all(size * 801 * 10 * 8 <= 2**20 for size in sizes)
+    assert "sweep: 122 points" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # axis parsing helpers
 
