@@ -8,10 +8,14 @@ corner maximum over the Lorenz box), which no bundled scenario uses, and one
 `sweep --simulate --jobs 2` of the collision-free `example3_strong` over
 coupling.w, whose first and third points are integrated as one batch, and
 one `sweep --simulate --jobs 2` of `example1_sweep` over two t_end values
-and two coupling.delta values, whose worker holds runs on two sample grids.
+and two coupling.delta values, whose worker holds runs on two sample grids,
+and the benchmark's 122-point frontier sweep of `example1_sweep` at
+`--jobs 1`, integrated as two blocks of 61 runs whose flushes each fill
+several slices of samples.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
-`sweep_collision/` and `sweep_grids/` and the region copy's `region_k/`.
+`sweep_collision/`, `sweep_grids/` and `frontier/` and the region copy's
+`region_k/`.
 The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
 
@@ -42,6 +46,7 @@ SCENARIO_DIR = SRC / "flocklab" / "scenarios"
 SWEEP_AXIS = "coupling.delta=0.5:2.0:0.25"
 COLLISION_SWEEP_AXIS = "coupling.w=[8.0,10.0,12.0]"
 GRID_SWEEP_AXES = ("integrator.t_end=[20.0,40.0]", "coupling.delta=[0.75,1.25]")
+FRONTIER_AXES = ("coupling.delta=0.5:2.0:0.025", "coupling.w=[1.0,1.5]")
 
 
 def _sha256(data: bytes) -> str:
@@ -100,6 +105,10 @@ def main() -> int:
         sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
                  "--jobs", "2", *(arg for axis in GRID_SWEEP_AXES for arg in ("--axis", axis))]
         _print_digests("sweep_grids", [("sweep", sweep)], out, tmp)
+        out = Path(tmp) / "frontier"
+        sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
+                 "--jobs", "1", *(arg for axis in FRONTIER_AXES for arg in ("--axis", axis))]
+        _print_digests("frontier", [("sweep", sweep)], out, tmp)
     return 0
 
 

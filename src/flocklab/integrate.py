@@ -51,7 +51,13 @@ UNDERFLOW_FACTOR = 1e-14
 
 BLOCK = 64  # a flush fills the samples of up to this many recorded steps
 
-BATCH_BYTES = 2**20  # a batch's sample buffer, and its dense-output point buffer, at most
+FLUSH_ROWS = 512  # a batch's flush fills at most this many samples per Hermite pass
+
+# what one batch holds at most: its members' samples and dense-output points,
+# and one flush slice's Hermite temporaries.  An attempt costs nearly the same
+# numpy calls at any block size, so bigger blocks are faster, with gains that
+# flatten past about 64 members; 5 MiB holds 65 runs of 801 samples at nr = 5
+BATCH_BYTES = 5 * 2**20
 
 # classic 3(2) pair coefficients, one per stage row of k1..k4; an axis-0
 # reduction adds the weighted rows in order, as b0*k1 + b1*k2 + b2*k3 does
@@ -155,14 +161,16 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
 
 
 def batch_size(n: int, r: int, cfg: IntegratorConfig) -> int:
-    """Most members of one `integrate_batch` call whose buffers each fit BATCH_BYTES.
+    """Most members of one `integrate_batch` call that fit BATCH_BYTES together.
 
     A member holds its samples and 2 * (BLOCK + 1) rows of dense-output
-    points, so it is sized by the larger count.
+    points.  A flush slice holds 9 * FLUSH_ROWS rows, whatever the block's
+    size: the gathered (y0, f0, y1, f1) of each sample, their weighted
+    terms and their sum.  A row is one state of 2nr floats.
     """
     samples = len(_sample_grid(cfg.t0, cfg.t_end, cfg.sample_dt))
-    rows = max(samples, 2 * (BLOCK + 1))
-    return max(1, BATCH_BYTES // (rows * 2 * n * r * 8))
+    row = 2 * n * r * 8
+    return max(1, (BATCH_BYTES - 9 * FLUSH_ROWS * row) // ((samples + 2 * (BLOCK + 1)) * row))
 
 
 def _hermite_weights(theta, h):
@@ -286,10 +294,11 @@ class _BatchDense:
     shared grid finds those for every row.  A step starts at its row's
     last accepted end point, or at the point the buffer restarted with, so
     each recorded step has the (y0, f0, y1, f1) `_DenseOutput` records for
-    it.  `flush` fills every sample the recorded steps reach with one
-    `_hermite_rows` call; it runs when the buffer is full and must run
-    before the samples are read.  The row arrays follow the block: `keep`
-    drops the rows of members that left it.
+    it.  `flush` fills every sample the recorded steps reach, FLUSH_ROWS
+    samples per `_hermite_rows` call, so its temporaries do not grow with
+    the block; it runs when the buffer is full and must run before the
+    samples are read.  The row arrays follow the block: `keep` drops the
+    rows of members that left it.
     """
 
     def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
@@ -338,15 +347,24 @@ class _BatchDense:
         self.records = []
         recorded = columns.pop()
         members, firsts, ends, starts, hs, lo, hi = (column[recorded] for column in columns)
-        counts = hi - lo  # samples per recorded step
-        step = np.repeat(np.arange(len(counts)), counts)
-        sample = np.arange(len(step)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        h = hs[step]
-        theta = np.clip((self.grid[sample] - starts[step]) / h, 0.0, 1.0)
-        # (y0, f0, y1, f1) of each sample's step among the (state, slope) rows
-        basis = (2 * np.stack((firsts, ends)))[:, None, step] + _PAIR_ROWS
+        # number the samples to fill 0..total-1, step by step: step s has
+        # the numbers bounds[s] - counts[s] up to bounds[s] - 1
+        counts = hi - lo
+        bounds = np.cumsum(counts)
+        shift = lo - (bounds - counts)  # a sample's grid index, less its number
+        # (y0, f0, y1, f1) of each step among the (state, slope) rows
+        basis = (2 * np.stack((firsts, ends)))[:, None] + _PAIR_ROWS
         rows = self.points.reshape(-1, self.points.shape[-1])
-        self.samples[members[step], sample] = _hermite_rows(rows[basis.reshape(4, -1)], theta, h)
+        total = int(counts.sum())
+        for first in range(0, total, FLUSH_ROWS):
+            number = np.arange(first, min(first + FLUSH_ROWS, total))
+            step = np.searchsorted(bounds, number, side="right")
+            sample = number + shift[step]
+            h = hs[step]
+            theta = np.clip((self.grid[sample] - starts[step]) / h, 0.0, 1.0)
+            self.samples[members[step], sample] = _hermite_rows(
+                rows[basis[..., step].reshape(4, -1)], theta, h
+            )
 
     def keep(self, rows, y: np.ndarray, f: np.ndarray) -> None:
         """Keep only these block rows, restarting from their (y, f); call it after `flush`."""

@@ -23,6 +23,7 @@ from flocklab.coupling import (
 from flocklab.dynamics import RepulsionModel, logistic_cosine, lorenz, zero_dynamics
 from flocklab.integrate import (
     BLOCK,
+    FLUSH_ROWS,
     CollisionEvent,
     Completed,
     IntegratorConfig,
@@ -268,13 +269,40 @@ def test_libm_matches_the_math_call_per_element():
     assert libm(math.sin, 0.5) == math.sin(0.5)
 
 
-def test_batch_size_keeps_sample_buffers_under_one_mebibyte():
-    # the frontier sweep's points: n = 5, r = 1, 801 samples of 10 floats
+def test_batch_size_keeps_a_block_under_five_mebibytes():
+    # the frontier sweep's points: n = 5, r = 1, 801 samples and 2 * (BLOCK +
+    # 1) = 130 dense-output points of 10 floats per member, next to a flush
+    # slice of 9 * 512 rows: a --jobs 2 worker's 61 runs fit in one block
     cfg = IntegratorConfig(t_end=40.0, sample_dt=0.05)
-    assert batch_size(5, 1, cfg) == 16 == 2**20 // (801 * 10 * 8)
+    slice_bytes = 9 * 512 * 80
+    assert batch_size(5, 1, cfg) == 65 == (5 * 2**20 - slice_bytes) // ((801 + 130) * 80)
     assert batch_size(50, 3, cfg) == 1
-    # 3 samples, but 2 * (BLOCK + 1) = 130 rows of dense-output points per member
-    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 100 == 2**20 // (130 * 80)
+    # 3 samples, but still 130 rows of dense-output points per member
+    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 458 == (
+        (5 * 2**20 - slice_bytes) // ((3 + 130) * 80)
+    )
+
+
+def test_batch_flush_fills_at_most_flush_rows_samples_per_hermite_pass(monkeypatch):
+    # 64 frontier runs over 32 delta values: up to 64 attempts of 64 members
+    # reach thousands of samples per flush, and the members take different
+    # numbers of attempts, so they leave the block at different flushes
+    runs = _frontier_runs()[:64]
+    alone = [integrate(*run) for run in runs]
+    assert len({traj.n_accepted + traj.n_rejected for traj in alone}) > 1
+    passes = []
+    real = integrate_module._hermite_rows
+
+    def spy(basis, theta, h, out=None):
+        passes.append(len(theta))
+        return real(basis, theta, h, out)
+
+    monkeypatch.setattr(integrate_module, "_hermite_rows", spy)
+    batched = integrate_batch(*zip(*runs))
+    # every sample but the first is filled by a Hermite pass of at most FLUSH_ROWS
+    assert max(passes) == FLUSH_ROWS and sum(passes) == 64 * 800
+    for a, b in zip(alone, batched):
+        _assert_same(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +371,14 @@ def test_integrate_runs_sends_a_lone_run_through_integrate(monkeypatch):
     _batch_spy(monkeypatch, blocks)
     lone = [_member("baseline", "constant", None, 3, 1, "plain", 1.0, 2.0, 0)]
     _assert_same(integrate(*lone[0]), _results(lone)[0])
-    # a group whose cap is one runner is cut into blocks of one
-    frontier = IntegratorConfig(t_end=40.0, sample_dt=0.05)
+    # a group whose cap is one runner is cut into blocks of one: 4001
+    # samples of 2nr = 300 floats are 9.2 MiB, more than a block may hold
+    long_grid = IntegratorConfig(t_end=40.0, sample_dt=0.01)
     alone = []
     monkeypatch.setattr(integrate_module, "integrate", lambda *run: alone.append(run) or "alone")
-    big = [_member("baseline", "constant", None, 50, 3, "plain", 1.0, 2.0, s)[:2] + (frontier,)
+    big = [_member("baseline", "constant", None, 50, 3, "plain", 1.0, 2.0, s)[:2] + (long_grid,)
            for s in range(3)]
-    assert batch_size(50, 3, frontier) == 1
+    assert batch_size(50, 3, long_grid) == 1
     assert _results(big) == {0: "alone", 1: "alone", 2: "alone"}
     assert alone == big and blocks == []
 
@@ -388,12 +417,14 @@ def _frontier_runs() -> list:
     return runs
 
 
-def test_integrate_runs_cuts_the_frontier_runs_into_blocks_of_at_most_16(monkeypatch):
-    # 801 samples of 2nr = 10 floats: at most 16 runs keep a block's samples under 1 MiB
+def test_integrate_runs_cuts_the_frontier_runs_into_blocks_of_at_most_65(monkeypatch):
+    # 801 samples and 130 dense-output points of 2nr = 10 floats, next to one
+    # flush slice: at most 65 runs keep a block under 5 MiB, so each worker's
+    # round-robin share at --jobs 1, 2 or 3 is cut into blocks of 61 or fewer
     runs = _frontier_runs()
     blocks = []
     _batch_spy(monkeypatch, blocks, result=lambda specs: [None] * len(specs))
-    for share, sizes in ((runs, [16, 16] + [15] * 6), (runs[::2], [16, 15, 15, 15])):
+    for share, sizes in ((runs, [61, 61]), (runs[::2], [61]), (runs[::3], [41])):
         blocks.clear()
         assert _results(share) == dict.fromkeys(range(len(share)))
         assert [len(block) for block in blocks] == sizes

@@ -642,12 +642,12 @@ def test_sweep_worker_drops_each_block_before_integrating_the_next(monkeypatch):
     assert alive_at_call == [0, 0]
 
 
-@pytest.mark.parametrize("jobs, sizes", [(1, [16, 16] + [15] * 6), (2, [16, 15, 15, 15] * 2),
+@pytest.mark.parametrize("jobs, sizes", [(1, [61, 61]), (2, [61, 61]), (3, [41, 41, 40]),
                                          (9, [14] * 5 + [13] * 4)])
-def test_sweep_batches_hold_at_most_a_mebibyte_of_samples(jobs, sizes, tmp_path, monkeypatch,
-                                                          capsys):
-    # the frontier sweep: 122 points, 801 samples of 2nr = 10 floats each;
-    # each worker's round-robin share is cut into blocks of at most 16 runs
+def test_sweep_batches_hold_at_most_five_mebibytes(jobs, sizes, tmp_path, monkeypatch, capsys):
+    # the frontier sweep: 122 points, 801 samples and 130 dense-output points
+    # of 2nr = 10 floats each, next to one flush slice of 9 * 512 rows; each
+    # worker's round-robin share is cut into blocks of at most 65 runs
     import concurrent.futures
 
     import flocklab.integrate as integrate_module
@@ -669,7 +669,7 @@ def test_sweep_batches_hold_at_most_a_mebibyte_of_samples(jobs, sizes, tmp_path,
     assert [size for size, _ in blocks] == sizes
     # nr = 5 and a grid from 0 to 40 by 0.05: 801 samples of 10 floats per run
     assert all(grids == {(5, 0.0, 40.0, 0.05)} for _, grids in blocks)
-    assert all(size * 801 * 10 * 8 <= 2**20 for size in sizes)
+    assert all(size * (801 + 130) * 10 * 8 + 9 * 512 * 10 * 8 <= 5 * 2**20 for size in sizes)
     assert "sweep: 122 points" in capsys.readouterr().out
 
 
