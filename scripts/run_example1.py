@@ -11,15 +11,10 @@ import argparse
 import pathlib
 from importlib.resources import files
 
-from flocklab import (
-    audit_sync_run,
-    decay_rate_fit,
-    evaluate_certificate,
-    load_scenario,
-    resolve_k_bound,
-)
 from flocklab.artifacts import certificate_report, plot_spread_v, write_timeseries_csv
+from flocklab.certify import audit_sync_run, decay_rate_fit
 from flocklab.integrate import integrate
+from flocklab.scenario import evaluate_certificate, load_scenario, resolve_k_bound
 
 SCENARIOS = ["example1_delta09", "example1_delta4", "example1_delta10"]
 

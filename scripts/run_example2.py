@@ -14,9 +14,10 @@ from importlib.resources import files
 
 import numpy as np
 
-from flocklab import evaluate_certificate, load_scenario, resolution_floor
 from flocklab.artifacts import certificate_report, plot_spread_v, write_timeseries_csv
+from flocklab.certify import resolution_floor
 from flocklab.integrate import integrate
+from flocklab.scenario import evaluate_certificate, load_scenario
 
 SCENARIOS = ["example2_strong", "example2_weak"]
 

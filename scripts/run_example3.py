@@ -14,19 +14,15 @@ from importlib.resources import files
 
 import numpy as np
 
-from flocklab import (
-    Completed,
-    audit_collision_run,
-    evaluate_certificate,
-    load_scenario,
-)
 from flocklab.artifacts import (
     certificate_report,
     plot_pairwise_distances,
     plot_spread_v,
     write_timeseries_csv,
 )
-from flocklab.integrate import integrate
+from flocklab.certify import audit_collision_run
+from flocklab.integrate import Completed, integrate
+from flocklab.scenario import evaluate_certificate, load_scenario
 
 SCENARIOS = ["example3_strong", "example3_weak"]
 

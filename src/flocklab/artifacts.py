@@ -232,10 +232,12 @@ class SvgPlot:
         return np.log10(np.clip(values, 1e-16, None))
 
     def render(self) -> str:
-        xs_all = np.concatenate([t for _, t, _ in self.series])
-        ys_all = np.concatenate([self._prepare(v) for _, _, v in self.series])
-        for _, val in self.hlines:
-            ys_all = np.append(ys_all, self._prepare(np.array([val])))
+        xs = [t for _, t, _ in self.series]
+        ys = [self._prepare(v) for _, _, v in self.series]
+        ys += [self._prepare(np.array([val])) for _, val in self.hlines]
+        # nothing to draw (one agent has no pairs): an empty frame on the unit axes
+        xs_all = np.concatenate(xs or [np.zeros(1)])
+        ys_all = np.concatenate(ys or [np.zeros(1)])
         x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
         y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
         if x_hi <= x_lo:

@@ -33,6 +33,8 @@ _PROBE_CAP = 1e15
 
 FLOOR_FACTOR = 100.0
 
+ROW_SUM_TOL = 1e-9  # relative spread of row sums `contraction_coefficient` accepts
+
 
 @dataclass(frozen=True)
 class ContractionResult:
@@ -42,7 +44,7 @@ class ContractionResult:
     j: int
 
 
-def contraction_coefficient(p, row_sum_tol: float = 1e-9) -> ContractionResult:
+def contraction_coefficient(p) -> ContractionResult:
     """Contraction factor of a nonnegative constant-row-sum matrix.
 
     For any vector z, the spread of P z shrinks by at least this factor:
@@ -56,7 +58,7 @@ def contraction_coefficient(p, row_sum_tol: float = 1e-9) -> ContractionResult:
         raise ValueError("matrix entries must be nonnegative")
     sums = p.sum(axis=1)
     m = float(sums[0])
-    if np.abs(sums - m).max() > row_sum_tol * max(1.0, abs(m)):
+    if np.abs(sums - m).max() > ROW_SUM_TOL * max(1.0, abs(m)):
         raise ValueError("row sums are not constant within tolerance")
     n = p.shape[0]
     if n == 1:

@@ -32,6 +32,7 @@ _GL_W = 0.5 * _GL_WEIGHTS
 
 _FD_STEP = 1e-6
 _K_BLOCK = 1024  # box points per Jacobian call in k_region: bounded memory as 2^r grows
+SAMPLES_PER_DIM = 9  # k_region's grid points per box side where a Jacobian is not affine
 
 
 @dataclass(frozen=True)
@@ -164,14 +165,17 @@ def logistic_cosine_solution(t, z0: float):
     return (2.0 - c * e) / (1.0 - c * e)
 
 
-def logistic_cosine_envelope_bound(z0: float, n_grid: int = 4097) -> float:
+ENVELOPE_GRID = 4097  # time samples over one period of the logistic-cosine orbit
+
+
+def logistic_cosine_envelope_bound(z0: float) -> float:
     """Alignment penalty along the closed-form orbit through z0.
 
     For initial velocities below z0 the worst pairwise penalty is
     2 z(t) - 3 evaluated on the orbit; the maximum over one period is
     returned.  With z0 = 1.5 this is (1 - e^-1) / (1 + e^-1).
     """
-    t = np.linspace(0.0, 2.0 * math.pi, n_grid)
+    t = np.linspace(0.0, 2.0 * math.pi, ENVELOPE_GRID)
     z = logistic_cosine_solution(t, z0)
     return float(np.max(2.0 * z - 3.0))
 
@@ -247,12 +251,7 @@ def _row_penalties(jac: np.ndarray) -> np.ndarray:
 
 DEFAULT_T_GRID = np.linspace(0.0, 2.0 * math.pi, 257)
 
-def k_region(
-    dyn: InternalDynamics,
-    box=None,
-    t_grid=None,
-    samples_per_dim: int = 9,
-) -> float:
+def k_region(dyn: InternalDynamics, box=None, t_grid=None) -> float:
     """Maximum alignment penalty over a state box and a time grid.
 
     For affine Jacobians the per-time maximum is attained at box corners and
@@ -282,7 +281,7 @@ def k_region(
             "the result is an estimate, not a certified bound",
             stacklevel=2,
         )
-        grid = np.linspace(box[:, 0], box[:, 1], samples_per_dim, axis=1)
+        grid = np.linspace(box[:, 0], box[:, 1], SAMPLES_PER_DIM, axis=1)
 
     # point p takes grid[d, i_d] for the base-len(grid[0]) digits i of p
     shape = (grid.shape[1],) * dyn.dim

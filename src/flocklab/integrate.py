@@ -36,14 +36,15 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import starmap
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .models import ModelSpec, batch_key, batch_rhs, flat_rhs, pack, unpack
-from .state import FlockState, min_pair_distance_sq, pair_dot
+from .state import FlockState, min_pair_distance_sq, pair_dot, spreads
 
 log = logging.getLogger(__name__)
 
@@ -133,24 +134,27 @@ class Trajectory:
     n_accepted: int
     n_rejected: int
     cfg: IntegratorConfig
-    spread_v: np.ndarray = field(init=False)
-    spread_x: np.ndarray = field(init=False)
-    min_dist_sq: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.spread_v = (self.vs.max(axis=1) - self.vs.min(axis=1)).max(axis=1)
-        self.spread_x = (self.xs.max(axis=1) - self.xs.min(axis=1)).max(axis=1)
+    # each fold over the samples is computed on first read: a sweep reads only spread_v
+    @cached_property
+    def spread_v(self) -> np.ndarray:
+        return spreads(self.vs)
+
+    @cached_property
+    def spread_x(self) -> np.ndarray:
+        return spreads(self.xs)
+
+    @cached_property
+    def min_dist_sq(self) -> np.ndarray:
         # one agent row at a time over the (r, k, n) layout: the full
         # (k, n, n, r) difference array would be 40 MB at k=1001, n=50
-        self.min_dist_sq = np.full(len(self.ts), np.inf)
+        out = np.full(len(self.ts), np.inf)
         xt = np.ascontiguousarray(self.xs.transpose(2, 0, 1))
         for i in range(self.xs.shape[1] - 1):
             diff = xt[:, :, i : i + 1] - xt[:, :, i + 1 :]
             d2 = pair_dot(diff, diff)
-            np.minimum(self.min_dist_sq, d2.min(axis=1), out=self.min_dist_sq)
-
-    def state_at(self, k: int) -> FlockState:
-        return FlockState(t=float(self.ts[k]), x=self.xs[k], v=self.vs[k])
+            np.minimum(out, d2.min(axis=1), out=out)
+        return out
 
 
 def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:

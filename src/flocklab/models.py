@@ -198,12 +198,6 @@ def batch_rhs(specs):
     return f
 
 
-def rhs(spec: ModelSpec, t: float, x: np.ndarray, v: np.ndarray):
-    """(dx, dv) as (n, r) arrays at time t; a thin wrapper over `flat_rhs`."""
-    y = pack(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-    return unpack(flat_rhs(spec)(t, y), spec.n, spec.r)
-
-
 def pack(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Flatten (x, v) into the 2nr vector the integrator works on."""
     return np.concatenate([x.ravel(), v.ravel()])

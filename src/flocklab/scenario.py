@@ -672,12 +672,6 @@ def load_scenario(text: str, seed_override: Optional[int] = None, seed_path=None
     return materialize(read_document(text, seed_override), seed_path=seed_path)
 
 
-def load_scenario_file(path, seed_override: Optional[int] = None, seed_path=None) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return load_scenario(text, seed_override=seed_override, seed_path=seed_path)
-
-
 # ---------------------------------------------------------------------------
 # certificates from scenarios
 

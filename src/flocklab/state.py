@@ -62,23 +62,13 @@ def libm(fn, t):
     return fn(t)
 
 
-def spread_dim(y, dim: int) -> float:
-    """Range max - min of coordinate `dim` (zero based) over all agents."""
-    y = _as_2d(y)
-    n, r = y.shape
-    if not 0 <= dim < r:
-        raise ValueError(f"dim {dim} out of range for r={r}")
-    col = y[:, dim]
-    return float(col.max() - col.min())
-
-
 def spread(y) -> float:
     """Largest per-coordinate range over all agents (the spread S(y))."""
     return float(spreads(_as_2d(y)))
 
 
 def spreads(y: np.ndarray) -> np.ndarray:
-    """S of an (n, r) flock as a 0-d array, or of each flock of a (B, n, r) batch."""
+    """S of an (n, r) flock as a 0-d array, or of each flock of a (B, n, r) stack."""
     return (y.max(axis=-2) - y.min(axis=-2)).max(axis=-1)
 
 
@@ -105,15 +95,6 @@ def spread_report(y) -> SpreadReport:
     i = int(np.argmax(y[:, dim]))
     j = int(np.argmin(y[:, dim]))
     return SpreadReport(value=float(per_dim[dim]), per_dim=per_dim, dim=dim, i=i, j=j)
-
-
-def pairwise_distance_sq(x, i: int, j: int) -> float:
-    """Squared Euclidean distance between agents i and j (zero based)."""
-    x = _as_2d(x)
-    if i == j:
-        raise ValueError("pairwise distance needs two distinct agents")
-    d = x[i] - x[j]
-    return float(d @ d)
 
 
 def pair_differences(y) -> np.ndarray:
@@ -216,9 +197,3 @@ class FlockState:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "n", x.shape[0])
         object.__setattr__(self, "r", x.shape[1])
-
-    def spread_x(self) -> float:
-        return spread(self.x)
-
-    def spread_v(self) -> float:
-        return spread(self.v)

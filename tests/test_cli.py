@@ -237,6 +237,31 @@ def test_simulate_writes_expected_artifacts(control_run, capsys):
     assert set(manifest["versions"]) == {"flocklab", "numpy", "scipy", "python"}
 
 
+@pytest.mark.parametrize("name", ["example1_delta09", "example2_strong"])
+def test_one_agent_flock_simulates_and_audits(name, tmp_path, capsys):
+    # one agent has no pair to plot: the pairwise plot is an empty frame
+    doc = json.loads(Path(bundled_path(name)).read_text(encoding="utf-8"))
+    r = doc["r"]
+    doc["n"] = 1
+    doc["initial"] = {"mode": "explicit", "x": [[0.0] * r], "v": [[1.2] * r]}
+    doc["integrator"]["t_end"] = 1.0
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out), "--full"]) == EXIT_OK
+    assert main(["audit", "--out", str(out)]) == EXIT_OK
+    assert {p.name for p in out.iterdir()} == {
+        "timeseries.csv",
+        "velocity_components.svg",
+        "pairwise_distances.svg",
+        "spread_v_log.svg",
+        "certificate.txt",
+        "manifest.json",
+    }
+    svg = (out / "pairwise_distances.svg").read_text(encoding="utf-8")
+    assert svg.endswith("</svg>\n") and "<polyline" not in svg
+
+
 def test_simulate_csv_has_full_state_columns(control_run):
     with open(control_run / "timeseries.csv", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh))
@@ -732,6 +757,18 @@ def _fresh_python(code: str) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # the package root holds only __version__; each name is imported from its module
+    got = _fresh_python(
+        "import json, sys\n"
+        "import flocklab\n"
+        "print(json.dumps({'version': flocklab.__version__,\n"
+        "    'loaded': sorted(m for m in sys.modules\n"
+        "                     if m == 'numpy' or m.startswith('flocklab.'))}))\n"
+    )
+    assert got == {"version": flocklab.__version__, "loaded": []}
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

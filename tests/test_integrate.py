@@ -278,9 +278,31 @@ def test_trajectory_derives_summary_series():
     np.testing.assert_allclose(traj.spread_v, [1.0, 2.0])
     np.testing.assert_allclose(traj.spread_x, [4.0, 8.0])
     np.testing.assert_allclose(traj.min_dist_sq, [25.0, 100.0])
-    state = traj.state_at(1)
-    assert state.t == 1.0
-    np.testing.assert_array_equal(state.x, xs[1])
+
+
+def test_trajectory_folds_are_computed_on_first_read(monkeypatch):
+    # a sweep reads only spread_v; the pair-distance fold must not run for it
+    calls = []
+    real = integrate_module.pair_dot
+    monkeypatch.setattr(integrate_module, "pair_dot", lambda a, b: calls.append(1) or real(a, b))
+    rng = np.random.default_rng(4)
+    xs, vs = rng.normal(size=(2, 5, 3, 2))
+    traj = Trajectory(
+        ts=np.linspace(0.0, 1.0, 5),
+        xs=xs,
+        vs=vs,
+        termination=Completed(),
+        n_accepted=4,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=1.0, sample_dt=0.25),
+    )
+    assert traj.spread_v is traj.spread_v
+    assert calls == []
+    np.testing.assert_array_equal(traj.spread_v, (vs.max(axis=1) - vs.min(axis=1)).max(axis=1))
+    np.testing.assert_array_equal(traj.spread_x, (xs.max(axis=1) - xs.min(axis=1)).max(axis=1))
+    assert calls == []
+    assert traj.min_dist_sq is traj.min_dist_sq
+    assert len(calls) == 2  # one fold per agent row but the last
 
 
 @st.composite

@@ -25,10 +25,15 @@ from flocklab.models import (
     SingularDistanceError,
     flat_rhs,
     pack,
-    rhs,
     unpack,
 )
 from flocklab.state import FlockState, distance_sq_matrix
+
+
+def rhs(spec, t, x, v):
+    """(dx, dv) as (n, r) arrays at time t, through `flat_rhs` on the packed state."""
+    y = pack(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    return unpack(flat_rhs(spec)(t, y), spec.n, spec.r)
 
 
 def baseline_spec(n=2, r=1, w=1.0):
@@ -347,7 +352,7 @@ def test_pack_unpack_round_trip():
 
 
 def test_rhs_matches_per_variant_reference():
-    # rhs packs (x, v), calls flat_rhs and unpacks; check that round trip
+    # the rhs helper packs (x, v), calls flat_rhs and unpacks; check that round trip
     # against the reference written out independently of flat_rhs
     n, r = 4, 3
     base, x, v = _modulated_collision_flock(n, r, seed=8)

@@ -10,9 +10,7 @@ from flocklab.state import (
     min_pair_distance_sq,
     pair_differences,
     pair_dot,
-    pairwise_distance_sq,
     spread,
-    spread_dim,
     spread_report,
 )
 
@@ -35,17 +33,6 @@ def agent_matrix(draw, min_n=1, max_n=6, max_r=4, scale=1e3):
 
 def test_spread_reference_velocities():
     assert spread(V0_FIVE) == pytest.approx(0.4, abs=1e-15)
-
-
-def test_spread_dim_selects_column():
-    y = np.array([[0.0, 0.0], [3.0, -1.0]])
-    assert spread_dim(y, 0) == 3.0
-    assert spread_dim(y, 1) == 1.0
-
-
-def test_spread_dim_out_of_range():
-    with pytest.raises(ValueError):
-        spread_dim(np.zeros((2, 2)), 2)
 
 
 def test_spread_identical_rows_is_zero():
@@ -96,14 +83,9 @@ def test_spread_zero_iff_rows_equal(y):
     assert (spread(y) == 0.0) == bool((y == y[0]).all())
 
 
-def test_pairwise_distance_345():
-    x = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert pairwise_distance_sq(x, 0, 1) == 25.0
-
-
-def test_pairwise_distance_same_agent_error():
-    with pytest.raises(ValueError):
-        pairwise_distance_sq(np.zeros((3, 2)), 1, 1)
+def _distance_sq(x, i, j):
+    d = x[i] - x[j]
+    return float(d @ d)
 
 
 @given(agent_matrix(min_n=2))
@@ -111,11 +93,11 @@ def test_min_pair_distance_matches_brute_force(x):
     n = x.shape[0]
     val, i, j = min_pair_distance_sq(x)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    brute = min(pairwise_distance_sq(x, a, b) for a, b in pairs)
+    brute = min(_distance_sq(x, a, b) for a, b in pairs)
     # summation order differs between the matrix and per-pair paths
     assert val == pytest.approx(brute, rel=1e-12, abs=0)
     assert i < j
-    assert pairwise_distance_sq(x, i, j) == pytest.approx(val, rel=1e-12, abs=0)
+    assert _distance_sq(x, i, j) == pytest.approx(val, rel=1e-12, abs=0)
 
 
 def test_min_pair_distance_needs_two_agents():
@@ -205,7 +187,7 @@ def test_flock_state_copies_and_freezes():
     with pytest.raises(ValueError):
         state.x[0, 0] = 1.0
     assert (state.n, state.r) == (2, 1)
-    assert state.spread_v() == 0.0
+    assert spread(state.v) == 0.0
 
 
 def test_flock_state_shape_mismatch():
@@ -220,4 +202,4 @@ def test_flock_state_rejects_non_finite():
 
 def test_flock_state_accepts_single_agent():
     state = FlockState(t=1.0, x=[[0.0]], v=[[2.0]])
-    assert state.n == 1 and state.spread_x() == 0.0
+    assert state.n == 1 and spread(state.x) == 0.0
