@@ -11,11 +11,14 @@ one `sweep --simulate --jobs 2` of `example1_sweep` over two t_end values
 and two coupling.delta values, whose worker holds runs on two sample grids,
 and the benchmark's 122-point frontier sweep of `example1_sweep` at
 `--jobs 1`, integrated as two blocks of 61 runs whose flushes each fill
-several slices of samples.
+several slices of samples.  Two flocks above n = 5, whose plots draw
+min/median/max bands instead of one line per pair, run `simulate --full` and
+`audit`: a collision-free 4 x 3 lattice of 12 agents in the plane and a
+Lorenz sync flock of 8 agents in three dimensions.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
-`sweep_collision/`, `sweep_grids/` and `frontier/` and the region copy's
-`region_k/`.
+`sweep_collision/`, `sweep_grids/` and `frontier/`, the region copy's
+`region_k/`, and the two larger flocks' `lattice12/` and `lorenz8/`.
 The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
 
@@ -47,6 +50,28 @@ SWEEP_AXIS = "coupling.delta=0.5:2.0:0.25"
 COLLISION_SWEEP_AXIS = "coupling.w=[8.0,10.0,12.0]"
 GRID_SWEEP_AXES = ("integrator.t_end=[20.0,40.0]", "coupling.delta=[0.75,1.25]")
 FRONTIER_AXES = ("coupling.delta=0.5:2.0:0.025", "coupling.w=[1.0,1.5]")
+
+
+def _band_flocks() -> dict[str, dict]:
+    """example3_strong as a 12-agent lattice and example2_strong with 8 agents.
+
+    The fine sample grid lets the audit check some steps of the stiff Lorenz
+    flock before its velocity spread falls below the resolution floor.
+    """
+    docs = {}
+    for name, base, x, v in (
+        ("lattice12", "example3_strong",
+         [[1.5 * a, 1.5 * b] for a in range(4) for b in range(3)],
+         [[k % 4 - 0.5, float(k % 3)] for k in range(12)]),
+        ("lorenz8", "example2_strong",
+         [[k % 2 * 3.0, k % 3 - 1.0, k / 4] for k in range(8)],
+         [[k - 4.0, 2.0 - k % 5, 20.0 + k] for k in range(8)]),
+    ):
+        doc = json.loads((SCENARIO_DIR / f"{base}.json").read_text(encoding="utf-8"))
+        doc.update(name=name, n=len(x), initial={"mode": "explicit", "x": x, "v": v},
+                   integrator={"t_end": 1.0, "sample_dt": 0.002})
+        docs[name] = doc
+    return docs
 
 
 def _sha256(data: bytes) -> str:
@@ -109,6 +134,15 @@ def main() -> int:
         sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
                  "--jobs", "1", *(arg for axis in FRONTIER_AXES for arg in ("--axis", axis))]
         _print_digests("frontier", [("sweep", sweep)], out, tmp)
+        for name, doc in _band_flocks().items():
+            scenario = Path(tmp) / f"{name}.json"
+            scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+            out = Path(tmp) / name
+            commands = (
+                ("simulate", ["simulate", "--scenario", str(scenario), "--out", str(out), "--full"]),
+                ("audit", ["audit", "--out", str(out)]),
+            )
+            _print_digests(name, commands, out, tmp)
     return 0
 
 

@@ -349,9 +349,9 @@ class SvgPlot:
             fh.write(self.render())
 
 
-def _thin_indices(k: int, cap: int = 2000) -> np.ndarray:
+def _thin_indices(k: int, cap: int = 2000) -> slice | np.ndarray:
     if k <= cap:
-        return np.arange(k)
+        return slice(None)
     idx = np.linspace(0, k - 1, cap).round().astype(int)
     return np.unique(idx)
 
@@ -384,20 +384,36 @@ def plot_velocity_components(path, traj: Trajectory) -> None:
     plot.write(path)
 
 
+_BAND_BYTES = 2**20  # all temporaries of one chunk of samples in _pair_distance_bands
+
+
 def _pair_distance_bands(xs: np.ndarray) -> np.ndarray:
     """Min, median and max of |x_i - x_j| over pairs at each sample, (3, k).
 
-    Samples are taken in chunks so no more than about 2**18 pair distances
-    are held at once, whatever n is.
+    All temporaries of a chunk of samples fit _BAND_BYTES (or one sample's
+    pairs).  The bands are selected from squared distances, summed in the
+    order of `(diff * diff).sum(axis=-1)`; sqrt is monotone, so they equal
+    the distances' min, np.median and max bit for bit.
     """
     iu, ju = np.triu_indices(xs.shape[1], k=1)
-    chunk = max(1, 2**18 // len(iu))
-    bands = []
+    half = len(iu) // 2
+    chunk = max(1, _BAND_BYTES // (4 * len(iu) * xs.itemsize))  # squares, 2 gathers, a difference
+    bands = np.empty((3, len(xs)))
     for lo in range(0, len(xs), chunk):
-        diff = xs[lo : lo + chunk, iu, :] - xs[lo : lo + chunk, ju, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        bands.append([dist.min(axis=1), np.median(dist, axis=1), dist.max(axis=1)])
-    return np.concatenate(bands, axis=1)
+        block = np.moveaxis(xs[lo : lo + chunk], 2, 0)  # (r, m, n), coordinate-major
+        sq = np.zeros((block.shape[1], len(iu)))  # 0.0 + d is d: no square is -0.0
+        for col in block:
+            sq += np.square(col[:, iu] - col[:, ju])
+        low, mid, high = bands[:, lo : lo + chunk]
+        sq.min(axis=1, out=low)
+        sq.max(axis=1, out=high)
+        sq.partition(half, axis=1)
+        np.sqrt(sq[:, half], out=mid)
+        if len(iu) % 2 == 0:  # np.median's mean of the two middle values
+            mid[:] = (np.sqrt(sq[:, :half].max(axis=1)) + mid) / 2
+        mid[np.isnan(high)] = np.nan
+    np.sqrt(bands[::2], out=bands[::2])
+    return bands
 
 
 def plot_pairwise_distances(path, traj: Trajectory, d0: Optional[float] = None) -> None:

@@ -16,6 +16,7 @@ or a batch of flocks each at its own time.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,11 +25,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .state import libm
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# map from [-1, 1] to [0, 1]
-_GL_Q = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
 
 _FD_STEP = 1e-6
 _K_BLOCK = 1024  # box points per Jacobian call in k_region: bounded memory as 2^r grows
@@ -219,15 +215,23 @@ BUILTIN_DYNAMICS = {
 }
 
 
+@functools.cache  # on first use: numpy.polynomial takes milliseconds to import
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
 def segment_jacobian_integrals(dyn: InternalDynamics, t: float, y, w) -> np.ndarray:
     """Entrywise int_0^1 J(t, q y + (1-q) w) dq by 16-point Gauss-Legendre."""
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if y.shape != (dyn.dim,) or w.shape != (dyn.dim,):
         raise ValueError(f"segment endpoints must have shape ({dyn.dim},)")
-    nodes = _GL_Q[:, None] * y + (1.0 - _GL_Q)[:, None] * w
+    q, wts = _gauss_legendre()
+    nodes = q[:, None] * y + (1.0 - q)[:, None] * w
     # a running sum in node order, from +0.0 (an entry -0.0 at every node is 0.0)
-    return np.cumsum(_GL_W[:, None, None] * dyn.eval_jacobian(t, nodes), axis=0)[-1] + 0.0
+    return np.cumsum(wts[:, None, None] * dyn.eval_jacobian(t, nodes), axis=0)[-1] + 0.0
 
 
 def k_pair(dyn: InternalDynamics, t: float, dim: int, y, w) -> float:

@@ -6,11 +6,13 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from flocklab import artifacts
 from flocklab.artifacts import (
     SvgPlot,
     certificate_fields,
@@ -429,6 +431,75 @@ def test_pairwise_plot_stays_small_for_large_flocks(tmp_path):
     path = tmp_path / "d.svg"
     plot_pairwise_distances(path, _random_flock(60), d0=0.25)
     assert path.stat().st_size < 100_000
+
+
+def _reference_bands(xs: np.ndarray) -> np.ndarray:
+    """Min, median and max pair distance per sample, from all (k, P, r) differences at once."""
+    iu, ju = np.triu_indices(xs.shape[1], k=1)
+    diff = xs[:, iu, :] - xs[:, ju, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    return np.array([dist.min(axis=1), np.median(dist, axis=1), dist.max(axis=1)])
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 50])  # 15, 21, 28 and 1225 pairs
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_pair_distance_bands_match_the_reference_bit_for_bit(n, r):
+    rng = np.random.default_rng(10 * n + r)
+    # at n = 50 a chunk holds 26 samples, so 60 samples take three chunks
+    xs = rng.normal(size=(60, n, r)) * math.pi
+    assert np.array_equal(artifacts._pair_distance_bands(xs), _reference_bands(xs))
+
+
+def _degenerate_samples(kind: str) -> np.ndarray:
+    xs = np.random.default_rng(4).normal(size=(5, 9, 2))
+    if kind == "lattice":  # 9 agents on a 3 x 3 grid: many tied distances
+        xs[:] = np.indices((3, 3)).reshape(2, 9).T * 0.7
+    elif kind == "collapsed":
+        xs[:] = 0.0
+    else:
+        xs[2, 4, 1] = np.nan
+    return xs
+
+
+@pytest.mark.parametrize("kind", ["lattice", "collapsed", "nan"])
+def test_pair_distance_bands_match_the_reference_on_degenerate_samples(kind):
+    xs = _degenerate_samples(kind)
+    got = artifacts._pair_distance_bands(xs)
+    assert np.array_equal(got, _reference_bands(xs), equal_nan=True)
+    assert np.isnan(got[:, 2]).all() == (kind == "nan")
+
+
+def test_pairwise_plot_of_a_large_flock_stays_within_a_few_mebibytes(tmp_path):
+    traj = _random_flock(50, k=1001)
+    tracemalloc.start()
+    try:
+        plot_pairwise_distances(tmp_path / "d.svg", traj, d0=0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (k, P, r) pair differences alone would be 18.7 MiB
+    assert peak < 4 * 2**20
+
+
+def test_unthinned_plots_draw_views_of_the_samples(tmp_path, monkeypatch):
+    # up to 2000 samples nothing is thinned, and no plot copies a sample array
+    drawn = []
+    add_series = SvgPlot.add_series
+
+    def recording(self, label, t, values):
+        drawn.append((t, values))
+        add_series(self, label, t, values)
+
+    monkeypatch.setattr(SvgPlot, "add_series", recording)
+    small, large = _moving_flock(5), _moving_flock(6)
+    plot_velocity_components(tmp_path / "v5.svg", small)  # 10 components
+    plot_velocity_components(tmp_path / "v6.svg", large)  # 6 bands
+    plot_pairwise_distances(tmp_path / "d.svg", large)  # 3 bands
+    plot_spread_v(tmp_path / "s.svg", large)
+    assert len(drawn) == 20
+    assert all(np.shares_memory(t, small.ts) and np.shares_memory(v, small.vs) for t, v in drawn[:10])
+    assert all(np.shares_memory(t, large.ts) for t, _ in drawn[10:])
+    assert np.shares_memory(drawn[-1][1], large.spread_v)
 
 
 def _velocity_legend(text: str) -> list[str]:

@@ -780,6 +780,16 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert got == {"loaded": False}
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre nodes of segment_jacobian_integrals are built on first use
+    got = _fresh_python(
+        "import json, sys\n"
+        "import flocklab.cli\n"
+        "print(json.dumps({'loaded': 'numpy.polynomial' in sys.modules}))\n"
+    )
+    assert got == {"loaded": False}
+
+
 def test_simulate_leaves_scipy_integrate_unloaded(tmp_path):
     got = _fresh_python(
         "import json, sys\n"
