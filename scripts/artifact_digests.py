@@ -11,14 +11,16 @@ one `sweep --simulate --jobs 2` of `example1_sweep` over two t_end values
 and two coupling.delta values, whose worker holds runs on two sample grids,
 and the benchmark's 122-point frontier sweep of `example1_sweep` at
 `--jobs 1`, integrated as two blocks of 61 runs whose flushes each fill
-several slices of samples.  Two flocks above n = 5, whose plots draw
-min/median/max bands instead of one line per pair, run `simulate --full` and
-`audit`: a collision-free 4 x 3 lattice of 12 agents in the plane and a
-Lorenz sync flock of 8 agents in three dimensions.
+several slices of samples.  Three more flocks run `simulate --full` and
+`audit`: two above n = 5, whose plots draw min/median/max bands instead of
+one line per pair (a collision-free 4 x 3 lattice of 12 agents in the plane
+and a Lorenz sync flock of 8 agents in three dimensions), and
+`example1_delta09` to t_end 5 on a 0.001 grid, whose 57 steps reach 5,000
+samples in one flush of ten slices.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
 `sweep_collision/`, `sweep_grids/` and `frontier/`, the region copy's
-`region_k/`, and the two larger flocks' `lattice12/` and `lorenz8/`.
+`region_k/`, and the three flocks' `lattice12/`, `lorenz8/` and `fine_delta09/`.
 The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
 
@@ -52,10 +54,12 @@ GRID_SWEEP_AXES = ("integrator.t_end=[20.0,40.0]", "coupling.delta=[0.75,1.25]")
 FRONTIER_AXES = ("coupling.delta=0.5:2.0:0.025", "coupling.w=[1.0,1.5]")
 
 
-def _band_flocks() -> dict[str, dict]:
-    """example3_strong as a 12-agent lattice and example2_strong with 8 agents.
+def _extra_flocks() -> dict[str, dict]:
+    """Three flocks past the bundled runs: a lattice, a Lorenz flock and a fine grid.
 
-    The fine sample grid lets the audit check some steps of the stiff Lorenz
+    They are example3_strong as a 12-agent lattice, example2_strong with 8
+    agents, and example1_delta09 to t_end 5 on a 0.001 grid, whose one-run
+    flush fills several slices.  The 0.002 grid of the first two lets the audit check some steps of the stiff Lorenz
     flock before its velocity spread falls below the resolution floor.
     """
     docs = {}
@@ -71,6 +75,9 @@ def _band_flocks() -> dict[str, dict]:
         doc.update(name=name, n=len(x), initial={"mode": "explicit", "x": x, "v": v},
                    integrator={"t_end": 1.0, "sample_dt": 0.002})
         docs[name] = doc
+    doc = json.loads((SCENARIO_DIR / "example1_delta09.json").read_text(encoding="utf-8"))
+    doc.update(name="fine_delta09", integrator={"t_end": 5.0, "sample_dt": 0.001})
+    docs["fine_delta09"] = doc
     return docs
 
 
@@ -134,7 +141,7 @@ def main() -> int:
         sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
                  "--jobs", "1", *(arg for axis in FRONTIER_AXES for arg in ("--axis", axis))]
         _print_digests("frontier", [("sweep", sweep)], out, tmp)
-        for name, doc in _band_flocks().items():
+        for name, doc in _extra_flocks().items():
             scenario = Path(tmp) / f"{name}.json"
             scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")
             out = Path(tmp) / name

@@ -5,8 +5,10 @@ property: the third-order solution is propagated, the embedded second-order
 solution drives step control.  Sample output lands on a uniform grid via
 cubic Hermite interpolation inside each accepted step, so tightening the
 step controller never changes the reported grid.  The samples are filled
-one block of accepted steps at a time, with the bits each would have if
-its step were interpolated alone.
+one block of accepted steps at a time, when the block's buffer is full and
+once when the run ends, with the bits each would have if its step were
+interpolated alone; one Hermite pass fills at most FLUSH_ROWS of them, so
+a fill's temporaries do not grow with the sample density.
 
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
@@ -15,17 +17,18 @@ the dense output and terminates the run with the offending pair.
 `integrate_batch` steps B flocks of one kind, on one sample grid, in
 lockstep, as the rows of one (B, 2nr) block: each step attempt makes one RHS call per stage for every
 member still running.  Each member keeps its own time, step size, accept or
-reject decision, event scan, dense output and termination, and leaves the
-block when it stops, so it gets the Trajectory `integrate` gives it, bit for
-bit.  The members' times, step sizes, error scales and counters are (B,)
-arrays, and one attempt's clamp, accept or reject and dense-output record
-are a fixed number of array operations whatever B is, with the IEEE
-operations `_Run` applies to one run, in the same order.  Only the
-step-size controller (libm's `pow`, Python's NaN-ignoring `min` and `max`)
-and the event scan run per member, in Python.  Both paths share the stage
-rule (`_attempt`), the coefficients, the Hermite rows, the controller, the
-event scan and the sample grid; the one-run path keeps Python floats, which
-cost less than arrays of one.
+reject decision, event scan and termination, and leaves the block when it
+stops, without a fill: the block's next fill covers its recorded steps.  So
+each member gets the Trajectory `integrate` gives it, bit for bit.  The
+members' times, step sizes, error scales and counters are (B,) arrays, and
+one attempt's clamp, accept or reject and dense-output record are a fixed
+number of array operations whatever B is, with the IEEE operations
+`integrate_flat` applies to one run, in the same order.  Only the step-size
+controller (libm's `pow`, Python's NaN-ignoring `min` and `max`) and the
+event scan run per member, in Python.  Both paths share the stage rule
+(`_attempt`), the coefficients, the sample fill (`_fill`), the controller,
+the event scan and the sample grid; the one-run path keeps Python floats,
+which cost less than arrays of one.
 
 `integrate_runs` takes runs of any kinds and sample grids and owns every
 batching rule: which runs share a block, how many, and what runs alone.
@@ -52,7 +55,7 @@ UNDERFLOW_FACTOR = 1e-14
 
 BLOCK = 64  # a flush fills the samples of up to this many recorded steps
 
-FLUSH_ROWS = 512  # a batch's flush fills at most this many samples per Hermite pass
+FLUSH_ROWS = 512  # a flush fills at most this many samples per Hermite pass
 
 # what one batch holds at most: its members' samples and dense-output points,
 # and one flush slice's Hermite temporaries.  An attempt costs nearly the same
@@ -203,7 +206,7 @@ def _hermite(y0, f0, y1, f1, h, theta):
     return w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1
 
 
-def _hermite_rows(basis, theta, h, out=None):
+def _hermite_rows(basis, theta, h):
     """One Hermite state per theta, equal bit for bit to `_hermite` at it.
 
     basis is (4, m, N), or broadcasts to it: row i's (y0, f0, y1, f1) are
@@ -211,13 +214,39 @@ def _hermite_rows(basis, theta, h, out=None):
     the four weighted terms in order, as `_hermite`'s sum does.
     """
     weights = np.array(_hermite_weights(theta, h))[:, :, None]
-    return np.add.reduce(weights * basis, axis=0, out=out)
+    return np.add.reduce(weights * basis, axis=0)
 
 
-# index offsets of a step's (y0, f0, y1, f1) among the (state, slope) rows
-_BASIS_ROWS = np.arange(4)[:, None]
-# a point's (state, slope) offsets among them, on the middle axis of (2, 2, m) indices
+# a point's (state, slope) offsets among the rows, on the middle axis of (2, 2, m) indices
 _PAIR_ROWS = np.arange(2)[:, None]
+
+
+def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base=0) -> None:
+    """Fill the grid samples lo[s]..hi[s] - 1 of every recorded step s.
+
+    Step s runs from starts[s] over hs[s], from the (state, slope) point
+    firsts[s] of `points` to its point ends[s]; its sample i lands in row
+    base[s] + i of the 2-D `samples`.  Each sample has the bits
+    `_hermite_rows` gives its step alone, and a `_hermite_rows` call fills
+    at most FLUSH_ROWS samples, so the temporaries do not grow with the
+    number of samples the steps reach.
+    """
+    # number the samples to fill 0..total-1, step by step: step s has
+    # the numbers bounds[s] - counts[s] up to bounds[s] - 1
+    counts = hi - lo
+    bounds = np.cumsum(counts)
+    shift = lo - (bounds - counts)  # a sample's grid index, less its number
+    at = shift + base  # its row in samples, less its number
+    # (y0, f0, y1, f1) of each step among the (state, slope) rows
+    basis = (2 * np.stack((firsts, ends)))[:, None] + _PAIR_ROWS
+    rows = points.reshape(-1, points.shape[-1])
+    total = int(counts.sum())
+    for first in range(0, total, FLUSH_ROWS):
+        number = np.arange(first, min(first + FLUSH_ROWS, total))
+        step = np.searchsorted(bounds, number, side="right")
+        h = hs[step]
+        theta = np.clip((grid[number + shift[step]] - starts[step]) / h, 0.0, 1.0)
+        samples[number + at[step]] = _hermite_rows(rows[basis[..., step].reshape(4, -1)], theta, h)
 
 
 class _DenseOutput:
@@ -226,10 +255,9 @@ class _DenseOutput:
     An accepted step that reaches a new grid sample is recorded: its start,
     length and reach into the grid, its end (state, slope) and, unless the
     step before it was recorded and ended there, its start (state, slope).
-    `flush` fills every sample the recorded steps reach with `_hermite_rows`,
-    so a sample has the bits it would have if its step were interpolated
-    alone.  A flush runs when the (state, slope) buffer is full, and must
-    run before the samples are read.
+    `flush` fills every sample the recorded steps reach with `_fill`.  A
+    flush runs when the (state, slope) buffer is full, and must run once
+    more when the run ends, before the samples are read.
     """
 
     def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
@@ -238,7 +266,7 @@ class _DenseOutput:
         self.slack = 1e-15 * float(grid[-1] - grid[0])
         self.samples = np.empty((len(grid), y0.size))
         self.samples[0] = y0
-        self.filled = self.covered = 1  # samples filled; samples the recorded steps reach
+        self.covered = 1  # samples the recorded steps reach
         self.points = np.empty((BLOCK + 1, 2, y0.size))  # (state, slope) rows
         self.n_points = 0
         self.chained = False  # the last point is where the next step starts
@@ -246,7 +274,7 @@ class _DenseOutput:
         self.firsts: list[int] = []  # each recorded step's start point
         self.starts: list[float] = []
         self.hs: list[float] = []
-        self.stops: list[int] = []
+        self.stops = [1]  # step s reaches the samples stops[s] up to stops[s + 1] - 1
 
     def _put(self, y: np.ndarray, f: np.ndarray) -> None:
         self.points[self.n_points, 0] = y
@@ -272,20 +300,18 @@ class _DenseOutput:
         self.covered = stop
 
     def flush(self) -> None:
-        lo, hi = self.filled, self.covered
-        if hi > lo:
-            step = np.repeat(np.arange(len(self.stops)), np.diff(self.stops, prepend=lo))
-            h = np.array(self.hs)[step]
-            theta = np.clip((self.grid[lo:hi] - np.array(self.starts)[step]) / h, 0.0, 1.0)
-            first = 2 * np.array(self.firsts)[step]
-            rows = self.points.reshape(-1, self.points.shape[-1])
-            _hermite_rows(rows[first + _BASIS_ROWS], theta, h, out=self.samples[lo:hi])
-            self.filled = hi
+        if self.firsts:
+            firsts, stops = np.array(self.firsts), np.array(self.stops)
+            _fill(
+                self.samples, self.grid, self.points, firsts, firsts + 1,
+                np.array(self.starts), np.array(self.hs), stops[:-1], stops[1:],
+            )
         if self.chained:
             self.points[0] = self.points[self.n_points - 1]
         self.n_points = int(self.chained)
-        for recorded in (self.firsts, self.starts, self.hs, self.stops):
+        for recorded in (self.firsts, self.starts, self.hs):
             recorded.clear()
+        self.stops = [self.covered]
 
 
 class _BatchDense:
@@ -295,14 +321,14 @@ class _BatchDense:
     buffer of (BLOCK + 1) * B points and records, as arrays over the rows,
     where each row's step starts and ends in it, the step's start and
     length, and the grid samples it reaches; one `searchsorted` over the
-    shared grid finds those for every row.  A step starts at its row's
+    shared grid finds those for every row.  A step starts at its member's
     last accepted end point, or at the point the buffer restarted with, so
     each recorded step has the (y0, f0, y1, f1) `_DenseOutput` records for
-    it.  `flush` fills every sample the recorded steps reach, FLUSH_ROWS
-    samples per `_hermite_rows` call, so its temporaries do not grow with
-    the block; it runs when the buffer is full and must run before the
-    samples are read.  The row arrays follow the block: `keep` drops the
-    rows of members that left it.
+    it.  `flush` fills every sample the recorded steps reach with `_fill`;
+    it runs when the buffer is full, and must run once more when the block
+    ends, before the samples are read.  A member that leaves the block
+    makes no flush: its steps stay recorded, and the next flush fills
+    their samples with the rest.
     """
 
     def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
@@ -312,17 +338,17 @@ class _BatchDense:
         self.samples = np.empty((members, len(grid), size))
         self.samples[:, 0] = y0
         self.points = np.empty(((BLOCK + 1) * members, 2, size))
-        self.covered = np.ones(members, dtype=np.intp)  # each row's samples reached so far
+        self.covered = np.ones(members, dtype=np.intp)  # each member's samples reached so far
+        self.firsts = np.empty(members, dtype=np.intp)  # each member's next step starts at this point
         self.records: list[tuple] = []  # one per attempt, see `push`
-        self._restart(y0, f0)
+        self._restart(np.arange(members), y0, f0)
 
-    def _restart(self, y: np.ndarray, f: np.ndarray) -> None:
-        """Empty the point buffer; row i's next step starts at (y[i], f[i])."""
+    def _restart(self, members, y: np.ndarray, f: np.ndarray) -> None:
+        """Empty the point buffer; member members[i]'s next step starts at (y[i], f[i])."""
         rows = len(y)
         self.points[:rows, 0] = y
         self.points[:rows, 1] = f
-        self.row_ids = np.arange(rows)
-        self.firsts = self.row_ids  # each row's next step starts at this point
+        self.firsts[members] = np.arange(rows)
         self.used = rows
 
     def push(self, members, accepted, t, h, end, y, k1, y_new, k4) -> None:
@@ -332,17 +358,17 @@ class _BatchDense:
         """
         if self.used + len(y) > len(self.points):
             self.flush()
-            self._restart(y, k1)
+            self._restart(members, y, k1)
         start, self.used = self.used, self.used + len(y)
         self.points[start : self.used, 0] = y_new
         self.points[start : self.used, 1] = k4
-        at = start + self.row_ids
-        covered = self.covered
+        at = np.arange(start, self.used)
+        firsts, covered = self.firsts[members], self.covered[members]
         stop = np.maximum(np.searchsorted(self.grid, end + self.slack, side="right"), covered)
         recorded = accepted & (stop > covered)  # a step that reaches no new sample is not
-        self.records.append((members, self.firsts, at, t, h, covered, stop, recorded))
-        self.firsts = np.where(accepted, at, self.firsts)
-        self.covered = np.where(recorded, stop, covered)
+        self.records.append((members, firsts, at, t, h, covered, stop, recorded))
+        self.firsts[members] = np.where(accepted, at, firsts)
+        self.covered[members] = np.where(recorded, stop, covered)
 
     def flush(self) -> None:
         if not self.records:
@@ -351,29 +377,8 @@ class _BatchDense:
         self.records = []
         recorded = columns.pop()
         members, firsts, ends, starts, hs, lo, hi = (column[recorded] for column in columns)
-        # number the samples to fill 0..total-1, step by step: step s has
-        # the numbers bounds[s] - counts[s] up to bounds[s] - 1
-        counts = hi - lo
-        bounds = np.cumsum(counts)
-        shift = lo - (bounds - counts)  # a sample's grid index, less its number
-        # (y0, f0, y1, f1) of each step among the (state, slope) rows
-        basis = (2 * np.stack((firsts, ends)))[:, None] + _PAIR_ROWS
-        rows = self.points.reshape(-1, self.points.shape[-1])
-        total = int(counts.sum())
-        for first in range(0, total, FLUSH_ROWS):
-            number = np.arange(first, min(first + FLUSH_ROWS, total))
-            step = np.searchsorted(bounds, number, side="right")
-            sample = number + shift[step]
-            h = hs[step]
-            theta = np.clip((self.grid[sample] - starts[step]) / h, 0.0, 1.0)
-            self.samples[members[step], sample] = _hermite_rows(
-                rows[basis[..., step].reshape(4, -1)], theta, h
-            )
-
-    def keep(self, rows, y: np.ndarray, f: np.ndarray) -> None:
-        """Keep only these block rows, restarting from their (y, f); call it after `flush`."""
-        self.covered = self.covered[rows]
-        self._restart(y, f)
+        samples = self.samples.reshape(-1, self.samples.shape[-1])  # member b's grid at row b * k
+        _fill(samples, self.grid, self.points, firsts, ends, starts, hs, lo, hi, members * len(self.grid))
 
 
 def _attempt(f, t, h, y: np.ndarray, stages: np.ndarray):
@@ -403,9 +408,11 @@ def _step_factor(err_norm: float) -> float:
 def _locate_event(event, t: float, h: float, y, k1, y_new, k4, sample_dt: float):
     """(t*, y*) where the event fires first in the accepted step, or None.
 
-    The dense output is scanned at sample resolution, so a long step cannot
-    jump over a brief excursion past the threshold; the first bracket of a
-    sign change is then bisected.
+    The dense output is scanned at sample resolution, but at most 1024
+    points per step: a step that reaches up to 1024 samples cannot jump over
+    an excursion past the threshold that a sample would catch, and a longer
+    step is scanned more coarsely.  The first bracket of a sign change is
+    then bisected.
     """
     n_scan = max(1, min(1024, math.ceil(h / sample_dt - 1e-12)))
     lo = 0.0
@@ -425,78 +432,6 @@ def _locate_event(event, t: float, h: float, y, k1, y_new, k4, sample_dt: float)
         else:
             hi = mid
     return t + hi * h, _hermite(y, k1, y_new, k4, h, hi)
-
-
-class _Run:
-    """One run's stepping state: t, h, counters, dense output and, once stopped, its result.
-
-    `result` is (sample_ts, sample_ys, termination, n_accepted, n_rejected),
-    where termination is Completed, StepSizeUnderflow or EventHit.
-    """
-
-    def __init__(self, cfg: IntegratorConfig, y0: np.ndarray, f0: np.ndarray, event):
-        span = cfg.t_end - cfg.t0
-        self.t, self.t_end, self.sample_dt = cfg.t0, cfg.t_end, cfg.sample_dt
-        self.atol, self.rtol = cfg.atol, cfg.rtol
-        self.h_max = cfg.h_max if cfg.h_max is not None else span
-        self.h = cfg.h_init if cfg.h_init is not None else min(self.h_max, span / 1000.0)
-        self.h_floor = UNDERFLOW_FACTOR * span
-        self.event = event
-        self.scale = self.atol + self.rtol * float(np.abs(y0).max())
-        self.dense = _DenseOutput(_sample_grid(cfg.t0, cfg.t_end, cfg.sample_dt), y0, f0)
-        self.n_accepted = 0
-        self.n_rejected = 0
-        self.result = None
-
-    def ready(self, y: np.ndarray) -> bool:
-        """Clamp h for an attempt from (t, y); False, with the result set, once the run is over."""
-        if self.result is not None:
-            return False
-        if self.t < self.t_end:
-            h = min(self.h, self.h_max, self.t_end - self.t)
-            if h >= self.h_floor:
-                self.h = h
-                return True
-            if self.t_end - self.t >= self.h_floor:
-                self._stop(StepSizeUnderflow(t=self.t))
-                return False
-            # else t reached t_end to within rounding of the accumulated sum
-        self._stop(Completed(), y)
-        return False
-
-    def settle(self, err: float, y_max: float, y, k1, y_new, k4) -> bool:
-        """Accept or reject the attempt from (t, y) to y_new; True when accepted.
-
-        err is the attempt's max|E k| and y_max is max|y_new|.  An accepted
-        step is recorded in the dense output, and an event inside it stops
-        the run there.
-        """
-        t, h = self.t, self.h
-        # max|h * e| is h * max|e| bit for bit: rounding is monotone and
-        # symmetric in sign, so one multiply by h replaces the vector one
-        err_norm = h * err / self.scale
-        accepted = err_norm <= 1.0
-        if accepted:
-            hit = None
-            if self.event is not None:
-                hit = _locate_event(self.event, t, h, y, k1, y_new, k4, self.sample_dt)
-            self.dense.push(t, h, y, k1, y_new, k4)
-            self.n_accepted += 1
-            if hit is not None:
-                self._stop(EventHit(*hit))
-                return True
-            self.t = t + h
-            self.scale = self.atol + self.rtol * y_max
-        else:
-            self.n_rejected += 1
-        self.h = h * _step_factor(err_norm)
-        return accepted
-
-    def _stop(self, term, y=None) -> None:
-        dense = self.dense
-        dense.flush()
-        ts, ys = _kept(dense.grid, dense.samples, dense.covered, term, y)
-        self.result = (ts, ys, term, self.n_accepted, self.n_rejected)
 
 
 def _kept(grid, samples, covered: int, term, y):
@@ -532,13 +467,47 @@ def integrate_flat(
     stages = np.empty((4, y.size))  # k1..k4, one row each
     k1, k4 = stages[0], stages[3]
     k1[:] = f(cfg.t0, y)
-    run = _Run(cfg, y, k1, event)
-    while run.ready(y):
-        y_new, err = _attempt(f, run.t, run.h, y, stages)
-        if run.settle(float(err), float(np.abs(y_new).max()), y, k1, y_new, k4):
+    t, t_end = cfg.t0, cfg.t_end
+    span = t_end - t
+    h_floor = UNDERFLOW_FACTOR * span
+    h_max = span if cfg.h_max is None else cfg.h_max
+    h = min(h_max, span / 1000.0) if cfg.h_init is None else cfg.h_init
+    scale = cfg.atol + cfg.rtol * float(np.abs(y).max())
+    dense = _DenseOutput(_sample_grid(t, t_end, cfg.sample_dt), y, k1)
+    n_accepted = n_rejected = 0
+    hit = None
+    while hit is None:
+        # clamp h; a run that cannot attempt a step stops
+        left = t_end - t
+        clamped = min(h, h_max, left)
+        if not (t < t_end and clamped >= h_floor):
+            break
+        h = clamped
+        y_new, err = _attempt(f, t, h, y, stages)
+        # accept or reject: max|h * e| is h * max|e| bit for bit, as rounding
+        # is monotone and symmetric in sign, so one multiply by h replaces
+        # the vector one
+        err_norm = h * float(err) / scale
+        if err_norm <= 1.0:
+            if event is not None:
+                hit = _locate_event(event, t, h, y, k1, y_new, k4, cfg.sample_dt)
+            dense.push(t, h, y, k1, y_new, k4)
+            n_accepted += 1
+            t = t + h
+            scale = cfg.atol + cfg.rtol * float(np.abs(y_new).max())
             y = y_new
             k1[:] = k4  # first-same-as-last
-    return run.result
+        else:
+            n_rejected += 1
+        h = h * _step_factor(err_norm)
+    if hit is not None:
+        term = EventHit(*hit)
+    elif t < t_end and left >= h_floor:
+        term = StepSizeUnderflow(t=t)
+    else:
+        term = Completed()
+    dense.flush()
+    return (*_kept(dense.grid, dense.samples, dense.covered, term, y), term, n_accepted, n_rejected)
 
 
 def _start(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig):
@@ -621,7 +590,7 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
     t = np.array([cfg.t0 for cfg in cfgs])
     stages[0] = f(t[:, None], y)
     dense = _BatchDense(_sample_grid(cfgs[0].t0, t_end, sample_dt), y, stages[0])
-    # each block row's step control, as `_Run` keeps it; row i runs member live[i]
+    # each block row's step control, as `integrate_flat` keeps it; row i runs member live[i]
     live = np.arange(len(specs))
     h_max = np.array([span if cfg.h_max is None else cfg.h_max for cfg in cfgs])
     h = np.array([
@@ -635,7 +604,7 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
     results = [None] * len(specs)
     hits: dict[int, EventHit] = {}  # rows whose last step ended on the event
     while True:
-        # clamp h as `_Run.ready` does; rows that cannot attempt a step stop
+        # clamp h as `integrate_flat` does; rows that cannot attempt a step stop
         left = t_end - t
         clamped = np.minimum(h, h_max)
         np.minimum(clamped, left, out=clamped)
@@ -643,23 +612,22 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
         if hits:
             going[list(hits)] = False
         if not going.all():
-            done = np.flatnonzero(~going).tolist()
-            rows = np.flatnonzero(going)
-            dense.flush()
-            for i in done:
+            for i in np.flatnonzero(~going).tolist():
                 if i in hits:
-                    term, y_end = hits[i], None
+                    term = hits[i]
                 elif t[i] < t_end and left[i] >= h_floor:
-                    term, y_end = StepSizeUnderflow(t=float(t[i])), None
+                    term = StepSizeUnderflow(t=float(t[i]))
                 else:
-                    term, y_end = Completed(), y[i]
+                    term = Completed()
                 b = int(live[i])
-                kept = _kept(dense.grid, dense.samples[b], int(dense.covered[i]), term, y_end)
+                # views of the member's samples, which the block's last flush fills
+                kept = _kept(dense.grid, dense.samples[b], int(dense.covered[b]), term, y[i])
                 results[b] = (*kept, term, int(n_accepted[i]), attempts - int(n_accepted[i]))
             hits = {}
+            rows = np.flatnonzero(going)
             if not rows.size:
                 break
-            # stopped members leave the block
+            # stopped members leave the block; their recorded steps stay in `dense`
             live, y, t, clamped, h_max, atol, rtol, scale, n_accepted = (
                 a[rows] for a in (live, y, t, clamped, h_max, atol, rtol, scale, n_accepted)
             )
@@ -667,12 +635,11 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
             k1 = stages[0, rows]
             stages = np.empty((4, *y.shape))
             stages[0] = k1
-            dense.keep(rows, y, k1)
             f = batch_rhs([specs[b] for b in live.tolist()])
         h = clamped
         y_new, err = _attempt(f, t[:, None], h[:, None], y, stages)
         attempts += 1
-        # accept or reject as `_Run.settle` does
+        # accept or reject as `integrate_flat` does
         err_norm = h * err / scale
         accepted = err_norm <= 1.0
         factor = np.fromiter(map(_step_factor, err_norm.tolist()), float, len(err_norm))
@@ -691,6 +658,7 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
         np.copyto(k1, k4, where=accepted[:, None])  # first-same-as-last
         n_accepted += accepted
         h = h * factor
+    dense.flush()
     return [
         _trajectory(spec, cfg, *result) for spec, cfg, result in zip(specs, cfgs, results)
     ]

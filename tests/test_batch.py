@@ -283,24 +283,89 @@ def test_batch_size_keeps_a_block_under_five_mebibytes():
     )
 
 
+def _buffer_restarts(attempts: list[int]) -> int:
+    """Point-buffer restarts of a block whose members make these numbers of attempts.
+
+    Every running member writes one point per attempt into a buffer of
+    (BLOCK + 1) * B points, which restarts with one point per member when
+    the next attempt's points do not fit; a member that leaves is no restart.
+    """
+    capacity, used, restarts = (BLOCK + 1) * len(attempts), len(attempts), 0
+    for attempt in range(max(attempts)):
+        rows = sum(n > attempt for n in attempts)
+        if used + rows > capacity:
+            restarts, used = restarts + 1, rows
+        used += rows
+    return restarts
+
+
+def _fill_spies(monkeypatch):
+    """Record every `_hermite_rows` pass as its (theta, h) pairs, and count the batch flushes."""
+    passes, flushes = [], []
+    real_rows, real_flush = integrate_module._hermite_rows, integrate_module._BatchDense.flush
+
+    def rows_spy(basis, theta, h):
+        passes.append(np.stack((theta, h), axis=1))
+        return real_rows(basis, theta, h)
+
+    def flush_spy(dense):
+        flushes.append(None)
+        real_flush(dense)
+
+    monkeypatch.setattr(integrate_module, "_hermite_rows", rows_spy)
+    monkeypatch.setattr(integrate_module._BatchDense, "flush", flush_spy)
+    return passes, flushes
+
+
 def test_batch_flush_fills_at_most_flush_rows_samples_per_hermite_pass(monkeypatch):
     # 64 frontier runs over 32 delta values: up to 64 attempts of 64 members
     # reach thousands of samples per flush, and the members take different
-    # numbers of attempts, so they leave the block at different flushes
+    # numbers of attempts, so they leave the block at different attempts
     runs = _frontier_runs()[:64]
     alone = [integrate(*run) for run in runs]
-    assert len({traj.n_accepted + traj.n_rejected for traj in alone}) > 1
-    passes = []
-    real = integrate_module._hermite_rows
-
-    def spy(basis, theta, h, out=None):
-        passes.append(len(theta))
-        return real(basis, theta, h, out)
-
-    monkeypatch.setattr(integrate_module, "_hermite_rows", spy)
+    attempts = [traj.n_accepted + traj.n_rejected for traj in alone]
+    assert len(set(attempts)) > 1
+    passes, flushes = _fill_spies(monkeypatch)
     batched = integrate_batch(*zip(*runs))
     # every sample but the first is filled by a Hermite pass of at most FLUSH_ROWS
-    assert max(passes) == FLUSH_ROWS and sum(passes) == 64 * 800
+    sizes = [len(p) for p in passes]
+    assert max(sizes) == FLUSH_ROWS and sum(sizes) == 64 * 800
+    # a flush per buffer restart and one when the block ends, none when a member leaves
+    assert len(flushes) == _buffer_restarts(attempts) + 1
+    for a, b in zip(alone, batched):
+        _assert_same(a, b)
+
+
+def test_batch_member_that_leaves_waits_for_the_next_flush(monkeypatch):
+    # the collision member stops after 23 attempts, before the buffer of 65
+    # points per member first restarts; the plain members take one step per
+    # sample over 1.1 / 0.005 = 220 samples, so the buffer restarts twice
+    # more, and the first restart's flush fills the departed member's
+    # samples
+    members = [
+        _member("collision_free", "modulated", None, 3, 2, role, 1.3, 2.0, seed)
+        for seed, role in enumerate(["plain", "collision", "plain", "plain"])
+    ]
+    grid = dict(t_end=1.1, sample_dt=0.005)
+    members = [
+        (spec, state, IntegratorConfig(**grid, h_max=0.005, collision_margin=cfg.collision_margin))
+        for spec, state, cfg in members
+    ]
+    alone = [integrate(*member) for member in members]
+    attempts = [traj.n_accepted + traj.n_rejected for traj in alone]
+    assert [type(traj.termination) for traj in alone] == [Completed, CollisionEvent, Completed, Completed]
+    assert attempts[1] < BLOCK and _buffer_restarts(attempts) == 2
+    # the samples each member's own run fills, as (theta, h) pairs
+    passes, flushes = _fill_spies(monkeypatch)
+    for member in members:
+        integrate(*member)
+    want = np.concatenate(passes)
+    passes.clear()
+    batched = integrate_batch(*zip(*members))
+    got = np.concatenate(passes)
+    # each sample is filled once, in a flush at a buffer restart or at the end
+    assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+    assert len(flushes) == _buffer_restarts(attempts) + 1
     for a, b in zip(alone, batched):
         _assert_same(a, b)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import flocklab.integrate as integrate_module
-from flocklab.coupling import ConstantCoupling, ModulatedCoupling
+from flocklab.coupling import ConstantCoupling, ModulatedCoupling, PowerLawCoupling
 from flocklab.dynamics import RepulsionModel, logistic_cosine, logistic_cosine_solution
 from flocklab.integrate import (
     BLOCK,
+    FLUSH_ROWS,
     Completed,
     CollisionEvent,
     EventHit,
@@ -373,7 +375,7 @@ def test_block_hermite_matches_per_theta_evaluation(step):
         np.testing.assert_array_equal(_hermite(y0, f0, y1, f1, h, theta), want)
 
 
-def test_block_hermite_squares_like_the_scalar_formula():
+def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
     # an array square and libm's pow(x, 2) differ in about one of 1000
     # thetas; 8192 of them make sure the scalar weights, the block weights
     # and a block flush of the dense output all take the square through pow
@@ -391,10 +393,41 @@ def test_block_hermite_squares_like_the_scalar_formula():
     grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.7, 8192))])
     dense = _DenseOutput(grid, y0, f0)
     dense.push(0.0, 0.7, y0, f0, y1, f1)
+    passes = []
+
+    def spy(basis, theta, h):
+        passes.append(len(theta))
+        return _hermite_rows(basis, theta, h)
+
+    monkeypatch.setattr(integrate_module, "_hermite_rows", spy)
     dense.flush()
+    # the flush fills the step's 8192 samples in passes of at most FLUSH_ROWS
+    assert max(passes) == FLUSH_ROWS and sum(passes) == 8192
     thetas = [min(max(g / 0.7, 0.0), 1.0) for g in grid[1:]]
     want = [_hermite_per_theta(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
     np.testing.assert_array_equal(dense.samples[1:], np.array(want))
+
+
+def test_one_run_fill_stays_within_a_few_mebibytes_of_its_samples():
+    # 10,001 samples of an n = 50, r = 2 flock are 15.3 MiB; 80-odd steps
+    # reach about 125 samples each, and a flush of 64 of them in one Hermite
+    # pass would gather 4 + 5 states per sample, about 100 MiB more
+    rng = np.random.default_rng(0)
+    n, r = 50, 2
+    spec = ModelSpec(
+        variant="baseline", n=n, r=r, coupling=PowerLawCoupling(gain=1.0, sigma=1.0, exponent=0.5)
+    )
+    state = FlockState(t=0.0, x=rng.uniform(-3.0, 3.0, (n, r)), v=rng.uniform(-1.0, 1.0, (n, r)))
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=2e-4)
+    tracemalloc.start()
+    try:
+        traj = integrate(spec, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = len(traj.ts) * 2 * n * r * 8
+    assert len(traj.ts) == 10_001 and isinstance(traj.termination, Completed)
+    assert peak - samples < 10 * 2**20
 
 
 _LINEAR = np.array([[-0.3, 1.0, 0.0, 0.2], [-1.0, -0.3, 0.1, 0.0],
