@@ -17,10 +17,17 @@ one line per pair (a collision-free 4 x 3 lattice of 12 agents in the plane
 and a Lorenz sync flock of 8 agents in three dimensions), and
 `example1_delta09` to t_end 5 on a 0.001 grid, whose 57 steps reach 5,000
 samples in one flush of ten slices.
+Last, `validate` runs on invalid documents: every bounded number of the
+integrator, coupling, repulsion and certificate blocks is set out of its
+range, to NaN, to +-Infinity (written as JSON's literals) and to a string,
+with one problem in each block, so a block's diagnostics have one order;
+one more document has an unknown and a missing key, one a draw spec out
+of its entries' range.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
 `sweep_collision/`, `sweep_grids/` and `frontier/`, the region copy's
-`region_k/`, and the three flocks' `lattice12/`, `lorenz8/` and `fine_delta09/`.
+`region_k/`, the three flocks' `lattice12/`, `lorenz8/` and `fine_delta09/`,
+and the invalid documents' `invalid/`.
 The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
 
@@ -35,9 +42,11 @@ sits in, not from an installed copy.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -78,6 +87,57 @@ def _extra_flocks() -> dict[str, dict]:
     doc = json.loads((SCENARIO_DIR / "example1_delta09.json").read_text(encoding="utf-8"))
     doc.update(name="fine_delta09", integrator={"t_end": 5.0, "sample_dt": 0.001})
     docs["fine_delta09"] = doc
+    return docs
+
+
+# each bounded number's out-of-range value, by block; a coupling key names its family
+OUT_OF_RANGE = {
+    "integrator": {"t_end": 0.0, "sample_dt": 0.0, "t0": 50.0, "rtol": -1e-6, "atol": 0.0,
+                   "h_init": 0.0, "h_max": -0.5, "collision_margin": -1e-9},
+    "coupling": {"power_law.gain": 0.0, "power_law.sigma": -1.0, "power_law.exponent": 0.0,
+                 "modulated.w": 0.0, "modulated.delta": -0.5, "constant.w": -2.0},
+    "repulsion": {"d0": 0.0, "phi": 1.0},
+    "certificate": {"k_value": -1.0},
+}
+BAD_VALUES = {"range": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "type": "1.0"}
+COUPLINGS = {
+    "power_law": {"gain": 1.0, "sigma": 1.0, "exponent": 0.5},
+    "modulated": {"w": 1.0, "delta": 1.0, "beta": {"mode": "constant", "value": 1.0}},
+    "constant": {"w": 1.0},
+}
+
+
+def _invalid_documents() -> dict[str, dict]:
+    """Documents `validate` rejects, with at most one problem in each block.
+
+    Document i of a kind of bad value puts it into field i (cycling) of
+    each block the document has: documents 0, 1, 4, 5 are the collision-free
+    example3_strong, with a repulsion block, and 2, 3, 6, 7 the sync
+    example2_strong, with a user K.  So every field meets every kind.
+    """
+    bases = [json.loads((SCENARIO_DIR / f"{name}.json").read_text(encoding="utf-8"))
+             for name in ("example3_strong", "example2_strong")]
+    docs = {}
+    for kind, bad in BAD_VALUES.items():
+        for i in range(len(OUT_OF_RANGE["integrator"])):
+            doc = copy.deepcopy(bases[i // 2 % 2])
+            for block, values in OUT_OF_RANGE.items():
+                if not doc.get(block):  # the sync flock has no repulsion, the other no K
+                    continue
+                key, value = list(values.items())[i % len(values)]
+                if block == "coupling":
+                    family, key = key.split(".")
+                    doc["coupling"] = {"family": family, **COUPLINGS[family]}
+                doc[block][key] = value if bad is None else bad
+            docs[f"{kind}{i}"] = doc
+    doc = copy.deepcopy(bases[0])
+    doc["integrator"]["t_stop"] = 1.0
+    del doc["repulsion"]["phi"]
+    docs["keys"] = doc
+    doc = copy.deepcopy(bases[0])
+    doc["coupling"]["beta"]["value"] = 1.5
+    doc["repulsion"]["coeffs"]["lo"] = 0.0
+    docs["entries"] = doc
     return docs
 
 
@@ -150,6 +210,14 @@ def main() -> int:
                 ("audit", ["audit", "--out", str(out)]),
             )
             _print_digests(name, commands, out, tmp)
+        out = Path(tmp) / "invalid"
+        out.mkdir()
+        commands = []
+        for label, doc in _invalid_documents().items():
+            scenario = out / f"{label}.json"
+            scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")  # NaN, Infinity literals
+            commands.append((label, ["validate", "--scenario", str(scenario)]))
+        _print_digests("invalid", commands, out, tmp)
     return 0
 
 

@@ -6,7 +6,8 @@ with simulations), validate (schema diagnostics), audit (replay a finished
 run against the spread differential inequalities).
 
 A sweep deals its points round-robin to at most --jobs workers.  Each
-worker certifies its points one by one and hands their runs to
+worker certifies its points one by one and hands their runs, whenever they
+hold SWEEP_HELD bytes and after its last point, to
 `integrate.integrate_runs`, which decides which runs share a lockstep block.
 
 Exit codes: 0 success/feasible, 1 usage or IO error, 2 infeasible or audit
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from itertools import product
@@ -52,6 +54,12 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_COLLISION = 3
 EXIT_UNDERFLOW = 4
+
+# A sweep's parent holds a payload and a row for each of at most SWEEP_POINTS
+# points (about 1 KiB each), a worker its rows and at most SWEEP_HELD bytes of
+# runs to integrate: a run's state and up to three n x n matrices
+SWEEP_POINTS = 100_000
+SWEEP_HELD = 16 * 2**20
 
 # termination kind -> exit code
 _TERMINATION_EXITS = {
@@ -241,10 +249,12 @@ def _parse_axis(spec: str) -> tuple[str, list]:
         if len(parts) != 3:
             raise ValueError(f"axis {key!r}: range form is start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):
             raise ValueError(f"axis {key!r}: need step > 0 and stop >= start")
-        count = int(round((stop - start) / step))
-        values = [start + step * k for k in range(count + 1)]
+        count = (stop - start) / step  # checked before the values are built; inf too
+        if not count < SWEEP_POINTS:
+            raise ValueError(f"axis {key!r}: {count + 1:.6g} values, over the limit of {SWEEP_POINTS}")
+        values = [start + step * k for k in range(round(count) + 1)]
         if values[-1] > stop + 1e-9 * max(1.0, abs(stop)):
             values.pop()
         return key, values
@@ -322,13 +332,20 @@ def _observe(row: dict, traj) -> None:
 
 
 def _sweep_chunk(payloads) -> list[dict]:
-    """Rows of one worker's points: each certified on its own, then their runs integrated."""
-    points = [_sweep_point(payload) for payload in payloads]
-    simulated = [(row, run) for row, run in points if run is not None]
-    for i, traj in integrate_runs([run for _, run in simulated]):
-        _observe(simulated[i][0], traj)
-        del traj  # a trajectory holds its block's samples; let them go before the next block
-    return [row for row, _ in points]
+    """Rows of one worker's points, certified in order; their runs integrated as they fill SWEEP_HELD."""
+    rows, held, size = [], [], 0
+    for k, payload in enumerate(payloads):
+        row, run = _sweep_point(payload)
+        rows.append(row)
+        if run is not None:
+            held.append((row, run))
+            size += 8 * run[0].n * (3 * run[0].n + 2 * run[0].r)
+        if held and (size >= SWEEP_HELD or k == len(payloads) - 1):
+            for i, traj in integrate_runs([run for _, run in held]):
+                _observe(held[i][0], traj)
+                del traj  # a trajectory holds its block's samples; let them go before the next block
+            held, size = [], 0
+    return rows
 
 
 def _csv_cell(val) -> str:
@@ -344,11 +361,15 @@ def cmd_sweep(args) -> int:
         raise ScenarioError(diags)
 
     axes = [_parse_axis(spec) for spec in args.axis or []]
+    size = math.prod(len(values) for _, values in axes)
+    if size > SWEEP_POINTS:
+        raise ValueError(f"sweep of {size} points, over the limit of {SWEEP_POINTS}")
     axis_keys = [key for key, _ in axes]
     points = product(*(values for _, values in axes))  # one empty point when there are no axes
     with_sim = bool(args.simulate)
+    doc_json = json.dumps(doc)  # one string that every payload shares
     payloads = [
-        (json.dumps(doc), idx, list(zip(axis_keys, values)), bool(axes), with_sim)
+        (doc_json, idx, list(zip(axis_keys, values)), bool(axes), with_sim)
         for idx, values in enumerate(points)
     ]
     workers = min(args.jobs, len(payloads))  # a pool starts every worker up front

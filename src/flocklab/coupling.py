@@ -24,6 +24,7 @@ from typing import Callable, ClassVar, Optional, get_args
 
 import numpy as np
 
+from .bounds import bounded, check_fields, entries
 from .state import _as_stack, distance_sq_matrix, libm, power
 
 # Modulated weights draw their pair offsets beta_ij from (0, sqrt(2)), so
@@ -41,14 +42,13 @@ class PowerLawCoupling:
     """w_ij(x) = gain / (sigma^2 + |x_i - x_j|^2) ** exponent."""
 
     family: ClassVar[str] = "power_law"
-    gain: float
-    sigma: float
-    exponent: float
+    gain: float = bounded(gt=0.0)
+    sigma: float = bounded(gt=0.0)
+    exponent: float = bounded(gt=0.0)
     sigma_sq: float = field(init=False, repr=False, compare=False)  # sigma**2, libm's pow
 
     def __post_init__(self):
-        if self.gain <= 0 or self.sigma <= 0 or self.exponent <= 0:
-            raise ValueError("power-law coupling needs gain, sigma, exponent > 0")
+        check_fields(self)
         object.__setattr__(self, "sigma_sq", self.sigma**2)
 
     def weights(self, t: float, dist_sq: np.ndarray) -> np.ndarray:
@@ -77,24 +77,14 @@ class ModulatedCoupling:
     """
 
     family: ClassVar[str] = "modulated"
-    w: float
-    delta: float
-    beta: np.ndarray
+    w: float = bounded(gt=0.0)
+    delta: float = bounded(ge=0.0)
+    beta: np.ndarray = entries(0.0, math.sqrt(2.0))
     beta_sq: np.ndarray = field(init=False, repr=False)  # beta**2, read-only
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        if beta.ndim != 2 or beta.shape[0] != beta.shape[1]:
-            raise ValueError("beta must be a square matrix")
-        off = ~np.eye(beta.shape[0], dtype=bool)
-        if beta.shape[0] > 1 and not ((beta[off] > 0) & (beta[off] < math.sqrt(2.0))).all():
-            raise ValueError("beta entries must lie in (0, sqrt(2))")
-        if self.w <= 0 or self.delta < 0:
-            raise ValueError("modulated coupling needs w > 0 and delta >= 0")
-        beta = beta.copy()
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        beta_sq = beta**2
+        check_fields(self)
+        beta_sq = self.beta**2
         beta_sq.setflags(write=False)
         object.__setattr__(self, "beta_sq", beta_sq)
 
@@ -127,11 +117,10 @@ class ConstantCoupling:
     """Distance-independent weight w_ij = w; the tightest possible envelope."""
 
     family: ClassVar[str] = "constant"
-    w: float
+    w: float = bounded(gt=0.0)
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError("constant coupling needs w > 0")
+        check_fields(self)
 
     def weights(self, t: float, dist_sq: np.ndarray) -> np.ndarray:
         return np.full(dist_sq.shape, self.w)

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bounds import bounded, check_fields, entries
 from .state import libm
 
 _FD_STEP = 1e-6
@@ -305,27 +306,15 @@ class RepulsionModel:
 
     `s` is a squared distance.  phi > 1 makes the near-wall integral diverge
     (no pair can reach separation d0) while every tail integral stays finite.
-    `coeffs` is an (n, n) matrix of positive C_ij; the diagonal is ignored.
+    `coeffs` is an (n, n) matrix of positive finite C_ij; the diagonal is ignored.
     """
 
-    d0: float
-    phi: float
-    coeffs: np.ndarray
+    d0: float = bounded(gt=0.0)
+    phi: float = bounded(gt=1.0)
+    coeffs: np.ndarray = entries(0.0, math.inf)
 
     def __post_init__(self):
-        if self.d0 <= 0:
-            raise ValueError("repulsion threshold d0 must be > 0")
-        if self.phi <= 1.0:
-            raise ValueError("repulsion exponent phi must be > 1")
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-            raise ValueError("coeffs must be a square matrix")
-        off = ~np.eye(coeffs.shape[0], dtype=bool)
-        if coeffs.shape[0] > 1 and not (coeffs[off] > 0).all():
-            raise ValueError("repulsion coefficients must be positive")
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        check_fields(self)
 
 
 def _require_outside(rep: RepulsionModel, s, i, j, message: str) -> None:

@@ -46,6 +46,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+from .bounds import bounded, check_fields
 from .models import ModelSpec, batch_key, batch_rhs, flat_rhs, pack, unpack
 from .state import FlockState, min_pair_distance_sq, pair_dot, spreads
 
@@ -71,28 +72,19 @@ _E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])[:, None]
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    t_end: float
-    sample_dt: float
-    t0: float = 0.0
-    rtol: float = 1e-6
-    atol: float = 1e-9
-    h_init: Optional[float] = None
-    h_max: Optional[float] = None
-    collision_margin: float = 1e-9
+    t_end: float = bounded()
+    sample_dt: float = bounded(gt=0.0)
+    t0: float = bounded(0.0)
+    rtol: float = bounded(1e-6, gt=0.0)
+    atol: float = bounded(1e-9, gt=0.0)
+    h_init: Optional[float] = bounded(None, gt=0.0)
+    h_max: Optional[float] = bounded(None, gt=0.0)
+    collision_margin: float = bounded(1e-9, ge=0.0)
 
     def __post_init__(self):
+        check_fields(self)
         if self.t_end <= self.t0:
-            raise ValueError("t_end must exceed t0")
-        if self.sample_dt <= 0:
-            raise ValueError("sample_dt must be positive")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.h_init is not None and self.h_init <= 0:
-            raise ValueError("h_init must be positive")
-        if self.h_max is not None and self.h_max <= 0:
-            raise ValueError("h_max must be positive")
-        if self.collision_margin < 0:
-            raise ValueError("collision_margin must be nonnegative")
+            raise ValueError("t_end: must exceed t0")
 
 
 # each termination names its own kind, the label manifests carry

@@ -15,15 +15,14 @@ block id per randomised quantity.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from .bounds import bounded, check_fields, matrix_problem, problem, problems, rules
 from .coupling import COUPLING_FAMILIES, CouplingModel
 from .certify import (
     CollisionCertificate,
@@ -69,8 +68,11 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class CertificateSettings:
     k_source: Optional[str] = None
-    k_value: Optional[float] = None
+    k_value: Optional[float] = bounded(None, ge=0.0)
     relaxed: bool = False
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(eq=False)
@@ -108,6 +110,8 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # validation
 
+JSON_NUMBER = (int, float)  # what json.loads makes of a number
+
 
 def _expect_keys(diags, path, block, required, optional):
     for key in block:
@@ -118,39 +122,31 @@ def _expect_keys(diags, path, block, required, optional):
             diags.append(f"{path}{key}: required key missing")
 
 
-def _number(diags, path, block, key, lo=None, hi=None, lo_open=False, nullable=False):
+def _number(diags, path, block, key, kind=JSON_NUMBER, **bound):
+    """block[key] if it is a `kind` number in `bound` (see `bounds.problem`), else None."""
     if key not in block:
         return None
-    val = block[key]
-    if val is None and nullable:  # explicit null means "use the default"
+    text = problem(block[key], kind=kind, **bound)
+    if text is not None:
+        diags.append(f"{path}{key}: {text}")
         return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        diags.append(f"{path}{key}: must be a number")
-        return None
-    val = float(val)
-    if not math.isfinite(val):
-        diags.append(f"{path}{key}: must be finite")
-        return None
-    if lo is not None and (val <= lo if lo_open else val < lo):
-        diags.append(f"{path}{key}: must be {'>' if lo_open else '>='} {lo}")
-        return None
-    if hi is not None and val > hi:
-        diags.append(f"{path}{key}: must be <= {hi}")
-        return None
-    return val
+    return block[key]
 
 
-def _integer(diags, path, block, key, lo=None):
-    if key not in block:
-        return None
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        diags.append(f"{path}{key}: must be an integer")
-        return None
-    if lo is not None and val < lo:
-        diags.append(f"{path}{key}: must be >= {lo}")
-        return None
-    return val
+def _check_block(diags, path, block, cls, *required, n=0) -> None:
+    """Report block's unknown and missing keys and its values out of range.
+
+    The keys are `required` and cls's init fields, optional with a default;
+    the ranges are the fields' own, and an (n, n) `entries` field is a draw spec.
+    """
+    own, _, matrices, optional = rules(cls)
+    _expect_keys(diags, path, block, [*required, *own], optional)
+    diags.extend(problems(cls, block, path, JSON_NUMBER))
+    for name in (name for name in matrices if name in block):
+        if isinstance(block[name], dict):
+            _validate_draw_spec(diags, f"{path}{name}.", block[name], n, *matrices[name])
+        else:
+            diags.append(f"{path}{name}: must be an object")
 
 
 def _matrix_or_none(diags, path, values, n):
@@ -168,52 +164,25 @@ def _matrix_or_none(diags, path, values, n):
     return arr
 
 
-def _validate_coupling(diags, block, n):
-    path = "coupling."
-    family = block.get("family")
-    cls = COUPLING_FAMILIES.get(family) if isinstance(family, str) else None
-    if cls is None:
-        if family is None:
-            diags.append(f"{path}family: required key missing")
-        else:
-            diags.append(f"{path}family: unknown family {family!r}")
-        return
-    params = [fld.name for fld in dataclasses.fields(cls) if fld.init]
-    _expect_keys(diags, path, block, ["family", *params], [])
-    for key in params:
-        if key != "beta":
-            # every parameter must be > 0 except delta, whose 0 ignores distance
-            _number(diags, path, block, key, lo=0.0, lo_open=key != "delta")
-        elif isinstance(block.get("beta"), dict):
-            _validate_draw_spec(
-                diags, f"{path}beta.", block["beta"], n, lo_limit=0.0, hi_limit=math.sqrt(2.0)
-            )
-        else:
-            diags.append(f"{path}beta: must be an object")
-
-
 def _validate_draw_spec(diags, path, block, n, lo_limit, hi_limit):
     """constant | explicit | seeded_uniform blocks for matrix-valued params."""
     mode = block.get("mode")
     if mode == "constant":
         _expect_keys(diags, path, block, ["mode", "value"], [])
-        val = _number(diags, path, block, "value", lo=lo_limit, lo_open=True)
+        val = _number(diags, path, block, "value", gt=lo_limit)
         if val is not None and val >= hi_limit:
             diags.append(f"{path}value: must be < {hi_limit}")
     elif mode == "explicit":
         _expect_keys(diags, path, block, ["mode", "values"], [])
         if "values" in block:
             arr = _matrix_or_none(diags, f"{path}values", block["values"], n)
-            if arr is not None and n > 1:
-                off = arr[~np.eye(n, dtype=bool)]
-                if not ((off > lo_limit) & (off < hi_limit)).all():
-                    diags.append(
-                        f"{path}values: off-diagonal entries must lie in ({lo_limit}, {hi_limit})"
-                    )
+            text = arr is not None and matrix_problem(arr, lo_limit, hi_limit)
+            if text:
+                diags.append(f"{path}values: {text}")
     elif mode == "seeded_uniform":
         _expect_keys(diags, path, block, ["mode", "lo", "hi"], [])
-        lo = _number(diags, path, block, "lo", lo=lo_limit, lo_open=True)
-        hi = _number(diags, path, block, "hi", lo=lo_limit, hi=hi_limit, lo_open=True)
+        lo = _number(diags, path, block, "lo", gt=lo_limit)
+        hi = _number(diags, path, block, "hi", gt=lo_limit, le=hi_limit)
         if lo is not None and hi is not None and not lo < hi:
             diags.append(f"{path}hi: must exceed lo")
     elif mode is None:
@@ -257,16 +226,23 @@ def validate(doc) -> list[str]:
     variant = doc.get("variant")
     if variant is not None and variant not in MODEL_VARIANTS:
         diags.append(f"variant: must be one of {MODEL_VARIANTS}")
-    n = _integer(diags, "", doc, "n", lo=1)
-    r = _integer(diags, "", doc, "r", lo=1)
-    _integer(diags, "", doc, "seed", lo=0)
+    n = _number(diags, "", doc, "n", int, ge=1)
+    r = _number(diags, "", doc, "r", int, ge=1)
+    _number(diags, "", doc, "seed", int, ge=0)
 
     if variant == "collision_free" and isinstance(n, int) and n < 2:
         diags.append("n: collision_free needs at least two agents")
 
     coupling = doc.get("coupling")
     if isinstance(coupling, dict):
-        _validate_coupling(diags, coupling, n if isinstance(n, int) else 0)
+        family = coupling.get("family")
+        cls = COUPLING_FAMILIES.get(family) if isinstance(family, str) else None
+        if cls is not None:
+            _check_block(diags, "coupling.", coupling, cls, "family", n=n or 0)
+        elif family is None:
+            diags.append("coupling.family: required key missing")
+        else:
+            diags.append(f"coupling.family: unknown family {family!r}")
     elif coupling is not None:
         diags.append("coupling: must be an object")
 
@@ -296,21 +272,7 @@ def validate(doc) -> list[str]:
     if variant in ("baseline", "sync") and repulsion is not None:
         diags.append(f"repulsion: not allowed for the {variant} variant")
     if isinstance(repulsion, dict):
-        _expect_keys(diags, "repulsion.", repulsion, ["d0", "phi", "coeffs"], [])
-        _number(diags, "repulsion.", repulsion, "d0", lo=0.0, lo_open=True)
-        _number(diags, "repulsion.", repulsion, "phi", lo=1.0, lo_open=True)
-        coeffs = repulsion.get("coeffs")
-        if isinstance(coeffs, dict):
-            _validate_draw_spec(
-                diags,
-                "repulsion.coeffs.",
-                coeffs,
-                n if isinstance(n, int) else 0,
-                lo_limit=0.0,
-                hi_limit=math.inf,
-            )
-        elif coeffs is not None:
-            diags.append("repulsion.coeffs: must be an object")
+        _check_block(diags, "repulsion.", repulsion, RepulsionModel, n=n or 0)
     elif repulsion is not None:
         diags.append("repulsion: must be an object")
 
@@ -332,11 +294,11 @@ def validate(doc) -> list[str]:
                 ["mode", "spread_x", "spread_v"],
                 ["x_center", "v_center"],
             )
-            sx = _number(diags, "initial.", initial, "spread_x", lo=0.0)
-            _number(diags, "initial.", initial, "spread_v", lo=0.0)
+            sx = _number(diags, "initial.", initial, "spread_x", ge=0.0)
+            _number(diags, "initial.", initial, "spread_v", ge=0.0)
             for key in ("x_center", "v_center"):
                 val = initial.get(key)
-                if val is None or (isinstance(val, (int, float)) and not isinstance(val, bool)):
+                if val is None or (isinstance(val, JSON_NUMBER) and not isinstance(val, bool)):
                     continue
                 if isinstance(r, int):
                     _validate_vectors(diags, f"initial.{key}", val, r, 1)
@@ -351,39 +313,26 @@ def validate(doc) -> list[str]:
 
     integ = doc.get("integrator")
     if isinstance(integ, dict):
-        _expect_keys(
-            diags,
-            "integrator.",
-            integ,
-            ["t_end", "sample_dt"],
-            ["t0", "rtol", "atol", "h_init", "h_max", "collision_margin"],
-        )
-        t_end = _number(diags, "integrator.", integ, "t_end")
-        t0 = _number(diags, "integrator.", integ, "t0")
-        _number(diags, "integrator.", integ, "sample_dt", lo=0.0, lo_open=True)
-        _number(diags, "integrator.", integ, "rtol", lo=0.0, lo_open=True)
-        _number(diags, "integrator.", integ, "atol", lo=0.0, lo_open=True)
-        _number(diags, "integrator.", integ, "h_init", lo=0.0, lo_open=True, nullable=True)
-        _number(diags, "integrator.", integ, "h_max", lo=0.0, lo_open=True, nullable=True)
-        _number(diags, "integrator.", integ, "collision_margin", lo=0.0)
-        if t_end is not None and t_end <= (t0 if t0 is not None else 0.0):
-            diags.append("integrator.t_end: must exceed t0")
+        before = len(diags)
+        _check_block(diags, "integrator.", integ, IntegratorConfig)
+        if len(diags) == before:  # then only a rule across fields can fail: t_end > t0
+            try:
+                IntegratorConfig(**integ)
+            except ValueError as exc:
+                diags.append(f"integrator.{exc}")
     elif integ is not None:
         diags.append("integrator: must be an object")
 
     cert = doc.get("certificate")
     if isinstance(cert, dict):
         if variant == "sync":
-            _expect_keys(diags, "certificate.", cert, ["k_source"], ["k_value", "relaxed"])
+            _check_block(diags, "certificate.", cert, CertificateSettings, "k_source")
             source = cert.get("k_source")
             if source is not None and source not in K_SOURCES:
                 diags.append(f"certificate.k_source: must be one of {K_SOURCES}")
-            if source == "user":
-                if cert.get("k_value") is None:
-                    diags.append("certificate.k_value: required when k_source is 'user'")
-                else:
-                    _number(diags, "certificate.", cert, "k_value", lo=0.0)
-            elif cert.get("k_value") is not None:
+            if source == "user" and cert.get("k_value") is None:
+                diags.append("certificate.k_value: required when k_source is 'user'")
+            elif source != "user" and cert.get("k_value") is not None:
                 diags.append("certificate.k_value: only valid when k_source is 'user'")
             if source == "trajectory" and isinstance(internal, dict):
                 if internal.get("name") != "logistic_cosine":
@@ -407,13 +356,11 @@ def validate(doc) -> list[str]:
 def normalized(doc: dict) -> dict:
     """Deep copy with every optional default made explicit (idempotent).
 
-    The integrator defaults are `IntegratorConfig`'s own.
+    The integrator and certificate defaults are `IntegratorConfig`'s and
+    `CertificateSettings`' own.
     """
     out = copy.deepcopy(doc)
-    fields = dataclasses.fields(IntegratorConfig)
-    integ = {fld.name: fld.default for fld in fields if fld.default is not dataclasses.MISSING}
-    integ.update(out.get("integrator", {}))
-    out["integrator"] = integ
+    out["integrator"] = {**rules(IntegratorConfig)[3], **out.get("integrator", {})}
     if "internal" not in out:
         out["internal"] = None
     elif isinstance(out["internal"], dict):
@@ -423,8 +370,7 @@ def normalized(doc: dict) -> dict:
     if "certificate" not in out:
         out["certificate"] = None
     elif isinstance(out["certificate"], dict) and out.get("variant") == "sync":
-        out["certificate"].setdefault("k_value", None)
-        out["certificate"].setdefault("relaxed", False)
+        out["certificate"] = {**rules(CertificateSettings)[3], **out["certificate"]}
     init = out.get("initial")
     if isinstance(init, dict) and init.get("mode") == "generate":
         init.setdefault("x_center", 0.0)
@@ -490,6 +436,15 @@ class InitialGenerator:
     min_sep_sq: Optional[float] = None  # rejection threshold on squared separation
 
 
+def _draw(rng, lo, hi, shape, target: float, accept, failure: str) -> np.ndarray:
+    """The first uniform draw in [lo, hi), rescaled to spread target, that accept takes."""
+    for _ in range(_REJECTION_BUDGET):
+        cand = _rescale_to_spread(rng.uniform(lo, hi, size=shape), target)
+        if accept(cand):
+            return cand
+    raise ValueError(f"{failure} in {_REJECTION_BUDGET} attempts")
+
+
 def generate_initial(gen: InitialGenerator, seed_path) -> tuple[np.ndarray, np.ndarray]:
     """Materialize (x0, v0); deterministic given the seed path.
 
@@ -499,46 +454,19 @@ def generate_initial(gen: InitialGenerator, seed_path) -> tuple[np.ndarray, np.n
     centroid to hit the target spread to 1e-12.  Draws violating minimum
     separation or box containment are rejected and retried.
     """
-    rng_x = _substream(seed_path, _BLOCK_X)
-    rng_v = _substream(seed_path, _BLOCK_V)
-    n, r = gen.n, gen.r
-
-    x = None
-    lo_x = gen.x_center - 0.5 * gen.spread_x
-    hi_x = gen.x_center + 0.5 * gen.spread_x
-    for _ in range(_REJECTION_BUDGET):
-        cand = _rescale_to_spread(rng_x.uniform(lo_x, hi_x, size=(n, r)), gen.spread_x)
-        if gen.min_sep_sq is not None and n > 1:
-            sep, _, _ = min_pair_distance_sq(cand)
-            if sep <= gen.min_sep_sq:
-                continue
-        x = cand
-        break
-    if x is None:
-        raise ValueError(
-            f"initial positions: no draw met min squared separation {gen.min_sep_sq} "
-            f"in {_REJECTION_BUDGET} attempts"
-        )
-
-    v = None
+    n, r, min_sep = gen.n, gen.r, gen.min_sep_sq
+    x = _draw(_substream(seed_path, _BLOCK_X), gen.x_center - 0.5 * gen.spread_x,
+              gen.x_center + 0.5 * gen.spread_x, (n, r), gen.spread_x,
+              lambda x: min_sep is None or n < 2 or not min_pair_distance_sq(x)[0] <= min_sep,
+              f"initial positions: no draw met min squared separation {min_sep}")
     if gen.v_box is not None:
         lo_v, hi_v = gen.v_box[:, 0], gen.v_box[:, 1]
     else:
         center = gen.v_center if gen.v_center is not None else np.zeros(r)
-        lo_v = center - 0.5 * gen.spread_v
-        hi_v = center + 0.5 * gen.spread_v
-    for _ in range(_REJECTION_BUDGET):
-        cand = _rescale_to_spread(rng_v.uniform(lo_v, hi_v, size=(n, r)), gen.spread_v)
-        if gen.v_box is not None:
-            if (cand < gen.v_box[:, 0] - 1e-12).any() or (cand > gen.v_box[:, 1] + 1e-12).any():
-                continue
-        v = cand
-        break
-    if v is None:
-        raise ValueError(
-            f"initial velocities: no draw stayed inside the invariant box with "
-            f"spread {gen.spread_v} in {_REJECTION_BUDGET} attempts"
-        )
+        lo_v, hi_v = center - 0.5 * gen.spread_v, center + 0.5 * gen.spread_v
+    v = _draw(_substream(seed_path, _BLOCK_V), lo_v, hi_v, (n, r), gen.spread_v,
+              lambda v: gen.v_box is None or not ((v < lo_v - 1e-12) | (v > hi_v + 1e-12)).any(),
+              f"initial velocities: no draw stayed inside the invariant box with spread {gen.spread_v}")
     return x, v
 
 
@@ -550,11 +478,12 @@ def _as_center(val, r: int) -> np.ndarray:
     return np.asarray(val, dtype=float).reshape(r)
 
 
-def _build_coupling(block: dict, n: int, seed_path) -> CouplingModel:
-    params = {key: float(val) for key, val in block.items() if key not in ("family", "beta")}
-    if "beta" in block:
-        params["beta"] = _draw_matrix(block["beta"], n, _BLOCK_BETA, seed_path)
-    return COUPLING_FAMILIES[block["family"]](**params)
+def _build(cls, block: dict, n: int, seed_path, rng_block: int):
+    """cls from a validated block: numbers as floats, each `entries` field drawn from its spec."""
+    matrices = rules(cls)[2]
+    params = {key: float(val) for key, val in block.items() if key not in ("family", *matrices)}
+    params.update({key: _draw_matrix(block[key], n, rng_block, seed_path) for key in matrices})
+    return cls(**params)
 
 
 def _builtin_dynamics(name, r: int) -> Optional[InternalDynamics]:
@@ -582,13 +511,6 @@ def _build_internal(block, r: int) -> Optional[InternalDynamics]:
     return dyn if box is None else dyn.with_box(box)
 
 
-def _build_repulsion(block, n: int, seed_path) -> Optional[RepulsionModel]:
-    if block is None:
-        return None
-    coeffs = _draw_matrix(block["coeffs"], n, _BLOCK_REPULSION, seed_path)
-    return RepulsionModel(d0=float(block["d0"]), phi=float(block["phi"]), coeffs=coeffs)
-
-
 def materialize(doc: dict, seed_path=None) -> Scenario:
     """Validated document -> Scenario with all draws resolved."""
     diags = validate(doc)
@@ -601,8 +523,9 @@ def materialize(doc: dict, seed_path=None) -> Scenario:
         seed_path = (seed,)
 
     internal = _build_internal(doc["internal"], r)
-    repulsion = _build_repulsion(doc["repulsion"], n, seed_path)
-    coupling = _build_coupling(doc["coupling"], n, seed_path)
+    rep, block = doc["repulsion"], doc["coupling"]
+    repulsion = None if rep is None else _build(RepulsionModel, rep, n, seed_path, _BLOCK_REPULSION)
+    coupling = _build(COUPLING_FAMILIES[block["family"]], block, n, seed_path, _BLOCK_BETA)
 
     init = doc["initial"]
     if init["mode"] == "explicit":

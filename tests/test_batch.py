@@ -455,16 +455,18 @@ def test_integrate_runs_redoes_a_raising_block_run_by_run(caplog):
         _member("collision_free", "modulated", None, 3, 2, role, 1.3, 2.0, seed)
         for seed, role in enumerate(["plain", "singular", "collision", "plain"])
     ]
-    # two runs whose sample grid `integrate` cannot build fail alone too
+    # two runs whose sample grid `integrate` cannot build (1e300 / 1e-300
+    # samples overflow before anything is allocated) fail alone too
     spec, state, _ = members[0]
-    members += [(spec, state, IntegratorConfig(t_end=math.nan, sample_dt=0.02))] * 2
+    members += [(spec, state, IntegratorConfig(t_end=1e300, sample_dt=1e-300))] * 2
     with caplog.at_level(logging.DEBUG, logger="flocklab"):
         results = _results(members)
     for i in (1, 4, 5):
         with pytest.raises(type(results[i])) as alone:
             integrate(*members[i])
         assert str(alone.value) == str(results[i])
-    assert isinstance(results[1], SingularDistanceError) and isinstance(results[4], ValueError)
+    assert isinstance(results[1], SingularDistanceError)
+    assert isinstance(results[4], OverflowError) and isinstance(results[5], OverflowError)
     for i in (0, 2, 3):
         _assert_same(integrate(*members[i]), results[i])
     assert [r.getMessage() for r in caplog.records] == ["batch of 4 runs failed; running each alone"]

@@ -536,6 +536,32 @@ def test_sweep_rejects_a_worker_count_below_one(jobs, tmp_path, monkeypatch, cap
     assert _RecordingPool.sizes == [] and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        (["coupling.delta=0:1:0.01"], "101 values, over the limit of 100"),
+        ([f"coupling.delta=[{','.join(['1.0'] * 101)}]"], "sweep of 101 points, over the limit of 100"),
+        (["coupling.delta=0:1:0.1", "coupling.w=[1,2,3,4,5,6,7,8,9,10]"],
+         "sweep of 110 points, over the limit of 100"),
+        (["coupling.delta=0.5:1.49:0.01"], None),
+    ],
+    ids=["range-axis", "list-axis", "product", "at-the-limit"],
+)
+def test_sweep_over_the_point_limit_exits_one_before_building_a_point(
+    axes, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli_module, "SWEEP_POINTS", 100)
+    argv = ["sweep", "--scenario", bundled_path("example1_sweep"), "--out", str(tmp_path / "o"),
+            *(arg for axis in axes for arg in ("--axis", axis))]
+    if message is None:  # 100 values of 0.5 + 0.01 k
+        assert main(argv) == EXIT_OK
+        assert "sweep: 100 points" in capsys.readouterr().out
+        return
+    assert main(argv) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_records_per_point_failures(tmp_path, capsys):
     out = tmp_path / "err"
     code = main(
@@ -665,6 +691,30 @@ def test_sweep_worker_drops_each_block_before_integrating_the_next(monkeypatch):
     rows = cli_module._sweep_chunk(payloads)
     assert all(row["error"] == "" and row["eps_observed"] is not None for row in rows)
     assert alive_at_call == [0, 0]
+
+
+@pytest.mark.parametrize("held, pieces", [(1, [1, 1, 1]), (2**20, [3])], ids=["one-byte", "one-mebibyte"])
+def test_sweep_worker_integrates_its_runs_whenever_they_fill_sweep_held(held, pieces, monkeypatch):
+    # a point whose certificate fails has no run: it fills nothing, and the
+    # runs before it are still integrated when it is the worker's last point
+    doc = json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8"))
+    doc["integrator"]["t_end"] = 2.0
+    points = [[("coupling.delta", 0.5)], [("coupling.w", -1.0)], [("coupling.delta", 1.0)],
+              [("coupling.delta", 1.5)], [("coupling.w", -1.0)]]
+    payloads = [(json.dumps(doc), idx, point, True, True) for idx, point in enumerate(points)]
+    want = [cli_module._sweep_chunk([payload])[0] for payload in payloads]
+    integrate_runs = cli_module.integrate_runs
+    sizes = []
+
+    def recording(runs):
+        sizes.append(len(runs))
+        return integrate_runs(runs)
+
+    monkeypatch.setattr(cli_module, "integrate_runs", recording)
+    monkeypatch.setattr(cli_module, "SWEEP_HELD", held)
+    rows = cli_module._sweep_chunk(payloads)
+    assert rows == want and sizes == pieces
+    assert [row["eps_observed"] is not None for row in rows if row["error"] == ""] == [True] * 3
 
 
 @pytest.mark.parametrize("jobs, sizes", [(1, [61, 61]), (2, [61, 61]), (3, [41, 41, 40]),

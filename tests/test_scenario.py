@@ -13,7 +13,7 @@ import pytest
 
 from flocklab import scenario as scenario_module
 from flocklab.coupling import COUPLING_FAMILIES, ConstantCoupling, CouplingModel, ModulatedCoupling
-from flocklab.dynamics import k_region
+from flocklab.dynamics import RepulsionModel, k_region
 from flocklab.integrate import IntegratorConfig
 from flocklab.scenario import (
     CERTIFICATE_CLASSES,
@@ -234,6 +234,109 @@ def test_nullable_step_bounds():
 
 def test_non_object_document():
     assert validate([1, 2]) == ["document: must be a JSON object"]
+
+
+# (block, field, an out-of-range value, the diagnostic `validate` prints for
+# it) for every bounded number of the classes a scenario builds; a coupling
+# field is named with its family
+BOUNDED_FIELDS = [
+    ("integrator", "t_end", 0.0, "integrator.t_end: must exceed t0"),
+    ("integrator", "t0", 2.0, "integrator.t_end: must exceed t0"),
+    ("integrator", "sample_dt", 0.0, "integrator.sample_dt: must be > 0.0"),
+    ("integrator", "rtol", -1e-6, "integrator.rtol: must be > 0.0"),
+    ("integrator", "atol", 0.0, "integrator.atol: must be > 0.0"),
+    ("integrator", "h_init", 0.0, "integrator.h_init: must be > 0.0"),
+    ("integrator", "h_max", -0.5, "integrator.h_max: must be > 0.0"),
+    ("integrator", "collision_margin", -1e-9, "integrator.collision_margin: must be >= 0.0"),
+    ("coupling", "power_law.gain", 0.0, "coupling.gain: must be > 0.0"),
+    ("coupling", "power_law.sigma", -1.0, "coupling.sigma: must be > 0.0"),
+    ("coupling", "power_law.exponent", 0.0, "coupling.exponent: must be > 0.0"),
+    ("coupling", "modulated.w", 0.0, "coupling.w: must be > 0.0"),
+    ("coupling", "modulated.delta", -0.5, "coupling.delta: must be >= 0.0"),
+    ("coupling", "constant.w", -2.0, "coupling.w: must be > 0.0"),
+    ("repulsion", "d0", 0.0, "repulsion.d0: must be > 0.0"),
+    ("repulsion", "phi", 1.0, "repulsion.phi: must be > 1.0"),
+    ("certificate", "k_value", -1.0, "certificate.k_value: must be >= 0.0"),
+]
+
+COUPLING_BLOCKS = {
+    "power_law": {"family": "power_law", "gain": 1.0, "sigma": 1.0, "exponent": 0.5},
+    "modulated": {"family": "modulated", "w": 1.0, "delta": 1.0, "beta": {"mode": "constant", "value": 1.0}},
+    "constant": {"family": "constant", "w": 1.0},
+}
+
+
+def _bounded_case(block: str, key: str):
+    """A valid document, the class its `block` builds, and the field's name."""
+    doc = base_doc()
+    if block == "integrator":
+        doc["integrator"].update(t0=0.0, rtol=1e-6, atol=1e-9, h_init=0.01, h_max=0.5, collision_margin=1e-9)
+        return doc, IntegratorConfig, key
+    if block == "coupling":
+        family, key = key.split(".")
+        doc["coupling"] = copy.deepcopy(COUPLING_BLOCKS[family])
+        return doc, COUPLING_FAMILIES[family], key
+    if block == "repulsion":
+        doc["variant"] = "collision_free"
+        doc["repulsion"] = {"d0": 0.1, "phi": 1.5, "coeffs": {"mode": "constant", "value": 1.0}}
+        return doc, RepulsionModel, key
+    doc = _sync_doc()
+    doc["certificate"] = {"k_source": "user", "k_value": 2.0}
+    return doc, CertificateSettings, key
+
+
+@pytest.mark.parametrize(
+    "block, key, out_of_range, diagnostic", BOUNDED_FIELDS, ids=[f"{b}.{k}" for b, k, _, _ in BOUNDED_FIELDS]
+)
+def test_bounded_fields_reject_the_same_values_in_constructor_and_validate(
+    block, key, out_of_range, diagnostic
+):
+    doc, cls, key = _bounded_case(block, key)
+    params = doc[block]
+    assert validate(doc) == []
+
+    def build(value):
+        # a draw spec stands for an n x n matrix of ones, inside every entries range
+        kwargs = {k: np.ones((3, 3)) if isinstance(v, dict) else v for k, v in params.items()}
+        kwargs.pop("family", None)
+        return cls(**{**kwargs, key: value})
+
+    assert getattr(build(np.float32(params[key])), key) == np.float32(params[key])
+    # a document holds JSON's numbers only, as it must hash: no numpy scalar
+    for scalar in (np.float32(params[key]), np.int64(1)):
+        assert validate({**doc, block: {**params, key: scalar}}) == [f"{block}.{key}: must be a number"]
+    cases = [(math.nan, f"{block}.{key}: must be finite"), (math.inf, f"{block}.{key}: must be finite"),
+             (-math.inf, f"{block}.{key}: must be finite"), (out_of_range, diagnostic)]
+    for value, expected in cases:
+        with pytest.raises(ValueError) as raised:
+            build(value)
+        # the constructor names the field as `validate` does, without the block
+        assert str(raised.value) == expected.removeprefix(f"{block}.")
+        # NaN and +-inf travel as JSON's NaN, Infinity and -Infinity literals
+        text = json.dumps({**doc, block: {**params, key: value}})
+        assert validate(json.loads(text)) == [expected]
+
+
+@pytest.mark.parametrize("block, key", [("coupling", "modulated.beta"), ("repulsion", "coeffs")])
+def test_a_null_matrix_field_is_a_diagnostic(block, key):
+    # a null `repulsion.coeffs` used to pass validation and end materialization in a TypeError
+    doc, _, key = _bounded_case(block, key)
+    doc[block][key] = None
+    assert validate(doc) == [f"{block}.{key}: must be an object"]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_matrix_fields_reject_off_diagonal_entries_outside_their_range(bad):
+    m = np.ones((3, 3))
+    m[2, 0] = bad
+    with pytest.raises(ValueError, match=r"^coeffs: off-diagonal entries must lie in \(0\.0, inf\)$"):
+        RepulsionModel(d0=0.1, phi=1.5, coeffs=m)
+    with pytest.raises(ValueError, match=r"^beta: off-diagonal entries must lie in \(0\.0, 1\.41421"):
+        ModulatedCoupling(w=1.0, delta=1.0, beta=m)
+    m[2, 0] = 1.0
+    m[1, 1] = bad  # the diagonal is never read
+    RepulsionModel(d0=0.1, phi=1.5, coeffs=m)
+    ModulatedCoupling(w=1.0, delta=1.0, beta=m)
 
 
 # ---------------------------------------------------------------------------
