@@ -11,23 +11,29 @@ one `sweep --simulate --jobs 2` of `example1_sweep` over two t_end values
 and two coupling.delta values, whose worker holds runs on two sample grids,
 and the benchmark's 122-point frontier sweep of `example1_sweep` at
 `--jobs 1`, integrated as two blocks of 61 runs whose flushes each fill
-several slices of samples.  Three more flocks run `simulate --full` and
-`audit`: two above n = 5, whose plots draw min/median/max bands instead of
-one line per pair (a collision-free 4 x 3 lattice of 12 agents in the plane
-and a Lorenz sync flock of 8 agents in three dimensions), and
+several slices of samples.  Five more flocks run `simulate --full` and
+`audit`: three above n = 5, whose plots draw min/median/max bands instead of
+one line per pair (a collision-free 4 x 3 lattice of 12 agents in the plane,
+the same lattice to t_end 5 on a 0.001 grid, whose 5,001 samples are
+thinned to 2,000 in the plots and span several slices of the CSV writer
+and reader, and a Lorenz sync flock of 8 agents in three dimensions),
 `example1_delta09` to t_end 5 on a 0.001 grid, whose 57 steps reach 5,000
-samples in one flush of ten slices.
+samples in one flush of ten slices, and two agents head on whose
+Runge-Kutta stage lands inside d0, which the integrator rejects before it
+reports the collision.
 Last, `validate` runs on invalid documents: every bounded number of the
 integrator, coupling, repulsion and certificate blocks is set out of its
 range, to NaN, to +-Infinity (written as JSON's literals) and to a string,
 with one problem in each block, so a block's diagnostics have one order;
 one more document has an unknown and a missing key, one a draw spec out
-of its entries' range.
+of its entries' range, and six a scalar `initial.x_center` or `v_center`
+that is NaN or +-Infinity.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
 `sweep_collision/`, `sweep_grids/` and `frontier/`, the region copy's
-`region_k/`, the three flocks' `lattice12/`, `lorenz8/` and `fine_delta09/`,
-and the invalid documents' `invalid/`.
+`region_k/`, the five flocks' `lattice12/`, `long_lattice12/`, `lorenz8/`,
+`fine_delta09/` and `singular_stage/`, and the invalid documents'
+`invalid/` and `centre/`.
 The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
 
@@ -64,29 +70,40 @@ FRONTIER_AXES = ("coupling.delta=0.5:2.0:0.025", "coupling.w=[1.0,1.5]")
 
 
 def _extra_flocks() -> dict[str, dict]:
-    """Three flocks past the bundled runs: a lattice, a Lorenz flock and a fine grid.
+    """Five flocks past the bundled runs: two lattices, a Lorenz flock, a fine grid, a singular stage.
 
-    They are example3_strong as a 12-agent lattice, example2_strong with 8
-    agents, and example1_delta09 to t_end 5 on a 0.001 grid, whose one-run
-    flush fills several slices.  The 0.002 grid of the first two lets the audit check some steps of the stiff Lorenz
-    flock before its velocity spread falls below the resolution floor.
+    They are example3_strong as a 12-agent lattice to t_end 1 on a 0.002
+    grid and to t_end 5 on a 0.001 grid, example2_strong with 8 agents,
+    example1_delta09 to t_end 5 on a 0.001 grid, whose one-run flush fills
+    several slices, and two agents head on at a constant w = 0.001 with
+    d0 = 0.25, one of whose stages lands inside d0.  The 0.002 grid lets the
+    audit check some steps of the stiff Lorenz flock before its velocity
+    spread falls below the resolution floor.
     """
     docs = {}
-    for name, base, x, v in (
-        ("lattice12", "example3_strong",
-         [[1.5 * a, 1.5 * b] for a in range(4) for b in range(3)],
-         [[k % 4 - 0.5, float(k % 3)] for k in range(12)]),
+    lattice = ([[1.5 * a, 1.5 * b] for a in range(4) for b in range(3)],
+               [[k % 4 - 0.5, float(k % 3)] for k in range(12)])
+    for name, base, (x, v), grid in (
+        ("lattice12", "example3_strong", lattice, (1.0, 0.002)),
+        ("long_lattice12", "example3_strong", lattice, (5.0, 0.001)),
         ("lorenz8", "example2_strong",
-         [[k % 2 * 3.0, k % 3 - 1.0, k / 4] for k in range(8)],
-         [[k - 4.0, 2.0 - k % 5, 20.0 + k] for k in range(8)]),
+         ([[k % 2 * 3.0, k % 3 - 1.0, k / 4] for k in range(8)],
+          [[k - 4.0, 2.0 - k % 5, 20.0 + k] for k in range(8)]), (1.0, 0.002)),
     ):
         doc = json.loads((SCENARIO_DIR / f"{base}.json").read_text(encoding="utf-8"))
         doc.update(name=name, n=len(x), initial={"mode": "explicit", "x": x, "v": v},
-                   integrator={"t_end": 1.0, "sample_dt": 0.002})
+                   integrator={"t_end": grid[0], "sample_dt": grid[1]})
         docs[name] = doc
     doc = json.loads((SCENARIO_DIR / "example1_delta09.json").read_text(encoding="utf-8"))
     doc.update(name="fine_delta09", integrator={"t_end": 5.0, "sample_dt": 0.001})
     docs["fine_delta09"] = doc
+    docs["singular_stage"] = {
+        "name": "singular_stage", "variant": "collision_free", "n": 2, "r": 1, "seed": 0,
+        "coupling": {"family": "constant", "w": 0.001},
+        "repulsion": {"d0": 0.25, "phi": 1.5, "coeffs": {"mode": "constant", "value": 1e-6}},
+        "initial": {"mode": "explicit", "x": [0.0, 2.0], "v": [1.0, -1.0]},
+        "integrator": {"t_end": 2.0, "sample_dt": 0.01},
+    }
     return docs
 
 
@@ -138,6 +155,20 @@ def _invalid_documents() -> dict[str, dict]:
     doc["coupling"]["beta"]["value"] = 1.5
     doc["repulsion"]["coeffs"]["lo"] = 0.0
     docs["entries"] = doc
+    return docs
+
+
+def _centre_documents() -> dict[str, dict]:
+    """A baseline n = 3 generate document with each scalar centre NaN or +-Infinity."""
+    docs = {}
+    for key in ("x_center", "v_center"):
+        for label, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
+            docs[f"{key}_{label}"] = {
+                "name": "centre", "variant": "baseline", "n": 3, "r": 1, "seed": 0,
+                "coupling": {"family": "constant", "w": 1.0},
+                "initial": {"mode": "generate", "spread_x": 4.0, "spread_v": 1.0, key: value},
+                "integrator": {"t_end": 1.0, "sample_dt": 0.1},
+            }
     return docs
 
 
@@ -210,14 +241,15 @@ def main() -> int:
                 ("audit", ["audit", "--out", str(out)]),
             )
             _print_digests(name, commands, out, tmp)
-        out = Path(tmp) / "invalid"
-        out.mkdir()
-        commands = []
-        for label, doc in _invalid_documents().items():
-            scenario = out / f"{label}.json"
-            scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")  # NaN, Infinity literals
-            commands.append((label, ["validate", "--scenario", str(scenario)]))
-        _print_digests("invalid", commands, out, tmp)
+        for tag, documents in (("invalid", _invalid_documents()), ("centre", _centre_documents())):
+            out = Path(tmp) / tag
+            out.mkdir()
+            commands = []
+            for label, doc in documents.items():
+                scenario = out / f"{label}.json"
+                scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")  # NaN, Infinity literals
+                commands.append((label, ["validate", "--scenario", str(scenario)]))
+            _print_digests(tag, commands, out, tmp)
     return 0
 
 

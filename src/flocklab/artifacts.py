@@ -15,11 +15,13 @@ import json
 import math
 import re
 import warnings
+from itertools import islice
 from typing import Optional, get_args
 
 import numpy as np
 
 from .integrate import IntegratorConfig, Termination, Trajectory
+from .state import PASS_BYTES
 
 _SVG_PALETTE = (
     "#1f77b4",
@@ -55,30 +57,58 @@ def timeseries_header(n: int, r: int, full: bool) -> list[str]:
 def write_timeseries_csv(path, traj: Trajectory, full: bool = False) -> None:
     k, n, r = traj.xs.shape
     cols = [traj.ts, traj.spread_v, traj.spread_x, traj.min_dist_sq]
-    if full:
-        cols += [traj.vs.reshape(k, n * r), traj.xs.reshape(k, n * r)]
-    data = np.column_stack(cols)
+    header = timeseries_header(n, r, full)
     # RFC-4180 rows ending in CRLF: "%.17g" prints exactly fmt_sig's digits
-    # and no cell needs quoting.  Rows are converted one at a time, since a
-    # whole-array tolist() would hold every cell as a Python float at once.
-    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
+    # and no cell needs quoting.  A slice of rows is stacked at a time, and
+    # its rows are converted one at a time, since a whole-array tolist()
+    # would hold every cell as a Python float at once: the slice's table and
+    # the states' reshapes (16 bytes a value), next to one row's floats,
+    # tuple and text (about 64), fit PASS_BYTES
+    width = len(header)
+    chunk = max(1, (PASS_BYTES - 64 * width) // (16 * width))
+    row_fmt = ",".join(["%.17g"] * width) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(timeseries_header(n, r, full)) + "\r\n")
-        fh.writelines(row_fmt % tuple(rec.tolist()) for rec in data)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, k, chunk):
+            part = [col[lo : lo + chunk] for col in cols]
+            if full:
+                part += [traj.vs[lo : lo + chunk].reshape(-1, n * r),
+                         traj.xs[lo : lo + chunk].reshape(-1, n * r)]
+            fh.writelines(row_fmt % tuple(rec.tolist()) for rec in np.column_stack(part))
 
 
 def read_timeseries_csv(path) -> dict:
     """Parse a timeseries CSV back into arrays.
 
     Returns ts / spread_v / spread_x / min_dist_sq always, and xs / vs of
-    shape (k, n, r) when the file carries full-state columns.  A ragged or
-    non-numeric row raises ValueError.
+    shape (k, n, r) when the file carries full-state columns, all views of
+    one (k, columns) array.  The file is read twice: once to count its
+    lines, then in slices of lines, each parsed into its rows of that array.
+    A ragged or non-numeric row, or rows whose width is not the header's,
+    raise ValueError.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
+        width = len(header)
+        start = fh.tell()
+        data = np.empty((sum(1 for _ in fh), width))
+        fh.seek(start)
+        # np.loadtxt takes a slice's lines one at a time.  Beside the line it
+        # parses (its 4-byte characters and field buffers, about 128 bytes a
+        # value), a slice's parsed rows (8 bytes a value) take at most half
+        # of PASS_BYTES, leaving the rest to the text buffers of reading
+        chunk = max(1, (PASS_BYTES - 128 * width) // (16 * width))
+        filled = 0
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            for _ in range(0, len(data), chunk):
+                part = np.loadtxt(islice(fh, chunk), delimiter=",", ndmin=2, max_rows=chunk)
+                if part.size and part.shape[1] != width:
+                    raise ValueError(f"{path}: rows of {part.shape[1]} values under {width} columns")
+                data[filled : filled + len(part)] = part
+                filled += len(part)
+                del part  # else the next slice is parsed while this one is held
+    data = data[:filled]  # blank lines hold no row
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     expected = ["t", "S_v", "S_x", "min_dist_sq"]
@@ -350,10 +380,14 @@ class SvgPlot:
 
 
 def _thin_indices(k: int, cap: int = 2000) -> slice | np.ndarray:
+    """At most cap sample indices spread evenly over k, in increasing order.
+
+    Rounded `linspace` indices are strictly increasing when k > cap, since
+    their spacing (k - 1) / (cap - 1) exceeds 1.
+    """
     if k <= cap:
         return slice(None)
-    idx = np.linspace(0, k - 1, cap).round().astype(int)
-    return np.unique(idx)
+    return np.linspace(0, k - 1, cap).round().astype(int)
 
 
 def _small_flock(n: int) -> bool:
@@ -370,49 +404,78 @@ def plot_velocity_components(path, traj: Trajectory) -> None:
     """
     k, n, r = traj.vs.shape
     idx = _thin_indices(k)
-    ts, vs = traj.ts[idx], traj.vs[idx]
+    ts = traj.ts[idx]
     plot = SvgPlot("velocity components", "t", "v")
     if _small_flock(n):
+        vs = traj.vs[idx]
         for i in range(n):
             for l in range(r):
                 plot.add_series(f"v[{i + 1},{l + 1}]", ts, vs[:, i, l])
     else:
-        bands = (vs.min(axis=1), np.median(vs, axis=1), vs.max(axis=1))
+        bands = _agent_bands(traj.vs, idx)
         for l in range(r):
             for label, band in zip(("min", "median", "max"), bands):
                 plot.add_series(f"{label} v[i,{l + 1}]", ts, band[:, l])
     plot.write(path)
 
 
-_BAND_BYTES = 2**20  # all temporaries of one chunk of samples in _pair_distance_bands
+def _select_bands(values: np.ndarray, out: np.ndarray) -> None:
+    """Min, median and max of each row of the (m, P) values, into the (3, m) out.
 
-
-def _pair_distance_bands(xs: np.ndarray) -> np.ndarray:
-    """Min, median and max of |x_i - x_j| over pairs at each sample, (3, k).
-
-    All temporaries of a chunk of samples fit _BAND_BYTES (or one sample's
-    pairs).  The bands are selected from squared distances, summed in the
-    order of `(diff * diff).sum(axis=-1)`; sqrt is monotone, so they equal
-    the distances' min, np.median and max bit for bit.
+    The values are partitioned in place.  The median is np.median's own
+    arithmetic, bit for bit: a partition at the middle positions, the mean
+    of the middle one or two values (which turns -0.0 into 0.0), and NaN in
+    a row that holds one.  np.median itself would load numpy.ma.  Min and
+    max are the row reductions; a reduction over another layout can differ
+    from them only in the sign of a zero tied with a zero of the other sign,
+    which no plot coordinate shows.
     """
-    iu, ju = np.triu_indices(xs.shape[1], k=1)
-    half = len(iu) // 2
-    chunk = max(1, _BAND_BYTES // (4 * len(iu) * xs.itemsize))  # squares, 2 gathers, a difference
-    bands = np.empty((3, len(xs)))
-    for lo in range(0, len(xs), chunk):
-        block = np.moveaxis(xs[lo : lo + chunk], 2, 0)  # (r, m, n), coordinate-major
-        sq = np.zeros((block.shape[1], len(iu)))  # 0.0 + d is d: no square is -0.0
+    low, mid, high = out
+    p = values.shape[1]
+    middle = slice((p - 1) // 2, p // 2 + 1)
+    values.min(axis=1, out=low)
+    values.max(axis=1, out=high)
+    values.partition([middle.start, middle.stop - 1], axis=1)
+    values[:, middle].mean(axis=1, out=mid)
+    mid[np.isnan(high)] = np.nan
+
+
+def _agent_bands(vs: np.ndarray, idx=slice(None)) -> np.ndarray:
+    """Min, median and max over agents of each coordinate at the samples idx, (3, m, r).
+
+    A chunk of samples is gathered and laid out as one row of agents per
+    sample and coordinate, both copies within PASS_BYTES (or one sample).
+    """
+    _, n, r = vs.shape
+    picked = np.arange(len(vs))[idx]
+    chunk = max(1, PASS_BYTES // (16 * n * r))
+    bands = np.empty((3, len(picked) * r))
+    for lo in range(0, len(picked), chunk):
+        rows = vs[picked[lo : lo + chunk]].transpose(0, 2, 1).reshape(-1, n)  # (m * r, n)
+        _select_bands(rows, bands[:, lo * r : (lo + chunk) * r])
+    return bands.reshape(3, -1, r)
+
+
+def _pair_distance_bands(xs: np.ndarray, idx=slice(None)) -> np.ndarray:
+    """Min, median and max of |x_i - x_j| over pairs at the samples idx, (3, m).
+
+    A chunk of samples is gathered, and all its temporaries fit PASS_BYTES
+    (or one sample's pairs).  The distances are the square roots of squares
+    summed in the order of `(diff * diff).sum(axis=-1)`, so the bands equal
+    their min, np.median and max bit for bit.
+    """
+    n, r = xs.shape[1:]
+    iu, ju = np.triu_indices(n, k=1)
+    picked = np.arange(len(xs))[idx]
+    # the gathered chunk, the distances, two gathers and a difference
+    chunk = max(1, PASS_BYTES // ((n * r + 4 * len(iu)) * xs.itemsize))
+    bands = np.empty((3, len(picked)))
+    for lo in range(0, len(picked), chunk):
+        block = np.moveaxis(xs[picked[lo : lo + chunk]], 2, 0)  # (r, m, n), coordinate-major
+        dist = np.zeros((block.shape[1], len(iu)))  # 0.0 + d is d: no square is -0.0
         for col in block:
-            sq += np.square(col[:, iu] - col[:, ju])
-        low, mid, high = bands[:, lo : lo + chunk]
-        sq.min(axis=1, out=low)
-        sq.max(axis=1, out=high)
-        sq.partition(half, axis=1)
-        np.sqrt(sq[:, half], out=mid)
-        if len(iu) % 2 == 0:  # np.median's mean of the two middle values
-            mid[:] = (np.sqrt(sq[:, :half].max(axis=1)) + mid) / 2
-        mid[np.isnan(high)] = np.nan
-    np.sqrt(bands[::2], out=bands[::2])
+            dist += np.square(col[:, iu] - col[:, ju])
+        _select_bands(np.sqrt(dist, out=dist), bands[:, lo : lo + chunk])
     return bands
 
 
@@ -435,7 +498,7 @@ def plot_pairwise_distances(path, traj: Trajectory, d0: Optional[float] = None) 
                 dist = np.sqrt((diff * diff).sum(axis=1))
                 plot.add_series(f"|x_{i + 1}-x_{j + 1}|", ts, dist)
     else:
-        bands = _pair_distance_bands(traj.xs[idx])
+        bands = _pair_distance_bands(traj.xs, idx)
         for label, band in zip(("min", "median", "max"), bands):
             plot.add_series(f"{label} |x_i-x_j|", ts, band)
     if d0 is not None:

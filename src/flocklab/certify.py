@@ -279,7 +279,8 @@ def certify_collision(
 
 def resolution_floor(traj: Trajectory) -> np.ndarray:
     """Smallest velocity spread the sample grid can vouch for, per sample."""
-    vmax = np.abs(traj.vs).reshape(len(traj.ts), -1).max(axis=1)
+    vs = traj.vs.reshape(len(traj.ts), -1)
+    vmax = np.maximum(vs.max(axis=1), -vs.min(axis=1))  # max |v|, without a copy of |vs|
     return FLOOR_FACTOR * (traj.cfg.rtol * vmax + traj.cfg.atol)
 
 
@@ -333,7 +334,9 @@ def _run_audit(traj: Trajectory, bound_terms) -> TrajectoryAudit:
     stepped = np.diff(ts) > 0
     below = sv <= resolution_floor(traj)
     steps = np.flatnonzero(stepped & ~below[:-1] & ~below[1:])
-    terms = {k: bound_terms(k) for k in np.union1d(steps, steps + 1).tolist()}
+    ends = np.zeros(len(ts), dtype=bool)  # both ends of every checked step
+    ends[steps] = ends[steps + 1] = True
+    terms = {k: bound_terms(k) for k in np.flatnonzero(ends).tolist()}
 
     n_violations = 0
     worst = -math.inf
@@ -390,7 +393,7 @@ def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel],
     i, ip = rail.i, rail.j
     w = weights_matrix(coupling, t, x)
     n = x.shape[0]
-    others = np.setdiff1d(np.arange(n), [i, ip])
+    others = np.delete(np.arange(n), [i, ip])
     rho = w[i, ip] + w[ip, i] + sum(np.minimum(w[i, others], w[ip, others]).tolist())
 
     gamma = 0.0

@@ -7,12 +7,16 @@ cubic Hermite interpolation inside each accepted step, so tightening the
 step controller never changes the reported grid.  The samples are filled
 one block of accepted steps at a time, when the block's buffer is full and
 once when the run ends, with the bits each would have if its step were
-interpolated alone; one Hermite pass fills at most FLUSH_ROWS of them, so
-a fill's temporaries do not grow with the sample density.
+interpolated alone; one Hermite pass fills at most FLUSH_ROWS of them, and
+no more than its nine states per sample fit in `state.PASS_BYTES`, so a
+fill's temporaries grow neither with the sample density nor with the
+state size.
 
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
-the dense output and terminates the run with the offending pair.
+the dense output and terminates the run with the offending pair.  A stage
+that lands inside the repulsion's d0, where the collision_free RHS is
+undefined, rejects its attempt: h shrinks as after an error norm above 1.
 
 `integrate_batch` steps B flocks of one kind, on one sample grid, in
 lockstep, as the rows of one (B, 2nr) block: each step attempt makes one RHS call per stage for every
@@ -47,8 +51,8 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .bounds import bounded, check_fields
-from .models import ModelSpec, batch_key, batch_rhs, flat_rhs, pack, unpack
-from .state import FlockState, min_pair_distance_sq, pair_dot, spreads
+from .models import ModelSpec, SingularDistanceError, batch_key, batch_rhs, flat_rhs, pack, unpack
+from .state import PASS_BYTES, FlockState, min_pair_distance_sq, pair_dot, spreads
 
 log = logging.getLogger(__name__)
 
@@ -141,14 +145,20 @@ class Trajectory:
 
     @cached_property
     def min_dist_sq(self) -> np.ndarray:
-        # one agent row at a time over the (r, k, n) layout: the full
-        # (k, n, n, r) difference array would be 40 MB at k=1001, n=50
-        out = np.full(len(self.ts), np.inf)
-        xt = np.ascontiguousarray(self.xs.transpose(2, 0, 1))
-        for i in range(self.xs.shape[1] - 1):
-            diff = xt[:, :, i : i + 1] - xt[:, :, i + 1 :]
-            d2 = pair_dot(diff, diff)
-            np.minimum(out, d2.min(axis=1), out=out)
+        # one agent row at a time over a chunk of samples in the (r, m, n)
+        # layout; the chunk's copy, a row's differences and pair_dot's three
+        # sums fit PASS_BYTES, where the full (k, n, n, r) difference array
+        # would be 40 MB at k=1001, n=50
+        k, n, r = self.xs.shape
+        out = np.full(k, np.inf)
+        chunk = max(1, PASS_BYTES // (16 * n * (r + 2)))
+        for lo in range(0, k, chunk):
+            xt = np.ascontiguousarray(self.xs[lo : lo + chunk].transpose(2, 0, 1))
+            folded = out[lo : lo + chunk]
+            for i in range(n - 1):
+                diff = xt[:, :, i : i + 1] - xt[:, :, i + 1 :]
+                np.minimum(folded, pair_dot(diff, diff).min(axis=1), out=folded)
+                del diff  # else the next row's differences are made while these are held
         return out
 
 
@@ -163,9 +173,10 @@ def batch_size(n: int, r: int, cfg: IntegratorConfig) -> int:
     """Most members of one `integrate_batch` call that fit BATCH_BYTES together.
 
     A member holds its samples and 2 * (BLOCK + 1) rows of dense-output
-    points.  A flush slice holds 9 * FLUSH_ROWS rows, whatever the block's
-    size: the gathered (y0, f0, y1, f1) of each sample, their weighted
-    terms and their sum.  A row is one state of 2nr floats.
+    points.  A flush slice holds at most 9 * FLUSH_ROWS rows, whatever the
+    block's size: the gathered (y0, f0, y1, f1) of each sample, their
+    weighted terms and their sum; it is charged that many even where
+    PASS_BYTES caps it lower.  A row is one state of 2nr floats.
     """
     samples = len(_sample_grid(cfg.t0, cfg.t_end, cfg.sample_dt))
     row = 2 * n * r * 8
@@ -219,9 +230,11 @@ def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base=0) -> No
     Step s runs from starts[s] over hs[s], from the (state, slope) point
     firsts[s] of `points` to its point ends[s]; its sample i lands in row
     base[s] + i of the 2-D `samples`.  Each sample has the bits
-    `_hermite_rows` gives its step alone, and a `_hermite_rows` call fills
-    at most FLUSH_ROWS samples, so the temporaries do not grow with the
-    number of samples the steps reach.
+    `_hermite_rows` gives its step alone.  A `_hermite_rows` call fills at
+    most FLUSH_ROWS samples, and no more than fit PASS_BYTES at nine states
+    each (the gathered basis, its weighted terms and their sum), so the
+    temporaries grow neither with the number of samples the steps reach nor
+    with the state size.
     """
     # number the samples to fill 0..total-1, step by step: step s has
     # the numbers bounds[s] - counts[s] up to bounds[s] - 1
@@ -233,8 +246,9 @@ def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base=0) -> No
     basis = (2 * np.stack((firsts, ends)))[:, None] + _PAIR_ROWS
     rows = points.reshape(-1, points.shape[-1])
     total = int(counts.sum())
-    for first in range(0, total, FLUSH_ROWS):
-        number = np.arange(first, min(first + FLUSH_ROWS, total))
+    per_pass = min(FLUSH_ROWS, max(1, PASS_BYTES // (9 * rows[0].nbytes)))
+    for first in range(0, total, per_pass):
+        number = np.arange(first, min(first + per_pass, total))
         step = np.searchsorted(bounds, number, side="right")
         h = hs[step]
         theta = np.clip((grid[number + shift[step]] - starts[step]) / h, 0.0, 1.0)
@@ -475,7 +489,10 @@ def integrate_flat(
         if not (t < t_end and clamped >= h_floor):
             break
         h = clamped
-        y_new, err = _attempt(f, t, h, y, stages)
+        try:
+            y_new, err = _attempt(f, t, h, y, stages)
+        except SingularDistanceError:  # a stage inside d0: rejected, h shrinks by 0.2
+            err = math.inf
         # accept or reject: max|h * e| is h * max|e| bit for bit, as rounding
         # is monotone and symmetric in sign, so one multiply by h replaces
         # the vector one
@@ -564,7 +581,9 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
     Member b's Trajectory equals `integrate(specs[b], states0[b], cfgs[b])`
     bit for bit.  The specs must share one `models.batch_key`, and the
     members one sample grid (`_grid_key`).  An error in any member's start
-    or RHS propagates, as it does from `integrate` on that member.
+    or RHS propagates, as it does from `integrate` on that member; so does
+    the SingularDistanceError of a stage inside d0, which `integrate`
+    rejects, and `integrate_runs` then runs the block's runs alone.
     """
     if not specs or not len(specs) == len(states0) == len(cfgs):
         raise ValueError("integrate_batch needs one state and one config per spec")

@@ -298,9 +298,11 @@ def validate(doc) -> list[str]:
             _number(diags, "initial.", initial, "spread_v", ge=0.0)
             for key in ("x_center", "v_center"):
                 val = initial.get(key)
-                if val is None or (isinstance(val, JSON_NUMBER) and not isinstance(val, bool)):
+                if val is None:
                     continue
-                if isinstance(r, int):
+                if isinstance(val, JSON_NUMBER) and not isinstance(val, bool):
+                    _number(diags, "initial.", initial, key)  # a scalar centre: finite
+                elif isinstance(r, int):
                     _validate_vectors(diags, f"initial.{key}", val, r, 1)
             if variant == "collision_free" and sx == 0.0:
                 diags.append("initial.spread_x: coincident agents violate the separation precondition")

@@ -12,6 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
+# what one pass over a run's samples holds at most: the sample fill, the
+# trajectory folds, the CSV writer and reader and the band plots each take
+# as many samples per pass as fit
+PASS_BYTES = 2**20
+
 
 def _as_stack(y) -> np.ndarray:
     """y as (n, r) agents, or (B, n, r) for a batch of B flocks; (n,) reads as r = 1."""

@@ -40,6 +40,7 @@ from flocklab.integrate import (
     StepSizeUnderflow,
     Trajectory,
 )
+from flocklab.state import PASS_BYTES
 
 
 @pytest.fixture
@@ -182,14 +183,76 @@ def test_timeseries_round_trip_keeps_edge_values(tmp_path, n):
         ("t,S_x,S_v,min_dist_sq\r\n0,1,2,3\r\n", "unexpected header"),
         ("t,S_v,S_x,min_dist_sq\r\n0,1,2,3\r\n0.1,1,2\r\n", None),
         ("t,S_v,S_x,min_dist_sq\r\n0,1,2,3\r\n0.1,1,x,3\r\n", None),
+        ("t,S_v,S_x,min_dist_sq,v_1_1,x_1_1\r\n0,1,2,3\r\n", "rows of 4 values under 6 columns"),
     ],
-    ids=["empty", "header_only", "bad_header", "ragged_row", "non_numeric"],
+    ids=["empty", "header_only", "bad_header", "ragged_row", "non_numeric", "narrow_rows"],
 )
 def test_timeseries_read_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "ts.csv"
     path.write_bytes(text.encode())
     with pytest.raises(ValueError, match=message):
         read_timeseries_csv(path)
+
+
+def _large_state_traj(k: int = 200, n: int = 400, r: int = 3) -> Trajectory:
+    rng = np.random.default_rng(9)
+    return Trajectory(
+        ts=np.linspace(0.0, 1.0, k),
+        xs=rng.normal(size=(k, n, r)) * 10.0,
+        vs=rng.normal(size=(k, n, r)),
+        termination=Completed(),
+        n_accepted=k - 1,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=1.0, sample_dt=1.0 / (k - 1)),
+    )
+
+
+def _traced(fn):
+    """(fn's result, the tracemalloc peak of its call)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_min_dist_sq_holds_one_pass_budget_beyond_its_result():
+    # 200 samples of 400 agents in 3 dimensions are 1.8 MiB of positions;
+    # a transposed copy of them all would exceed the budget by itself
+    traj = _large_state_traj()
+    got, peak = _traced(lambda: traj.min_dist_sq)
+    assert got.shape == (200,) and peak - got.nbytes <= PASS_BYTES
+
+
+def test_csv_writer_and_reader_hold_one_pass_budget_beyond_their_results(tmp_path):
+    # the full table is 200 rows of 2404 values, 3.7 MiB; the folds are
+    # read first, so the writer's peak is its own
+    traj = _large_state_traj()
+    _ = traj.spread_v, traj.spread_x, traj.min_dist_sq
+    path = tmp_path / "ts.csv"
+    _, peak = _traced(lambda: write_timeseries_csv(path, traj, full=True))
+    assert peak <= PASS_BYTES
+    data, peak = _traced(lambda: read_timeseries_csv(path))
+    table = data["xs"].base
+    assert table.shape == (200, 2404) and all(np.shares_memory(v, table) for v in data.values())
+    assert peak - table.nbytes <= PASS_BYTES
+    assert data["xs"].tobytes() == traj.xs.tobytes() and data["vs"].tobytes() == traj.vs.tobytes()
+
+
+def test_csv_round_trip_holds_over_many_slices(tmp_path, monkeypatch, small_traj):
+    # a budget of 200 bytes writes and reads one row per slice
+    monkeypatch.setattr(artifacts, "PASS_BYTES", 200)
+    path = tmp_path / "ts.csv"
+    write_timeseries_csv(path, small_traj, full=True)
+    monkeypatch.undo()
+    write_timeseries_csv(tmp_path / "whole.csv", small_traj, full=True)
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    monkeypatch.setattr(artifacts, "PASS_BYTES", 200)
+    data = read_timeseries_csv(path)
+    assert data["xs"].tobytes() == small_traj.xs.tobytes()
+    assert data["ts"].tobytes() == small_traj.ts.tobytes()
 
 
 def test_summary_csv_has_no_state_columns(tmp_path, small_traj):
@@ -467,6 +530,49 @@ def test_pair_distance_bands_match_the_reference_on_degenerate_samples(kind):
     got = artifacts._pair_distance_bands(xs)
     assert np.array_equal(got, _reference_bands(xs), equal_nan=True)
     assert np.isnan(got[:, 2]).all() == (kind == "nan")
+
+
+def _median_reference(vs: np.ndarray) -> np.ndarray:
+    return np.array([vs.min(axis=1), np.median(vs, axis=1), vs.max(axis=1)])
+
+
+@pytest.mark.parametrize("n", [6, 7])  # an even and an odd number of agents
+@pytest.mark.parametrize("kind", ["random", "ties", "nan"])
+def test_agent_bands_equal_min_median_and_max_bit_for_bit(monkeypatch, n, kind):
+    # a budget of 1 KiB cuts the 40 samples into chunks of 3 or 4
+    monkeypatch.setattr(artifacts, "PASS_BYTES", 1024)
+    rng = np.random.default_rng(n)
+    vs = rng.normal(size=(40, n, 2)) * math.pi
+    if kind == "ties":
+        vs = np.round(vs) + 0.25  # few distinct values per sample, none of them zero
+        vs[5] = 1.5
+    elif kind == "nan":
+        vs[[4, 17], 2, 1] = np.nan
+        vs[30, 0, 0] = np.inf
+        vs[31, :, 1] = -np.inf
+    assert artifacts._agent_bands(vs).tobytes() == _median_reference(vs).tobytes()
+    idx = np.arange(0, 40, 3)
+    assert artifacts._agent_bands(vs, idx).tobytes() == _median_reference(vs[idx]).tobytes()
+
+
+def test_agent_bands_of_signed_zeros_equal_the_reference_in_value():
+    # tied zeros of both signs: the median keeps np.median's bits (its mean
+    # makes them +0.0), min and max may differ from it only in a zero's sign
+    vs = np.random.default_rng(2).choice([-0.0, 0.0, 1.0, -1.0], size=(30, 7, 3))
+    got, want = artifacts._agent_bands(vs), _median_reference(vs)
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.array_equal(got, want)
+
+
+def test_thinned_samples_are_strictly_increasing_without_np_unique(monkeypatch):
+    # np.unique would load numpy.ma, and the thinned plots need no
+    # de-duplication: above the cap, the rounded linspace steps by more than 1
+    monkeypatch.setattr(np, "unique", None)
+    for k in range(2001, 6001):
+        idx = artifacts._thin_indices(k)
+        assert len(idx) == 2000 and idx[0] == 0 and idx[-1] == k - 1
+        assert np.diff(idx).min() >= 1
+    assert artifacts._thin_indices(2000) == slice(None)
 
 
 def test_pairwise_plot_of_a_large_flock_stays_within_a_few_mebibytes(tmp_path):

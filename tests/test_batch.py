@@ -106,19 +106,25 @@ def _assert_same(alone, batched):
 
 
 def _check_members(members):
-    """integrate_batch against integrate on each member; a raising member raises the batch."""
-    alone = []
+    """integrate_batch against integrate on each member; returns `integrate`'s results the batch matched.
+
+    A stage inside d0 is a rejected attempt for `integrate`, but raises a
+    batch, whose runs `integrate_runs` then redoes one by one: a member whose
+    batch of one raises raises every batch it is in, and the others are
+    compared without it.
+    """
+    failed = []
     for member in members:
         try:
-            alone.append(integrate(*member))
-        except SingularDistanceError as exc:
-            alone.append(exc)
-    failed = [isinstance(a, SingularDistanceError) for a in alone]
+            integrate_batch(*zip(member))
+            failed.append(False)
+        except SingularDistanceError:
+            failed.append(True)
     if any(failed):
         with pytest.raises(SingularDistanceError):
             integrate_batch(*zip(*members))
         members = [m for m, bad in zip(members, failed) if not bad]
-        alone = [a for a, bad in zip(alone, failed) if not bad]
+    alone = [integrate(*member) for member in members]
     if members:
         for a, b in zip(alone, integrate_batch(*zip(*members))):
             _assert_same(a, b)
@@ -163,7 +169,7 @@ def test_batch_members_equal_integrate_bit_for_bit(members):
 def test_batch_members_stop_on_their_own():
     # one block holds runs that complete, collide mid-batch and underflow,
     # at the exponents numpy's `**` special-cases; the singular member
-    # raises the batch, as it raises `integrate`
+    # raises the batch, while `integrate` rejects its stage inside d0
     members = [
         _member("collision_free", "modulated", None, 3, 2, role, exponent, 2.0, seed)
         for seed, (role, exponent) in enumerate(
@@ -449,8 +455,8 @@ def test_integrate_runs_sends_a_lone_run_through_integrate(monkeypatch):
 
 
 def test_integrate_runs_redoes_a_raising_block_run_by_run(caplog):
-    # the singular member raises the block; alone, it raises again and
-    # its exception is its result, while the others get their trajectories
+    # the singular member raises the block; alone, its stage inside d0 is a
+    # rejected attempt, and it gets its trajectory like the others
     members = [
         _member("collision_free", "modulated", None, 3, 2, role, 1.3, 2.0, seed)
         for seed, role in enumerate(["plain", "singular", "collision", "plain"])
@@ -461,13 +467,12 @@ def test_integrate_runs_redoes_a_raising_block_run_by_run(caplog):
     members += [(spec, state, IntegratorConfig(t_end=1e300, sample_dt=1e-300))] * 2
     with caplog.at_level(logging.DEBUG, logger="flocklab"):
         results = _results(members)
-    for i in (1, 4, 5):
+    for i in (4, 5):
         with pytest.raises(type(results[i])) as alone:
             integrate(*members[i])
         assert str(alone.value) == str(results[i])
-    assert isinstance(results[1], SingularDistanceError)
     assert isinstance(results[4], OverflowError) and isinstance(results[5], OverflowError)
-    for i in (0, 2, 3):
+    for i in (0, 1, 2, 3):
         _assert_same(integrate(*members[i]), results[i])
     assert [r.getMessage() for r in caplog.records] == ["batch of 4 runs failed; running each alone"]
 

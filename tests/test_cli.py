@@ -312,6 +312,42 @@ def test_simulate_collision_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_stage_inside_d0_is_a_rejection_and_the_run_reports_its_collision(tmp_path, capsys):
+    # the default event margin of 1e-9 is far thinner than a step, so an
+    # attempt can put a stage inside d0, where the RHS is undefined; that
+    # attempt is rejected, h shrinks, and the event is located in a later step
+    doc = {
+        "name": "singular_stage",
+        "variant": "collision_free",
+        "n": 2,
+        "r": 1,
+        "seed": 0,
+        "coupling": {"family": "constant", "w": 0.001},
+        "repulsion": {"d0": 0.25, "phi": 1.5, "coeffs": {"mode": "constant", "value": 1e-6}},
+        "initial": {"mode": "explicit", "x": [0.0, 2.0], "v": [1.0, -1.0]},
+        "integrator": {"t_end": 2.0, "sample_dt": 0.01},
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out), "--full"]) == EXIT_COLLISION
+    run = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["run"]
+    assert run["termination"] == {"kind": "collision", "t_star": 0.7505636801938453, "i": 0, "j": 1}
+    assert run["n_rejected"] > 0
+    assert "SingularDistanceError" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["x_center", "v_center"])
+def test_validate_rejects_a_non_finite_scalar_centre(tmp_path, capsys, key, value):
+    doc = json.loads(Path(bundled_path("example3_strong")).read_text(encoding="utf-8"))
+    doc["initial"][key] = value
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity literals
+    assert main(["validate", "--scenario", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().out.splitlines() == [f"initial.{key}: must be finite"]
+
+
 def test_termination_exit_mapping():
     assert _termination_exit(Completed()) == EXIT_OK
     assert _termination_exit(CollisionEvent(t_star=1.0, i=0, j=1)) == EXIT_COLLISION
@@ -850,6 +886,32 @@ def test_simulate_leaves_scipy_integrate_unloaded(tmp_path):
     )
     assert got == {"code": EXIT_OK, "loaded": False}
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_simulate_and_audit_of_a_banded_flock_leave_numpy_ma_unloaded(tmp_path):
+    # np.median, np.unique, np.union1d and np.setdiff1d each load numpy.ma
+    # (about 14 ms and 2 MiB); an 8-agent flock over 2501 samples has its
+    # plots thinned and drawn as bands, and its collision audit checks steps
+    doc = json.loads(Path(bundled_path("example3_strong")).read_text(encoding="utf-8"))
+    doc.update(
+        n=8,
+        initial={"mode": "explicit", "x": [[1.5 * a, 1.5 * b] for a in range(4) for b in range(2)],
+                 "v": [[k % 4 - 0.5, float(k % 3)] for k in range(8)]},
+        integrator={"t_end": 5.0, "sample_dt": 0.002},
+    )
+    scenario = tmp_path / "lattice8.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    got = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from flocklab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        f"    codes = [main(['simulate', '--scenario', {str(scenario)!r}, '--out', {str(out)!r}, '--full']),\n"
+        f"             main(['audit', '--out', {str(out)!r}])]\n"
+        "print(json.dumps({'codes': codes, 'stdout': text.getvalue(), 'loaded': 'numpy.ma' in sys.modules}))\n"
+    )
+    assert got["codes"] == [EXIT_OK, EXIT_OK] and got["loaded"] is False
+    assert "rows: 2501" in got["stdout"] and "checked: 0" not in got["stdout"]
 
 
 def test_certify_leaves_hashlib_unloaded():

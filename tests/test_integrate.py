@@ -30,7 +30,7 @@ from flocklab.integrate import (
     integrate_flat,
 )
 from flocklab.models import ModelSpec, flat_rhs
-from flocklab.state import FlockState, min_pair_distance_sq
+from flocklab.state import PASS_BYTES, FlockState, min_pair_distance_sq, pair_dot
 
 
 def test_package_attribute_names_the_integrate_module():
@@ -331,6 +331,38 @@ def test_trajectory_min_dist_sq_matches_per_sample_minimum(xs):
     np.testing.assert_array_equal(traj.min_dist_sq, expected)
 
 
+def _whole_fold(xs: np.ndarray) -> np.ndarray:
+    """min_dist_sq as one fold over every sample: one agent row at a time over an (r, k, n) copy."""
+    out = np.full(len(xs), np.inf)
+    xt = np.ascontiguousarray(xs.transpose(2, 0, 1))
+    for i in range(xs.shape[1] - 1):
+        diff = xt[:, :, i : i + 1] - xt[:, :, i + 1 :]
+        np.minimum(out, pair_dot(diff, diff).min(axis=1), out=out)
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_min_dist_sq_in_chunks_equals_the_whole_fold_bit_for_bit(monkeypatch, r):
+    # a budget of 4 KiB cuts the 50 samples of 7 agents into chunks of 6 to 12
+    monkeypatch.setattr(integrate_module, "PASS_BYTES", 4096)
+    xs = np.random.default_rng(r).normal(size=(50, 7, r)) * math.pi
+    xs[3, 2, 0] = np.nan
+    xs[10] = 0.0  # every pair collapsed
+    xs[20, 1] = xs[20, 4]  # one pair collapsed, and ties between the others
+    xs[30, :, 0] = -xs[30, :, 0]
+    traj = Trajectory(
+        ts=np.linspace(0.0, 1.0, 50),
+        xs=xs,
+        vs=np.zeros_like(xs),
+        termination=Completed(),
+        n_accepted=49,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=1.0, sample_dt=1.0 / 49),
+    )
+    assert traj.min_dist_sq.tobytes() == _whole_fold(xs).tobytes()
+    assert np.isnan(traj.min_dist_sq[3]) and traj.min_dist_sq[10] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # dense output: one Hermite evaluation per step
 
@@ -428,6 +460,29 @@ def test_one_run_fill_stays_within_a_few_mebibytes_of_its_samples():
     samples = len(traj.ts) * 2 * n * r * 8
     assert len(traj.ts) == 10_001 and isinstance(traj.termination, Completed)
     assert peak - samples < 10 * 2**20
+
+
+def test_each_hermite_pass_of_a_large_state_fits_the_pass_budget(monkeypatch):
+    # at n = 400, r = 3 a state is 2400 floats, and FLUSH_ROWS = 512 samples
+    # in one pass would hold 9 * 512 of them: 88 MB
+    rng = np.random.default_rng(6)
+    y0, f0, y1, f1 = rng.normal(size=(4, 2400))
+    grid = np.linspace(0.0, 0.7, 600)
+    dense = _DenseOutput(grid, y0, f0)
+    dense.push(0.0, 0.7, y0, f0, y1, f1)
+    passes = []
+
+    def spy(basis, theta, h):
+        passes.append(len(theta))
+        return _hermite_rows(basis, theta, h)
+
+    monkeypatch.setattr(integrate_module, "_hermite_rows", spy)
+    dense.flush()
+    assert sum(passes) == 599 and len(passes) > 1
+    assert max(passes) * 9 * 2400 * 8 <= PASS_BYTES
+    for i in range(1, 600, 37):
+        theta = min(max(grid[i] / 0.7, 0.0), 1.0)
+        assert dense.samples[i].tobytes() == _hermite(y0, f0, y1, f1, 0.7, theta).tobytes()
 
 
 _LINEAR = np.array([[-0.3, 1.0, 0.0, 0.2], [-1.0, -0.3, 0.1, 0.0],
