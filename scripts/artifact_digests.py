@@ -20,7 +20,9 @@ and reader, and a Lorenz sync flock of 8 agents in three dimensions),
 `example1_delta09` to t_end 5 on a 0.001 grid, whose 57 steps reach 5,000
 samples in one flush of ten slices, and two agents head on whose
 Runge-Kutta stage lands inside d0, which the integrator rejects before it
-reports the collision.
+reports the collision.  A `sweep --simulate --jobs 1` of that head-on pair
+over coupling.w integrates it in one block between two points at higher w,
+which complete without a singular stage.
 Last, `validate` runs on invalid documents: every bounded number of the
 integrator, coupling, repulsion and certificate blocks is set out of its
 range, to NaN, to +-Infinity (written as JSON's literals) and to a string,
@@ -30,7 +32,7 @@ of its entries' range, and six a scalar `initial.x_center` or `v_center`
 that is NaN or +-Infinity.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
-`sweep_collision/`, `sweep_grids/` and `frontier/`, the region copy's
+`sweep_collision/`, `sweep_grids/`, `frontier/` and `sweep_singular/`, the region copy's
 `region_k/`, the five flocks' `lattice12/`, `long_lattice12/`, `lorenz8/`,
 `fine_delta09/` and `singular_stage/`, and the invalid documents'
 `invalid/` and `centre/`.
@@ -67,6 +69,7 @@ SWEEP_AXIS = "coupling.delta=0.5:2.0:0.25"
 COLLISION_SWEEP_AXIS = "coupling.w=[8.0,10.0,12.0]"
 GRID_SWEEP_AXES = ("integrator.t_end=[20.0,40.0]", "coupling.delta=[0.75,1.25]")
 FRONTIER_AXES = ("coupling.delta=0.5:2.0:0.025", "coupling.w=[1.0,1.5]")
+SINGULAR_SWEEP_AXIS = "coupling.w=[1.0,0.001,2.0]"  # the middle point is singular_stage
 
 
 def _extra_flocks() -> dict[str, dict]:
@@ -241,6 +244,10 @@ def main() -> int:
                 ("audit", ["audit", "--out", str(out)]),
             )
             _print_digests(name, commands, out, tmp)
+        out = Path(tmp) / "sweep_singular"
+        sweep = ["sweep", "--scenario", str(Path(tmp) / "singular_stage.json"), "--out", str(out),
+                 "--simulate", "--jobs", "1", "--axis", SINGULAR_SWEEP_AXIS]
+        _print_digests("sweep_singular", [("sweep", sweep)], out, tmp)
         for tag, documents in (("invalid", _invalid_documents()), ("centre", _centre_documents())):
             out = Path(tmp) / tag
             out.mkdir()

@@ -459,23 +459,30 @@ def _agent_bands(vs: np.ndarray, idx=slice(None)) -> np.ndarray:
 def _pair_distance_bands(xs: np.ndarray, idx=slice(None)) -> np.ndarray:
     """Min, median and max of |x_i - x_j| over pairs at the samples idx, (3, m).
 
-    A chunk of samples is gathered, and all its temporaries fit PASS_BYTES
-    (or one sample's pairs).  The distances are the square roots of squares
-    summed in the order of `(diff * diff).sum(axis=-1)`, so the bands equal
-    their min, np.median and max bit for bit.
+    A chunk of samples is gathered, and its distances in the pair order of
+    `np.triu_indices(n, 1)` are built one agent's pairs (i, i+1..n-1) at a
+    time, with no index arrays; the chunk fits PASS_BYTES, or holds one
+    sample, and a pass holds at most PASS_BYTES beyond one sample's
+    distances.  The distances are the square roots of squares summed in
+    the order of `(diff * diff).sum(axis=-1)`, so the bands equal their
+    min, np.median and max bit for bit.
     """
     n, r = xs.shape[1:]
-    iu, ju = np.triu_indices(n, k=1)
+    pairs = n * (n - 1) // 2
+    first = np.cumsum([0, *range(n - 1, 0, -1)]).tolist()  # agent i's pairs start at first[i]
     picked = np.arange(len(xs))[idx]
-    # the gathered chunk, the distances, two gathers and a difference
-    chunk = max(1, PASS_BYTES // ((n * r + 4 * len(iu)) * xs.itemsize))
+    # the gathered chunk, its distances and one agent's differences
+    chunk = max(1, PASS_BYTES // ((n * r + pairs + n) * xs.itemsize))
     bands = np.empty((3, len(picked)))
     for lo in range(0, len(picked), chunk):
         block = np.moveaxis(xs[picked[lo : lo + chunk]], 2, 0)  # (r, m, n), coordinate-major
-        dist = np.zeros((block.shape[1], len(iu)))  # 0.0 + d is d: no square is -0.0
+        dist = np.zeros((block.shape[1], pairs))  # 0.0 + d is d: no square is -0.0
         for col in block:
-            dist += np.square(col[:, iu] - col[:, ju])
+            for i in range(n - 1):
+                diff = col[:, i : i + 1] - col[:, i + 1 :]
+                dist[:, first[i] : first[i + 1]] += np.square(diff, out=diff)
         _select_bands(np.sqrt(dist, out=dist), bands[:, lo : lo + chunk])
+        del dist  # else the next chunk's distances are made while these are held
     return bands
 
 

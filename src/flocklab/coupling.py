@@ -32,8 +32,8 @@ from .state import _as_stack, distance_sq_matrix, libm, power
 BETA_SQ_SUP = 2.0
 
 # Quadrature settings.  quad is imported where it is called: scipy.integrate
-# costs more to import than the rest of the package, and only envelopes
-# without a closed-form integral ever reach it.
+# costs more to import than the rest of the package, and only the power-law
+# envelope, which has no closed-form integral, ever reaches it.
 _QUAD_ABS_TOL = 1e-10
 
 
@@ -162,14 +162,14 @@ class Envelope:
     """Certified sandwich for a coupling family.
 
     psi is non-increasing with w_ij(t, x) >= psi(S(x)) (spread argument, see
-    module docstring); w_bar bounds every weight from above.  `integral_fn`,
-    when present, evaluates integrals of psi in closed form including the
-    divergence bookkeeping for infinite upper limits.
+    module docstring); w_bar bounds every weight from above.  `integral_fn`
+    evaluates integrals of psi, in closed form where the family has one,
+    including the divergence bookkeeping for infinite upper limits.
     """
 
     psi: Callable[[float], float]
     w_bar: float
-    integral_fn: Optional[Callable[[float, float], float]] = None
+    integral_fn: Callable[[float, float], float]
 
 
 def _power_tail_integral(amp: float, offset: float, exponent: float):
@@ -200,8 +200,7 @@ def _quad(psi: Callable[[float], float], a: float, b: float) -> float:
 def psi_integral(env: Envelope, a: float, b: float) -> float:
     """Integral of the envelope over [a, b]; b may be inf.
 
-    Uses the family closed form when available, otherwise adaptive
-    quadrature at absolute tolerance 1e-10.  A divergent tail reports +inf.
+    Uses the envelope's `integral_fn`.  A divergent tail reports +inf.
     """
     if a < 0:
         raise ValueError("integral lower limit must be >= 0")
@@ -209,6 +208,4 @@ def psi_integral(env: Envelope, a: float, b: float) -> float:
         raise ValueError("integral needs b >= a")
     if b == a:
         return 0.0
-    if env.integral_fn is not None:
-        return env.integral_fn(a, b)
-    return _quad(env.psi, a, b)
+    return env.integral_fn(a, b)

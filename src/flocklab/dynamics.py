@@ -181,7 +181,12 @@ _LORENZ_BOX = np.array([[-17.0, 17.5], [-22.0, 24.5], [7.0, 45.0]])
 
 
 def lorenz() -> InternalDynamics:
-    """Classic chaotic generator with the standard trapping box."""
+    """Classic chaotic generator, with a box around its attractor.
+
+    The box is not forward invariant: the lone flow z' = g(z) leaves it
+    from each of its 8 corners before t = 2, so `k_region` over it bounds
+    the penalty on the box only, not along every orbit that starts in it.
+    """
 
     def g(t, z):
         z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
@@ -263,7 +268,10 @@ def k_region(dyn: InternalDynamics, box=None, t_grid=None) -> float:
     is computed exactly.  Otherwise the box is sampled on a grid and the
     result is only an estimate; a warning flags the loss of rigour.
     Autonomous dynamics are evaluated at the first time only: every time
-    gives the same maximum.
+    gives the same maximum.  Other dynamics are maximised over the grid
+    times only: `DEFAULT_T_GRID`, one period 2 pi in 256 steps, is exact
+    for `logistic_cosine` only because its penalty's extremes, at
+    cos t = 1 and -1, fall on the grid times 0 and pi.
     """
     if box is None:
         box = dyn.box

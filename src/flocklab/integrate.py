@@ -15,15 +15,17 @@ state size.
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
 the dense output and terminates the run with the offending pair.  A stage
-that lands inside the repulsion's d0, where the collision_free RHS is
-undefined, rejects its attempt: h shrinks as after an error norm above 1.
+that lands inside the repulsion's d0, where the collision_free RHS is NaN,
+makes the error norm NaN, which fails `err_norm <= 1`: the attempt is
+rejected and h shrinks by 0.2, the controller's floor.
 
 `integrate_batch` steps B flocks of one kind, on one sample grid, in
 lockstep, as the rows of one (B, 2nr) block: each step attempt makes one RHS call per stage for every
 member still running.  Each member keeps its own time, step size, accept or
 reject decision, event scan and termination, and leaves the block when it
 stops, without a fill: the block's next fill covers its recorded steps.  So
-each member gets the Trajectory `integrate` gives it, bit for bit.  The
+each member gets the Trajectory `integrate` gives it, bit for bit, and a
+member's stage inside d0 rejects that member's attempt alone.  The
 members' times, step sizes, error scales and counters are (B,) arrays, and
 one attempt's clamp, accept or reject and dense-output record are a fixed
 number of array operations whatever B is, with the IEEE operations
@@ -40,21 +42,17 @@ batching rule: which runs share a block, how many, and what runs alone.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import starmap
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .bounds import bounded, check_fields
-from .models import ModelSpec, SingularDistanceError, batch_key, batch_rhs, flat_rhs, pack, unpack
+from .models import ModelSpec, batch_key, batch_rhs, flat_rhs, pack, unpack
 from .state import PASS_BYTES, FlockState, min_pair_distance_sq, pair_dot, spreads
-
-log = logging.getLogger(__name__)
 
 UNDERFLOW_FACTOR = 1e-14
 
@@ -162,10 +160,12 @@ class Trajectory:
         return out
 
 
+def _sample_count(t0: float, t_end: float, dt: float) -> int:
+    return math.ceil((t_end - t0) / dt - 1e-12) + 1
+
+
 def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
-    span = t_end - t0
-    k = math.ceil(span / dt - 1e-12)
-    grid = t0 + dt * np.arange(k)
+    grid = t0 + dt * np.arange(_sample_count(t0, t_end, dt) - 1)
     return np.append(grid, t_end)
 
 
@@ -178,7 +178,8 @@ def batch_size(n: int, r: int, cfg: IntegratorConfig) -> int:
     weighted terms and their sum; it is charged that many even where
     PASS_BYTES caps it lower.  A row is one state of 2nr floats.
     """
-    samples = len(_sample_grid(cfg.t0, cfg.t_end, cfg.sample_dt))
+    # counted, not built: a grid too big to build fails in each run alone
+    samples = _sample_count(cfg.t0, cfg.t_end, cfg.sample_dt)
     row = 2 * n * r * 8
     return max(1, (BATCH_BYTES - 9 * FLUSH_ROWS * row) // ((samples + 2 * (BLOCK + 1)) * row))
 
@@ -489,10 +490,7 @@ def integrate_flat(
         if not (t < t_end and clamped >= h_floor):
             break
         h = clamped
-        try:
-            y_new, err = _attempt(f, t, h, y, stages)
-        except SingularDistanceError:  # a stage inside d0: rejected, h shrinks by 0.2
-            err = math.inf
+        y_new, err = _attempt(f, t, h, y, stages)
         # accept or reject: max|h * e| is h * max|e| bit for bit, as rounding
         # is monotone and symmetric in sign, so one multiply by h replaces
         # the vector one
@@ -575,21 +573,25 @@ def _grid_key(state0: FlockState, cfg: IntegratorConfig) -> tuple:
     return state0.t, cfg.t_end, cfg.sample_dt
 
 
-def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
+def integrate_batch(specs, states0, cfgs) -> list:
     """Integrate B flocks in lockstep, as one block; see the module docstring.
 
-    Member b's Trajectory equals `integrate(specs[b], states0[b], cfgs[b])`
-    bit for bit.  The specs must share one `models.batch_key`, and the
-    members one sample grid (`_grid_key`).  An error in any member's start
-    or RHS propagates, as it does from `integrate` on that member; so does
-    the SingularDistanceError of a stage inside d0, which `integrate`
-    rejects, and `integrate_runs` then runs the block's runs alone.
+    Member b's result is `integrate(specs[b], states0[b], cfgs[b])` bit for
+    bit, or the exception that call raises at the member's start; such a
+    member never enters the block, and no member can fail the others.  The
+    specs must share one `models.batch_key`, and the members one sample
+    grid (`_grid_key`).
     """
     if not specs or not len(specs) == len(states0) == len(cfgs):
         raise ValueError("integrate_batch needs one state and one config per spec")
     if len({_grid_key(state0, cfg) for state0, cfg in zip(states0, cfgs)}) > 1:
         raise ValueError("integrate_batch members must share t0, t_end and sample_dt")
-    starts = [_start(spec, state0, cfg) for spec, state0, cfg in zip(specs, states0, cfgs)]
+    out = [_caught(_start, *run) for run in zip(specs, states0, cfgs)]
+    entered = [b for b, start in enumerate(out) if not isinstance(start, Exception)]
+    if not entered:
+        return out
+    specs = [specs[b] for b in entered]
+    starts = [out[b] for b in entered]
     cfgs = [cfg for _, cfg, _ in starts]
     events = [event for _, _, event in starts]
     t_end, sample_dt = cfgs[0].t_end, cfgs[0].sample_dt
@@ -670,15 +672,15 @@ def integrate_batch(specs, states0, cfgs) -> list[Trajectory]:
         n_accepted += accepted
         h = h * factor
     dense.flush()
-    return [
-        _trajectory(spec, cfg, *result) for spec, cfg, result in zip(specs, cfgs, results)
-    ]
+    for b, spec, cfg, result in zip(entered, specs, cfgs, results):
+        out[b] = _trajectory(spec, cfg, *result)
+    return out
 
 
-def _alone(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig):
-    """`integrate` on one run, or the exception it raises."""
+def _caught(fn, *run):
+    """fn (`integrate` or `_start`) on one run, or the exception it raises."""
     try:
-        return integrate(spec, state0, cfg)
+        return fn(*run)
     except Exception as exc:  # a run's own failure is its result
         return exc
 
@@ -686,11 +688,8 @@ def _alone(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig):
 def _block(runs):
     """The results of one block's runs: several step together, one runs alone."""
     if len(runs) > 1:
-        try:
-            return integrate_batch(*zip(*runs))
-        except Exception:
-            log.debug("batch of %d runs failed; running each alone", len(runs), exc_info=True)
-    return starmap(_alone, runs)
+        return integrate_batch(*zip(*runs))
+    return [_caught(integrate, *run) for run in runs]
 
 
 def integrate_runs(runs):
@@ -698,10 +697,10 @@ def integrate_runs(runs):
 
     Runs that share a `models.batch_key` and a sample grid are cut, in
     index order, into near-equal blocks of at most `batch_size` runs.  A
-    block of several goes through `integrate_batch`; a lone run, which is
-    faster alone, and each run of a block that raises go through
-    `integrate`.  Run i's result is `integrate(*runs[i])`, bit for bit, or
-    the exception that call raises.  A block is integrated when its first
+    block of several goes through `integrate_batch`, and a lone run, which
+    is faster alone, through `integrate`.  Run i's result is
+    `integrate(*runs[i])`, bit for bit, or the exception that call raises;
+    each run is started once.  A block is integrated when its first
     result is asked for, so a caller that drops each result holds at most
     one block's trajectories.
     """

@@ -11,6 +11,8 @@ with b_ij = -f_ij(|x_i - x_j|^2) <x_i - x_j, v_i - v_j> / S(v).  The spread
 in the denominator is floored at SPREAD_GUARD; as velocities align both the
 numerator and any |v_j - v_i| factor vanish at the same rate, so the guard
 only matters in exact-consensus states where the whole term is zero anyway.
+f_ij is singular at d0: at or inside it the velocity law is undefined, and
+the dv rows of that pair's agents are NaN, which the stepper rejects.
 
 `batch_rhs` is the RHS of B flocks of one kind as rows of a (B, 2nr) block,
 each row at its own time and with its own parameters, and equal bit for bit
@@ -33,16 +35,6 @@ from .state import pair_differences, pair_dot, power, spreads
 SPREAD_GUARD = 1e-12
 
 MODEL_VARIANTS = ("baseline", "sync", "collision_free")
-
-
-class SingularDistanceError(ValueError):
-    """A pair sits at or inside the repulsion threshold; the RHS is undefined."""
-
-    def __init__(self, i: int, j: int, dist_sq: float, d0: float):
-        self.i, self.j, self.dist_sq, self.d0 = i, j, dist_sq, d0
-        super().__init__(
-            f"pair ({i}, {j}) at squared distance {dist_sq:.6g} <= d0={d0:.6g}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +78,8 @@ def _collision_weights(rep: RepulsionModel, coupling, t: float, x: np.ndarray, v
     diff_x = pair_differences(x)
     dist_sq = pair_dot(diff_x, diff_x)
     gaps = dist_sq - rep.d0
-    gaps.reshape(-1, n * n)[:, :: n + 1] = 1.0  # self pairs: a placeholder the wall check passes
-    bad = gaps <= 0.0
-    if bad.any():
-        at = tuple(np.argwhere(bad)[0])  # ([member,] i, j)
-        d0 = np.broadcast_to(rep.d0, gaps.shape)[at]
-        raise SingularDistanceError(int(at[-2]), int(at[-1]), float(dist_sq[at]), float(d0))
+    gaps.reshape(-1, n * n)[:, :: n + 1] = 1.0  # self pairs: a placeholder outside d0
+    np.copyto(gaps, np.nan, where=gaps <= 0.0)  # inside d0 the law is undefined: NaN
 
     w = weights_matrix(coupling, t, x, dist_sq=dist_sq)
     f = rep.coeffs / power(gaps, rep.phi)

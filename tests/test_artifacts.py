@@ -513,6 +513,15 @@ def test_pair_distance_bands_match_the_reference_bit_for_bit(n, r):
     assert np.array_equal(artifacts._pair_distance_bands(xs), _reference_bands(xs))
 
 
+def test_pair_distance_bands_hold_one_pass_budget_beyond_one_sample():
+    # at n = 400 one sample's 79,800 pair distances are 0.6 MiB; two gathers
+    # and a difference of all its pairs at once would add 1.8 MiB more
+    xs = _large_state_traj().xs[::50]
+    got, peak = _traced(lambda: artifacts._pair_distance_bands(xs))
+    assert peak - 400 * 399 // 2 * xs.itemsize <= PASS_BYTES
+    assert np.array_equal(got, _reference_bands(xs))
+
+
 def _degenerate_samples(kind: str) -> np.ndarray:
     xs = np.random.default_rng(4).normal(size=(5, 9, 2))
     if kind == "lattice":  # 9 agents on a 3 x 3 grid: many tied distances

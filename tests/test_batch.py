@@ -33,7 +33,7 @@ from flocklab.integrate import (
     integrate_batch,
     integrate_runs,
 )
-from flocklab.models import MODEL_VARIANTS, ModelSpec, SingularDistanceError, batch_rhs, flat_rhs
+from flocklab.models import MODEL_VARIANTS, ModelSpec, batch_rhs, flat_rhs
 from flocklab.scenario import materialize
 from flocklab.state import FlockState, libm, power
 
@@ -106,28 +106,10 @@ def _assert_same(alone, batched):
 
 
 def _check_members(members):
-    """integrate_batch against integrate on each member; returns `integrate`'s results the batch matched.
-
-    A stage inside d0 is a rejected attempt for `integrate`, but raises a
-    batch, whose runs `integrate_runs` then redoes one by one: a member whose
-    batch of one raises raises every batch it is in, and the others are
-    compared without it.
-    """
-    failed = []
-    for member in members:
-        try:
-            integrate_batch(*zip(member))
-            failed.append(False)
-        except SingularDistanceError:
-            failed.append(True)
-    if any(failed):
-        with pytest.raises(SingularDistanceError):
-            integrate_batch(*zip(*members))
-        members = [m for m, bad in zip(members, failed) if not bad]
+    """integrate_batch against integrate on each member; returns `integrate`'s results."""
     alone = [integrate(*member) for member in members]
-    if members:
-        for a, b in zip(alone, integrate_batch(*zip(*members))):
-            _assert_same(a, b)
+    for a, b in zip(alone, integrate_batch(*zip(*members))):
+        _assert_same(a, b)
     return alone
 
 
@@ -165,22 +147,46 @@ def test_batch_members_equal_integrate_bit_for_bit(members):
     _check_members(members)
 
 
+def _nan_members(monkeypatch) -> list:
+    """The ids of the specs whose rows of a block RHS call were NaN, one entry per row."""
+    seen = []
+    real = integrate_module.batch_rhs
+
+    def spy(specs):
+        f = real(specs)
+
+        def rhs(t, y):
+            out = f(t, y)
+            seen.extend(id(specs[i]) for i in np.flatnonzero(np.isnan(out).any(axis=1)))
+            return out
+
+        return rhs
+
+    monkeypatch.setattr(integrate_module, "batch_rhs", spy)
+    return seen
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_batch_members_stop_on_their_own():
+def test_batch_members_stop_on_their_own(monkeypatch):
     # one block holds runs that complete, collide mid-batch and underflow,
-    # at the exponents numpy's `**` special-cases; the singular member
-    # raises the batch, while `integrate` rejects its stage inside d0
+    # at the exponents numpy's `**` special-cases; the singular member's
+    # stage inside d0 is rejected in the block as it is alone
     members = [
         _member("collision_free", "modulated", None, 3, 2, role, exponent, 2.0, seed)
         for seed, (role, exponent) in enumerate(
             [("plain", 0.5), ("plain", 2.0), ("collision", 1.3), ("underflow", 0.7), ("singular", 1.0)]
         )
     ]
+    nan_rows = _nan_members(monkeypatch)
     alone = _check_members(members)
     kinds = [type(traj.termination) for traj in alone]
-    assert kinds == [Completed, Completed, CollisionEvent, StepSizeUnderflow]
+    assert kinds == [Completed, Completed, CollisionEvent, StepSizeUnderflow, Completed]
     assert 0.0 < alone[2].termination.t_star < T_END / 2
     assert alone[3].termination.t == 0.0 and len(alone[3].ts) == 1
+    # the underflow member's stages overflow to NaN; the singular member's
+    # stages inside d0 are NaN too, and only its own attempts are rejected
+    assert set(nan_rows) == {id(members[3][0]), id(members[4][0])}
+    assert alone[4].n_rejected > 0
 
 
 # the drift member's positions overflow on purpose
@@ -454,19 +460,24 @@ def test_integrate_runs_sends_a_lone_run_through_integrate(monkeypatch):
     assert alone == big and blocks == []
 
 
-def test_integrate_runs_redoes_a_raising_block_run_by_run(caplog):
-    # the singular member raises the block; alone, its stage inside d0 is a
-    # rejected attempt, and it gets its trajectory like the others
+def test_integrate_runs_steps_a_singular_member_in_its_block(monkeypatch, caplog):
+    # the singular member's stages inside d0 are rejected attempts in the
+    # block, as alone: the block of four is integrated once, and nothing reruns
     members = [
         _member("collision_free", "modulated", None, 3, 2, role, 1.3, 2.0, seed)
         for seed, role in enumerate(["plain", "singular", "collision", "plain"])
     ]
     # two runs whose sample grid `integrate` cannot build (1e300 / 1e-300
-    # samples overflow before anything is allocated) fail alone too
+    # samples overflow before anything is allocated) fail alone
     spec, state, _ = members[0]
     members += [(spec, state, IntegratorConfig(t_end=1e300, sample_dt=1e-300))] * 2
+    blocks = []
+    _batch_spy(monkeypatch, blocks)
+    nan_rows = _nan_members(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="flocklab"):
         results = _results(members)
+    assert blocks == [[id(spec) for spec, _, _ in members[:4]]]
+    assert set(nan_rows) == {id(members[1][0])}
     for i in (4, 5):
         with pytest.raises(type(results[i])) as alone:
             integrate(*members[i])
@@ -474,7 +485,51 @@ def test_integrate_runs_redoes_a_raising_block_run_by_run(caplog):
     assert isinstance(results[4], OverflowError) and isinstance(results[5], OverflowError)
     for i in (0, 1, 2, 3):
         _assert_same(integrate(*members[i]), results[i])
-    assert [r.getMessage() for r in caplog.records] == ["batch of 4 runs failed; running each alone"]
+    assert results[1].n_rejected > 0 and caplog.records == []
+
+
+def test_integrate_runs_fails_each_run_of_a_grid_too_big_to_build_alone():
+    # 1e16 samples are a valid grid, but more than any address space holds:
+    # each run gets its own MemoryError, and the call itself does not raise
+    spec, state, _ = _member("baseline", "constant", None, 3, 1, "plain", 1.0, 2.0, 0)
+    huge = IntegratorConfig(t_end=1e16, sample_dt=1.0)
+    results = _results([(spec, state, huge)] * 2)
+    assert all(isinstance(result, MemoryError) for result in results.values())
+
+
+def test_a_member_whose_start_fails_gets_its_error_and_the_others_one_block(monkeypatch):
+    # an initial pair within d0 + margin and a state of the wrong shape each
+    # fail their own start; every run is started once, and the other three
+    # step together
+    members = [
+        _member("collision_free", "modulated", None, 3, 2, "plain", 1.3, 2.0, seed)
+        for seed in range(5)
+    ]
+    spec, state, cfg = members[1]
+    x = state.x.copy()
+    x[2] = x[0]
+    members[1] = (spec, FlockState(t=0.0, x=x, v=state.v), cfg)
+    spec, state, cfg = members[3]
+    members[3] = (spec, FlockState(t=0.0, x=state.x[:2], v=state.v[:2]), cfg)
+    started = []
+    start = integrate_module._start
+    monkeypatch.setattr(integrate_module, "_start",
+                        lambda spec, *rest: started.append(id(spec)) or start(spec, *rest))
+    stepped = []
+    batch = integrate_module.batch_rhs
+    monkeypatch.setattr(integrate_module, "batch_rhs",
+                        lambda specs: stepped.append([id(spec) for spec in specs]) or batch(specs))
+    results = _results(members)
+    assert sorted(started) == sorted(id(spec) for spec, _, _ in members)
+    assert stepped[0] == [id(members[i][0]) for i in (0, 2, 4)]
+    assert str(results[1]).startswith("initial pair (0, 2) already at squared distance 0")
+    assert str(results[3]) == "initial state shape does not match the model spec"
+    for i in (1, 3):
+        with pytest.raises(ValueError) as alone:
+            integrate(*members[i])
+        assert type(results[i]) is ValueError and str(results[i]) == str(alone.value)
+    for i in (0, 2, 4):
+        _assert_same(integrate(*members[i]), results[i])
 
 
 def _frontier_runs() -> list:

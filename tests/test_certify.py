@@ -107,7 +107,7 @@ def test_contraction_bounds_matrix_action_on_spread(pm, zs):
 
 
 def test_standard_zero_envelope_is_infeasible():
-    env = Envelope(psi=lambda s: 0.0, w_bar=0.0)
+    env = Envelope(psi=lambda s: 0.0, w_bar=0.0, integral_fn=lambda a, b: 0.0)
     cert = certify_standard(env, spread_x0=1.0, spread_v0=0.5)
     assert not cert.feasible
     assert cert.tail == pytest.approx(0.0, abs=1e-9)

@@ -671,8 +671,9 @@ def test_batched_sweep_equals_each_point_integrated_alone(tmp_path, capsys):
 
 
 def test_sweep_run_that_fails_keeps_its_certificate_row(monkeypatch, caplog):
-    # point 3 fails its certificate; the batched run of the others fails,
-    # and rerun alone the point with delta 2.0 fails on its own row
+    # point 3 fails its certificate; the run of the point with delta 2.0
+    # fails its start, in the block of the other runs and alone, and its
+    # row keeps its certificate
     import flocklab.integrate as integrate_module
 
     doc = json.dumps(json.loads(Path(bundled_path("example1_sweep")).read_text(encoding="utf-8")))
@@ -680,27 +681,65 @@ def test_sweep_run_that_fails_keeps_its_certificate_row(monkeypatch, caplog):
                    [("coupling.delta", 2.0)], [("coupling.w", -1.0)]]
     payloads = [(doc, idx, point, True, True) for idx, point in enumerate(assignments)]
     want = [cli_module._sweep_chunk([payload])[0] for payload in payloads]
-    integrate = integrate_module.integrate
+    start = integrate_module._start
 
-    def failing_batch(*args):
-        raise RuntimeError("batch failed")
-
-    def alone(spec, state, cfg):
+    def failing_start(spec, state, cfg):
         if spec.coupling.delta == 2.0:
             raise RuntimeError("point failed")
-        return integrate(spec, state, cfg)
+        return start(spec, state, cfg)
 
-    monkeypatch.setattr(integrate_module, "integrate_batch", failing_batch)
-    monkeypatch.setattr(integrate_module, "integrate", alone)
+    monkeypatch.setattr(integrate_module, "_start", failing_start)
+    for cap in (3, 1):  # one block of three runs, then each run alone
+        monkeypatch.setattr(integrate_module, "batch_size", lambda n, r, cfg: cap)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="flocklab"):
+            rows = cli_module._sweep_chunk(payloads)
+        assert rows[0] == want[0] and rows[1] == want[1] and rows[3] == want[3]
+        assert rows[2]["error"] == "RuntimeError: point failed" and "eps_observed" not in rows[2]
+        assert rows[2]["d_star"] == want[2]["d_star"]  # its certificate still recorded
+        assert rows[3]["error"].startswith("ScenarioError") and "eps_observed" not in rows[3]
+        messages = [record.getMessage() for record in caplog.records]
+        assert messages == ["sweep point 3 failed", "sweep point 2 failed"]
+
+
+def test_collision_sweep_steps_its_singular_point_in_the_block(tmp_path, capsys, caplog, monkeypatch):
+    # the middle point is the head-on pair whose stage lands inside d0; the
+    # others complete without one.  All three step in one block, nothing
+    # reruns alone, and each row equals its point integrated alone
+    import flocklab.integrate as integrate_module
+    from flocklab.certify import decay_rate_fit
+    from flocklab.integrate import integrate
+    from flocklab.scenario import materialize
+
+    batch = integrate_module.integrate_batch
+    blocks = []
+    monkeypatch.setattr(integrate_module, "integrate_batch",
+                        lambda *run: blocks.append(len(run[0])) or batch(*run))
+
+    doc = {
+        "name": "singular_stage", "variant": "collision_free", "n": 2, "r": 1, "seed": 0,
+        "coupling": {"family": "constant", "w": 0.001},
+        "repulsion": {"d0": 0.25, "phi": 1.5, "coeffs": {"mode": "constant", "value": 1e-6}},
+        "initial": {"mode": "explicit", "x": [0.0, 2.0], "v": [1.0, -1.0]},
+        "integrator": {"t_end": 2.0, "sample_dt": 0.01},
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path / "sweep"), "--simulate",
+            "--jobs", "1", "--axis", "coupling.w=[1.0,0.001,2.0]"]
     with caplog.at_level(logging.DEBUG, logger="flocklab"):
-        rows = cli_module._sweep_chunk(payloads)
-    assert rows[0] == want[0] and rows[1] == want[1] and rows[3] == want[3]
-    assert rows[2]["error"] == "RuntimeError: point failed" and "eps_observed" not in rows[2]
-    assert rows[2]["d_star"] == want[2]["d_star"]  # its certificate still recorded
-    assert rows[3]["error"].startswith("ScenarioError") and "eps_observed" not in rows[3]
-    messages = [record.getMessage() for record in caplog.records]
-    assert messages == ["sweep point 3 failed", "batch of 3 runs failed; running each alone",
-                        "sweep point 2 failed"]
+        assert main(argv) == EXIT_OK
+    assert blocks == [3] and caplog.records == []
+    rows = _read_rows(tmp_path / "sweep" / "sweep.csv")
+    trajs = []
+    for idx, w in enumerate([1.0, 0.001, 2.0]):
+        doc["coupling"]["w"] = w
+        sc = materialize(doc, seed_path=(0, idx))
+        trajs.append(integrate(sc.model_spec(), sc.initial_state(), sc.integrator))
+        assert rows[idx]["error"] == ""
+        assert rows[idx]["eps_observed"] == cli_module._csv_cell(decay_rate_fit(trajs[-1]))
+    assert [traj.n_rejected > 0 for traj in trajs] == [False, True, False]
+    capsys.readouterr()
 
 
 def test_sweep_worker_drops_each_block_before_integrating_the_next(monkeypatch):
@@ -925,15 +964,12 @@ def test_certify_leaves_hashlib_unloaded():
     assert got == {"code": EXIT_OK, "loaded": False}
 
 
-@pytest.mark.parametrize("family_fn", [True, False], ids=["family_integral", "generic_quad"])
-def test_power_law_tail_integral_loads_quadrature_on_demand(family_fn):
+def test_power_law_tail_integral_loads_quadrature_on_demand():
     # int_0^inf 2 / (1.5^2 + s^2) ds = 2 * pi / (2 * 1.5)
     got = _fresh_python(
         "import json, math, sys\n"
-        "from flocklab.coupling import Envelope, PowerLawCoupling, psi_integral\n"
+        "from flocklab.coupling import PowerLawCoupling, psi_integral\n"
         "env = PowerLawCoupling(gain=2.0, sigma=1.5, exponent=1.0).envelope()\n"
-        f"if not {family_fn}:\n"
-        "    env = Envelope(psi=env.psi, w_bar=env.w_bar)\n"
         "before = 'scipy.integrate' in sys.modules\n"
         "val = psi_integral(env, 0.0, math.inf)\n"
         "print(json.dumps({'before': before, 'after': 'scipy.integrate' in sys.modules, "

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from flocklab.coupling import ConstantCoupling
 from flocklab.dynamics import (
+    DEFAULT_T_GRID,
     InternalDynamics,
     RepulsionModel,
     k_pair,
@@ -22,7 +25,9 @@ from flocklab.dynamics import (
     segment_jacobian_integrals,
     zero_dynamics,
 )
-from flocklab.state import libm
+from flocklab.integrate import IntegratorConfig, integrate
+from flocklab.models import ModelSpec
+from flocklab.state import FlockState, libm
 
 LORENZ_K = 24.5 + 17.5 - 8.0 / 3.0  # worst row of the corner maximum
 _LORENZ_BOX_ROWS = [[-17.0, 17.5], [-22.0, 24.5], [7.0, 45.0]]
@@ -196,6 +201,22 @@ def test_k_region_zero_dynamics():
 def test_k_region_logistic_cosine_exact_corner():
     # |cos t| |2z - 3| maximized at a box corner with cos t = -1
     assert k_region(logistic_cosine()) == pytest.approx(1.0, abs=1e-12)
+    # exact only because cos t = +-1 at grid times: a shifted grid misses it
+    assert k_region(logistic_cosine(), t_grid=DEFAULT_T_GRID + 0.01) < 1.0 - 1e-6
+
+
+def test_lorenz_box_is_not_forward_invariant():
+    # the lone flow v' = g(v) of one agent leaves the box from every corner
+    # within the first sample step
+    dyn = lorenz()
+    lo, hi = dyn.box.T
+    spec = ModelSpec(variant="sync", n=1, r=3, coupling=ConstantCoupling(w=1.0), internal=dyn)
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.01)
+    for corner in itertools.product(*dyn.box):
+        traj = integrate(spec, FlockState(t=0.0, x=np.zeros((1, 3)), v=np.array([corner])), cfg)
+        vs = traj.vs[:, 0]
+        outside = ((vs < lo) | (vs > hi)).any(axis=1)
+        assert outside.any() and traj.ts[outside.argmax()] < 2.0
 
 
 def test_k_region_lorenz_reference_window():

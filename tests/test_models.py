@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from flocklab.dynamics import (
 )
 from flocklab.models import (
     ModelSpec,
-    SingularDistanceError,
+    batch_rhs,
     flat_rhs,
     pack,
     unpack,
@@ -240,12 +241,22 @@ def test_collision_consensus_is_equilibrium():
     assert np.all(dv == 0.0)
 
 
-def test_collision_singularity_carries_the_pair():
-    spec = collision_spec()
-    x = np.array([[0.0], [0.4]])  # squared distance 0.16 < d0
-    with pytest.raises(SingularDistanceError) as err:
-        rhs(spec, 0.0, x, np.zeros((2, 1)))
-    assert (err.value.i, err.value.j) in {(0, 1), (1, 0)}
+def test_collision_singularity_is_nan_in_its_flocks_rows_only():
+    # agents 0 and 2 of the middle flock sit at squared distance 0.09 < d0:
+    # the law is undefined there, so their dv is NaN, and no other entry of
+    # that flock or of the block is; NaN inputs raise no warning
+    specs = [collision_spec(n=3, c=c) for c in (0.5, 1.0, 2.0)]
+    x = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 0.3], [0.0, 1.5, 3.0]])
+    v = np.array([[1.0, 0.0, -1.0], [0.5, -0.5, 1.0], [0.2, 0.1, 0.0]])
+    y = np.hstack([x, v])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = batch_rhs(specs)(np.zeros((3, 1)), y)
+        alone = [flat_rhs(spec)(0.0, row) for spec, row in zip(specs, y)]
+    assert np.isnan(alone[1]).tolist() == [False] * 3 + [True, False, True]
+    assert np.array_equal(block[1], alone[1], equal_nan=True)
+    for b in (0, 2):
+        assert np.isfinite(alone[b]).all() and block[b].tobytes() == alone[b].tobytes()
 
 
 def test_collision_receding_pair_damps_alignment():
