@@ -33,7 +33,7 @@ that is NaN or +-Infinity.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
 `sweep_collision/`, `sweep_grids/`, `frontier/` and `sweep_singular/`, the region copy's
-`region_k/`, the five flocks' `lattice12/`, `long_lattice12/`, `lorenz8/`,
+`region_k/`, the six flocks' `lattice12/`, `long_lattice12/`, `lattice3d/`, `lorenz8/`,
 `fine_delta09/` and `singular_stage/`, and the invalid documents'
 `invalid/` and `centre/`.
 The temporary path is stripped from the output,
@@ -73,10 +73,11 @@ SINGULAR_SWEEP_AXIS = "coupling.w=[1.0,0.001,2.0]"  # the middle point is singul
 
 
 def _extra_flocks() -> dict[str, dict]:
-    """Five flocks past the bundled runs: two lattices, a Lorenz flock, a fine grid, a singular stage.
+    """Six flocks past the bundled runs: three lattices, a Lorenz flock, a fine grid, a singular stage.
 
     They are example3_strong as a 12-agent lattice to t_end 1 on a 0.002
-    grid and to t_end 5 on a 0.001 grid, example2_strong with 8 agents,
+    grid and to t_end 5 on a 0.001 grid and as a jittered 12-agent lattice
+    in three dimensions to t_end 1, example2_strong with 8 agents,
     example1_delta09 to t_end 5 on a 0.001 grid, whose one-run flush fills
     several slices, and two agents head on at a constant w = 0.001 with
     d0 = 0.25, one of whose stages lands inside d0.  The 0.002 grid lets the
@@ -86,15 +87,20 @@ def _extra_flocks() -> dict[str, dict]:
     docs = {}
     lattice = ([[1.5 * a, 1.5 * b] for a in range(4) for b in range(3)],
                [[k % 4 - 0.5, float(k % 3)] for k in range(12)])
+    cube = [(a, b, c) for a in range(2) for b in range(2) for c in range(3)]
+    lattice3d = ([[1.5 * a + 0.1 * (k % 5), 1.5 * b - 0.07 * (k % 3), 1.5 * c + 0.05 * (k % 7)]
+                  for k, (a, b, c) in enumerate(cube)],
+                 [[k % 4 - 1.5, 1.0 - k % 3, 0.5 * (k % 5) - 1.0] for k in range(12)])
     for name, base, (x, v), grid in (
         ("lattice12", "example3_strong", lattice, (1.0, 0.002)),
         ("long_lattice12", "example3_strong", lattice, (5.0, 0.001)),
+        ("lattice3d", "example3_strong", lattice3d, (1.0, 0.002)),
         ("lorenz8", "example2_strong",
          ([[k % 2 * 3.0, k % 3 - 1.0, k / 4] for k in range(8)],
           [[k - 4.0, 2.0 - k % 5, 20.0 + k] for k in range(8)]), (1.0, 0.002)),
     ):
         doc = json.loads((SCENARIO_DIR / f"{base}.json").read_text(encoding="utf-8"))
-        doc.update(name=name, n=len(x), initial={"mode": "explicit", "x": x, "v": v},
+        doc.update(name=name, n=len(x), r=len(x[0]), initial={"mode": "explicit", "x": x, "v": v},
                    integrator={"t_end": grid[0], "sample_dt": grid[1]})
         docs[name] = doc
     doc = json.loads((SCENARIO_DIR / "example1_delta09.json").read_text(encoding="utf-8"))

@@ -21,7 +21,7 @@ from typing import Optional, get_args
 import numpy as np
 
 from .integrate import IntegratorConfig, Termination, Trajectory
-from .state import PASS_BYTES
+from .state import PASS_BYTES, pair_distances_sq
 
 _SVG_PALETTE = (
     "#1f77b4",
@@ -459,30 +459,12 @@ def _agent_bands(vs: np.ndarray, idx=slice(None)) -> np.ndarray:
 def _pair_distance_bands(xs: np.ndarray, idx=slice(None)) -> np.ndarray:
     """Min, median and max of |x_i - x_j| over pairs at the samples idx, (3, m).
 
-    A chunk of samples is gathered, and its distances in the pair order of
-    `np.triu_indices(n, 1)` are built one agent's pairs (i, i+1..n-1) at a
-    time, with no index arrays; the chunk fits PASS_BYTES, or holds one
-    sample, and a pass holds at most PASS_BYTES beyond one sample's
-    distances.  The distances are the square roots of squares summed in
-    the order of `(diff * diff).sum(axis=-1)`, so the bands equal their
-    min, np.median and max bit for bit.
+    The distances are the square roots of `pair_distances_sq`'s, chunk by
+    chunk, so the bands equal their min, np.median and max bit for bit.
     """
-    n, r = xs.shape[1:]
-    pairs = n * (n - 1) // 2
-    first = np.cumsum([0, *range(n - 1, 0, -1)]).tolist()  # agent i's pairs start at first[i]
-    picked = np.arange(len(xs))[idx]
-    # the gathered chunk, its distances and one agent's differences
-    chunk = max(1, PASS_BYTES // ((n * r + pairs + n) * xs.itemsize))
-    bands = np.empty((3, len(picked)))
-    for lo in range(0, len(picked), chunk):
-        block = np.moveaxis(xs[picked[lo : lo + chunk]], 2, 0)  # (r, m, n), coordinate-major
-        dist = np.zeros((block.shape[1], pairs))  # 0.0 + d is d: no square is -0.0
-        for col in block:
-            for i in range(n - 1):
-                diff = col[:, i : i + 1] - col[:, i + 1 :]
-                dist[:, first[i] : first[i + 1]] += np.square(diff, out=diff)
-        _select_bands(np.sqrt(dist, out=dist), bands[:, lo : lo + chunk])
-        del dist  # else the next chunk's distances are made while these are held
+    bands = np.empty((3, len(np.arange(len(xs))[idx])))
+    for lo, d2 in pair_distances_sq(xs, idx):
+        _select_bands(np.sqrt(d2, out=d2), bands[:, lo : lo + len(d2)])
     return bands
 
 
@@ -499,11 +481,9 @@ def plot_pairwise_distances(path, traj: Trajectory, d0: Optional[float] = None) 
     ts = traj.ts[idx]
     plot = SvgPlot("pairwise distances", "t", "|x_i - x_j|")
     if _small_flock(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = traj.xs[idx, i, :] - traj.xs[idx, j, :]
-                dist = np.sqrt((diff * diff).sum(axis=1))
-                plot.add_series(f"|x_{i + 1}-x_{j + 1}|", ts, dist)
+        dist = np.concatenate([np.sqrt(d2) for _, d2 in pair_distances_sq(traj.xs, idx)])
+        for (i, j), series in zip(zip(*np.triu_indices(n, 1)), dist.T):
+            plot.add_series(f"|x_{i + 1}-x_{j + 1}|", ts, series)
     else:
         bands = _pair_distance_bands(traj.xs, idx)
         for label, band in zip(("min", "median", "max"), bands):

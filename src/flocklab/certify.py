@@ -25,7 +25,7 @@ import numpy as np
 from .coupling import Envelope, psi_integral, weights_matrix
 from .dynamics import RepulsionModel, repulsion_strength, repulsion_tail
 from .integrate import Trajectory
-from .state import closest_pair, distance_sq_matrix, spread_report
+from .state import closest_pair, distance_sq_matrix, pair_dot, spread_report
 
 _D_STAR_TOL = 1e-10
 _MAX_BISECT = 200
@@ -304,7 +304,7 @@ def decay_rate_fit(
     if mask.sum() < 2:
         raise ValueError("not enough resolvable samples for a rate fit")
     slope = np.polyfit(ts[mask], np.log(sv[mask]), 1)[0]
-    return float(-slope)
+    return float(-slope) + 0.0  # flat data: -0.0 + 0.0 is 0.0
 
 
 @dataclass(frozen=True)
@@ -374,24 +374,21 @@ def audit_sync_run(traj: Trajectory, env: Envelope, n: int, k_bound: float) -> T
     return _run_audit(traj, terms)
 
 
-def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products; matmul takes the same BLAS dot as np.dot per row."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel], k: int):
     """Contraction rate rho and repulsion forcing at sample k.
 
     Both are taken at the pair attaining the velocity spread.  Self weights
     drop out of the pair minimum, so the (i, i') cross terms enter directly.
     Sums over the other agents run left to right, as a per-pair loop would.
+    The weights and the repulsion read one `distance_sq_matrix`.
     """
     t = float(traj.ts[k])
     x = traj.xs[k]
     v = traj.vs[k]
     rail = spread_report(v)
     i, ip = rail.i, rail.j
-    w = weights_matrix(coupling, t, x)
+    d2 = distance_sq_matrix(x)
+    w = weights_matrix(coupling, t, x, dist_sq=d2)
     n = x.shape[0]
     others = np.delete(np.arange(n), [i, ip])
     rho = w[i, ip] + w[ip, i] + sum(np.minimum(w[i, others], w[ip, others]).tolist())
@@ -401,9 +398,8 @@ def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel],
 
         def dtail(a: int, b) -> np.ndarray:
             """d/dt of the repulsion tail of each pair (a, b_m)."""
-            dx = x[a] - x[b]
-            f = repulsion_strength(rep, _pair_dots(dx, dx), a, b)
-            return -2.0 * f * _pair_dots(dx, v[a] - v[b])
+            f = repulsion_strength(rep, d2[a, b], a, b)
+            return -2.0 * f * pair_dot((x[a] - x[b]).T, (v[a] - v[b]).T)
 
         head = (dtail(i, [ip]) + dtail(ip, [i]))[0]
         gamma = 0.5 * (head + sum(np.minimum(dtail(i, others), dtail(ip, others)).tolist()))

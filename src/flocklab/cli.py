@@ -258,7 +258,10 @@ def _parse_axis(spec: str) -> tuple[str, list]:
         if values[-1] > stop + 1e-9 * max(1.0, abs(stop)):
             values.pop()
         return key, values
-    return key, [_parse_scalar(part) for part in raw.split(",")]
+    parts = raw.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"axis {key!r}: empty item in the comma list")
+    return key, [_parse_scalar(part) for part in parts]
 
 
 def _parse_scalar(text: str):

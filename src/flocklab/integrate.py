@@ -52,7 +52,7 @@ import numpy as np
 
 from .bounds import bounded, check_fields
 from .models import ModelSpec, batch_key, batch_rhs, flat_rhs, pack, unpack
-from .state import PASS_BYTES, FlockState, min_pair_distance_sq, pair_dot, spreads
+from .state import PASS_BYTES, FlockState, min_pair_distance_sq, pair_distances_sq, spreads
 
 UNDERFLOW_FACTOR = 1e-14
 
@@ -143,20 +143,9 @@ class Trajectory:
 
     @cached_property
     def min_dist_sq(self) -> np.ndarray:
-        # one agent row at a time over a chunk of samples in the (r, m, n)
-        # layout; the chunk's copy, a row's differences and pair_dot's three
-        # sums fit PASS_BYTES, where the full (k, n, n, r) difference array
-        # would be 40 MB at k=1001, n=50
-        k, n, r = self.xs.shape
-        out = np.full(k, np.inf)
-        chunk = max(1, PASS_BYTES // (16 * n * (r + 2)))
-        for lo in range(0, k, chunk):
-            xt = np.ascontiguousarray(self.xs[lo : lo + chunk].transpose(2, 0, 1))
-            folded = out[lo : lo + chunk]
-            for i in range(n - 1):
-                diff = xt[:, :, i : i + 1] - xt[:, :, i + 1 :]
-                np.minimum(folded, pair_dot(diff, diff).min(axis=1), out=folded)
-                del diff  # else the next row's differences are made while these are held
+        out = np.empty(len(self.ts))
+        for lo, d2 in pair_distances_sq(self.xs):
+            d2.min(axis=1, initial=np.inf, out=out[lo : lo + len(d2)])
         return out
 
 

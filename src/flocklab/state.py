@@ -8,7 +8,6 @@ helpers here are deliberately small and allocation-light.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -145,13 +144,34 @@ def distance_sq_matrix(x) -> np.ndarray:
     return pair_dot(d, d)
 
 
-@lru_cache(maxsize=8)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (i, j) indices of the pairs i < j, read-only."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+def pair_distances_sq(xs, idx=slice(None)):
+    """Squared pair distances at the samples idx of (k, n, r) positions, chunk by chunk.
+
+    Yields (lo, d2) for each chunk of the picked samples: d2 is (m, P), one
+    row per sample from the lo-th picked one, with the P = n(n-1)/2 pairs
+    i < j in the order of `np.triu_indices(n, 1)`.  Each entry is
+    `pair_dot`'s sum, so it equals the entry of `distance_sq_matrix` bit for
+    bit.  The pairs are built one agent's pairs (i, i+1..n-1) at a time.
+    A chunk's gathered copy, its distances, one agent's differences and
+    pair_dot's three sums fit PASS_BYTES, or the chunk holds one sample.
+    d2 is one buffer, refilled for the next chunk, which the caller may
+    overwrite.
+    """
+    k, n, r = xs.shape
+    picked = np.arange(k)[idx]
+    pairs = n * (n - 1) // 2
+    chunk = max(1, PASS_BYTES // ((2 * n * r + pairs + 3 * n) * 8))
+    buf = np.empty((min(chunk, len(picked)), pairs))
+    for lo in range(0, len(picked), chunk):
+        # (r, m, n), coordinate major and contiguous: a strided block subtracts at a third the speed
+        block = np.ascontiguousarray(xs[picked[lo : lo + chunk]].transpose(2, 0, 1))
+        d2 = buf[: block.shape[1]]
+        start = 0
+        for i in range(n - 1):
+            diff = block[:, :, i : i + 1] - block[:, :, i + 1 :]
+            d2[:, start : start + n - 1 - i] = pair_dot(diff, diff)
+            start += n - 1 - i
+        yield lo, d2
 
 
 def min_pair_distance_sq(x):
@@ -160,17 +180,20 @@ def min_pair_distance_sq(x):
 
 
 def closest_pair(d2: np.ndarray):
-    """(value, i, j) of the smallest pair entry of a `distance_sq_matrix`.
+    """(value, i, j) of the smallest pair entry of a `distance_sq_matrix`, left unchanged.
 
-    i < j; ties resolve to the smallest (i, j).
+    i < j; ties resolve to the smallest (i, j), and a NaN entry wins.  The
+    matrix is symmetric, so the first minimum of a copy with an infinite
+    diagonal lies above the diagonal.  Entry (0, 0) is skipped, so a matrix
+    of infinite distances gives its first pair, (0, 1).
     """
     n = d2.shape[0]
     if n < 2:
         raise ValueError("need at least two agents for a pairwise minimum")
-    iu, ju = _upper_pairs(n)
-    vals = d2[iu, ju]
-    k = int(np.argmin(vals))
-    return float(vals[k]), int(iu[k]), int(ju[k])
+    masked = d2.copy()
+    np.fill_diagonal(masked, np.inf)
+    i, j = divmod(int(np.argmin(masked.ravel()[1:])) + 1, n)
+    return float(masked[i, j]), i, j
 
 
 @dataclass

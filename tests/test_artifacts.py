@@ -40,7 +40,7 @@ from flocklab.integrate import (
     StepSizeUnderflow,
     Trajectory,
 )
-from flocklab.state import PASS_BYTES
+from flocklab.state import PASS_BYTES, pair_dot
 
 
 @pytest.fixture
@@ -497,10 +497,10 @@ def test_pairwise_plot_stays_small_for_large_flocks(tmp_path):
 
 
 def _reference_bands(xs: np.ndarray) -> np.ndarray:
-    """Min, median and max pair distance per sample, from all (k, P, r) differences at once."""
+    """Min, median and max pair distance per sample, from all (r, k, P) differences at once."""
     iu, ju = np.triu_indices(xs.shape[1], k=1)
-    diff = xs[:, iu, :] - xs[:, ju, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    diff = (xs[:, iu, :] - xs[:, ju, :]).transpose(2, 0, 1)
+    dist = np.sqrt(pair_dot(diff, diff))
     return np.array([dist.min(axis=1), np.median(dist, axis=1), dist.max(axis=1)])
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flocklab.certify as certify_mod
+from flocklab.artifacts import report_value
 from flocklab.certify import (
     TrajectoryAudit,
     audit_collision_run,
@@ -354,6 +355,14 @@ def test_decay_rate_fit_flat_series_is_zero():
     assert decay_rate_fit(traj) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_decay_rate_fit_of_a_constant_spread_is_positive_zero():
+    # the fitted slope is 0.0, and its negation must not reach sweep.csv as -0
+    ts = np.linspace(0.0, 1.0, 11)
+    rate = decay_rate_fit(_hand_trajectory(ts, np.ones_like(ts)))
+    assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
+    assert report_value(rate) == "0"
+
+
 def test_decay_rate_fit_needs_resolvable_samples():
     ts = np.linspace(0.0, 3.0, 31)
     traj = _hand_trajectory(ts, np.full_like(ts, 1e-12))
@@ -446,9 +455,9 @@ def test_collision_audit_evaluates_weights_only_where_it_checks(monkeypatch):
 
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return weights_matrix(*args)
+        return weights_matrix(*args, **kwargs)
 
     monkeypatch.setattr(certify_mod, "weights_matrix", counting)
     audit = audit_collision_run(traj, sc.coupling, sc.repulsion)

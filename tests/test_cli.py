@@ -845,9 +845,20 @@ def test_parse_axis_json_and_comma_forms():
 
 
 def test_parse_axis_rejects_malformed_specs():
-    for spec in ("novalue", "k=", "=3", "k=1:2", "k=2:1:0.5", "k=1:2:0", "k=[]"):
+    for spec in ("novalue", "k=", "=3", "k=1:2", "k=2:1:0.5", "k=1:2:0", "k=[]",
+                 "k=1,2,", "k=,1", "k=1,,2", "k=1, ,2"):
         with pytest.raises(ValueError):
             _parse_axis(spec)
+
+
+@pytest.mark.parametrize("values", ["1,2,", "[]"])
+def test_sweep_with_an_empty_axis_item_is_a_usage_error(tmp_path, values, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--scenario", bundled_path("example1_sweep"), "--out", str(out),
+            "--axis", f"coupling.w={values}"]
+    assert main(argv) == EXIT_USAGE
+    assert not (out / "sweep.csv").exists()
+    capsys.readouterr()
 
 
 def test_set_by_path_creates_nested_blocks():

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import flocklab.integrate as integrate_module
+import flocklab.state as state_module
 from flocklab.coupling import ConstantCoupling, ModulatedCoupling, PowerLawCoupling
 from flocklab.dynamics import RepulsionModel, logistic_cosine, logistic_cosine_solution
 from flocklab.integrate import (
@@ -285,8 +286,8 @@ def test_trajectory_derives_summary_series():
 def test_trajectory_folds_are_computed_on_first_read(monkeypatch):
     # a sweep reads only spread_v; the pair-distance fold must not run for it
     calls = []
-    real = integrate_module.pair_dot
-    monkeypatch.setattr(integrate_module, "pair_dot", lambda a, b: calls.append(1) or real(a, b))
+    real = integrate_module.pair_distances_sq
+    monkeypatch.setattr(integrate_module, "pair_distances_sq", lambda xs: calls.append(1) or real(xs))
     rng = np.random.default_rng(4)
     xs, vs = rng.normal(size=(2, 5, 3, 2))
     traj = Trajectory(
@@ -304,7 +305,7 @@ def test_trajectory_folds_are_computed_on_first_read(monkeypatch):
     np.testing.assert_array_equal(traj.spread_x, (xs.max(axis=1) - xs.min(axis=1)).max(axis=1))
     assert calls == []
     assert traj.min_dist_sq is traj.min_dist_sq
-    assert len(calls) == 2  # one fold per agent row but the last
+    assert len(calls) == 1  # one pass over the samples
 
 
 @st.composite
@@ -343,8 +344,8 @@ def _whole_fold(xs: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_min_dist_sq_in_chunks_equals_the_whole_fold_bit_for_bit(monkeypatch, r):
-    # a budget of 4 KiB cuts the 50 samples of 7 agents into chunks of 6 to 12
-    monkeypatch.setattr(integrate_module, "PASS_BYTES", 4096)
+    # a budget of 4 KiB cuts the 50 samples of 7 agents into chunks of 5 to 9
+    monkeypatch.setattr(state_module, "PASS_BYTES", 4096)
     xs = np.random.default_rng(r).normal(size=(50, 7, r)) * math.pi
     xs[3, 2, 0] = np.nan
     xs[10] = 0.0  # every pair collapsed

@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flocklab.certify as certify_mod
+from flocklab import artifacts
+from flocklab.artifacts import plot_pairwise_distances
+from flocklab.certify import certify_collision
+from flocklab.coupling import ConstantCoupling
+from flocklab.dynamics import RepulsionModel
+from flocklab.integrate import Completed, IntegratorConfig, Trajectory
 from flocklab.state import (
     FlockState,
+    closest_pair,
     distance_sq_matrix,
     min_pair_distance_sq,
     pair_differences,
@@ -107,20 +117,36 @@ def test_min_pair_distance_needs_two_agents():
 
 def test_min_pair_distance_ties_resolve_to_smallest_pair():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])  # (0,1), (1,2), (2,3) tie at 1
-    for _ in range(2):  # the second call reads the cached pair indices
-        assert min_pair_distance_sq(x) == (1.0, 0, 1)
+    assert min_pair_distance_sq(x) == (1.0, 0, 1)
     assert min_pair_distance_sq(x[::-1]) == (1.0, 0, 1)
+    x = np.array([[5.0], [0.0], [9.0], [1.0], [10.0]])  # (1,3) and (2,4) tie at 1
+    assert min_pair_distance_sq(x) == (1.0, 1, 3)
 
 
-def test_min_pair_distance_reuses_pair_indices(monkeypatch):
-    x = np.random.default_rng(5).normal(size=(7, 2))
-    first = min_pair_distance_sq(x)
+def test_closest_pair_leaves_its_matrix_unchanged():
+    # certify_collision reads the same matrix again for its repulsion tails
+    d2 = distance_sq_matrix(np.random.default_rng(5).normal(size=(7, 2)))
+    before = d2.copy()
+    val, i, j = closest_pair(d2)
+    assert d2.tobytes() == before.tobytes()
+    iu, ju = np.triu_indices(7, k=1)
+    k = int(np.argmin(d2[iu, ju]))
+    assert (val, i, j) == (d2[iu[k], ju[k]], iu[k], ju[k])
 
-    def rebuilt(*args, **kwargs):
-        raise AssertionError("triu_indices rebuilt for a size already seen")
 
-    monkeypatch.setattr(np, "triu_indices", rebuilt)
-    assert min_pair_distance_sq(x) == first
+@pytest.mark.parametrize("agent", [0, 2, 4])
+def test_closest_pair_a_nan_pair_wins(agent):
+    # as the argmin over the pairs in triu order: the first pair holding a NaN
+    x = np.arange(10.0).reshape(5, 2)
+    x[agent, 1] = np.nan
+    val, i, j = closest_pair(distance_sq_matrix(x))
+    assert np.isnan(val) and (i, j) == ((0, 1) if agent == 0 else (0, agent))
+
+
+def test_closest_pair_of_infinite_distances_is_the_first_pair():
+    d2 = np.full((3, 3), np.inf)  # every squared distance overflowed
+    np.fill_diagonal(d2, 0.0)
+    assert closest_pair(d2) == (np.inf, 0, 1)
 
 
 def _einsum_pair_geometry(x, v):
@@ -203,3 +229,95 @@ def test_flock_state_rejects_non_finite():
 def test_flock_state_accepts_single_agent():
     state = FlockState(t=1.0, x=[[0.0]], v=[[2.0]])
     assert state.n == 1 and spread(state.x) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# every reported pair distance is distance_sq_matrix's, bit for bit
+
+
+@st.composite
+def _sampled_flocks(draw):
+    """(k, n, r) positions with r = 1..6 and n = 1..12, often with coincident agents and ties."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, 6))
+    grid = st.integers(-2, 2).map(float)  # lattice points: coincident agents, tied distances
+    real = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    xs = np.array(draw(st.lists(st.one_of(grid, real), min_size=k * n * r, max_size=k * n * r)))
+    xs = xs.reshape(k, n, r)
+    if n > 1 and draw(st.booleans()):
+        xs[:, draw(st.integers(1, n - 1))] = xs[:, 0]
+    return xs
+
+
+class _RecordedPlot:
+    """Stands in for SvgPlot and keeps each series by its label."""
+
+    def __init__(self, *args, **kwargs):
+        self.series = {}
+        _RecordedPlot.last = self
+
+    def add_series(self, label, xs, ys):
+        self.series[label] = np.asarray(ys)
+
+    def add_hline(self, label, y):
+        pass
+
+    def write(self, path):
+        pass
+
+
+def _same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sampled_flocks())
+def test_every_reported_pair_distance_is_distance_sq_matrix_bit_for_bit(xs):
+    k, n, r = xs.shape
+    iu, ju = np.triu_indices(n, k=1)
+    d2 = np.array([distance_sq_matrix(x) for x in xs])  # (k, n, n)
+    pairs = d2[:, iu, ju]  # (k, P)
+    traj = Trajectory(
+        ts=np.arange(k, dtype=float),
+        xs=xs,
+        vs=np.random.default_rng(n * r).normal(size=xs.shape),
+        termination=Completed(),
+        n_accepted=max(k - 1, 0),
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=float(k), sample_dt=1.0),
+    )
+    assert _same_bits(traj.min_dist_sq, pairs.min(axis=1, initial=np.inf))
+
+    with mock.patch.object(artifacts, "SvgPlot", _RecordedPlot):
+        plot_pairwise_distances("unused.svg", traj)
+    series = _RecordedPlot.last.series
+    dist = np.sqrt(pairs)
+    if artifacts._small_flock(n):
+        assert list(series) == [f"|x_{i + 1}-x_{j + 1}|" for i, j in zip(iu, ju)]
+        for p, ys in enumerate(series.values()):
+            assert _same_bits(ys, dist[:, p])
+    else:
+        for label, band in zip(("min", "median", "max"), (np.min, np.median, np.max)):
+            assert _same_bits(series[f"{label} |x_i-x_j|"], band(dist, axis=1))
+    if n < 2:
+        return
+
+    for x, pairs_x in zip(xs, pairs):
+        p = int(np.argmin(pairs_x))
+        assert min_pair_distance_sq(x) == (pairs_x[p], iu[p], ju[p])
+    rep = RepulsionModel(d0=1e-12, phi=1.5, coeffs=np.ones((n, n)))
+    cert = certify_collision(ConstantCoupling(w=1.0).envelope(), rep, xs[0], 1.0, n)
+    assert _same_bits(cert.min_dist_sq, pairs[0].min())
+
+    seen = []
+
+    def recording(rep, s, i, j):
+        seen.append((np.asarray(s), i, j))
+        return np.ones(np.shape(s))
+
+    with mock.patch.object(certify_mod, "repulsion_strength", recording):
+        certify_mod._pair_decay_terms(traj, ConstantCoupling(w=1.0), rep, k - 1)
+    assert len(seen) == 4
+    for s, i, j in seen:
+        assert _same_bits(s, d2[k - 1][i, j])
