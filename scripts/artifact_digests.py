@@ -30,12 +30,15 @@ with one problem in each block, so a block's diagnostics have one order;
 one more document has an unknown and a missing key, one a draw spec out
 of its entries' range, and six a scalar `initial.x_center` or `v_center`
 that is NaN or +-Infinity.
+Four certify-only sweeps close it: a baseline flock under power-law and
+constant couplings, a sync flock over a user K from 0 up, relaxed and not,
+and a collision flock over w and d0 whose closest pair ends inside d0.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
 `sweep_collision/`, `sweep_grids/`, `frontier/` and `sweep_singular/`, the region copy's
 `region_k/`, the six flocks' `lattice12/`, `long_lattice12/`, `lattice3d/`, `lorenz8/`,
-`fine_delta09/` and `singular_stage/`, and the invalid documents'
-`invalid/` and `centre/`.
+`fine_delta09/` and `singular_stage/`, the invalid documents'
+`invalid/` and `centre/`, and the certify-only sweeps' `certificates/`.
 The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
 
@@ -114,6 +117,44 @@ def _extra_flocks() -> dict[str, dict]:
         "integrator": {"t_end": 2.0, "sample_dt": 0.01},
     }
     return docs
+
+
+def _certificate_sweeps() -> dict[str, tuple[dict, tuple[str, ...]]]:
+    """Certify-only sweeps of all three certificates, as (document, axes) by name.
+
+    A baseline flock (example1_delta09's state without its drive) under
+    power-law couplings, whose tails are quadratures, and under constant
+    ones; the sync example1_delta09 with a user K from 0 up, relaxed and
+    not; and example3_strong's repulsion with a finite envelope tail
+    (delta = 2) on five explicit agents over w and d0, whose largest d0
+    holds the closest initial pair (squared distance 1).
+    """
+    def load(name: str) -> dict:
+        return json.loads((SCENARIO_DIR / f"{name}.json").read_text(encoding="utf-8"))
+
+    baseline = load("example1_delta09")
+    del baseline["internal"], baseline["certificate"]
+    baseline.update(name="baseline", variant="baseline")
+    power_law = {"family": "power_law", "gain": 1.0, "sigma": 1.0, "exponent": 1.0}
+    sync = load("example1_delta09")
+    sync["certificate"] = {"k_source": "user", "k_value": 0.0}
+    collision = load("example3_strong")
+    collision["coupling"]["delta"] = 2.0
+    collision["initial"] = {
+        "mode": "explicit",
+        "x": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.5], [2.0, 2.0], [3.0, 0.5]],
+        "v": [[1.0, -1.0], [-2.0, 0.5], [0.5, 2.0], [-1.0, -1.5], [1.5, 0.0]],
+    }
+    return {
+        "baseline_power_law": ({**baseline, "coupling": power_law},
+                               ("coupling.exponent=[0.25,0.5,0.75,1.0,2.0,4.0]",
+                                "coupling.gain=[0.5,2.0,8.0]")),
+        "baseline_constant": ({**baseline, "coupling": {"family": "constant", "w": 1.0}},
+                              ("coupling.w=[0.01,1.0,100.0]",)),
+        "sync_user_k": (sync, ("certificate.k_value=[0.0,0.25,0.5,1.0,2.0,4.0]",
+                               "certificate.relaxed=[false,true]")),
+        "collision": (collision, ("coupling.w=[10.0,60.0,120.0]", "repulsion.d0=[0.25,0.75,1.5]")),
+    }
 
 
 # each bounded number's out-of-range value, by block; a coupling key names its family
@@ -263,6 +304,13 @@ def main() -> int:
                 scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")  # NaN, Infinity literals
                 commands.append((label, ["validate", "--scenario", str(scenario)]))
             _print_digests(tag, commands, out, tmp)
+        for name, (doc, axes) in _certificate_sweeps().items():
+            scenario = Path(tmp) / f"certificates_{name}.json"
+            scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+            out = Path(tmp) / "certificates" / name
+            sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--jobs", "1",
+                     *(arg for axis in axes for arg in ("--axis", axis))]
+            _print_digests(f"certificates/{name}", [("sweep", sweep)], out, tmp)
     return 0
 
 

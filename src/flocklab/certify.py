@@ -5,6 +5,12 @@ internal-dynamics penalty bound into a yes/no answer with the numbers that
 back it: the largest admissible position spread, the root d* where the
 integral budget is exhausted, and the guaranteed exponential rate.
 
+All three certificates are one tail test, `_verdict`: lhs < c int_{S(x0)}^d
+psi - K (d - S(x0)) - R for some d <= d_max, the last radius where c psi(d)
+still beats K.  Standard: lhs = S(v0), (c, K, R) = (1, 0, 0).  Sync: lhs =
+S(v0), (n or 1, K, 0).  Collision: lhs = S(v0)/n, (1/2, 0, worst repulsion
+tail).  psi > 0, so K <= 0 makes d_max infinite without a search.
+
 Audits replay a finished trajectory against the differential inequalities
 the certificates rest on.  The forward difference of the velocity spread on
 the sample grid is compared with the discrete consequence of the bound,
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -77,26 +84,70 @@ def contraction_coefficient(p) -> ContractionResult:
 @dataclass(frozen=True)
 class StandardCertificate:
     kind: ClassVar[str] = "standard"
+    variant: ClassVar[str] = "baseline"
     feasible: bool
     spread_x0: float
     spread_v0: float
     tail: float  # int_{S(x0)}^inf psi
 
 
+def _budget(env: Envelope, c: float, k: float, s_x0: float, d: float) -> float:
+    return c * psi_integral(env, s_x0, d) - k * (d - s_x0)
+
+
+def _bisect(below, lo: float, hi: float, relative: bool) -> float:
+    """Bisect [lo, hi] where `below` turns false, to _D_STAR_TOL (times max(1, hi) if relative)."""
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _D_STAR_TOL * (max(1.0, hi) if relative else 1.0):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _verdict(
+    env: Envelope, c: float, k: float, s_x0: float, lhs: float, cost: float = 0.0
+) -> tuple[bool, float, float]:
+    """(feasible, d_max, sup) of the tail test in the module docstring, with R = cost.
+
+    sup is the budget at d_max, its supremum (taken at _PROBE_CAP when k > 0
+    and d_max is infinite).
+    """
+    if k <= 0.0:
+        d_max = math.inf
+    elif c * env.psi(s_x0) - k <= 0.0:
+        d_max = s_x0
+    else:
+        # psi is non-increasing, so c psi - k has a single sign change
+        lo, hi = s_x0, s_x0 + 1.0
+        while c * env.psi(hi) - k > 0.0:
+            lo, hi = hi, s_x0 + 2.0 * (hi - s_x0)
+            if hi > _PROBE_CAP:
+                d_max = math.inf
+                break
+        else:
+            d_max = _bisect(lambda r: c * env.psi(r) - k > 0.0, lo, hi, relative=True)
+    if math.isinf(d_max):
+        tail = math.inf if k < 0.0 else psi_integral(env, s_x0, math.inf)
+        sup = c * tail if k <= 0.0 or math.isinf(tail) else _budget(env, c, k, s_x0, _PROBE_CAP)
+    else:
+        sup = _budget(env, c, k, s_x0, d_max)
+    return bool(lhs < sup - cost), d_max, sup
+
+
 def certify_standard(env: Envelope, spread_x0: float, spread_v0: float) -> StandardCertificate:
     """Unconditional flocking test: the envelope tail must exceed S(v0)."""
-    tail = psi_integral(env, spread_x0, math.inf)
-    return StandardCertificate(
-        feasible=bool(spread_v0 < tail),
-        spread_x0=spread_x0,
-        spread_v0=spread_v0,
-        tail=tail,
-    )
+    feasible, _, tail = _verdict(env, 1, 0.0, spread_x0, spread_v0)
+    return StandardCertificate(feasible=feasible, spread_x0=spread_x0, spread_v0=spread_v0, tail=tail)
 
 
 @dataclass(frozen=True)
 class SyncCertificate:
     kind: ClassVar[str] = "sync"
+    variant: ClassVar[str] = "sync"
     feasible: bool
     k_bound: float
     k_source: str
@@ -113,76 +164,6 @@ class SyncCertificate:
         if not self.feasible:
             raise ValueError("no decay bound for an infeasible certificate")
         return self.spread_v0 * np.exp(-self.epsilon * (np.asarray(t) - t0))
-
-
-def _budget(env: Envelope, c: int, k: float, s_x0: float, d: float) -> float:
-    return c * psi_integral(env, s_x0, d) - k * (d - s_x0)
-
-
-def _sync_radii(
-    env: Envelope, c: int, k_bound: float, spread_x0: float, spread_v0: float
-) -> tuple[float, Optional[float]]:
-    """(d_max, d*) of the sync budget; d* is None when the budget falls short."""
-
-    def head(r: float) -> float:
-        return c * env.psi(r) - k_bound
-
-    if head(spread_x0) <= 0.0:
-        return spread_x0, None
-
-    # locate d_max: psi is non-increasing, so head has a single sign change
-    lo, hi = spread_x0, spread_x0 + 1.0
-    d_max = math.inf
-    while head(hi) > 0.0:
-        lo = hi
-        hi = spread_x0 + 2.0 * (hi - spread_x0)
-        if hi > _PROBE_CAP:
-            break
-    else:
-        for _ in range(_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            if head(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _D_STAR_TOL * max(1.0, hi):
-                break
-        d_max = 0.5 * (lo + hi)
-
-    if math.isinf(d_max):
-        if k_bound < 0.0:
-            budget_sup = math.inf
-        else:
-            tail = psi_integral(env, spread_x0, math.inf)
-            if math.isinf(tail):
-                budget_sup = math.inf
-            elif k_bound == 0.0:
-                budget_sup = c * tail
-            else:
-                budget_sup = _budget(env, c, k_bound, spread_x0, _PROBE_CAP)
-    else:
-        budget_sup = _budget(env, c, k_bound, spread_x0, d_max)
-
-    if not budget_sup > spread_v0:
-        return d_max, None
-
-    # root of the budget equation in (S(x0), d_max)
-    if math.isinf(d_max):
-        hi = spread_x0 + 1.0
-        while _budget(env, c, k_bound, spread_x0, hi) <= spread_v0:
-            hi = spread_x0 + 2.0 * (hi - spread_x0)
-    else:
-        hi = d_max
-    lo = spread_x0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if _budget(env, c, k_bound, spread_x0, mid) < spread_v0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _D_STAR_TOL:
-            break
-    return d_max, 0.5 * (lo + hi)
 
 
 def certify_sync(
@@ -205,8 +186,17 @@ def certify_sync(
     if n < 1:
         raise ValueError("need n >= 1")
     c = 1 if relaxed else n
-    d_max, d_star = _sync_radii(env, c, k_bound, spread_x0, spread_v0)
-    feasible = d_star is not None
+    feasible, d_max, _ = _verdict(env, c, k_bound, spread_x0, spread_v0)
+    d_star = epsilon = None
+    if feasible:
+        budget = partial(_budget, env, c, k_bound, spread_x0)
+        hi = d_max
+        if math.isinf(d_max):
+            hi = spread_x0 + 1.0
+            while budget(hi) <= spread_v0:
+                hi = spread_x0 + 2.0 * (hi - spread_x0)
+        d_star = _bisect(lambda d: budget(d) < spread_v0, spread_x0, hi, relative=False)
+        epsilon = c * env.psi(d_star) - k_bound
     return SyncCertificate(
         feasible=feasible,
         k_bound=k_bound,
@@ -218,13 +208,14 @@ def certify_sync(
         spread_v0=spread_v0,
         d_max=d_max,
         d_star=d_star,
-        epsilon=c * env.psi(d_star) - k_bound if feasible else None,
+        epsilon=epsilon,
     )
 
 
 @dataclass(frozen=True)
 class CollisionCertificate:
     kind: ClassVar[str] = "collision"
+    variant: ClassVar[str] = "collision_free"
     feasible: bool
     n: int
     spread_x0: float
@@ -255,17 +246,17 @@ def certify_collision(
     min_d2, _, _ = closest_pair(d2)
     separation_ok = bool(min_d2 > rep.d0)
     lhs = spread_v0 / n
-    psi_term = 0.5 * psi_integral(env, s_x0, math.inf)
 
-    # the repulsion tails are finite only outside d0
+    # the repulsion tails are finite only outside d0, and an infinite one fails the test
     worst = math.inf
     if separation_ok:
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         tails = repulsion_tail(rep, d2[i, j], i, j)
         worst = float(np.max(tails, initial=0.0))
+    feasible, _, psi_term = _verdict(env, 0.5, 0.0, s_x0, lhs, worst)
 
     return CollisionCertificate(
-        feasible=bool(separation_ok and lhs < psi_term - worst),
+        feasible=feasible,
         n=n,
         spread_x0=s_x0,
         spread_v0=spread_v0,
@@ -275,6 +266,12 @@ def certify_collision(
         separation_ok=separation_ok,
         min_dist_sq=min_d2,
     )
+
+
+# model variant -> the certificate class `scenario.evaluate_certificate` returns
+CERTIFICATE_CLASSES = {
+    cls.variant: cls for cls in (SyncCertificate, CollisionCertificate, StandardCertificate)
+}
 
 
 def resolution_floor(traj: Trajectory) -> np.ndarray:

@@ -10,9 +10,9 @@ worker certifies its points one by one and hands their runs, whenever they
 hold SWEEP_HELD bytes and after its last point, to
 `integrate.integrate_runs`, which decides which runs share a lockstep block.
 
-Exit codes: 0 success/feasible, 1 usage or IO error, 2 infeasible or audit
-violations, 3 collision termination, 4 step-size underflow.  FLOCKLAB_LOG
-selects the logging level (DEBUG, INFO, WARNING, ...).
+Exit codes: 0 success/feasible, 1 usage, IO, overflow or memory error, 2
+infeasible or audit violations, 3 collision termination, 4 step-size
+underflow.  FLOCKLAB_LOG selects the logging level (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import artifacts
 from .certify import (
+    CERTIFICATE_CLASSES,
     SyncCertificate,
     audit_collision_run,
     audit_sync_run,
@@ -38,7 +39,6 @@ from .certify import (
 )
 from .integrate import integrate, integrate_runs
 from .scenario import (
-    CERTIFICATE_CLASSES,
     Scenario,
     ScenarioError,
     evaluate_certificate,
@@ -551,7 +551,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, ArithmeticError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,14 +24,7 @@ import numpy as np
 
 from .bounds import bounded, check_fields, matrix_problem, problem, problems, rules
 from .coupling import COUPLING_FAMILIES, CouplingModel
-from .certify import (
-    CollisionCertificate,
-    StandardCertificate,
-    SyncCertificate,
-    certify_collision,
-    certify_standard,
-    certify_sync,
-)
+from .certify import certify_collision, certify_standard, certify_sync
 from .dynamics import (
     BUILTIN_DYNAMICS,
     InternalDynamics,
@@ -637,14 +630,6 @@ def resolve_k_bound(sc: Scenario) -> tuple[float, str]:
     if not 1.0 < z_top < 2.0:
         raise ValueError("trajectory K source needs initial velocities inside (1, 2)")
     return logistic_cosine_envelope_bound(z_top), "trajectory"
-
-
-# model variant -> the certificate class `evaluate_certificate` returns
-CERTIFICATE_CLASSES = {
-    "sync": SyncCertificate,
-    "collision_free": CollisionCertificate,
-    "baseline": StandardCertificate,
-}
 
 
 def evaluate_certificate(sc: Scenario):

@@ -26,6 +26,7 @@ from flocklab.coupling import (
     ConstantCoupling,
     Envelope,
     ModulatedCoupling,
+    PowerLawCoupling,
     psi_integral,
     weights_matrix,
 )
@@ -187,6 +188,26 @@ def test_sync_negative_k_is_accepted():
     cert = certify_sync(env, 1.0, 0.5, n=2, k_bound=-1.0)
     assert cert.feasible
     assert cert.epsilon == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PowerLawCoupling(gain=1.0, sigma=1.0, exponent=12.0),
+        ModulatedCoupling(w=1.0, delta=25.0, beta=np.full((3, 3), 1.0)),
+    ],
+    ids=["power_law", "modulated"],
+)
+def test_sync_without_penalty_never_probes_psi_far_out(model):
+    # K = 0: the budget grows for ever since psi > 0, so d_max is infinite;
+    # psi itself overflows long before the old probe limit of 1e15
+    env = model.envelope()
+    cert = certify_sync(env, 0.5, 1e-3, n=3, k_bound=0.0)
+    assert cert.d_max == math.inf
+    assert cert.feasible == (3 * psi_integral(env, 0.5, math.inf) > 1e-3)  # not at delta = 25
+    if cert.feasible:
+        assert cert.epsilon == 3 * env.psi(cert.d_star)
+        assert 3 * psi_integral(env, 0.5, cert.d_star) == pytest.approx(1e-3, rel=1e-6)
 
 
 @st.composite

@@ -210,6 +210,19 @@ def test_certify_writes_report_when_out_given(tmp_path, capsys):
     assert text.startswith("certificate: collision")
 
 
+def test_certify_without_penalty_on_a_steep_envelope_reports_a_verdict(tmp_path, capsys):
+    # psi = 1 / (1 + s^2)^12 overflows long before s = 1e15, so no radius may be probed
+    doc = json.loads(Path(bundled_path("example1_delta09")).read_text(encoding="utf-8"))
+    doc["coupling"] = {"family": "power_law", "gain": 1.0, "sigma": 1.0, "exponent": 12.0}
+    doc["certificate"] = {"k_source": "user", "k_value": 0.0}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["certify", "--scenario", str(path)]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out.startswith("certificate: sync\nfeasible: false\n")
+    assert "d_max: inf\n" in captured.out and captured.err == ""
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -335,6 +348,27 @@ def test_a_stage_inside_d0_is_a_rejection_and_the_run_reports_its_collision(tmp_
     assert run["termination"] == {"kind": "collision", "t_star": 0.7505636801938453, "i": 0, "j": 1}
     assert run["n_rejected"] > 0
     assert "SingularDistanceError" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "t_end, sample_dt, error",
+    [(1e300, 1e-300, "OverflowError"), (1e13, 1.0, "MemoryError")],
+    ids=["count-overflows", "grid-too-big"],
+)
+def test_simulate_of_a_grid_past_float_or_memory_is_a_clean_error(
+    t_end, sample_dt, error, tmp_path, capsys
+):
+    # both documents validate; the sample count overflows an int, or its
+    # grid would take 72.8 TiB, which the allocator refuses at once
+    doc = json.loads(Path(bundled_path("example1_delta09")).read_text(encoding="utf-8"))
+    doc["integrator"] = {"t_end": t_end, "sample_dt": sample_dt}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from flocklab import scenario as scenario_module
+from flocklab.certify import CERTIFICATE_CLASSES
 from flocklab.coupling import COUPLING_FAMILIES, ConstantCoupling, CouplingModel, ModulatedCoupling
 from flocklab.dynamics import RepulsionModel, k_region
 from flocklab.integrate import IntegratorConfig
 from flocklab.scenario import (
-    CERTIFICATE_CLASSES,
     CertificateSettings,
     InitialGenerator,
     Scenario,
