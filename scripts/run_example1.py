@@ -14,7 +14,7 @@ from importlib.resources import files
 from flocklab.artifacts import certificate_report, plot_spread_v, write_timeseries_csv
 from flocklab.certify import audit_sync_run, decay_rate_fit
 from flocklab.integrate import integrate
-from flocklab.scenario import evaluate_certificate, load_scenario, resolve_k_bound
+from flocklab.scenario import evaluate_certificate, load_scenario
 
 SCENARIOS = ["example1_delta09", "example1_delta4", "example1_delta10"]
 
@@ -33,7 +33,7 @@ def main() -> None:
     for name in SCENARIOS:
         sc = load_scenario(bundled(name))
         cert = evaluate_certificate(sc)
-        traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+        traj = integrate(sc.spec, sc.state0, sc.integrator)
 
         ratio = traj.spread_v[-1] / traj.spread_v[0]
         try:
@@ -44,13 +44,14 @@ def main() -> None:
         print(f"{name:20s} {str(cert.feasible):>8s} {eps} {ratio:14.3e} {fit}")
 
         write_timeseries_csv(args.out / f"{name}.csv", traj)
-        bound = cert.decay_bound if cert.feasible else None
+        bound = None
+        if cert.feasible:
+            bound = lambda t: cert.decay_bound(t, t0=sc.integrator.t0)  # noqa: E731
         plot_spread_v(args.out / f"{name}_spread_v.svg", traj, bound=bound)
         (args.out / f"{name}_certificate.txt").write_text(certificate_report(cert), encoding="utf-8")
 
         if cert.feasible:
-            k_bound, _ = resolve_k_bound(sc)
-            audit = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k_bound)
+            audit = audit_sync_run(traj, sc.spec.coupling.envelope(), sc.spec.n, cert.k_bound)
             print(f"{'':20s} audit: {audit.n_violations} violations on {audit.n_checked} checked segments")
 
     print(f"artifacts: {args.out}")

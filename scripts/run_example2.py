@@ -36,25 +36,26 @@ def main() -> None:
     for name in SCENARIOS:
         sc = load_scenario(bundled(name), seed_override=args.seed)
         cert = evaluate_certificate(sc)
-        traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+        traj = integrate(sc.spec, sc.state0, sc.integrator)
 
         print(f"== {name} (K = {cert.k_bound:.6g} from {cert.k_source}"
               f"{', relaxed' if cert.relaxed else ''})")
         print(f"   feasible: {cert.feasible}")
+        bound = None
         if cert.feasible:
+            bound = lambda t: cert.decay_bound(t, t0=sc.integrator.t0)  # noqa: E731
             print(f"   certified radius d*: {cert.d_star:.6g}   rate epsilon: {cert.epsilon:.6g}")
             over = float(np.max(traj.spread_x)) - cert.d_star
             # compare only where the sample grid can still resolve the spread
             mask = traj.spread_v > resolution_floor(traj)
             bound_ok = bool(
-                np.all(traj.spread_v[mask] <= cert.decay_bound(traj.ts[mask]) * (1 + 1e-9))
+                np.all(traj.spread_v[mask] <= bound(traj.ts[mask]) * (1 + 1e-9))
             )
             print(f"   max S(x) - d*: {over:.3e}   S(v) under bound where resolved: {bound_ok}")
         print(f"   S(v): {traj.spread_v[0]:.4g} -> {traj.spread_v[-1]:.4g}"
               f"   S(x): {traj.spread_x[0]:.4g} -> {traj.spread_x[-1]:.4g}")
 
         write_timeseries_csv(args.out / f"{name}.csv", traj)
-        bound = cert.decay_bound if cert.feasible else None
         plot_spread_v(args.out / f"{name}_spread_v.svg", traj, bound=bound)
         (args.out / f"{name}_certificate.txt").write_text(certificate_report(cert), encoding="utf-8")
 

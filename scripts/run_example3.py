@@ -41,9 +41,9 @@ def main() -> None:
     for name in SCENARIOS:
         sc = load_scenario(bundled(name), seed_override=args.seed)
         cert = evaluate_certificate(sc)
-        traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+        traj = integrate(sc.spec, sc.state0, sc.integrator)
 
-        d0 = sc.repulsion.d0
+        d0 = sc.spec.repulsion.d0
         min_d2 = float(np.min(traj.min_dist_sq))
         completed = isinstance(traj.termination, Completed)
         half = traj.ts >= 0.5 * traj.ts[-1]
@@ -58,7 +58,7 @@ def main() -> None:
         print(f"   S(v): {traj.spread_v[0]:.4g} -> {traj.spread_v[-1]:.4g}"
               f"   late-half max ratio: {late:.3e}")
 
-        audit = audit_collision_run(traj, sc.coupling, sc.repulsion)
+        audit = audit_collision_run(traj, sc.spec.coupling, sc.spec.repulsion)
         print(f"   audit: {audit.n_violations} violations on {audit.n_checked} checked segments"
               f" (worst margin {audit.worst_margin:.3e})")
 

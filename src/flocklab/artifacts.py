@@ -164,8 +164,10 @@ def termination_to_doc(term) -> dict:
 
 
 def termination_from_doc(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError(f"termination: must be a JSON object, not {type(doc).__name__}")
     kind = doc["kind"]
-    if kind not in _TERMINATIONS:
+    if not isinstance(kind, str) or kind not in _TERMINATIONS:
         raise ValueError(f"unknown termination kind {kind!r}")
     cls = _TERMINATIONS[kind]
     return cls(**{fld.name: doc[fld.name] for fld in dataclasses.fields(cls)})
@@ -178,8 +180,16 @@ def write_manifest(path, manifest: dict) -> None:
 
 
 def read_manifest(path) -> dict:
+    """The manifest at path; ValueError names its run or certificate block if that is no object."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: must hold a JSON object, not {type(manifest).__name__}")
+    if not isinstance(manifest.get("run", {}), dict):
+        raise ValueError(f"{path}: run: must be a JSON object")
+    if not isinstance(manifest.get("certificate") or {}, dict):
+        raise ValueError(f"{path}: certificate: must be a JSON object or null")
+    return manifest
 
 
 # ---------------------------------------------------------------------------

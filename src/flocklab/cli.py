@@ -108,7 +108,7 @@ def _termination_exit(term) -> int:
 
 def _maybe_certificate(sc: Scenario):
     """Certificate for the scenario, or None when sync lacks a K source."""
-    if sc.variant == "sync" and (sc.certificate is None or sc.certificate.k_source is None):
+    if sc.spec.variant == "sync" and (sc.certificate is None or sc.certificate.k_source is None):
         return None
     return evaluate_certificate(sc)
 
@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     cert = _maybe_certificate(sc)
-    traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+    traj = integrate(sc.spec, sc.state0, sc.integrator)
     log.info(
         "simulate %s: %s after %d accepted / %d rejected steps",
         sc.name,
@@ -141,10 +141,9 @@ def cmd_simulate(args) -> int:
         "spread_v_log": out / "spread_v_log.svg",
     }
     artifacts.plot_velocity_components(plots["velocity_components"], traj)
+    repulsion = sc.spec.repulsion
     artifacts.plot_pairwise_distances(
-        plots["pairwise_distances"],
-        traj,
-        d0=sc.repulsion.d0 if sc.repulsion is not None else None,
+        plots["pairwise_distances"], traj, d0=None if repulsion is None else repulsion.d0
     )
     bound = None
     if isinstance(cert, SyncCertificate) and cert.feasible:
@@ -156,20 +155,11 @@ def cmd_simulate(args) -> int:
         report_path = out / "certificate.txt"
         report_path.write_text(artifacts.certificate_report(cert), encoding="utf-8")
 
-    resolved = None
-    if isinstance(cert, SyncCertificate):
-        resolved = {
-            "k_bound": cert.k_bound,
-            "k_source": cert.k_source,
-            "relaxed": cert.relaxed,
-        }
     manifest = {
         "command": "simulate",
         "scenario": sc.doc,
         "scenario_sha256": scenario_sha256(sc.doc),
-        "seed": sc.seed,
         "full": bool(args.full),
-        "resolved": resolved,
         "certificate": _cert_doc(cert),
         "run": {
             "termination": artifacts.termination_to_doc(traj.termination),
@@ -318,7 +308,7 @@ def _sweep_point(payload):
         _point_failed(row, exc)
         return row, None
     row["error"] = ""
-    return row, (sc.model_spec(), sc.initial_state(), sc.integrator) if with_sim else None
+    return row, (sc.spec, sc.state0, sc.integrator) if with_sim else None
 
 
 def _observe(row: dict, traj) -> None:
@@ -435,24 +425,32 @@ def cmd_audit(args) -> int:
     run_dir = Path(args.out)
     manifest = artifacts.read_manifest(run_dir / "manifest.json")
     sc = materialize(manifest["scenario"])
-    term = artifacts.termination_from_doc(manifest["run"]["termination"])
+    if scenario_sha256(sc.doc) != manifest.get("scenario_sha256"):
+        raise ValueError("the manifest's scenario does not hash to its scenario_sha256")
+    spec, run = sc.spec, manifest["run"]
+    term = artifacts.termination_from_doc(run["termination"])
     traj = artifacts.trajectory_from_artifacts(
-        run_dir / "timeseries.csv", sc.integrator, term, stats=manifest["run"]
+        run_dir / "timeseries.csv", sc.integrator, term, stats=run
     )
+    if traj.xs.shape != (run["rows"], spec.n, spec.r):
+        k, n, r = traj.xs.shape
+        raise ValueError(
+            f"timeseries.csv holds {k} rows of n = {n}, r = {r}, "
+            f"but the run wrote {run['rows']} rows of n = {spec.n}, r = {spec.r}"
+        )
 
-    if sc.variant == "collision_free":
-        report = audit_collision_run(traj, sc.coupling, sc.repulsion)
+    if spec.variant == "collision_free":
+        report = audit_collision_run(traj, spec.coupling, spec.repulsion)
         kind = "collision inequality"
     else:
-        if sc.variant == "sync":
-            resolved = manifest.get("resolved")
-            if not resolved or resolved.get("k_bound") is None:
+        k_bound = 0.0
+        if spec.variant == "sync":
+            cert = manifest.get("certificate")
+            if not cert or cert.get("k_bound") is None:
                 print("audit: manifest records no K bound for this sync run")
                 return EXIT_USAGE
-            k_bound = float(resolved["k_bound"])
-        else:
-            k_bound = 0.0
-        report = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k_bound)
+            k_bound = float(cert["k_bound"])
+        report = audit_sync_run(traj, spec.coupling.envelope(), spec.n, k_bound)
         kind = "alignment inequality"
 
     if report.n_checked == 0 and report.n_samples > 1:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import bounded, check_fields, matrix_problem, problem, problems, rules
-from .coupling import COUPLING_FAMILIES, CouplingModel
+from .coupling import COUPLING_FAMILIES
 from .certify import certify_collision, certify_standard, certify_sync
 from .dynamics import (
     BUILTIN_DYNAMICS,
@@ -70,34 +70,18 @@ class CertificateSettings:
 
 @dataclass(eq=False)
 class Scenario:
-    """Fully materialized scenario: every random draw already resolved."""
+    """Fully materialized scenario: every random draw already resolved.
+
+    A run of it is `integrate(sc.spec, sc.state0, sc.integrator)`.
+    """
 
     name: str
-    variant: str
-    n: int
-    r: int
     seed: int
-    coupling: CouplingModel
-    internal: Optional[InternalDynamics]
-    repulsion: Optional[RepulsionModel]
-    x0: np.ndarray
-    v0: np.ndarray
+    spec: ModelSpec
+    state0: FlockState  # at integrator.t0
     integrator: IntegratorConfig
     certificate: Optional[CertificateSettings]
     doc: dict  # normalized source document (defaults filled)
-
-    def initial_state(self) -> FlockState:
-        return FlockState(t=self.integrator.t0, x=self.x0, v=self.v0)
-
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            variant=self.variant,
-            n=self.n,
-            r=self.r,
-            coupling=self.coupling,
-            internal=self.internal,
-            repulsion=self.repulsion,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +540,9 @@ def materialize(doc: dict, seed_path=None) -> Scenario:
 
     return Scenario(
         name=doc["name"],
-        variant=doc["variant"],
-        n=n,
-        r=r,
         seed=seed,
-        coupling=coupling,
-        internal=internal,
-        repulsion=repulsion,
-        x0=x0,
-        v0=v0,
+        spec=ModelSpec(doc["variant"], n, r, coupling, internal, repulsion),
+        state0=FlockState(t=cfg.t0, x=x0, v=v0),
         integrator=cfg,
         certificate=cert,
         doc=doc,
@@ -613,20 +591,20 @@ def resolve_k_bound(sc: Scenario) -> tuple[float, str]:
     verbatim from the scenario.
 
     The region bound is memoized on the canonical JSON of the scenario's
-    `internal` block and r, from which `materialize` builds `sc.internal`,
+    `internal` block and r, from which `materialize` builds `sc.spec.internal`,
     so a sweep computes it once per process instead of once per point.
     """
     if sc.certificate is None or sc.certificate.k_source is None:
         raise ValueError("scenario has no certificate block with a K source")
-    source = sc.certificate.k_source
+    source, internal = sc.certificate.k_source, sc.spec.internal
     if source == "user":
         return float(sc.certificate.k_value), "user"
     if source == "region":
-        if sc.internal is None or sc.internal.box is None:
+        if internal is None or internal.box is None:
             raise ValueError("region K source needs internal dynamics with an invariant box")
-        return _region_k(canonical_json(sc.doc["internal"]), sc.r), "region"
+        return _region_k(canonical_json(sc.doc["internal"]), sc.spec.r), "region"
     # trajectory: logistic_cosine only (validated on load)
-    z_top = float(sc.v0.max())
+    z_top = float(sc.state0.v.max())
     if not 1.0 < z_top < 2.0:
         raise ValueError("trajectory K source needs initial velocities inside (1, 2)")
     return logistic_cosine_envelope_bound(z_top), "trajectory"
@@ -634,20 +612,21 @@ def resolve_k_bound(sc: Scenario) -> tuple[float, str]:
 
 def evaluate_certificate(sc: Scenario):
     """Dispatch to the certificate matching the scenario variant."""
-    env = sc.coupling.envelope()
-    s_x0 = spread(sc.x0)
-    s_v0 = spread(sc.v0)
-    if sc.variant == "sync":
+    spec, x0 = sc.spec, sc.state0.x
+    env = spec.coupling.envelope()
+    s_x0 = spread(x0)
+    s_v0 = spread(sc.state0.v)
+    if spec.variant == "sync":
         k, source = resolve_k_bound(sc)
         return certify_sync(
             env,
             s_x0,
             s_v0,
-            sc.n,
+            spec.n,
             k,
             k_source=source,
             relaxed=sc.certificate.relaxed,
         )
-    if sc.variant == "collision_free":
-        return certify_collision(env, sc.repulsion, sc.x0, s_v0, sc.n)
+    if spec.variant == "collision_free":
+        return certify_collision(env, spec.repulsion, x0, s_v0, spec.n)
     return certify_standard(env, s_x0, s_v0)

@@ -49,7 +49,7 @@ def runs():
             sc = load_scenario(
                 (files("flocklab") / "scenarios" / f"{name}.json").read_text(encoding="utf-8")
             )
-            traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+            traj = integrate(sc.spec, sc.state0, sc.integrator)
             cache[name] = (sc, traj)
         return cache[name]
 
@@ -166,7 +166,7 @@ def test_criterion_5_collision_free_alignment(criterion, runs):
         start = time.perf_counter()
         sc3, traj3 = runs("example3_strong")
         assert isinstance(traj3.termination, Completed)
-        assert float(traj3.min_dist_sq.min()) > sc3.repulsion.d0
+        assert float(traj3.min_dist_sq.min()) > sc3.spec.repulsion.d0
         sv0 = traj3.spread_v[0]
         assert float(traj3.spread_v.max()) <= sv0 * (1.0 + 1e-12)
         second_half = traj3.ts >= 0.5 * traj3.ts[-1]
@@ -174,7 +174,7 @@ def test_criterion_5_collision_free_alignment(criterion, runs):
 
         sc_w, traj_w = runs("example3_weak")
         assert isinstance(traj_w.termination, Completed)
-        assert float(traj_w.min_dist_sq.min()) > sc_w.repulsion.d0
+        assert float(traj_w.min_dist_sq.min()) > sc_w.spec.repulsion.d0
         assert float(traj_w.spread_v.min()) / traj_w.spread_v[0] > 1e-2
         assert time.perf_counter() - start < 60.0
 
@@ -184,18 +184,18 @@ def test_criterion_6_audits_accept_clean_runs_and_flag_tampering(criterion, runs
         for name in ("example1_delta09", "example2_strong", "negative_control"):
             sc, traj = runs(name)
             k, _ = resolve_k_bound(sc)
-            audit = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k)
+            audit = audit_sync_run(traj, sc.spec.coupling.envelope(), sc.spec.n, k)
             assert audit.n_violations == 0, name
             assert audit.n_checked > 0, name
 
         sc3, traj3 = runs("example3_strong")
-        coll = audit_collision_run(traj3, sc3.coupling, sc3.repulsion)
+        coll = audit_collision_run(traj3, sc3.spec.coupling, sc3.spec.repulsion)
         assert coll.n_violations == 0
         assert coll.n_checked > 0
 
         scn, trajn = runs("negative_control")
         kn, _ = resolve_k_bound(scn)
-        tampered = audit_sync_run(trajn, scn.coupling.envelope(), scn.n, kn / 10.0)
+        tampered = audit_sync_run(trajn, scn.spec.coupling.envelope(), scn.spec.n, kn / 10.0)
         assert tampered.n_violations > 0
 
 

@@ -309,10 +309,10 @@ def test_termination_documents_keep_field_order():
 
 def test_manifest_round_trip_and_stability(tmp_path):
     manifest = {
-        "seed": 7,
+        "scenario": {"seed": 7},
         "scenario_sha256": "ab" * 32,
         "run": {"termination": {"kind": "completed"}, "rows": 41},
-        "resolved": {"k_bound": 0.4621171572600098, "k_source": "trajectory"},
+        "certificate": {"k_bound": 0.4621171572600098, "k_source": "trajectory"},
     }
     path = tmp_path / "manifest.json"
     write_manifest(path, manifest)
@@ -324,6 +324,23 @@ def test_manifest_round_trip_and_stability(tmp_path):
     # key order in the source dict must not leak into the bytes
     write_manifest(path, dict(reversed(list(manifest.items()))))
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "manifest,field",
+    [([], "must hold a JSON object"), ({"run": []}, "run:"), ({"certificate": [1]}, "certificate:")],
+)
+def test_read_manifest_names_a_block_that_is_no_object(manifest, field, tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ValueError, match=field):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("doc", [["completed"], "completed", {"kind": ["completed"]}])
+def test_termination_from_doc_rejects_what_is_no_termination(doc):
+    with pytest.raises(ValueError):
+        termination_from_doc(doc)
 
 
 def test_manifest_rejects_non_finite_values(tmp_path):

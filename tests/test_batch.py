@@ -540,7 +540,7 @@ def _frontier_runs() -> list:
     for idx in range(122):
         doc["coupling"].update(delta=0.5 + 0.025 * (idx // 2), w=(1.0, 1.5)[idx % 2])
         sc = materialize(doc, seed_path=(doc["seed"], idx))
-        runs.append((sc.model_spec(), sc.initial_state(), sc.integrator))
+        runs.append((sc.spec, sc.state0, sc.integrator))
     return runs
 
 

@@ -395,7 +395,7 @@ def test_decay_rate_fit_needs_resolvable_samples():
 @pytest.fixture(scope="module")
 def delta09_run():
     sc = load_scenario(bundled_text("example1_delta09"))
-    traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+    traj = integrate(sc.spec, sc.state0, sc.integrator)
     return sc, traj
 
 
@@ -433,7 +433,7 @@ def test_audit_clean_on_baseline_alignment(baseline_run):
 def test_audit_clean_on_driven_run(delta09_run):
     sc, traj = delta09_run
     k, _ = resolve_k_bound(sc)
-    audit = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k)
+    audit = audit_sync_run(traj, sc.spec.coupling.envelope(), sc.spec.n, k)
     assert audit.n_violations == 0
     assert audit.n_checked > 0
     assert audit.n_checked + audit.n_skipped == audit.n_samples - 1
@@ -441,11 +441,11 @@ def test_audit_clean_on_driven_run(delta09_run):
 
 def test_audit_flags_understated_penalty():
     sc = load_scenario(bundled_text("negative_control"))
-    traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+    traj = integrate(sc.spec, sc.state0, sc.integrator)
     k, _ = resolve_k_bound(sc)
-    clean = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k)
+    clean = audit_sync_run(traj, sc.spec.coupling.envelope(), sc.spec.n, k)
     assert clean.n_violations == 0
-    tampered = audit_sync_run(traj, sc.coupling.envelope(), sc.n, k / 10.0)
+    tampered = audit_sync_run(traj, sc.spec.coupling.envelope(), sc.spec.n, k / 10.0)
     assert tampered.n_violations > 0
     assert tampered.worst_margin > 0.0
     assert tampered.first_violation_t is not None
@@ -453,8 +453,8 @@ def test_audit_flags_understated_penalty():
 
 def test_audit_clean_on_collision_run():
     sc = load_scenario(bundled_text("example3_strong"))
-    traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
-    audit = audit_collision_run(traj, sc.coupling, sc.repulsion)
+    traj = integrate(sc.spec, sc.state0, sc.integrator)
+    audit = audit_collision_run(traj, sc.spec.coupling, sc.spec.repulsion)
     assert audit.n_violations == 0
     assert audit.n_checked > 0
 
@@ -468,7 +468,7 @@ def test_audit_pair_form_reduces_without_repulsion(baseline_run):
 
 def test_collision_audit_evaluates_weights_only_where_it_checks(monkeypatch):
     sc = load_scenario(bundled_text("example3_strong"))
-    traj = integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+    traj = integrate(sc.spec, sc.state0, sc.integrator)
     below = traj.spread_v <= resolution_floor(traj)
     steps = np.flatnonzero(~below[:-1] & ~below[1:])
     needed = np.union1d(steps, steps + 1)
@@ -481,7 +481,7 @@ def test_collision_audit_evaluates_weights_only_where_it_checks(monkeypatch):
         return weights_matrix(*args, **kwargs)
 
     monkeypatch.setattr(certify_mod, "weights_matrix", counting)
-    audit = audit_collision_run(traj, sc.coupling, sc.repulsion)
+    audit = audit_collision_run(traj, sc.spec.coupling, sc.spec.repulsion)
     assert audit.n_checked == len(steps)
     assert len(calls) == len(needed)
 

@@ -243,9 +243,10 @@ def test_simulate_writes_expected_artifacts(control_run, capsys):
     assert manifest["run"]["termination"] == {"kind": "completed"}
     # ceil(6.0 / 0.02) + 1 samples
     assert manifest["run"]["rows"] == 301
-    assert manifest["resolved"]["k_source"] == "region"
-    assert manifest["resolved"]["k_bound"] == pytest.approx(1.0)
+    assert manifest["certificate"]["k_source"] == "region"
+    assert manifest["certificate"]["k_bound"] == pytest.approx(1.0)
     assert manifest["certificate"]["feasible"] is True
+    assert "resolved" not in manifest  # K is the certificate's
     assert len(manifest["scenario_sha256"]) == 64
     assert set(manifest["versions"]) == {"flocklab", "numpy", "scipy", "python"}
 
@@ -298,8 +299,8 @@ def test_simulate_seed_override_lands_in_manifest(tmp_path):
     )
     assert code == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["seed"] == 99
     assert manifest["scenario"]["seed"] == 99
+    assert "seed" not in manifest  # the scenario holds it
 
 
 def test_simulate_collision_exit_code(tmp_path, capsys):
@@ -400,19 +401,97 @@ def test_audit_accepts_clean_run(control_run, capsys):
     assert "alignment inequality" in out
 
 
-def test_audit_flags_tampered_penalty_bound(control_run, tmp_path, capsys):
-    copied = tmp_path / "tampered"
-    copied.mkdir()
+def _copy_run(run: Path, dest: Path) -> Path:
+    dest.mkdir()
     for name in ("timeseries.csv", "manifest.json"):
-        (copied / name).write_bytes((control_run / name).read_bytes())
+        (dest / name).write_bytes((run / name).read_bytes())
+    return dest
+
+
+def test_audit_flags_tampered_penalty_bound(control_run, tmp_path, capsys):
+    copied = _copy_run(control_run, tmp_path / "tampered")
     manifest = json.loads((copied / "manifest.json").read_text(encoding="utf-8"))
-    manifest["resolved"]["k_bound"] /= 10.0
+    manifest["certificate"]["k_bound"] /= 10.0
     (copied / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     code = main(["audit", "--out", str(copied)])
     assert code == EXIT_INFEASIBLE
     out = capsys.readouterr().out
     assert "violations: 0" not in out
     assert "first violation at t" in out
+
+
+def test_audit_reads_k_from_the_certificate(control_run, tmp_path, capsys):
+    run = _copy_run(control_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    assert "resolved" not in manifest and "seed" not in manifest
+    assert main(["audit", "--out", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    manifest["certificate"]["k_bound"] /= 10.0
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["audit", "--out", str(run)]) == EXIT_INFEASIBLE
+    out = capsys.readouterr().out
+    assert "violations: 0" not in out and "first violation at t" in out
+
+
+def _audit_error(out: Path, capsys) -> str:
+    """The one stderr line of an audit of out that must exit 1."""
+    capsys.readouterr()
+    assert main(["audit", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and captured.out == ""
+    return line
+
+
+@pytest.fixture(scope="module")
+def collision_run(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("collision_run")
+    code = main(["simulate", "--scenario", bundled_path("example3_strong"), "--out", str(out), "--full"])
+    assert code == EXIT_OK
+    return out
+
+
+def test_audit_refuses_another_runs_timeseries(collision_run, tmp_path, capsys):
+    foreign = tmp_path / "foreign"
+    assert main(["simulate", "--scenario", bundled_path("example1_delta09"), "--out", str(foreign), "--full"]) == EXIT_OK
+    run = _copy_run(collision_run, tmp_path / "run")
+    (run / "timeseries.csv").write_bytes((foreign / "timeseries.csv").read_bytes())
+    line = _audit_error(run, capsys)
+    assert "801 rows of n = 5, r = 1" in line and "1001 rows of n = 5, r = 2" in line
+
+
+@pytest.mark.parametrize("cut", ["last row", "last agent"])
+def test_audit_refuses_a_cut_timeseries(cut, collision_run, tmp_path, capsys):
+    run = _copy_run(collision_run, tmp_path / "run")
+    lines = (run / "timeseries.csv").read_text(encoding="utf-8").splitlines()
+    if cut == "last row":
+        lines.pop()
+    else:  # n = 5, r = 2: drop v_5_* and x_5_*, the columns 12, 13 and 22, 23
+        cells = [line.split(",") for line in lines]
+        lines = [",".join(row[:12] + row[14:22] + row[24:]) for row in cells]
+    (run / "timeseries.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    want = "1000 rows of n = 5, r = 2" if cut == "last row" else "1001 rows of n = 4, r = 2"
+    assert want in _audit_error(run, capsys)
+
+
+def test_audit_refuses_an_edited_scenario(collision_run, tmp_path, capsys):
+    run = _copy_run(collision_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    manifest["scenario"]["coupling"]["w"] *= 2.0
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert "does not hash to its scenario_sha256" in _audit_error(run, capsys)
+
+
+@pytest.mark.parametrize("field", ["document", "termination"])
+def test_audit_of_a_malformed_manifest_is_one_error_line(field, collision_run, tmp_path, capsys):
+    run = _copy_run(collision_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    if field == "document":
+        manifest, want = [], "must hold a JSON object, not list"
+    else:
+        manifest["run"]["termination"], want = ["completed"], "termination: must be a JSON object"
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert want in _audit_error(run, capsys)
 
 
 def test_audit_that_checks_nothing_warns(tmp_path, capsys, caplog):
@@ -696,7 +775,7 @@ def test_batched_sweep_equals_each_point_integrated_alone(tmp_path, capsys):
         sc = materialize(point, seed_path=(doc["seed"], idx))
         want = artifacts.certificate_fields(evaluate_certificate(sc))
         want["eps_observed"] = decay_rate_fit(
-            integrate(sc.model_spec(), sc.initial_state(), sc.integrator)
+            integrate(sc.spec, sc.state0, sc.integrator)
         )
         assert row["error"] == ""
         for key, val in want.items():
@@ -769,7 +848,7 @@ def test_collision_sweep_steps_its_singular_point_in_the_block(tmp_path, capsys,
     for idx, w in enumerate([1.0, 0.001, 2.0]):
         doc["coupling"]["w"] = w
         sc = materialize(doc, seed_path=(0, idx))
-        trajs.append(integrate(sc.model_spec(), sc.initial_state(), sc.integrator))
+        trajs.append(integrate(sc.spec, sc.state0, sc.integrator))
         assert rows[idx]["error"] == ""
         assert rows[idx]["eps_observed"] == cli_module._csv_cell(decay_rate_fit(trajs[-1]))
     assert [traj.n_rejected > 0 for traj in trajs] == [False, True, False]

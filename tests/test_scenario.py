@@ -104,7 +104,7 @@ def test_each_coupling_family_materializes_to_its_class(family):
     doc = base_doc()
     doc["coupling"] = {"family": family, **block}
     assert validate(doc) == []
-    coupling = materialize(doc).coupling
+    coupling = materialize(doc).spec.coupling
     assert type(coupling) is COUPLING_FAMILIES[family]
     for key, val in block.items():
         if key == "beta":
@@ -399,63 +399,63 @@ def test_materialize_builds_certificate_settings_from_the_block():
 def test_bundled_explicit_scenario_loads_exactly():
     sc = load_scenario(bundled_text("example1_delta09"))
     assert isinstance(sc, Scenario)
-    assert (sc.name, sc.variant, sc.n, sc.r, sc.seed) == ("example1_delta09", "sync", 5, 1, 11)
-    assert isinstance(sc.coupling, ModulatedCoupling)
-    assert sc.coupling.w == 1.0 and sc.coupling.delta == 0.9
+    assert (sc.name, sc.spec.variant, sc.spec.n, sc.spec.r, sc.seed) == ("example1_delta09", "sync", 5, 1, 11)
+    assert isinstance(sc.spec.coupling, ModulatedCoupling)
+    assert sc.spec.coupling.w == 1.0 and sc.spec.coupling.delta == 0.9
     off = ~np.eye(5, dtype=bool)
-    np.testing.assert_array_equal(sc.coupling.beta[off], 1.4)
-    np.testing.assert_array_equal(sc.x0[:, 0], [0.0, 1.25, 2.5, 3.75, 5.0])
-    np.testing.assert_array_equal(sc.v0[:, 0], [1.2, 1.4, 1.1, 1.5, 1.3])
+    np.testing.assert_array_equal(sc.spec.coupling.beta[off], 1.4)
+    np.testing.assert_array_equal(sc.state0.x[:, 0], [0.0, 1.25, 2.5, 3.75, 5.0])
+    np.testing.assert_array_equal(sc.state0.v[:, 0], [1.2, 1.4, 1.1, 1.5, 1.3])
     assert sc.integrator.t_end == 40.0 and sc.integrator.sample_dt == 0.05
     assert sc.certificate.k_source == "trajectory"
 
 
 def test_bundled_generated_scenario_hits_targets():
     sc = load_scenario(bundled_text("example2_strong"))
-    assert sc.internal.name == "lorenz"
-    assert spread(sc.x0) == pytest.approx(9.0, abs=1e-11)
-    assert spread(sc.v0) == pytest.approx(9.0, abs=1e-11)
-    box = sc.internal.box
-    assert (sc.v0 >= box[:, 0] - 1e-9).all() and (sc.v0 <= box[:, 1] + 1e-9).all()
+    assert sc.spec.internal.name == "lorenz"
+    assert spread(sc.state0.x) == pytest.approx(9.0, abs=1e-11)
+    assert spread(sc.state0.v) == pytest.approx(9.0, abs=1e-11)
+    box = sc.spec.internal.box
+    assert (sc.state0.v >= box[:, 0] - 1e-9).all() and (sc.state0.v <= box[:, 1] + 1e-9).all()
     off = ~np.eye(5, dtype=bool)
-    assert (sc.coupling.beta[off] > 0.5).all() and (sc.coupling.beta[off] < 1.4).all()
+    assert (sc.spec.coupling.beta[off] > 0.5).all() and (sc.spec.coupling.beta[off] < 1.4).all()
 
 
 def test_bundled_collision_scenario_respects_separation():
     sc = load_scenario(bundled_text("example3_strong"))
-    assert sc.repulsion.d0 == 0.25 and sc.repulsion.phi == 1.5
+    assert sc.spec.repulsion.d0 == 0.25 and sc.spec.repulsion.phi == 1.5
     d2 = [
-        float((sc.x0[i] - sc.x0[j]) @ (sc.x0[i] - sc.x0[j]))
+        float((sc.state0.x[i] - sc.state0.x[j]) @ (sc.state0.x[i] - sc.state0.x[j]))
         for i in range(5)
         for j in range(i + 1, 5)
     ]
     assert min(d2) > 0.25 * 1.1
     off = ~np.eye(5, dtype=bool)
-    assert (sc.repulsion.coeffs[off] >= 1.0).all() and (sc.repulsion.coeffs[off] <= 2.0).all()
+    assert (sc.spec.repulsion.coeffs[off] >= 1.0).all() and (sc.spec.repulsion.coeffs[off] <= 2.0).all()
 
 
 def test_materialization_is_deterministic():
     a = load_scenario(bundled_text("example2_strong"))
     b = load_scenario(bundled_text("example2_strong"))
-    np.testing.assert_array_equal(a.x0, b.x0)
-    np.testing.assert_array_equal(a.v0, b.v0)
-    np.testing.assert_array_equal(a.coupling.beta, b.coupling.beta)
+    np.testing.assert_array_equal(a.state0.x, b.state0.x)
+    np.testing.assert_array_equal(a.state0.v, b.state0.v)
+    np.testing.assert_array_equal(a.spec.coupling.beta, b.spec.coupling.beta)
 
 
 def test_seed_override_changes_draws():
     a = load_scenario(bundled_text("example2_strong"))
     b = load_scenario(bundled_text("example2_strong"), seed_override=8)
     assert b.seed == 8
-    assert not np.array_equal(a.x0, b.x0)
-    assert spread(b.x0) == pytest.approx(9.0, abs=1e-11)
+    assert not np.array_equal(a.state0.x, b.state0.x)
+    assert spread(b.state0.x) == pytest.approx(9.0, abs=1e-11)
 
 
 def test_seed_path_isolates_substreams():
     text = bundled_text("example3_strong")
     a = load_scenario(text, seed_path=(5, 0))
     b = load_scenario(text, seed_path=(5, 1))
-    assert not np.array_equal(a.x0, b.x0)
-    assert not np.array_equal(a.repulsion.coeffs, b.repulsion.coeffs)
+    assert not np.array_equal(a.state0.x, b.state0.x)
+    assert not np.array_equal(a.spec.repulsion.coeffs, b.spec.repulsion.coeffs)
 
 
 def test_generate_initial_rescales_to_exact_spreads():
@@ -489,8 +489,8 @@ def test_generate_initial_separation_budget_exhausts():
 def test_explicit_flat_lists_accepted_when_r_is_one():
     doc = _sync_doc()
     sc = materialize(doc)
-    assert sc.x0.shape == (3, 1)
-    assert sc.v0.shape == (3, 1)
+    assert sc.state0.x.shape == (3, 1)
+    assert sc.state0.v.shape == (3, 1)
 
 
 def test_load_rejects_invalid_json():
@@ -554,13 +554,13 @@ def test_region_penalty_is_computed_once_per_internal_block(monkeypatch):
     k1, _ = resolve_k_bound(first)
     k2, _ = resolve_k_bound(second)
     assert calls == ["logistic_cosine"]
-    assert k1 == k2 == k_region(second.internal)  # exactly the uncached value
+    assert k1 == k2 == k_region(second.spec.internal)  # exactly the uncached value
 
     doc["internal"]["box"] = [[1.0, 2.5]]
     wider = materialize(doc)
     k3, source = resolve_k_bound(wider)
     assert calls == ["logistic_cosine"] * 2
-    assert (k3, source) == (k_region(wider.internal), "region")
+    assert (k3, source) == (k_region(wider.spec.internal), "region")
     assert k3 == pytest.approx(2.0, abs=1e-12)  # max of cos(t) (2z - 3) at z = 2.5
     scenario_module._region_k.cache_clear()
 
@@ -585,9 +585,9 @@ def test_each_load_builds_its_dynamics_once(name, box, monkeypatch):
     sc = materialize(doc)
     assert len(probes) == 2  # g and jacobian, once each
     again = materialize(doc)
-    assert len(probes) == 2 and again.internal.g is sc.internal.g
+    assert len(probes) == 2 and again.spec.internal.g is sc.spec.internal.g
     if box is not None:
-        assert sc.internal.box.tolist() == box
+        assert sc.spec.internal.box.tolist() == box
     scenario_module._build_builtin.cache_clear()
 
 
@@ -608,7 +608,7 @@ def test_certificate_classes_name_what_dispatch_returns():
     assert sorted(doc["variant"] for doc in docs) == sorted(CERTIFICATE_CLASSES)
     for doc in docs:
         sc = materialize(doc)
-        assert type(evaluate_certificate(sc)) is CERTIFICATE_CLASSES[sc.variant]
+        assert type(evaluate_certificate(sc)) is CERTIFICATE_CLASSES[sc.spec.variant]
 
 
 @pytest.mark.parametrize(
@@ -626,10 +626,10 @@ def test_certificate_classes_name_what_dispatch_returns():
 )
 def test_bundled_decay_exponents(name, delta):
     sc = load_scenario(bundled_text(name))
-    assert sc.coupling.delta == delta
+    assert sc.spec.coupling.delta == delta
 
 
 def test_negative_control_uses_constant_coupling():
     sc = load_scenario(bundled_text("negative_control"))
-    assert isinstance(sc.coupling, ConstantCoupling)
-    assert sc.coupling.w == 0.5
+    assert isinstance(sc.spec.coupling, ConstantCoupling)
+    assert sc.spec.coupling.w == 0.5
