@@ -11,18 +11,20 @@ one `sweep --simulate --jobs 2` of `example1_sweep` over two t_end values
 and two coupling.delta values, whose worker holds runs on two sample grids,
 and the benchmark's 122-point frontier sweep of `example1_sweep` at
 `--jobs 1`, integrated as two blocks of 61 runs whose flushes each fill
-several slices of samples.  Five more flocks run `simulate --full` and
+several slices of samples.  Six more flocks run `simulate --full` and
 `audit`: three above n = 5, whose plots draw min/median/max bands instead of
 one line per pair (a collision-free 4 x 3 lattice of 12 agents in the plane,
 the same lattice to t_end 5 on a 0.001 grid, whose 5,001 samples are
 thinned to 2,000 in the plots and span several slices of the CSV writer
 and reader, and a Lorenz sync flock of 8 agents in three dimensions),
 `example1_delta09` to t_end 5 on a 0.001 grid, whose 57 steps reach 5,000
-samples in one flush of ten slices, and two agents head on whose
+samples in one flush of ten slices, two agents head on whose
 Runge-Kutta stage lands inside d0, which the integrator rejects before it
-reports the collision.  A `sweep --simulate --jobs 1` of that head-on pair
-over coupling.w integrates it in one block between two points at higher w,
-which complete without a singular stage.
+reports the collision, and `example2_strong` on a 0.5 grid, whose 1,972
+steps reach 21 samples, so most of its flushes fill none (its audit checks
+no step: the flock aligns within the first sample).  A `sweep --simulate
+--jobs 1` of that head-on pair over coupling.w integrates it in one block
+between two points at higher w, which complete without a singular stage.
 Last, `validate` runs on invalid documents: every bounded number of the
 integrator, coupling, repulsion and certificate blocks is set out of its
 range, to NaN, to +-Infinity (written as JSON's literals) and to a string,
@@ -36,8 +38,8 @@ and a collision flock over w and d0 whose closest pair ends inside d0.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
 `sweep_collision/`, `sweep_grids/`, `frontier/` and `sweep_singular/`, the region copy's
-`region_k/`, the six flocks' `lattice12/`, `long_lattice12/`, `lattice3d/`, `lorenz8/`,
-`fine_delta09/` and `singular_stage/`, the invalid documents'
+`region_k/`, the seven flocks' `lattice12/`, `long_lattice12/`, `lattice3d/`, `lorenz8/`,
+`fine_delta09/`, `singular_stage/` and `coarse_lorenz/`, the invalid documents'
 `invalid/` and `centre/`, and the certify-only sweeps' `certificates/`.
 The temporary path is stripped from the output,
 so two checkouts can be compared with a plain diff:
@@ -76,14 +78,15 @@ SINGULAR_SWEEP_AXIS = "coupling.w=[1.0,0.001,2.0]"  # the middle point is singul
 
 
 def _extra_flocks() -> dict[str, dict]:
-    """Six flocks past the bundled runs: three lattices, a Lorenz flock, a fine grid, a singular stage.
+    """Seven flocks past the bundled runs: lattices, Lorenz flocks, a fine grid, a singular stage.
 
     They are example3_strong as a 12-agent lattice to t_end 1 on a 0.002
     grid and to t_end 5 on a 0.001 grid and as a jittered 12-agent lattice
     in three dimensions to t_end 1, example2_strong with 8 agents,
     example1_delta09 to t_end 5 on a 0.001 grid, whose one-run flush fills
-    several slices, and two agents head on at a constant w = 0.001 with
-    d0 = 0.25, one of whose stages lands inside d0.  The 0.002 grid lets the
+    several slices, two agents head on at a constant w = 0.001 with
+    d0 = 0.25, one of whose stages lands inside d0, and example2_strong on
+    a 0.5 grid, a lone run whose flushes mostly reach no sample.  The 0.002 grid lets the
     audit check some steps of the stiff Lorenz flock before its velocity
     spread falls below the resolution floor.
     """
@@ -116,6 +119,9 @@ def _extra_flocks() -> dict[str, dict]:
         "initial": {"mode": "explicit", "x": [0.0, 2.0], "v": [1.0, -1.0]},
         "integrator": {"t_end": 2.0, "sample_dt": 0.01},
     }
+    doc = json.loads((SCENARIO_DIR / "example2_strong.json").read_text(encoding="utf-8"))
+    doc.update(name="coarse_lorenz", integrator={"t_end": 10.0, "sample_dt": 0.5})
+    docs["coarse_lorenz"] = doc
     return docs
 
 

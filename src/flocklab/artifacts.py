@@ -135,19 +135,18 @@ def read_timeseries_csv(path) -> dict:
     return out
 
 
-def trajectory_from_artifacts(csv_path, cfg: IntegratorConfig, termination, stats=None) -> Trajectory:
-    """Rebuild a Trajectory from a full-state CSV for post-hoc audits."""
+def trajectory_from_artifacts(csv_path, cfg: IntegratorConfig, termination) -> Trajectory:
+    """Rebuild a Trajectory from a full-state CSV for post-hoc audits, with no step counts."""
     data = read_timeseries_csv(csv_path)
     if "xs" not in data:
         raise ValueError(f"{csv_path}: audits need the full-state columns (run simulate --full)")
-    stats = stats or {}
     return Trajectory(
         ts=data["ts"],
         xs=data["xs"],
         vs=data["vs"],
         termination=termination,
-        n_accepted=int(stats.get("n_accepted", 0)),
-        n_rejected=int(stats.get("n_rejected", 0)),
+        n_accepted=0,
+        n_rejected=0,
         cfg=cfg,
     )
 

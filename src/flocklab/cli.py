@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
+from .bounds import problem
 from .certify import (
     CERTIFICATE_CLASSES,
     SyncCertificate,
@@ -428,10 +429,10 @@ def cmd_audit(args) -> int:
     if scenario_sha256(sc.doc) != manifest.get("scenario_sha256"):
         raise ValueError("the manifest's scenario does not hash to its scenario_sha256")
     spec, run = sc.spec, manifest["run"]
+    if (text := problem(run["rows"], kind=int)) is not None:
+        raise ValueError(f"manifest run.rows: {text}")
     term = artifacts.termination_from_doc(run["termination"])
-    traj = artifacts.trajectory_from_artifacts(
-        run_dir / "timeseries.csv", sc.integrator, term, stats=run
-    )
+    traj = artifacts.trajectory_from_artifacts(run_dir / "timeseries.csv", sc.integrator, term)
     if traj.xs.shape != (run["rows"], spec.n, spec.r):
         k, n, r = traj.xs.shape
         raise ValueError(
@@ -449,6 +450,8 @@ def cmd_audit(args) -> int:
             if not cert or cert.get("k_bound") is None:
                 print("audit: manifest records no K bound for this sync run")
                 return EXIT_USAGE
+            if (text := problem(cert["k_bound"], kind=(int, float))) is not None:
+                raise ValueError(f"manifest certificate.k_bound: {text}")
             k_bound = float(cert["k_bound"])
         report = audit_sync_run(traj, spec.coupling.envelope(), spec.n, k_bound)
         kind = "alignment inequality"

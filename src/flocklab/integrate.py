@@ -4,13 +4,14 @@ The stepper is the classic four-stage pair with the first-same-as-last
 property: the third-order solution is propagated, the embedded second-order
 solution drives step control.  Sample output lands on a uniform grid via
 cubic Hermite interpolation inside each accepted step, so tightening the
-step controller never changes the reported grid.  The samples are filled
-one block of accepted steps at a time, when the block's buffer is full and
-once when the run ends, with the bits each would have if its step were
-interpolated alone; one Hermite pass fills at most FLUSH_ROWS of them, and
-no more than its nine states per sample fit in `state.PASS_BYTES`, so a
-fill's temporaries grow neither with the sample density nor with the
-state size.
+step controller never changes the reported grid.  One recorder
+(`_BatchDense`) serves both steppers, a lone run being a block of one: each
+step's end (state, slope) goes into a buffer, and the samples are filled
+one buffer of steps at a time, when it is full and once when the run ends,
+with the bits each would have if its step were interpolated alone; one
+Hermite pass fills at most FLUSH_ROWS of them, and no more than its nine
+states per sample fit in `state.PASS_BYTES`, so a fill's temporaries grow
+neither with the sample density nor with the state size.
 
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
@@ -20,21 +21,22 @@ makes the error norm NaN, which fails `err_norm <= 1`: the attempt is
 rejected and h shrinks by 0.2, the controller's floor.
 
 `integrate_batch` steps B flocks of one kind, on one sample grid, in
-lockstep, as the rows of one (B, 2nr) block: each step attempt makes one RHS call per stage for every
-member still running.  Each member keeps its own time, step size, accept or
-reject decision, event scan and termination, and leaves the block when it
-stops, without a fill: the block's next fill covers its recorded steps.  So
-each member gets the Trajectory `integrate` gives it, bit for bit, and a
-member's stage inside d0 rejects that member's attempt alone.  The
-members' times, step sizes, error scales and counters are (B,) arrays, and
-one attempt's clamp, accept or reject and dense-output record are a fixed
-number of array operations whatever B is, with the IEEE operations
-`integrate_flat` applies to one run, in the same order.  Only the step-size
-controller (libm's `pow`, Python's NaN-ignoring `min` and `max`) and the
-event scan run per member, in Python.  Both paths share the stage rule
-(`_attempt`), the coefficients, the sample fill (`_fill`), the controller,
-the event scan and the sample grid; the one-run path keeps Python floats,
-which cost less than arrays of one.
+lockstep, as the rows of one (B, 2nr) block: each step attempt makes one
+RHS call per stage for every member still running.  Each member keeps its
+own time, step size, accept or reject decision, event scan and
+termination, and leaves the block when it stops, without a fill: the
+block's next fill covers its recorded steps, and its samples are read after
+the block's last fill.  So each member gets the Trajectory `integrate`
+gives it, bit for bit, and a member's stage inside d0 rejects that member's
+attempt alone.  The members' times, step sizes, error scales and counters
+are (B,) arrays, and one attempt's clamp, accept or reject and
+dense-output record are a fixed number of array operations whatever B is,
+with the IEEE operations `integrate_flat` applies to one run, in the same
+order.  Only the step-size controller (libm's `pow`, Python's NaN-ignoring
+`min` and `max`) and the event scan run per member, in Python.  Both paths
+share the stage rule (`_attempt`), the coefficients, the dense-output
+recorder, the controller, the event scan and the sample grid; the one-run
+path keeps Python floats, which cost less than arrays of one.
 
 `integrate_runs` takes runs of any kinds and sample grids and owns every
 batching rule: which runs share a block, how many, and what runs alone.
@@ -43,7 +45,6 @@ batching rule: which runs share a block, how many, and what runs alone.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, ClassVar, Optional
@@ -214,7 +215,7 @@ def _hermite_rows(basis, theta, h):
 _PAIR_ROWS = np.arange(2)[:, None]
 
 
-def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base=0) -> None:
+def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base) -> None:
     """Fill the grid samples lo[s]..hi[s] - 1 of every recorded step s.
 
     Step s runs from starts[s] over hs[s], from the (state, slope) point
@@ -233,7 +234,7 @@ def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base=0) -> No
     shift = lo - (bounds - counts)  # a sample's grid index, less its number
     at = shift + base  # its row in samples, less its number
     # (y0, f0, y1, f1) of each step among the (state, slope) rows
-    basis = (2 * np.stack((firsts, ends)))[:, None] + _PAIR_ROWS
+    basis = (2 * np.array((firsts, ends)))[:, None] + _PAIR_ROWS
     rows = points.reshape(-1, points.shape[-1])
     total = int(counts.sum())
     per_pass = min(FLUSH_ROWS, max(1, PASS_BYTES // (9 * rows[0].nbytes)))
@@ -245,86 +246,26 @@ def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base=0) -> No
         samples[number + at[step]] = _hermite_rows(rows[basis[..., step].reshape(4, -1)], theta, h)
 
 
-class _DenseOutput:
-    """The sample grid, filled from the accepted steps one block at a time.
-
-    An accepted step that reaches a new grid sample is recorded: its start,
-    length and reach into the grid, its end (state, slope) and, unless the
-    step before it was recorded and ended there, its start (state, slope).
-    `flush` fills every sample the recorded steps reach with `_fill`.  A
-    flush runs when the (state, slope) buffer is full, and must run once
-    more when the run ends, before the samples are read.
-    """
-
-    def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
-        self.grid = grid
-        self.grid_t = grid.tolist()  # the same times as Python floats, for the per-step search
-        self.slack = 1e-15 * float(grid[-1] - grid[0])
-        self.samples = np.empty((len(grid), y0.size))
-        self.samples[0] = y0
-        self.covered = 1  # samples the recorded steps reach
-        self.points = np.empty((BLOCK + 1, 2, y0.size))  # (state, slope) rows
-        self.n_points = 0
-        self.chained = False  # the last point is where the next step starts
-        self._put(y0, f0)
-        self.firsts: list[int] = []  # each recorded step's start point
-        self.starts: list[float] = []
-        self.hs: list[float] = []
-        self.stops = [1]  # step s reaches the samples stops[s] up to stops[s + 1] - 1
-
-    def _put(self, y: np.ndarray, f: np.ndarray) -> None:
-        self.points[self.n_points, 0] = y
-        self.points[self.n_points, 1] = f
-        self.n_points += 1
-        self.chained = True
-
-    def push(self, t: float, h: float, y0, f0, y1, f1) -> None:
-        """Record the accepted step from (t, y0, f0) to (t + h, y1, f1)."""
-        stop = bisect_right(self.grid_t, t + h + self.slack, self.covered)
-        if stop == self.covered:
-            self.chained = False
-            return
-        if self.n_points + (1 if self.chained else 2) > len(self.points):
-            self.flush()
-        if not self.chained:
-            self._put(y0, f0)
-        self.firsts.append(self.n_points - 1)
-        self._put(y1, f1)
-        self.starts.append(t)
-        self.hs.append(h)
-        self.stops.append(stop)
-        self.covered = stop
-
-    def flush(self) -> None:
-        if self.firsts:
-            firsts, stops = np.array(self.firsts), np.array(self.stops)
-            _fill(
-                self.samples, self.grid, self.points, firsts, firsts + 1,
-                np.array(self.starts), np.array(self.hs), stops[:-1], stops[1:],
-            )
-        if self.chained:
-            self.points[0] = self.points[self.n_points - 1]
-        self.n_points = int(self.chained)
-        for recorded in (self.firsts, self.starts, self.hs):
-            recorded.clear()
-        self.stops = [self.covered]
+def _column(values: list) -> np.ndarray:
+    """One recorded field over the pushes: arrays over block rows, or a lone run's scalars."""
+    return np.concatenate(values) if isinstance(values[0], np.ndarray) else np.array(values)
 
 
 class _BatchDense:
-    """The sample grids of a batch's members, filled from their accepted steps.
+    """The sample grids of a block's members, filled from their accepted steps.
 
-    Every attempt writes the end (state, slope) of each block row into one
-    buffer of (BLOCK + 1) * B points and records, as arrays over the rows,
-    where each row's step starts and ends in it, the step's start and
-    length, and the grid samples it reaches; one `searchsorted` over the
-    shared grid finds those for every row.  A step starts at its member's
-    last accepted end point, or at the point the buffer restarted with, so
-    each recorded step has the (y0, f0, y1, f1) `_DenseOutput` records for
-    it.  `flush` fills every sample the recorded steps reach with `_fill`;
-    it runs when the buffer is full, and must run once more when the block
-    ends, before the samples are read.  A member that leaves the block
-    makes no flush: its steps stay recorded, and the next flush fills
-    their samples with the rest.
+    A lone run is a block of one.  Every push writes the end (state, slope)
+    of each block row into one buffer of (BLOCK + 1) * B points and records
+    each row's member, accept or reject, start and length; a lone run
+    pushes its accepted steps alone, with Python floats, which `flush`
+    turns into arrays.  `flush` rebuilds each member's chain from its
+    accepted rows, in order: a step starts where the member's step before
+    it ended, or at the point the buffer restarted with.  One `searchsorted`
+    over the shared grid finds the samples each step reaches, and `_fill`
+    fills them.  A flush runs when the buffer is full, and must run once
+    more when the block ends, before `kept` reads the samples.  A member
+    that leaves the block makes no flush: its steps stay recorded, and the
+    next flush fills their samples with the rest.
     """
 
     def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
@@ -334,47 +275,73 @@ class _BatchDense:
         self.samples = np.empty((members, len(grid), size))
         self.samples[:, 0] = y0
         self.points = np.empty(((BLOCK + 1) * members, 2, size))
-        self.covered = np.ones(members, dtype=np.intp)  # each member's samples reached so far
-        self.firsts = np.empty(members, dtype=np.intp)  # each member's next step starts at this point
-        self.records: list[tuple] = []  # one per attempt, see `push`
+        self.covered = np.ones(members, dtype=np.intp)  # each member's samples filled so far
+        self.firsts = np.empty(members, dtype=np.intp)  # each member's start point at the restart
+        self.records: list[tuple] = []  # (members, accepted, t, h) of each push
         self._restart(np.arange(members), y0, f0)
 
     def _restart(self, members, y: np.ndarray, f: np.ndarray) -> None:
         """Empty the point buffer; member members[i]'s next step starts at (y[i], f[i])."""
-        rows = len(y)
+        rows = len(y) if y.ndim == 2 else 1
         self.points[:rows, 0] = y
         self.points[:rows, 1] = f
-        self.firsts[members] = np.arange(rows)
+        np.put(self.firsts, members, np.arange(rows))
         self.used = rows
 
-    def push(self, members, accepted, t, h, end, y, k1, y_new, k4) -> None:
-        """Record the attempt from (t, y, k1) to (end = t + h, y_new, k4) of each block row.
+    def push(self, members, accepted, t, h, y, f, y_new, f_new) -> None:
+        """Record the attempt from (t, y, f) to (t + h, y_new, f_new) of each block row.
 
-        Row i runs member members[i]; its step is kept when accepted[i].
+        Row i runs member members[i]; its step is kept when accepted[i].  A
+        lone run pushes one accepted row as scalars: member 0, accepted
+        True, float t and h, and (N,) states.
         """
-        if self.used + len(y) > len(self.points):
+        rows = len(y) if y.ndim == 2 else 1
+        if self.used + rows > len(self.points):
             self.flush()
-            self._restart(members, y, k1)
-        start, self.used = self.used, self.used + len(y)
+            self._restart(members, y, f)
+        start, self.used = self.used, self.used + rows
         self.points[start : self.used, 0] = y_new
-        self.points[start : self.used, 1] = k4
-        at = np.arange(start, self.used)
-        firsts, covered = self.firsts[members], self.covered[members]
-        stop = np.maximum(np.searchsorted(self.grid, end + self.slack, side="right"), covered)
-        recorded = accepted & (stop > covered)  # a step that reaches no new sample is not
-        self.records.append((members, firsts, at, t, h, covered, stop, recorded))
-        self.firsts[members] = np.where(accepted, at, firsts)
-        self.covered[members] = np.where(recorded, stop, covered)
+        self.points[start : self.used, 1] = f_new
+        self.records.append((members, accepted, t, h))
 
     def flush(self) -> None:
         if not self.records:
             return
-        columns = [np.concatenate(column) for column in zip(*self.records)]
+        members, accepted, starts, hs = map(_column, zip(*self.records))
         self.records = []
-        recorded = columns.pop()
-        members, firsts, ends, starts, hs, lo, hi = (column[recorded] for column in columns)
+        # each member's accepted rows, in order; the pushes filled the buffer's tail
+        at = np.flatnonzero(accepted)
+        at = at[np.argsort(members[at], kind="stable")]
+        members, starts, hs = members[at], starts[at], hs[at]
+        ends = at + (self.used - len(accepted))
+        # a step starts where the one before it ended, unless it is its member's first
+        before = np.arange(-1, len(at) - 1)
+        first = members != members[before]
+        first[:1] = True
+        firsts = np.where(first, self.firsts[members], ends[before])
+        # a member's ends only grow, so a step's samples start where the step before stopped
+        stops = np.searchsorted(self.grid, starts + hs + self.slack, side="right")
+        lo = np.where(first, self.covered[members], stops[before])
         samples = self.samples.reshape(-1, self.samples.shape[-1])  # member b's grid at row b * k
-        _fill(samples, self.grid, self.points, firsts, ends, starts, hs, lo, hi, members * len(self.grid))
+        base = members * len(self.grid)
+        _fill(samples, self.grid, self.points, firsts, ends, starts, hs, lo, stops, base)
+        np.maximum.at(self.covered, members, stops)
+
+    def kept(self, member: int, term, y):
+        """(sample_ts, sample_ys) of a member that stopped with term at state y.
+
+        Read after the block's last flush, which fills the member's samples.
+        A completed run fills the grid's tail, within rounding of t_end, with
+        its last state y; an event run keeps the samples up to t*.
+        """
+        keep, samples = int(self.covered[member]), self.samples[member]
+        if isinstance(term, Completed):
+            samples[keep:] = y
+            keep = len(self.grid)
+        elif isinstance(term, EventHit):
+            while keep > 0 and self.grid[keep - 1] > term.t_star:
+                keep -= 1
+        return self.grid[:keep], samples[:keep]
 
 
 def _attempt(f, t, h, y: np.ndarray, stages: np.ndarray):
@@ -430,22 +397,6 @@ def _locate_event(event, t: float, h: float, y, k1, y_new, k4, sample_dt: float)
     return t + hi * h, _hermite(y, k1, y_new, k4, h, hi)
 
 
-def _kept(grid, samples, covered: int, term, y):
-    """(sample_ts, sample_ys) a run keeps when it stops with term, its samples filled up to covered.
-
-    A completed run fills the grid's tail, within rounding of t_end, with
-    its last state y; an event run keeps the samples up to t*.
-    """
-    keep = covered
-    if isinstance(term, Completed):
-        samples[keep:] = y
-        keep = len(grid)
-    elif isinstance(term, EventHit):
-        while keep > 0 and grid[keep - 1] > term.t_star:
-            keep -= 1
-    return grid[:keep], samples[:keep]
-
-
 def integrate_flat(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -469,7 +420,7 @@ def integrate_flat(
     h_max = span if cfg.h_max is None else cfg.h_max
     h = min(h_max, span / 1000.0) if cfg.h_init is None else cfg.h_init
     scale = cfg.atol + cfg.rtol * float(np.abs(y).max())
-    dense = _DenseOutput(_sample_grid(t, t_end, cfg.sample_dt), y, k1)
+    dense = _BatchDense(_sample_grid(t, t_end, cfg.sample_dt), y[None], k1[None])
     n_accepted = n_rejected = 0
     hit = None
     while hit is None:
@@ -487,7 +438,7 @@ def integrate_flat(
         if err_norm <= 1.0:
             if event is not None:
                 hit = _locate_event(event, t, h, y, k1, y_new, k4, cfg.sample_dt)
-            dense.push(t, h, y, k1, y_new, k4)
+            dense.push(0, True, t, h, y, k1, y_new, k4)
             n_accepted += 1
             t = t + h
             scale = cfg.atol + cfg.rtol * float(np.abs(y_new).max())
@@ -503,7 +454,7 @@ def integrate_flat(
     else:
         term = Completed()
     dense.flush()
-    return (*_kept(dense.grid, dense.samples, dense.covered, term, y), term, n_accepted, n_rejected)
+    return (*dense.kept(0, term, y), term, n_accepted, n_rejected)
 
 
 def _start(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig):
@@ -603,7 +554,7 @@ def integrate_batch(specs, states0, cfgs) -> list:
     scale = atol + rtol * np.abs(y).max(axis=1)
     n_accepted = np.zeros(len(specs), dtype=np.intp)
     attempts = 0  # every row in the block makes every attempt
-    results = [None] * len(specs)
+    stopped = [None] * len(specs)  # each member's (termination, last state, counters)
     hits: dict[int, EventHit] = {}  # rows whose last step ended on the event
     while True:
         # clamp h as `integrate_flat` does; rows that cannot attempt a step stop
@@ -621,10 +572,8 @@ def integrate_batch(specs, states0, cfgs) -> list:
                     term = StepSizeUnderflow(t=float(t[i]))
                 else:
                     term = Completed()
-                b = int(live[i])
-                # views of the member's samples, which the block's last flush fills
-                kept = _kept(dense.grid, dense.samples[b], int(dense.covered[b]), term, y[i])
-                results[b] = (*kept, term, int(n_accepted[i]), attempts - int(n_accepted[i]))
+                # y is replaced below and never written again, so the view y[i] stays put
+                stopped[live[i]] = (term, y[i], int(n_accepted[i]), attempts - int(n_accepted[i]))
             hits = {}
             rows = np.flatnonzero(going)
             if not rows.size:
@@ -653,16 +602,16 @@ def integrate_batch(specs, states0, cfgs) -> list:
                 if hit is not None:
                     hits[i] = EventHit(*hit)
         end = t + h
-        dense.push(live, accepted, t, h, end, y, k1, y_new, k4)
+        dense.push(live, accepted, t, h, y, k1, y_new, k4)
         t = np.where(accepted, end, t)
         scale = np.where(accepted, atol + rtol * np.abs(y_new).max(axis=1), scale)
         np.copyto(y, y_new, where=accepted[:, None])
         np.copyto(k1, k4, where=accepted[:, None])  # first-same-as-last
         n_accepted += accepted
         h = h * factor
-    dense.flush()
-    for b, spec, cfg, result in zip(entered, specs, cfgs, results):
-        out[b] = _trajectory(spec, cfg, *result)
+    dense.flush()  # a stopped member's samples are read after it
+    for m, (b, spec, cfg, (term, y_end, acc, rej)) in enumerate(zip(entered, specs, cfgs, stopped)):
+        out[b] = _trajectory(spec, cfg, *dense.kept(m, term, y_end), term, acc, rej)
     return out
 
 

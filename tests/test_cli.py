@@ -433,6 +433,38 @@ def test_audit_reads_k_from_the_certificate(control_run, tmp_path, capsys):
     assert "violations: 0" not in out and "first violation at t" in out
 
 
+@pytest.mark.parametrize(
+    "k_bound, want",
+    [("nan", "must be a number"), ("inf", "must be a number"), ([1], "must be a number"),
+     (math.nan, "must be finite")],
+    ids=["nan", "inf", "list", "nan-literal"],
+)
+def test_audit_refuses_a_k_bound_that_is_no_finite_number(k_bound, want, control_run, tmp_path, capsys):
+    run = _copy_run(control_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    manifest["certificate"]["k_bound"] = k_bound
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")  # NaN literal
+    assert f"certificate.k_bound: {want}" in _audit_error(run, capsys)
+
+
+def test_audit_reads_no_step_counters(control_run, tmp_path, capsys):
+    clean = main(["audit", "--out", str(control_run)]), capsys.readouterr().out
+    run = _copy_run(control_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    manifest["run"]["n_accepted"] = manifest["run"]["n_rejected"] = [1]
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert (main(["audit", "--out", str(run)]), capsys.readouterr().out) == clean
+    assert clean[0] == EXIT_OK
+
+
+def test_audit_refuses_a_row_count_that_is_no_integer(control_run, tmp_path, capsys):
+    run = _copy_run(control_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    manifest["run"]["rows"] = str(manifest["run"]["rows"])
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert "run.rows: must be an integer" in _audit_error(run, capsys)
+
+
 def _audit_error(out: Path, capsys) -> str:
     """The one stderr line of an audit of out that must exit 1."""
     capsys.readouterr()

@@ -24,7 +24,7 @@ from flocklab.integrate import (
     IntegratorConfig,
     StepSizeUnderflow,
     Trajectory,
-    _DenseOutput,
+    _BatchDense,
     _hermite,
     _hermite_rows,
     integrate,
@@ -422,10 +422,10 @@ def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
     scalar = [_hermite(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
     np.testing.assert_array_equal(np.array(scalar), want)
 
-    # one recorded step from t = 0 over h = 0.7, its samples filled in a flush
+    # one accepted step of a lone run from t = 0 over h = 0.7, its samples filled in a flush
     grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.7, 8192))])
-    dense = _DenseOutput(grid, y0, f0)
-    dense.push(0.0, 0.7, y0, f0, y1, f1)
+    dense = _BatchDense(grid, y0[None], f0[None])
+    dense.push(0, True, 0.0, 0.7, y0, f0, y1, f1)
     passes = []
 
     def spy(basis, theta, h):
@@ -438,7 +438,7 @@ def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
     assert max(passes) == FLUSH_ROWS and sum(passes) == 8192
     thetas = [min(max(g / 0.7, 0.0), 1.0) for g in grid[1:]]
     want = [_hermite_per_theta(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
-    np.testing.assert_array_equal(dense.samples[1:], np.array(want))
+    np.testing.assert_array_equal(dense.samples[0, 1:], np.array(want))
 
 
 def test_one_run_fill_stays_within_a_few_mebibytes_of_its_samples():
@@ -469,8 +469,8 @@ def test_each_hermite_pass_of_a_large_state_fits_the_pass_budget(monkeypatch):
     rng = np.random.default_rng(6)
     y0, f0, y1, f1 = rng.normal(size=(4, 2400))
     grid = np.linspace(0.0, 0.7, 600)
-    dense = _DenseOutput(grid, y0, f0)
-    dense.push(0.0, 0.7, y0, f0, y1, f1)
+    dense = _BatchDense(grid, y0[None], f0[None])
+    dense.push(0, True, 0.0, 0.7, y0, f0, y1, f1)
     passes = []
 
     def spy(basis, theta, h):
@@ -483,7 +483,7 @@ def test_each_hermite_pass_of_a_large_state_fits_the_pass_budget(monkeypatch):
     assert max(passes) * 9 * 2400 * 8 <= PASS_BYTES
     for i in range(1, 600, 37):
         theta = min(max(grid[i] / 0.7, 0.0), 1.0)
-        assert dense.samples[i].tobytes() == _hermite(y0, f0, y1, f1, 0.7, theta).tobytes()
+        assert dense.samples[0, i].tobytes() == _hermite(y0, f0, y1, f1, 0.7, theta).tobytes()
 
 
 _LINEAR = np.array([[-0.3, 1.0, 0.0, 0.2], [-1.0, -0.3, 0.1, 0.0],
@@ -537,6 +537,7 @@ def _fixed_step_cfg(t_end, h_max, sample_dt):
         pytest.param(0.1, 0.1, 1.0, id="0.1-0.1"),
         pytest.param(0.037, 0.01, 10.0, id="0.037-0.01-several-blocks"),
         pytest.param(0.003, 0.01, 1.0, id="0.003-0.01-short-steps"),
+        pytest.param(0.001, 0.5, 1.0, id="0.001-0.5-flushes-reach-no-sample"),
     ],
 )
 def test_long_steps_fill_their_samples_bit_for_bit(h_max, sample_dt, t_end):
@@ -545,8 +546,10 @@ def test_long_steps_fill_their_samples_bit_for_bit(h_max, sample_dt, t_end):
     # step fills several samples; at h_max = sample_dt the accumulated t
     # falls just short of some grid times, whose theta is clamped to 1.
     # Over t_end = 10 the 271 steps fill four whole blocks and part of a fifth.
-    # At h_max = 0.3 sample steps most steps reach no sample and are not
-    # recorded, so a recorded step's start is not the previous recorded end.
+    # At h_max = 0.3 sample steps most steps reach no sample, so a step that
+    # reaches one starts where steps that reached none ended.  At h_max =
+    # 0.002 sample steps the 1,000 steps fill 15 whole blocks, and the
+    # flushes of all but two reach no sample.
     calls = []
     cfg = _fixed_step_cfg(t_end, h_max, sample_dt)
     ts, ys, term, n_acc, n_rej = integrate_flat(_recording_rhs(calls), _Y0, cfg)
