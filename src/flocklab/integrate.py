@@ -4,14 +4,14 @@ The stepper is the classic four-stage pair with the first-same-as-last
 property: the third-order solution is propagated, the embedded second-order
 solution drives step control.  Sample output lands on a uniform grid via
 cubic Hermite interpolation inside each accepted step, so tightening the
-step controller never changes the reported grid.  One recorder
-(`_BatchDense`) serves both steppers, a lone run being a block of one: each
-step's end (state, slope) goes into a buffer, and the samples are filled
-one buffer of steps at a time, when it is full and once when the run ends,
-with the bits each would have if its step were interpolated alone; one
-Hermite pass fills at most FLUSH_ROWS of them, and no more than its nine
-states per sample fit in `state.PASS_BYTES`, so a fill's temporaries grow
-neither with the sample density nor with the state size.
+step controller never changes the reported grid.  The recorder
+(`_BatchDense`) puts each step's end (state, slope) into a buffer, and the
+samples are filled one buffer of steps at a time, when it is full and once
+when the run ends, with the bits each would have if its step were
+interpolated alone; one Hermite pass fills at most FLUSH_ROWS of them, and
+no more than its nine states per sample fit in `state.PASS_BYTES`, so a
+fill's temporaries grow neither with the sample density nor with the state
+size.
 
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
@@ -20,23 +20,22 @@ that lands inside the repulsion's d0, where the collision_free RHS is NaN,
 makes the error norm NaN, which fails `err_norm <= 1`: the attempt is
 rejected and h shrinks by 0.2, the controller's floor.
 
-`integrate_batch` steps B flocks of one kind, on one sample grid, in
-lockstep, as the rows of one (B, 2nr) block: each step attempt makes one
-RHS call per stage for every member still running.  Each member keeps its
-own time, step size, accept or reject decision, event scan and
-termination, and leaves the block when it stops, without a fill: the
+One loop (`_lockstep`) steps every run.  It steps B flocks of one kind, on
+one sample grid, in lockstep, as the rows of one (B, N) block: each step
+attempt makes one RHS call per stage for every member still running.  Each
+member keeps its own time, step size, accept or reject decision, event scan
+and termination, and leaves the block when it stops, without a fill: the
 block's next fill covers its recorded steps, and its samples are read after
-the block's last fill.  So each member gets the Trajectory `integrate`
-gives it, bit for bit, and a member's stage inside d0 rejects that member's
-attempt alone.  The members' times, step sizes, error scales and counters
-are (B,) arrays, and one attempt's clamp, accept or reject and
-dense-output record are a fixed number of array operations whatever B is,
-with the IEEE operations `integrate_flat` applies to one run, in the same
-order.  Only the step-size controller (libm's `pow`, Python's NaN-ignoring
-`min` and `max`) and the event scan run per member, in Python.  Both paths
-share the stage rule (`_attempt`), the coefficients, the dense-output
-recorder, the controller, the event scan and the sample grid; the one-run
-path keeps Python floats, which cost less than arrays of one.
+the block's last fill.  The members' times, step sizes and counters are
+(B,) arrays, and one attempt's clamp, stages, accept or reject and
+dense-output record are a fixed number of array operations whatever B is;
+only the step-size controller (libm's `pow`, Python's NaN-ignoring `min`
+and `max`) and the event scan run per member, in Python.  `integrate_batch`
+runs the loop on `models.batch_rhs`.  `integrate_flat`, which `integrate`
+calls, runs one run on flat vectors as a block of one, its RHS applied to
+row 0 at a float time.  So a batch member's Trajectory is the one
+`integrate` gives it, bit for bit, and a member's stage inside d0 rejects
+that member's attempt alone.
 
 `integrate_runs` takes runs of any kinds and sample grids and owns every
 batching rule: which runs share a block, how many, and what runs alone.
@@ -69,8 +68,10 @@ BATCH_BYTES = 5 * 2**20
 
 # classic 3(2) pair coefficients, one per stage row of k1..k4; an axis-0
 # reduction adds the weighted rows in order, as b0*k1 + b1*k2 + b2*k3 does
-_B_HIGH = np.array([2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0])[:, None]
-_E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])[:, None]
+_B_HIGH = np.array([2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0])[:, None, None]
+_E = np.array([-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0])[:, None, None]
+# the fractions of a step at which k2, k3 and k4 are taken
+_C = np.array([0.5, 0.75, 1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ Termination = Completed | CollisionEvent | StepSizeUnderflow
 
 @dataclass(frozen=True, eq=False)
 class EventHit:
-    """Where `integrate_flat` stopped on its event: located time and state."""
+    """Where a run stopped on its event: located time and state."""
 
     t_star: float
     y_star: np.ndarray
@@ -246,26 +247,20 @@ def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base) -> None
         samples[number + at[step]] = _hermite_rows(rows[basis[..., step].reshape(4, -1)], theta, h)
 
 
-def _column(values: list) -> np.ndarray:
-    """One recorded field over the pushes: arrays over block rows, or a lone run's scalars."""
-    return np.concatenate(values) if isinstance(values[0], np.ndarray) else np.array(values)
-
-
 class _BatchDense:
     """The sample grids of a block's members, filled from their accepted steps.
 
     A lone run is a block of one.  Every push writes the end (state, slope)
     of each block row into one buffer of (BLOCK + 1) * B points and records
-    each row's member, accept or reject, start and length; a lone run
-    pushes its accepted steps alone, with Python floats, which `flush`
-    turns into arrays.  `flush` rebuilds each member's chain from its
-    accepted rows, in order: a step starts where the member's step before
-    it ended, or at the point the buffer restarted with.  One `searchsorted`
-    over the shared grid finds the samples each step reaches, and `_fill`
-    fills them.  A flush runs when the buffer is full, and must run once
-    more when the block ends, before `kept` reads the samples.  A member
-    that leaves the block makes no flush: its steps stay recorded, and the
-    next flush fills their samples with the rest.
+    each row's member, accept or reject, start and length.  `flush`
+    rebuilds each member's chain from its accepted rows, in order: a step
+    starts where the member's step before it ended, or at the point the
+    buffer restarted with.  One `searchsorted` over the shared grid finds
+    the samples each step reaches, and `_fill` fills them.  A flush runs
+    when the buffer is full, and must run once more when the block ends,
+    before `kept` reads the samples.  A member that leaves the block makes
+    no flush: its steps stay recorded, and the next flush fills their
+    samples with the rest.
     """
 
     def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
@@ -282,7 +277,7 @@ class _BatchDense:
 
     def _restart(self, members, y: np.ndarray, f: np.ndarray) -> None:
         """Empty the point buffer; member members[i]'s next step starts at (y[i], f[i])."""
-        rows = len(y) if y.ndim == 2 else 1
+        rows = len(y)
         self.points[:rows, 0] = y
         self.points[:rows, 1] = f
         np.put(self.firsts, members, np.arange(rows))
@@ -291,11 +286,9 @@ class _BatchDense:
     def push(self, members, accepted, t, h, y, f, y_new, f_new) -> None:
         """Record the attempt from (t, y, f) to (t + h, y_new, f_new) of each block row.
 
-        Row i runs member members[i]; its step is kept when accepted[i].  A
-        lone run pushes one accepted row as scalars: member 0, accepted
-        True, float t and h, and (N,) states.
+        Row i runs member members[i]; its step is kept when accepted[i].
         """
-        rows = len(y) if y.ndim == 2 else 1
+        rows = len(y)
         if self.used + rows > len(self.points):
             self.flush()
             self._restart(members, y, f)
@@ -307,7 +300,7 @@ class _BatchDense:
     def flush(self) -> None:
         if not self.records:
             return
-        members, accepted, starts, hs = map(_column, zip(*self.records))
+        members, accepted, starts, hs = map(np.concatenate, zip(*self.records))
         self.records = []
         # each member's accepted rows, in order; the pushes filled the buffer's tail
         at = np.flatnonzero(accepted)
@@ -318,10 +311,12 @@ class _BatchDense:
         before = np.arange(-1, len(at) - 1)
         first = members != members[before]
         first[:1] = True
-        firsts = np.where(first, self.firsts[members], ends[before])
         # a member's ends only grow, so a step's samples start where the step before stopped
         stops = np.searchsorted(self.grid, starts + hs + self.slack, side="right")
         lo = np.where(first, self.covered[members], stops[before])
+        if (stops == lo).all():  # no step reaches a sample, and no member's cover moves
+            return
+        firsts = np.where(first, self.firsts[members], ends[before])
         samples = self.samples.reshape(-1, self.samples.shape[-1])  # member b's grid at row b * k
         base = members * len(self.grid)
         _fill(samples, self.grid, self.points, firsts, ends, starts, hs, lo, stops, base)
@@ -345,20 +340,21 @@ class _BatchDense:
 
 
 def _attempt(f, t, h, y: np.ndarray, stages: np.ndarray):
-    """One attempt at a step of size h from (t, y), whose slope is stages[0].
+    """One attempt at a step of each row of the (B, N) block y, whose slopes are stages[0].
 
-    Fills the stages k2..k4 and returns the third-order state and max|E k|,
-    the max-norm of the error estimate before its factor h.  y is one (N,)
-    run with float t and h, or a (B, N) block with (B, 1) arrays t and h;
-    elementwise, the two are the same arithmetic.
+    t and h are (B,) arrays.  Fills the stages k2..k4 and returns the
+    third-order states and each row's max|E k|, the max-norm of its error
+    estimate before its factor h.
     """
-    b_high, e = (_B_HIGH, _E) if y.ndim == 1 else (_B_HIGH[..., None], _E[..., None])
-    k1, k2, k3, k4 = stages
-    k2[...] = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3[...] = f(t + 0.75 * h, y + 0.75 * h * k2)
-    y_new = y + h * np.add.reduce(b_high * stages[:3], axis=0)
-    k4[...] = f(t + h, y_new)
-    return y_new, np.abs(np.add.reduce(e * stages, axis=0)).max(axis=-1)
+    # indexed: unpacking the block iterates over it, which costs more
+    k1, k2, k3, k4 = stages[0], stages[1], stages[2], stages[3]
+    hs = _C * h[:, None]  # (0.5 h, 0.75 h, h) as (B, 1) columns: 1.0 * h is h
+    times = t[:, None] + hs
+    k2[...] = f(times[0], y + hs[0] * k1)
+    k3[...] = f(times[1], y + hs[1] * k2)
+    y_new = y + hs[2] * np.add.reduce(_B_HIGH * stages[:3], axis=0)
+    k4[...] = f(times[2], y_new)
+    return y_new, np.maximum.reduce(np.abs(np.add.reduce(_E * stages, axis=0)), axis=1)
 
 
 def _step_factor(err_norm: float) -> float:
@@ -397,64 +393,118 @@ def _locate_event(event, t: float, h: float, y, k1, y_new, k4, sample_dt: float)
     return t + hi * h, _hermite(y, k1, y_new, k4, h, hi)
 
 
+def _lockstep(rhs_for, y: np.ndarray, cfgs, events) -> list:
+    """Step the rows of the (B, N) block y in lockstep; see the module docstring.
+
+    Row b starts at y[b] under cfgs[b], which share one sample grid, and
+    watches events[b] (a scalar function of (t, state), positive away from
+    the event) or None.  rhs_for(live) is the RHS of the members live: it
+    takes their (b, 1) times and (b, N) block.  Returns each member's
+    (sample_ts, sample_ys, termination, n_accepted, n_rejected), where
+    termination is Completed, StepSizeUnderflow or EventHit and the
+    counters are ints.
+    """
+    t_end, sample_dt = cfgs[0].t_end, cfgs[0].sample_dt
+    span = t_end - cfgs[0].t0
+    # positive, so a clamped h >= h_floor also says the row has time left
+    h_floor = max(UNDERFLOW_FACTOR * span, math.ulp(0.0))
+    live = np.arange(len(y))  # row i runs member live[i]
+    f = rhs_for(live)
+    stages = np.empty((4, *y.shape))
+    t = np.array([cfg.t0 for cfg in cfgs])
+    stages[0] = f(t[:, None], y)
+    dense = _BatchDense(_sample_grid(cfgs[0].t0, t_end, sample_dt), y, stages[0])
+    h_max = np.array([span if cfg.h_max is None else cfg.h_max for cfg in cfgs])
+    h = np.array([
+        min(hm, span / 1000.0) if cfg.h_init is None else cfg.h_init
+        for cfg, hm in zip(cfgs, h_max.tolist())
+    ])
+    atol, rtol = np.array([cfg.atol for cfg in cfgs]), np.array([cfg.rtol for cfg in cfgs])
+    n_accepted = np.zeros(len(y), dtype=np.intp)
+    attempts = 0  # every row in the block makes every attempt
+    stopped = [None] * len(y)  # each member's (termination, last state, counters)
+    hits: dict[int, EventHit] = {}  # rows whose last step ended on the event
+    while True:
+        # clamp h; rows that cannot attempt a step stop
+        left = t_end - t
+        clamped = np.minimum(h, h_max)
+        np.minimum(clamped, left, out=clamped)
+        going = clamped >= h_floor
+        if hits:
+            going[list(hits)] = False
+        if not all(going.tolist()):
+            for i in np.flatnonzero(~going).tolist():
+                if i in hits:
+                    term = hits[i]
+                elif t[i] < t_end and left[i] >= h_floor:
+                    term = StepSizeUnderflow(t=float(t[i]))
+                else:
+                    term = Completed()
+                # y is replaced below and never written again, so the view y[i] stays put
+                stopped[live[i]] = (term, y[i], int(n_accepted[i]), attempts - int(n_accepted[i]))
+            hits = {}
+            rows = np.flatnonzero(going)
+            if not rows.size:
+                break
+            # stopped members leave the block; their recorded steps stay in `dense`
+            live, y, t, clamped, h_max, atol, rtol, n_accepted = (
+                a[rows] for a in (live, y, t, clamped, h_max, atol, rtol, n_accepted)
+            )
+            events = [events[i] for i in rows.tolist()]
+            k1 = stages[0, rows]
+            stages = np.empty((4, *y.shape))
+            stages[0] = k1
+            f = rhs_for(live)
+        h = clamped
+        y_new, err = _attempt(f, t, h, y, stages)
+        attempts += 1
+        # accept or reject: max|h * e| is h * max|e| bit for bit, as rounding
+        # is monotone and symmetric in sign, so one multiply by h replaces
+        # the vector one.  A row's error scale changes only with its state
+        scale = atol + rtol * np.maximum.reduce(np.abs(y), axis=1)
+        err_norm = h * err / scale
+        accepted = err_norm <= 1.0
+        factor = np.fromiter(map(_step_factor, err_norm.tolist()), float, len(err_norm))
+        k1, k4 = stages[0], stages[3]
+        if events[0] is not None:
+            t_list, h_list = t.tolist(), h.tolist()
+            for i in np.flatnonzero(accepted).tolist():
+                hit = _locate_event(
+                    events[i], t_list[i], h_list[i], y[i], k1[i], y_new[i], k4[i], sample_dt
+                )
+                if hit is not None:
+                    hits[i] = EventHit(*hit)
+        dense.push(live, accepted, t, h, y, k1, y_new, k4)
+        t = np.where(accepted, t + h, t)
+        y = np.where(accepted[:, None], y_new, y)  # a state f was given is never written
+        np.copyto(k1, k4, where=accepted[:, None])  # first-same-as-last
+        n_accepted += accepted
+        h = h * factor
+    dense.flush()  # a stopped member's samples are read after it
+    return [
+        (*dense.kept(m, term, y_end), term, acc, rej)
+        for m, (term, y_end, acc, rej) in enumerate(stopped)
+    ]
+
+
 def integrate_flat(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
     cfg: IntegratorConfig,
     event: Optional[Callable[[float, np.ndarray], float]] = None,
 ):
-    """Core loop on flat vectors.
+    """One run on flat vectors: the lockstep loop on a block of one.
 
-    Returns (sample_ts, sample_ys, termination, n_accepted, n_rejected),
-    where termination is Completed, StepSizeUnderflow or EventHit.
-    `event` is a scalar function that is positive away from the event; a
-    non-positive value at the end of an accepted step triggers bisection.
+    f(t, y) takes a float time and an (N,) state.  Returns (sample_ts,
+    sample_ys, termination, n_accepted, n_rejected), where termination is
+    Completed, StepSizeUnderflow or EventHit.  `event` is a scalar function
+    that is positive away from the event; a non-positive value at the end
+    of an accepted step triggers bisection.
     """
-    y = np.asarray(y0, dtype=float).copy()
-    stages = np.empty((4, y.size))  # k1..k4, one row each
-    k1, k4 = stages[0], stages[3]
-    k1[:] = f(cfg.t0, y)
-    t, t_end = cfg.t0, cfg.t_end
-    span = t_end - t
-    h_floor = UNDERFLOW_FACTOR * span
-    h_max = span if cfg.h_max is None else cfg.h_max
-    h = min(h_max, span / 1000.0) if cfg.h_init is None else cfg.h_init
-    scale = cfg.atol + cfg.rtol * float(np.abs(y).max())
-    dense = _BatchDense(_sample_grid(t, t_end, cfg.sample_dt), y[None], k1[None])
-    n_accepted = n_rejected = 0
-    hit = None
-    while hit is None:
-        # clamp h; a run that cannot attempt a step stops
-        left = t_end - t
-        clamped = min(h, h_max, left)
-        if not (t < t_end and clamped >= h_floor):
-            break
-        h = clamped
-        y_new, err = _attempt(f, t, h, y, stages)
-        # accept or reject: max|h * e| is h * max|e| bit for bit, as rounding
-        # is monotone and symmetric in sign, so one multiply by h replaces
-        # the vector one
-        err_norm = h * float(err) / scale
-        if err_norm <= 1.0:
-            if event is not None:
-                hit = _locate_event(event, t, h, y, k1, y_new, k4, cfg.sample_dt)
-            dense.push(0, True, t, h, y, k1, y_new, k4)
-            n_accepted += 1
-            t = t + h
-            scale = cfg.atol + cfg.rtol * float(np.abs(y_new).max())
-            y = y_new
-            k1[:] = k4  # first-same-as-last
-        else:
-            n_rejected += 1
-        h = h * _step_factor(err_norm)
-    if hit is not None:
-        term = EventHit(*hit)
-    elif t < t_end and left >= h_floor:
-        term = StepSizeUnderflow(t=t)
-    else:
-        term = Completed()
-    dense.flush()
-    return (*dense.kept(0, term, y), term, n_accepted, n_rejected)
+    def rhs_for(live):
+        return lambda t, y: f(t.item(), y[0])  # an (N,) slope fills its stage row
+
+    return _lockstep(rhs_for, np.array(y0, dtype=float)[None], [cfg], [event])[0]
 
 
 def _start(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig):
@@ -531,87 +581,14 @@ def integrate_batch(specs, states0, cfgs) -> list:
     if not entered:
         return out
     specs = [specs[b] for b in entered]
-    starts = [out[b] for b in entered]
-    cfgs = [cfg for _, cfg, _ in starts]
-    events = [event for _, _, event in starts]
-    t_end, sample_dt = cfgs[0].t_end, cfgs[0].sample_dt
-    span = t_end - cfgs[0].t0
-    h_floor = UNDERFLOW_FACTOR * span
-    f = batch_rhs(specs)
-    y = np.stack([y0 for y0, _, _ in starts])
-    stages = np.empty((4, *y.shape))
-    t = np.array([cfg.t0 for cfg in cfgs])
-    stages[0] = f(t[:, None], y)
-    dense = _BatchDense(_sample_grid(cfgs[0].t0, t_end, sample_dt), y, stages[0])
-    # each block row's step control, as `integrate_flat` keeps it; row i runs member live[i]
-    live = np.arange(len(specs))
-    h_max = np.array([span if cfg.h_max is None else cfg.h_max for cfg in cfgs])
-    h = np.array([
-        min(hm, span / 1000.0) if cfg.h_init is None else cfg.h_init
-        for cfg, hm in zip(cfgs, h_max.tolist())
-    ])
-    atol, rtol = np.array([cfg.atol for cfg in cfgs]), np.array([cfg.rtol for cfg in cfgs])
-    scale = atol + rtol * np.abs(y).max(axis=1)
-    n_accepted = np.zeros(len(specs), dtype=np.intp)
-    attempts = 0  # every row in the block makes every attempt
-    stopped = [None] * len(specs)  # each member's (termination, last state, counters)
-    hits: dict[int, EventHit] = {}  # rows whose last step ended on the event
-    while True:
-        # clamp h as `integrate_flat` does; rows that cannot attempt a step stop
-        left = t_end - t
-        clamped = np.minimum(h, h_max)
-        np.minimum(clamped, left, out=clamped)
-        going = (t < t_end) & (clamped >= h_floor)
-        if hits:
-            going[list(hits)] = False
-        if not going.all():
-            for i in np.flatnonzero(~going).tolist():
-                if i in hits:
-                    term = hits[i]
-                elif t[i] < t_end and left[i] >= h_floor:
-                    term = StepSizeUnderflow(t=float(t[i]))
-                else:
-                    term = Completed()
-                # y is replaced below and never written again, so the view y[i] stays put
-                stopped[live[i]] = (term, y[i], int(n_accepted[i]), attempts - int(n_accepted[i]))
-            hits = {}
-            rows = np.flatnonzero(going)
-            if not rows.size:
-                break
-            # stopped members leave the block; their recorded steps stay in `dense`
-            live, y, t, clamped, h_max, atol, rtol, scale, n_accepted = (
-                a[rows] for a in (live, y, t, clamped, h_max, atol, rtol, scale, n_accepted)
-            )
-            events = [events[i] for i in rows.tolist()]
-            k1 = stages[0, rows]
-            stages = np.empty((4, *y.shape))
-            stages[0] = k1
-            f = batch_rhs([specs[b] for b in live.tolist()])
-        h = clamped
-        y_new, err = _attempt(f, t[:, None], h[:, None], y, stages)
-        attempts += 1
-        # accept or reject as `integrate_flat` does
-        err_norm = h * err / scale
-        accepted = err_norm <= 1.0
-        factor = np.fromiter(map(_step_factor, err_norm.tolist()), float, len(err_norm))
-        k1, k4 = stages[0], stages[3]
-        if events[0] is not None:
-            t_list, h_list = t.tolist(), h.tolist()
-            for i in np.flatnonzero(accepted).tolist():
-                hit = _locate_event(events[i], t_list[i], h_list[i], y[i], k1[i], y_new[i], k4[i], sample_dt)
-                if hit is not None:
-                    hits[i] = EventHit(*hit)
-        end = t + h
-        dense.push(live, accepted, t, h, y, k1, y_new, k4)
-        t = np.where(accepted, end, t)
-        scale = np.where(accepted, atol + rtol * np.abs(y_new).max(axis=1), scale)
-        np.copyto(y, y_new, where=accepted[:, None])
-        np.copyto(k1, k4, where=accepted[:, None])  # first-same-as-last
-        n_accepted += accepted
-        h = h * factor
-    dense.flush()  # a stopped member's samples are read after it
-    for m, (b, spec, cfg, (term, y_end, acc, rej)) in enumerate(zip(entered, specs, cfgs, stopped)):
-        out[b] = _trajectory(spec, cfg, *dense.kept(m, term, y_end), term, acc, rej)
+    y0s, cfgs, events = zip(*(out[b] for b in entered))
+
+    def rhs_for(live):
+        return batch_rhs([specs[b] for b in live.tolist()])
+
+    runs = _lockstep(rhs_for, np.stack(y0s), cfgs, events)
+    for b, spec, cfg, run in zip(entered, specs, cfgs, runs):
+        out[b] = _trajectory(spec, cfg, *run)
     return out
 
 
@@ -635,8 +612,9 @@ def integrate_runs(runs):
 
     Runs that share a `models.batch_key` and a sample grid are cut, in
     index order, into near-equal blocks of at most `batch_size` runs.  A
-    block of several goes through `integrate_batch`, and a lone run, which
-    is faster alone, through `integrate`.  Run i's result is
+    block of several goes through `integrate_batch`, and a lone run through
+    `integrate`: both run the one loop, and `flat_rhs` costs less than
+    `batch_rhs` of one.  Run i's result is
     `integrate(*runs[i])`, bit for bit, or the exception that call raises;
     each run is started once.  A block is integrated when its first
     result is asked for, so a caller that drops each result holds at most

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 import tracemalloc
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from flocklab.integrate import (
     integrate_flat,
 )
 from flocklab.models import ModelSpec, flat_rhs
+from flocklab.scenario import load_scenario
 from flocklab.state import PASS_BYTES, FlockState, min_pair_distance_sq, pair_dot
 
 
@@ -39,6 +42,43 @@ def test_package_attribute_names_the_integrate_module():
     # package-level function of the same name would be bound instead
     assert integrate_module is sys.modules["flocklab.integrate"]
     assert integrate_module.integrate is integrate
+
+
+def test_integrate_reaches_each_name_the_layer_trace_patches(monkeypatch):
+    # perfbench's layer trace wraps integrate_flat, flat_rhs's RHS and
+    # min_pair_distance_sq where `integrate` looks them up, on this module,
+    # and writes integrate_flat's step counters to JSON
+    counts = dict.fromkeys(("integrate_flat", "flat_rhs", "rhs", "min_pair_distance_sq"), 0)
+    results = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    real_flat, real_rhs = integrate_module.integrate_flat, integrate_module.flat_rhs
+
+    def kept_flat(*args):
+        results.append(real_flat(*args))
+        return results[-1]
+
+    monkeypatch.setattr(integrate_module, "integrate_flat", counting("integrate_flat", kept_flat))
+    monkeypatch.setattr(integrate_module, "flat_rhs",
+                        counting("flat_rhs", lambda spec: counting("rhs", real_rhs(spec))))
+    monkeypatch.setattr(integrate_module, "min_pair_distance_sq",
+                        counting("min_pair_distance_sq", min_pair_distance_sq))
+    sc = load_scenario((files("flocklab") / "scenarios" / "example3_strong.json").read_text())
+    traj = integrate(sc.spec, sc.state0, sc.integrator)
+    attempts = traj.n_accepted + traj.n_rejected
+    assert counts["integrate_flat"] == counts["flat_rhs"] == 1
+    assert counts["rhs"] == 1 + 3 * attempts
+    # the start check, at least one scan point per accepted step
+    assert counts["min_pair_distance_sq"] > traj.n_accepted > 0
+    n_accepted, n_rejected = results[0][3:]
+    assert type(n_accepted) is int and type(n_rejected) is int
+    assert json.loads(json.dumps([n_accepted, n_rejected])) == [traj.n_accepted, traj.n_rejected]
 
 
 def _single_agent_sync(v0: float) -> tuple[ModelSpec, FlockState]:
@@ -408,6 +448,12 @@ def test_block_hermite_matches_per_theta_evaluation(step):
         np.testing.assert_array_equal(_hermite(y0, f0, y1, f1, h, theta), want)
 
 
+def _push_one_step(dense, t, h, y0, f0, y1, f1):
+    """Record one accepted step of member 0, as a block row of one."""
+    dense.push(np.array([0]), np.array([True]), np.array([t]), np.array([h]),
+               y0[None], f0[None], y1[None], f1[None])
+
+
 def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
     # an array square and libm's pow(x, 2) differ in about one of 1000
     # thetas; 8192 of them make sure the scalar weights, the block weights
@@ -425,7 +471,7 @@ def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
     # one accepted step of a lone run from t = 0 over h = 0.7, its samples filled in a flush
     grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.7, 8192))])
     dense = _BatchDense(grid, y0[None], f0[None])
-    dense.push(0, True, 0.0, 0.7, y0, f0, y1, f1)
+    _push_one_step(dense, 0.0, 0.7, y0, f0, y1, f1)
     passes = []
 
     def spy(basis, theta, h):
@@ -470,7 +516,7 @@ def test_each_hermite_pass_of_a_large_state_fits_the_pass_budget(monkeypatch):
     y0, f0, y1, f1 = rng.normal(size=(4, 2400))
     grid = np.linspace(0.0, 0.7, 600)
     dense = _BatchDense(grid, y0[None], f0[None])
-    dense.push(0, True, 0.0, 0.7, y0, f0, y1, f1)
+    _push_one_step(dense, 0.0, 0.7, y0, f0, y1, f1)
     passes = []
 
     def spy(basis, theta, h):
