@@ -11,14 +11,18 @@ one `sweep --simulate --jobs 2` of `example1_sweep` over two t_end values
 and two coupling.delta values, whose worker holds runs on two sample grids,
 and the benchmark's 122-point frontier sweep of `example1_sweep` at
 `--jobs 1`, integrated as two blocks of 61 runs whose flushes each fill
-several slices of samples.  Six more flocks run `simulate --full` and
-`audit`: three above n = 5, whose plots draw min/median/max bands instead of
-one line per pair (a collision-free 4 x 3 lattice of 12 agents in the plane,
+several slices of samples, and a `sweep --simulate` of a collision-free
+jittered 8 x 5 lattice of 40 agents in the plane to t_end 0.5 over four
+coupling.w values, at `--jobs 1` as one block of four and at `--jobs 2` as
+two blocks of two, whose two `sweep.csv` files must be equal.  Six more
+flocks run `simulate --full` and `audit`: three above n = 5, whose plots
+draw min/median/max bands instead of one line per pair (a collision-free
+4 x 3 lattice of 12 agents in the plane,
 the same lattice to t_end 5 on a 0.001 grid, whose 5,001 samples are
 thinned to 2,000 in the plots and span several slices of the CSV writer
 and reader, and a Lorenz sync flock of 8 agents in three dimensions),
 `example1_delta09` to t_end 5 on a 0.001 grid, whose 57 steps reach 5,000
-samples in one flush of ten slices, two agents head on whose
+samples in one flush of four slices, two agents head on whose
 Runge-Kutta stage lands inside d0, which the integrator rejects before it
 reports the collision, and `example2_strong` on a 0.5 grid, whose 1,972
 steps reach 21 samples, so most of its flushes fill none (its audit checks
@@ -37,7 +41,8 @@ constant couplings, a sync flock over a user K from 0 up, relaxed and not,
 and a collision flock over w and d0 whose closest pair ends inside d0.
 It prints one `sha256  scenario/file` line per artifact and per command's
 stdout (with its exit code); the sweeps' lines are tagged `sweep/`,
-`sweep_collision/`, `sweep_grids/`, `frontier/` and `sweep_singular/`, the region copy's
+`sweep_collision/`, `sweep_grids/`, `frontier/`, `sweep_large/jobs1/`,
+`sweep_large/jobs2/` and `sweep_singular/`, the region copy's
 `region_k/`, the seven flocks' `lattice12/`, `long_lattice12/`, `lattice3d/`, `lorenz8/`,
 `fine_delta09/`, `singular_stage/` and `coarse_lorenz/`, the invalid documents'
 `invalid/` and `centre/`, and the certify-only sweeps' `certificates/`.
@@ -75,6 +80,7 @@ COLLISION_SWEEP_AXIS = "coupling.w=[8.0,10.0,12.0]"
 GRID_SWEEP_AXES = ("integrator.t_end=[20.0,40.0]", "coupling.delta=[0.75,1.25]")
 FRONTIER_AXES = ("coupling.delta=0.5:2.0:0.025", "coupling.w=[1.0,1.5]")
 SINGULAR_SWEEP_AXIS = "coupling.w=[1.0,0.001,2.0]"  # the middle point is singular_stage
+LARGE_SWEEP_AXIS = "coupling.w=[5.0,10.0,15.0,20.0]"
 
 
 def _extra_flocks() -> dict[str, dict]:
@@ -84,7 +90,7 @@ def _extra_flocks() -> dict[str, dict]:
     grid and to t_end 5 on a 0.001 grid and as a jittered 12-agent lattice
     in three dimensions to t_end 1, example2_strong with 8 agents,
     example1_delta09 to t_end 5 on a 0.001 grid, whose one-run flush fills
-    several slices, two agents head on at a constant w = 0.001 with
+    four slices, two agents head on at a constant w = 0.001 with
     d0 = 0.25, one of whose stages lands inside d0, and example2_strong on
     a 0.5 grid, a lone run whose flushes mostly reach no sample.  The 0.002 grid lets the
     audit check some steps of the stiff Lorenz flock before its velocity
@@ -288,6 +294,20 @@ def main() -> int:
         sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
                  "--jobs", "1", *(arg for axis in FRONTIER_AXES for arg in ("--axis", axis))]
         _print_digests("frontier", [("sweep", sweep)], out, tmp)
+        doc = json.loads((SCENARIO_DIR / "example3_strong.json").read_text(encoding="utf-8"))
+        cells = [(a, b) for a in range(8) for b in range(5)]
+        doc.update(name="lattice40", n=40, r=2, integrator={"t_end": 0.5, "sample_dt": 0.01},
+                   initial={"mode": "explicit",
+                            "x": [[1.5 * a + 0.1 * (k % 5), 1.5 * b - 0.07 * (k % 3)]
+                                  for k, (a, b) in enumerate(cells)],
+                            "v": [[0.5 * (k % 4) - 0.75, 0.5 - 0.5 * (k % 3)] for k in range(40)]})
+        scenario = Path(tmp) / "lattice40.json"
+        scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        for jobs in ("1", "2"):
+            out = Path(tmp) / "sweep_large" / f"jobs{jobs}"
+            sweep = ["sweep", "--scenario", str(scenario), "--out", str(out), "--simulate",
+                     "--jobs", jobs, "--axis", LARGE_SWEEP_AXIS]
+            _print_digests(f"sweep_large/jobs{jobs}", [("sweep", sweep)], out, tmp)
         for name, doc in _extra_flocks().items():
             scenario = Path(tmp) / f"{name}.json"
             scenario.write_text(json.dumps(doc, indent=2), encoding="utf-8")

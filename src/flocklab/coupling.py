@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Optional, get_args
 import numpy as np
 
 from .bounds import bounded, check_fields, entries
-from .state import _as_stack, distance_sq_matrix, libm, power
+from .state import _as_stack, distance_sq_matrix, power
 
 # Modulated weights draw their pair offsets beta_ij from (0, sqrt(2)), so
 # (distance + beta_ij^2) < (distance + 2) always; 2.0 is the envelope offset.
@@ -93,7 +93,7 @@ class ModulatedCoupling:
         if m != n:
             raise ValueError(f"beta is {m}x{m}, state has n={n}")
         dist = np.sqrt(dist_sq)
-        return self.w * (1.5 + 0.5 * libm(math.sin, t)) / power(dist + self.beta_sq, self.delta)
+        return self.w * (1.5 + 0.5 * np.sin(t)) / power(dist + self.beta_sq, self.delta)
 
     def envelope(self) -> Envelope:
         # modulation minimum is 1.0, offset uses the draw-interval supremum

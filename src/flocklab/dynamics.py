@@ -25,7 +25,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bounds import bounded, check_fields, entries
-from .state import libm
 
 _FD_STEP = 1e-6
 _K_BLOCK = 1024  # box points per Jacobian call in k_region: bounded memory as 2^r grows
@@ -41,8 +40,8 @@ class InternalDynamics:
     (m, r) and (m, r, r) whose row i equals the one-row call bit for bit.
     A batch of B flocks passes (B, m, r) velocities with t a (B, 1, 1)
     array of the members' times; member b must equal the call at its own
-    float time.  Write them with `z[..., k]` for coordinate k and
-    `state.libm(math.cos, t)` for a function of t; construction checks both
+    float time.  Write them with `z[..., k]` for coordinate k and a function
+    of time as a numpy ufunc of t, such as `np.cos(t)`; construction checks both
     on a two-row probe and a two-member batch, and raises ValueError for a
     per-agent function.
 
@@ -146,8 +145,8 @@ def logistic_cosine() -> InternalDynamics:
     return InternalDynamics(
         name="logistic_cosine",
         dim=1,
-        g=lambda t, z: libm(math.cos, t) * (z - 1.0) * (z - 2.0),
-        jacobian=lambda t, z: (libm(math.cos, t) * (2.0 * z - 3.0))[..., None],
+        g=lambda t, z: np.cos(t) * (z - 1.0) * (z - 2.0),
+        jacobian=lambda t, z: (np.cos(t) * (2.0 * z - 3.0))[..., None],
         jacobian_affine=True,
         box=np.array([[1.0, 2.0]]),
     )

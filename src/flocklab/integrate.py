@@ -8,10 +8,9 @@ step controller never changes the reported grid.  The recorder
 (`_BatchDense`) puts each step's end (state, slope) into a buffer, and the
 samples are filled one buffer of steps at a time, when it is full and once
 when the run ends, with the bits each would have if its step were
-interpolated alone; one Hermite pass fills at most FLUSH_ROWS of them, and
-no more than its nine states per sample fit in `state.PASS_BYTES`, so a
-fill's temporaries grow neither with the sample density nor with the state
-size.
+interpolated alone; one Hermite pass fills as many as fit in
+`state.PASS_BYTES` at nine states per sample, so a fill's temporaries grow
+neither with the sample density nor with the state size.
 
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
@@ -58,12 +57,11 @@ UNDERFLOW_FACTOR = 1e-14
 
 BLOCK = 64  # a flush fills the samples of up to this many recorded steps
 
-FLUSH_ROWS = 512  # a flush fills at most this many samples per Hermite pass
-
-# what one batch holds at most: its members' samples and dense-output points,
-# and one flush slice's Hermite temporaries.  An attempt costs nearly the same
-# numpy calls at any block size, so bigger blocks are faster, with gains that
-# flatten past about 64 members; 5 MiB holds 65 runs of 801 samples at nr = 5
+# what one batch's members hold at most: their samples and dense-output
+# points; a flush's Hermite passes fit PASS_BYTES apart.  An attempt costs
+# nearly the same numpy calls at any block size, so bigger blocks are faster,
+# with gains that flatten past about 64 members; 5 MiB holds 70 runs of 801
+# samples at nr = 5
 BATCH_BYTES = 5 * 2**20
 
 # classic 3(2) pair coefficients, one per stage row of k1..k4; an axis-0
@@ -164,15 +162,12 @@ def batch_size(n: int, r: int, cfg: IntegratorConfig) -> int:
     """Most members of one `integrate_batch` call that fit BATCH_BYTES together.
 
     A member holds its samples and 2 * (BLOCK + 1) rows of dense-output
-    points.  A flush slice holds at most 9 * FLUSH_ROWS rows, whatever the
-    block's size: the gathered (y0, f0, y1, f1) of each sample, their
-    weighted terms and their sum; it is charged that many even where
-    PASS_BYTES caps it lower.  A row is one state of 2nr floats.
+    points, a row being one state of 2nr floats.  A flush's Hermite passes
+    are not charged: each fits PASS_BYTES, whatever the block's size.
     """
     # counted, not built: a grid too big to build fails in each run alone
     samples = _sample_count(cfg.t0, cfg.t_end, cfg.sample_dt)
-    row = 2 * n * r * 8
-    return max(1, (BATCH_BYTES - 9 * FLUSH_ROWS * row) // ((samples + 2 * (BLOCK + 1)) * row))
+    return max(1, BATCH_BYTES // ((samples + 2 * (BLOCK + 1)) * 2 * n * r * 8))
 
 
 def _hermite_weights(theta, h):
@@ -222,11 +217,11 @@ def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base) -> None
     Step s runs from starts[s] over hs[s], from the (state, slope) point
     firsts[s] of `points` to its point ends[s]; its sample i lands in row
     base[s] + i of the 2-D `samples`.  Each sample has the bits
-    `_hermite_rows` gives its step alone.  A `_hermite_rows` call fills at
-    most FLUSH_ROWS samples, and no more than fit PASS_BYTES at nine states
-    each (the gathered basis, its weighted terms and their sum), so the
-    temporaries grow neither with the number of samples the steps reach nor
-    with the state size.
+    `_hermite_rows` gives its step alone.  A `_hermite_rows` call fills as
+    many samples as fit PASS_BYTES at nine states each (the gathered basis,
+    its weighted terms and their sum), or one, so the temporaries grow
+    neither with the number of samples the steps reach nor with the state
+    size.
     """
     # number the samples to fill 0..total-1, step by step: step s has
     # the numbers bounds[s] - counts[s] up to bounds[s] - 1
@@ -238,7 +233,7 @@ def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base) -> None
     basis = (2 * np.array((firsts, ends)))[:, None] + _PAIR_ROWS
     rows = points.reshape(-1, points.shape[-1])
     total = int(counts.sum())
-    per_pass = min(FLUSH_ROWS, max(1, PASS_BYTES // (9 * rows[0].nbytes)))
+    per_pass = max(1, PASS_BYTES // (9 * rows[0].nbytes))
     for first in range(0, total, per_pass):
         number = np.arange(first, min(first + per_pass, total))
         step = np.searchsorted(bounds, number, side="right")

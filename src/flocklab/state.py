@@ -55,17 +55,6 @@ def power(base: np.ndarray, exponent):
     return out
 
 
-def libm(fn, t):
-    """fn (math.sin, math.cos) of a float, or of each element of an array.
-
-    An array goes through Python's math call element by element, so each
-    element has the bits the float call gives.
-    """
-    if isinstance(t, np.ndarray):
-        return np.fromiter(map(fn, t.ravel().tolist()), float, t.size).reshape(t.shape)
-    return fn(t)
-
-
 def spread(y) -> float:
     """Largest per-coordinate range over all agents (the spread S(y))."""
     return float(spreads(_as_2d(y)))

@@ -23,7 +23,6 @@ from flocklab.coupling import (
 from flocklab.dynamics import RepulsionModel, logistic_cosine, lorenz, zero_dynamics
 from flocklab.integrate import (
     BLOCK,
-    FLUSH_ROWS,
     CollisionEvent,
     Completed,
     IntegratorConfig,
@@ -35,7 +34,7 @@ from flocklab.integrate import (
 )
 from flocklab.models import MODEL_VARIANTS, ModelSpec, batch_rhs, flat_rhs
 from flocklab.scenario import materialize
-from flocklab.state import FlockState, libm, power
+from flocklab.state import PASS_BYTES, FlockState, power
 
 # members of one batch share their dynamics object: one g drives the block
 DYNAMICS = {
@@ -272,26 +271,31 @@ def test_power_gives_each_member_the_float_exponent_bits(exponent):
     assert power(base[0], exponent).tobytes() == (base[0] ** exponent).tobytes()
 
 
-def test_libm_matches_the_math_call_per_element():
-    t = np.random.default_rng(8).uniform(-50.0, 50.0, size=(64, 1, 1))
-    for fn in (math.sin, math.cos):
-        got = libm(fn, t)
-        assert got.shape == t.shape
-        assert got.ravel().tolist() == [fn(x) for x in t.ravel().tolist()]
-    assert libm(math.sin, 0.5) == math.sin(0.5)
+def test_numpy_sin_and_cos_give_the_math_bits():
+    # the modulated weights and logistic_cosine take sin t and cos t with
+    # numpy's ufuncs, on a float for a lone run and on a (B, 1, 1) array of
+    # the members' times for a batch: each member's bits must be the float
+    # call's, and both must be the C library's, as Python's math gives them
+    grid = np.linspace(-50.0, 50.0, 20_001)
+    times = np.random.default_rng(8).uniform(0.0, 1e4, size=(4096, 1, 1))
+    for ufunc, fn in ((np.sin, math.sin), (np.cos, math.cos)):
+        assert [float(ufunc(t)) for t in grid.tolist()] == [fn(t) for t in grid.tolist()]
+        got = ufunc(times)
+        assert got.shape == times.shape
+        assert got.ravel().tolist() == [fn(t) for t in times.ravel().tolist()]
 
 
 def test_batch_size_keeps_a_block_under_five_mebibytes():
     # the frontier sweep's points: n = 5, r = 1, 801 samples and 2 * (BLOCK +
-    # 1) = 130 dense-output points of 10 floats per member, next to a flush
-    # slice of 9 * 512 rows: a --jobs 2 worker's 61 runs fit in one block
+    # 1) = 130 dense-output points of 10 floats per member, the fill's
+    # passes not charged: a --jobs 2 worker's 61 runs fit in one block
     cfg = IntegratorConfig(t_end=40.0, sample_dt=0.05)
-    slice_bytes = 9 * 512 * 80
-    assert batch_size(5, 1, cfg) == 65 == (5 * 2**20 - slice_bytes) // ((801 + 130) * 80)
-    assert batch_size(50, 3, cfg) == 1
+    assert batch_size(5, 1, cfg) == 70 == 5 * 2**20 // ((801 + 130) * 80)
+    assert batch_size(50, 3, cfg) == 2 == 5 * 2**20 // ((801 + 130) * 2400)
+    assert batch_size(50, 2, IntegratorConfig(t_end=10.0, sample_dt=0.01)) == 2
     # 3 samples, but still 130 rows of dense-output points per member
-    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 458 == (
-        (5 * 2**20 - slice_bytes) // ((3 + 130) * 80)
+    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 492 == (
+        5 * 2**20 // ((3 + 130) * 80)
     )
 
 
@@ -329,7 +333,7 @@ def _fill_spies(monkeypatch):
     return passes, flushes
 
 
-def test_batch_flush_fills_at_most_flush_rows_samples_per_hermite_pass(monkeypatch):
+def test_batch_flush_fills_at_most_a_pass_budget_of_samples_per_hermite_pass(monkeypatch):
     # 64 frontier runs over 32 delta values: up to 64 attempts of 64 members
     # reach thousands of samples per flush, and the members take different
     # numbers of attempts, so they leave the block at different attempts
@@ -339,9 +343,10 @@ def test_batch_flush_fills_at_most_flush_rows_samples_per_hermite_pass(monkeypat
     assert len(set(attempts)) > 1
     passes, flushes = _fill_spies(monkeypatch)
     batched = integrate_batch(*zip(*runs))
-    # every sample but the first is filled by a Hermite pass of at most FLUSH_ROWS
+    # every sample but the first is filled by a Hermite pass of at most as
+    # many samples as fit PASS_BYTES at nine states of 2nr = 10 floats each
     sizes = [len(p) for p in passes]
-    assert max(sizes) == FLUSH_ROWS and sum(sizes) == 64 * 800
+    assert max(sizes) == PASS_BYTES // (72 * 10) == 1456 and sum(sizes) == 64 * 800
     # a flush per buffer restart and one when the block ends, none when a member leaves
     assert len(flushes) == _buffer_restarts(attempts) + 1
     for a, b in zip(alone, batched):
@@ -421,6 +426,12 @@ def test_integrate_runs_groups_runs_of_mixed_kinds_and_grids(monkeypatch):
         ]
         spec, state, _ = _member("baseline", "power_law", None, 3, 2, "plain", 1.1, 2.0, 10 + seed)
         labelled.append(("longer grid", (spec, state, longer)))
+    # a large flock, n * r = 72: its members' 16 samples and 130 dense-output
+    # points of 144 floats fit one block, whatever the fill's passes hold
+    labelled += [
+        ("n = 36", _member("baseline", "power_law", None, 36, 2, "plain", 1.1, 2.0, 30 + seed))
+        for seed in range(4)
+    ]
     # runs alone in their group: another n, another coupling family, a later t0
     spec, state, cfg = _member("baseline", "power_law", None, 4, 2, "plain", 1.1, 2.0, 20)
     labelled += [
@@ -545,10 +556,10 @@ def _frontier_runs() -> list:
     return runs
 
 
-def test_integrate_runs_cuts_the_frontier_runs_into_blocks_of_at_most_65(monkeypatch):
-    # 801 samples and 130 dense-output points of 2nr = 10 floats, next to one
-    # flush slice: at most 65 runs keep a block under 5 MiB, so each worker's
-    # round-robin share at --jobs 1, 2 or 3 is cut into blocks of 61 or fewer
+def test_integrate_runs_cuts_the_frontier_runs_into_blocks_of_at_most_70(monkeypatch):
+    # 801 samples and 130 dense-output points of 2nr = 10 floats: at most 70
+    # runs keep a block's members under 5 MiB, so each worker's round-robin
+    # share at --jobs 1, 2 or 3 is cut into blocks of 61 or fewer
     runs = _frontier_runs()
     blocks = []
     _batch_spy(monkeypatch, blocks, result=lambda specs: [None] * len(specs))

@@ -27,7 +27,7 @@ from flocklab.dynamics import (
 )
 from flocklab.integrate import IntegratorConfig, integrate
 from flocklab.models import ModelSpec
-from flocklab.state import FlockState, libm
+from flocklab.state import FlockState
 
 LORENZ_K = 24.5 + 17.5 - 8.0 / 3.0  # worst row of the corner maximum
 _LORENZ_BOX_ROWS = [[-17.0, 17.5], [-22.0, 24.5], [7.0, 45.0]]
@@ -83,7 +83,7 @@ def test_generator_of_a_float_time_only_rejected_at_construction():
     # math.cos of a (B, 1, 1) time array raises: the generator cannot step a batch
     with pytest.raises(ValueError, match="row-wise"):
         InternalDynamics(name="cos", dim=1, g=lambda t, z: math.cos(t) * z)
-    InternalDynamics(name="cos", dim=1, g=lambda t, z: libm(math.cos, t) * z)
+    InternalDynamics(name="cos", dim=1, g=lambda t, z: np.cos(t) * z)
 
 
 def test_with_box_keeps_the_checked_functions(monkeypatch):

@@ -19,7 +19,6 @@ from flocklab.coupling import ConstantCoupling, ModulatedCoupling, PowerLawCoupl
 from flocklab.dynamics import RepulsionModel, logistic_cosine, logistic_cosine_solution
 from flocklab.integrate import (
     BLOCK,
-    FLUSH_ROWS,
     Completed,
     CollisionEvent,
     EventHit,
@@ -480,8 +479,9 @@ def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
 
     monkeypatch.setattr(integrate_module, "_hermite_rows", spy)
     dense.flush()
-    # the flush fills the step's 8192 samples in passes of at most FLUSH_ROWS
-    assert max(passes) == FLUSH_ROWS and sum(passes) == 8192
+    # the flush fills the step's 8192 samples in passes of at most as many as
+    # fit PASS_BYTES at nine states of 3 floats each
+    assert max(passes) == PASS_BYTES // (72 * 3) == 4854 and sum(passes) == 8192
     thetas = [min(max(g / 0.7, 0.0), 1.0) for g in grid[1:]]
     want = [_hermite_per_theta(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
     np.testing.assert_array_equal(dense.samples[0, 1:], np.array(want))
@@ -510,8 +510,8 @@ def test_one_run_fill_stays_within_a_few_mebibytes_of_its_samples():
 
 
 def test_each_hermite_pass_of_a_large_state_fits_the_pass_budget(monkeypatch):
-    # at n = 400, r = 3 a state is 2400 floats, and FLUSH_ROWS = 512 samples
-    # in one pass would hold 9 * 512 of them: 88 MB
+    # at n = 400, r = 3 a state is 2400 floats, so nine states a sample fit
+    # PASS_BYTES for only six samples a pass
     rng = np.random.default_rng(6)
     y0, f0, y1, f1 = rng.normal(size=(4, 2400))
     grid = np.linspace(0.0, 0.7, 600)
