@@ -236,11 +236,38 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _hundredths(px: np.ndarray) -> np.ndarray:
+    """Pixel coordinates in integer hundredths, as `format(px, ".2f")` rounds them.
+
+    `rint(100 * px)` can differ only where 100 * px lies within rounding
+    error of a half (the product may land on the half, and rint rounds it
+    to even); there `format` decides from px's exact value.
+    """
+    scaled = 100.0 * px
+    out = np.rint(scaled).astype(np.int64)
+    for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6):
+        out[i] = int(format(px[i], ".2f").replace(".", ""))
+    return out
+
+
+def _path_data(px: np.ndarray, py: np.ndarray) -> str:
+    """Path data through the pixel points: `M` to the first, then relative `l` steps."""
+    pts = np.column_stack((_hundredths(px), _hundredths(py)))
+    head = f"M{pts[0, 0]} {pts[0, 1]}"
+    if len(pts) == 1:
+        return head
+    steps = " ".join(map(str, np.diff(pts, axis=0).ravel().tolist()))
+    return f"{head}l{steps.replace(' -', '-')}"
+
+
 class SvgPlot:
     """Minimal deterministic line plot writer (SVG 1.1, fixed layout).
 
     Coordinates are rounded to 0.01 px so output depends only on the data,
-    never on float printing quirks of the platform.
+    never on float printing quirks of the platform.  Each series is one
+    `<path>` in integer hundredths of a pixel, inside a group scaled by
+    0.01: its first vertex is absolute (`M`) and each later one a relative
+    `l` step from the one before.  A non-finite value raises ValueError.
     """
 
     WIDTH = 640
@@ -273,6 +300,9 @@ class SvgPlot:
     def render(self) -> str:
         xs = [t for _, t, _ in self.series]
         ys = [self._prepare(v) for _, _, v in self.series]
+        for (label, _, _), t, y in zip(self.series, xs, ys):
+            if not (np.isfinite(t).all() and np.isfinite(y).all()):
+                raise ValueError(f"plot {self.title!r}: series {label!r} holds a non-finite value")
         ys += [self._prepare(np.array([val])) for _, val in self.hlines]
         # nothing to draw (one agent has no pairs): an empty frame on the unit axes
         xs_all = np.concatenate(xs or [np.zeros(1)])
@@ -351,16 +381,15 @@ class SvgPlot:
                 f'stroke="#999999" stroke-width="1" stroke-dasharray="6,3"/>'
             )
 
+        if self.series:
+            out.append('<g transform="scale(.01)" fill="none" stroke-width="130">')
+            for idx, (t, y) in enumerate(zip(xs, ys)):
+                color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
+                out.append(f'<path stroke="{color}" d="{_path_data(sx(t), sy(y))}"/>')
+            out.append("</g>")
         legend_y = y0 + 4
-        for idx, (label, t, values) in enumerate(self.series):
+        for idx, (label, _, _) in enumerate(self.series):
             color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-            pts = " ".join(
-                f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
-                for a, b in zip(t, self._prepare(values))
-            )
-            out.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.3" points="{pts}"/>'
-            )
             ly = legend_y + 16 * idx
             out.append(
                 f'<line x1="{x1 + 10}" y1="{ly + 8:.2f}" x2="{x1 + 34}" y2="{ly + 8:.2f}" '
@@ -384,8 +413,9 @@ class SvgPlot:
         return "\n".join(out) + "\n"
 
     def write(self, path) -> None:
+        text = self.render()  # a plot that fails to render leaves no file
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.render())
+            fh.write(text)
 
 
 def _thin_indices(k: int, cap: int = 2000) -> slice | np.ndarray:
@@ -407,7 +437,7 @@ def _small_flock(n: int) -> bool:
 def plot_velocity_components(path, traj: Trajectory) -> None:
     """Velocity components over time.
 
-    Small flocks (n <= 5) get one polyline per agent and axis.  Larger ones
+    Small flocks (n <= 5) get one line per agent and axis.  Larger ones
     get the min, median and max over agents for each axis, so the file size
     and the legend do not grow with n.
     """
@@ -481,7 +511,7 @@ def plot_pairwise_distances(path, traj: Trajectory, d0: Optional[float] = None) 
     """Pair distances |x_i - x_j| over time, with sqrt(d0) dashed if given.
 
     While the n(n-1)/2 pairs fit the 10-colour palette (n <= 5), each pair
-    gets its own polyline.  Above that the plot draws three bands instead:
+    gets its own line.  Above that the plot draws three bands instead:
     the min, median and max over all pairs at each sample, so the file size
     does not grow with n^2.
     """

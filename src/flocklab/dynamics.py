@@ -1,22 +1,23 @@
 """Internal agent dynamics, their worst-case alignment penalty, repulsion.
 
-The certificates need one scalar per dynamics model: the largest value of
+The certificates need one scalar per dynamics model: an upper bound over
+the operating region of
 
     k(t, l, y, w) = int_0^1 dg_l/dz_l (t, q y + (1-q) w) dq
-                    + sum_{h != l} | int_0^1 dg_l/dz_h (t, q y + (1-q) w) dq |
+                    + sum_{h != l} | int_0^1 dg_l/dz_h (t, q y + (1-q) w) dq |.
 
-over the operating region.  The segment integrals are done with 16-point
-Gauss-Legendre; when the Jacobian entries are affine in the state they equal
-the entry at the segment midpoint, so the regional maximum is attained at
-box corners and can be computed exactly.  `g` and its Jacobian act row-wise,
-so one call covers a flock, the 16 nodes of a segment, a block of corners,
-or a batch of flocks each at its own time.
+A segment average is at most the largest pointwise row penalty
+dg_l/dz_l + sum_{h != l} |dg_l/dz_h| on the segment, so `k_region` takes
+the maximum of that penalty over the box.  When the Jacobian entries are
+affine in the state the penalty is convex, so its maximum is attained at
+box corners and is computed exactly.  `g` and its Jacobian act row-wise,
+so one call covers a flock, a block of corners, or a batch of flocks each
+at its own time.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -218,39 +219,6 @@ BUILTIN_DYNAMICS = {
     "logistic_cosine": logistic_cosine,
     "lorenz": lorenz,
 }
-
-
-@functools.cache  # on first use: numpy.polynomial takes milliseconds to import
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def segment_jacobian_integrals(dyn: InternalDynamics, t: float, y, w) -> np.ndarray:
-    """Entrywise int_0^1 J(t, q y + (1-q) w) dq by 16-point Gauss-Legendre."""
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if y.shape != (dyn.dim,) or w.shape != (dyn.dim,):
-        raise ValueError(f"segment endpoints must have shape ({dyn.dim},)")
-    q, wts = _gauss_legendre()
-    nodes = q[:, None] * y + (1.0 - q)[:, None] * w
-    # a running sum in node order, from +0.0 (an entry -0.0 at every node is 0.0)
-    return np.cumsum(wts[:, None, None] * dyn.eval_jacobian(t, nodes), axis=0)[-1] + 0.0
-
-
-def k_pair(dyn: InternalDynamics, t: float, dim: int, y, w) -> float:
-    """Alignment penalty of coordinate `dim` along the segment from w to y.
-
-    Diagonal contribution is signed, off-diagonal contributions enter in
-    absolute value.  `dim` is zero based.
-    """
-    if not 0 <= dim < dyn.dim:
-        raise ValueError(f"dim {dim} out of range for r={dyn.dim}")
-    seg = segment_jacobian_integrals(dyn, t, y, w)
-    row = seg[dim]
-    off = np.abs(row).sum() - abs(row[dim])
-    return float(row[dim] + off)
 
 
 def _row_penalties(jac: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -399,6 +400,21 @@ def _parse_svg(text: str) -> ET.Element:
     return ET.fromstring(text)
 
 
+_PATH_DATA = re.compile(r"M-?\d+ -?\d+(l-?\d+( ?-?\d+)*)?")
+
+
+def _decode_path(d: str) -> np.ndarray:
+    """The (m, 2) integer vertices, in hundredths of a pixel, of a series path's data."""
+    assert _PATH_DATA.fullmatch(d), d
+    steps = np.array([int(v) for v in re.findall(r"-?\d+", d)]).reshape(-1, 2)
+    return np.cumsum(steps, axis=0)
+
+
+def _series(text: str) -> list[np.ndarray]:
+    """Each series path's vertices, in drawing order."""
+    return [_decode_path(el.attrib["d"]) for el in _parse_svg(text).iter() if el.tag.endswith("path")]
+
+
 def test_svg_render_is_valid_and_deterministic():
     plot = SvgPlot("spread", "t", "S(v)", log_y=True)
     t = np.linspace(0.0, 5.0, 50)
@@ -425,6 +441,41 @@ def test_svg_log_axis_clips_zeros():
     plot = SvgPlot("spread", "t", "S(v)", log_y=True)
     plot.add_series("S(v)", np.array([0.0, 1.0, 2.0]), np.array([1.0, 1e-20, 0.0]))
     _parse_svg(plot.render())
+
+
+def _hundredths(px) -> list[int]:
+    """Pixel coordinates as "%.2f" prints them, in hundredths."""
+    return [int(format(float(v), ".2f").replace(".", "")) for v in px]
+
+
+def test_svg_path_vertices_are_the_printed_hundredths():
+    # t = 0.05 k maps to 70 + 0.5125 k px: every other sample is a decimal
+    # tie, where 100 px can round to .5 on the other side of px's own value
+    t = np.linspace(0.0, 40.0, 801)
+    y = np.sin(t)
+    plot = SvgPlot("ties", "t", "y")
+    plot.add_series("sin", t, y)
+    (pts,) = _series(plot.render())
+    lo, hi = y.min() - 0.05 * (y.max() - y.min()), y.max() + 0.05 * (y.max() - y.min())
+    assert pts[:, 0].tolist() == _hundredths(70 + (t - 0.0) / (40.0 - 0.0) * 410)
+    assert pts[:, 1].tolist() == _hundredths(42 + (hi - y) / (hi - lo) * 330)
+
+
+def test_svg_one_point_series_is_a_lone_moveto():
+    plot = SvgPlot("point", "t", "y")
+    plot.add_series("p", np.array([3.0]), np.array([2.0]))
+    (path,) = [el for el in _parse_svg(plot.render()).iter() if el.tag.endswith("path")]
+    assert path.attrib["d"] == "M7000 20700"  # the left edge, halfway up the frame
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_svg_refuses_non_finite_values(tmp_path, bad):
+    plot = SvgPlot("velocity spread", "t", "S(v)", log_y=True)
+    plot.add_series("S(v)", np.arange(3.0), np.ones(3))
+    plot.add_series("certified bound", np.arange(3.0), np.array([1.0, bad, 0.5]))
+    with pytest.raises(ValueError, match="'velocity spread'.*'certified bound'"):
+        plot.write(tmp_path / "s.svg")
+    assert not (tmp_path / "s.svg").exists()
 
 
 def test_plot_writers_produce_parseable_files(tmp_path, small_traj):
@@ -455,8 +506,8 @@ def test_plot_thinning_caps_point_count(tmp_path):
     path = tmp_path / "v.svg"
     plot_velocity_components(path, traj)
     text = path.read_text(encoding="utf-8")
-    pts = text.split('points="')[1].split('"')[0]
-    assert len(pts.split()) <= 2000
+    (pts,) = _series(text)
+    assert len(pts) <= 2000
 
 
 def _random_flock(n: int, k: int = 201) -> Trajectory:
@@ -483,7 +534,7 @@ def test_pairwise_plot_draws_each_pair_while_pairs_fit_the_palette(tmp_path):
     path = tmp_path / "d.svg"
     plot_pairwise_distances(path, _random_flock(5), d0=0.25)
     text = path.read_text(encoding="utf-8")
-    assert text.count("<polyline") == 10
+    assert len(_series(text)) == 10
     labels = [f"|x_{i + 1}-x_{j + 1}|" for i in range(5) for j in range(i + 1, 5)]
     assert _legend(text) == labels
 
@@ -493,15 +544,13 @@ def test_pairwise_plot_draws_bands_beyond_the_palette(tmp_path):
     path = tmp_path / "d.svg"
     plot_pairwise_distances(path, traj, d0=0.25)
     text = path.read_text(encoding="utf-8")
-    assert text.count("<polyline") == 3
+    assert len(_series(text)) == 3
     assert _legend(text) == ["min |x_i-x_j|", "median |x_i-x_j|", "max |x_i-x_j|"]
     assert text.count('stroke-dasharray="6,3"') == 2  # sqrt(d0) line and its legend
     assert "sqrt(d0)" in text
 
     # the min band is the smallest pair distance of each sample
-    root = _parse_svg(text)
-    low = next(el for el in root.iter() if el.tag.endswith("polyline"))
-    ys = [float(pt.split(",")[1]) for pt in low.attrib["points"].split()]
+    ys = _series(text)[0][:, 1]
     dist = np.sqrt(traj.min_dist_sq)
     assert np.argmax(ys) == np.argmin(dist) and np.argmin(ys) == np.argmax(dist)
 
@@ -646,7 +695,7 @@ def test_velocity_plot_draws_each_agent_while_pairs_fit_the_palette(tmp_path):
     path = tmp_path / "v.svg"
     plot_velocity_components(path, _moving_flock(5))
     text = path.read_text(encoding="utf-8")
-    assert text.count("<polyline") == 10
+    assert len(_series(text)) == 10
     assert _velocity_legend(text) == [f"v[{i + 1},{l + 1}]" for i in range(5) for l in range(2)]
 
 
@@ -655,16 +704,21 @@ def test_velocity_plot_draws_bands_beyond_the_palette(tmp_path):
     path = tmp_path / "v.svg"
     plot_velocity_components(path, traj)
     text = path.read_text(encoding="utf-8")
-    assert text.count("<polyline") == 6
+    assert len(_series(text)) == 6
     assert _velocity_legend(text) == [
         f"{band} v[i,{l}]" for l in (1, 2) for band in ("min", "median", "max")
     ]
     # the first band is the smallest first component of each sample
-    root = _parse_svg(text)
-    low = next(el for el in root.iter() if el.tag.endswith("polyline"))
-    ys = [float(pt.split(",")[1]) for pt in low.attrib["points"].split()]
+    ys = _series(text)[0][:, 1]
     lowest = traj.vs[:, :, 0].min(axis=1)
     assert np.argmax(ys) == np.argmin(lowest) and np.argmin(ys) == np.argmax(lowest)
+
+
+def test_velocity_plot_of_a_small_flock_stays_small(tmp_path):
+    # ten lines of 1,001 noisy samples; absolute "x.xx,y.yy" pairs took 144 KB
+    path = tmp_path / "v.svg"
+    plot_velocity_components(path, _moving_flock(5, k=1001))
+    assert path.stat().st_size < 120_000
 
 
 def test_velocity_plot_stays_small_for_large_flocks(tmp_path):

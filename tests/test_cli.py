@@ -13,6 +13,7 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flocklab
@@ -273,7 +274,22 @@ def test_one_agent_flock_simulates_and_audits(name, tmp_path, capsys):
         "manifest.json",
     }
     svg = (out / "pairwise_distances.svg").read_text(encoding="utf-8")
-    assert svg.endswith("</svg>\n") and "<polyline" not in svg
+    assert svg.endswith("</svg>\n") and "<path" not in svg
+    # while the lone agent's velocity components are drawn, one path per axis
+    assert (out / "velocity_components.svg").read_text(encoding="utf-8").count("<path") == r
+
+
+def test_simulate_reports_a_non_finite_plot_series(tmp_path, capsys, monkeypatch):
+    # a NaN in the certified bound is one error line, not a plot of "nan" vertices
+    nan_bound = lambda self, t, t0=0.0: np.full(np.shape(t), math.nan)  # noqa: E731
+    monkeypatch.setattr(cli_module.SyncCertificate, "decay_bound", nan_bound)
+    out = tmp_path / "run"
+    code = main(["simulate", "--scenario", bundled_path("example1_delta09"), "--out", str(out)])
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: ValueError: ")
+    assert "'velocity spread'" in line and "'certified bound'" in line
+    assert not (out / "spread_v_log.svg").exists()
 
 
 def test_simulate_csv_has_full_state_columns(control_run):
@@ -1062,7 +1078,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
-    # the Gauss-Legendre nodes of segment_jacobian_integrals are built on first use
+    # numpy.polynomial takes milliseconds to import, and no command needs it
     got = _fresh_python(
         "import json, sys\n"
         "import flocklab.cli\n"

@@ -14,7 +14,7 @@ from flocklab.dynamics import (
     DEFAULT_T_GRID,
     InternalDynamics,
     RepulsionModel,
-    k_pair,
+    _row_penalties,
     k_region,
     logistic_cosine,
     logistic_cosine_envelope_bound,
@@ -22,7 +22,6 @@ from flocklab.dynamics import (
     lorenz,
     repulsion_strength,
     repulsion_tail,
-    segment_jacobian_integrals,
     zero_dynamics,
 )
 from flocklab.integrate import IntegratorConfig, integrate
@@ -162,38 +161,6 @@ def test_invalid_box_shape_rejected():
 # alignment penalties
 
 
-def test_k_pair_vanishes_with_the_cosine():
-    dyn = logistic_cosine()
-    assert k_pair(dyn, math.pi / 2.0, 0, [1.2], [1.9]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_k_pair_segment_average_closed_form():
-    # int_0^1 (2(q y + (1-q) w) - 3) dq = y + w - 3 at t = 0
-    dyn = logistic_cosine()
-    assert k_pair(dyn, 0.0, 0, [1.0], [2.0]) == pytest.approx(0.0, abs=1e-12)
-    assert k_pair(dyn, 0.0, 0, [2.0], [2.0]) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_k_pair_dim_out_of_range():
-    with pytest.raises(ValueError):
-        k_pair(logistic_cosine(), 0.0, 1, [1.5], [1.5])
-
-
-@given(
-    st.floats(0.0, 2.0 * math.pi),
-    st.floats(1.0, 2.0),
-    st.floats(1.0, 2.0),
-)
-def test_k_pair_symmetric_in_endpoints(t, y, w):
-    dyn = logistic_cosine()
-    assert k_pair(dyn, t, 0, [y], [w]) == pytest.approx(k_pair(dyn, t, 0, [w], [y]), abs=1e-12)
-
-
-def test_segment_integrals_shape_check():
-    with pytest.raises(ValueError):
-        segment_jacobian_integrals(lorenz(), 0.0, [1.0], [2.0])
-
-
 def test_k_region_zero_dynamics():
     assert k_region(zero_dynamics(2)) == 0.0
 
@@ -225,15 +192,19 @@ def test_k_region_lorenz_reference_window():
     assert 39.3 <= k <= 39.5
 
 
+@pytest.mark.parametrize("make", [logistic_cosine, lorenz], ids=["logistic_cosine", "lorenz"])
 @given(
-    st.floats(0.0, 2.0 * math.pi),
-    st.floats(1.0, 2.0),
-    st.floats(1.0, 2.0),
+    st.integers(0, len(DEFAULT_T_GRID) - 1),
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
 )
 @settings(max_examples=50, deadline=None)
-def test_k_region_dominates_k_pair(t, y, w):
-    dyn = logistic_cosine()
-    assert k_region(dyn) >= k_pair(dyn, t, 0, [y], [w]) - 1e-12
+def test_k_region_dominates_the_pointwise_penalty(make, k, u):
+    # every segment average of the penalty is at most its largest point value
+    dyn = make()
+    lo, hi = dyn.box.T
+    z = lo + np.asarray(u[: dyn.dim]) * (hi - lo)
+    penalty = _row_penalties(dyn.eval_jacobian(float(DEFAULT_T_GRID[k]), z)).max()
+    assert k_region(dyn) >= penalty - 1e-12
 
 
 def test_k_region_requires_a_box():
@@ -298,29 +269,6 @@ def test_k_region_takes_corners_in_bounded_blocks():
     assert k_region(dyn, t_grid=np.array([0.0, 1.0])) == 1.0 + 2.0 * (r - 1)
     assert all(len(size) == 1 and size[0] <= 1024 for size in sizes)
     assert sum(size[0] for size in sizes) == 2 * 2**r
-
-
-def _segment_reference(dyn, t, y, w):
-    acc = np.zeros((dyn.dim, dyn.dim))
-    for q, wt in zip(*np.polynomial.legendre.leggauss(16)):
-        q, wt = 0.5 * (q + 1.0), 0.5 * wt
-        acc += wt * dyn.eval_jacobian(t, q * np.asarray(y) + (1.0 - q) * np.asarray(w))
-    return acc
-
-
-@pytest.mark.parametrize(
-    "dyn",
-    [logistic_cosine(), lorenz(), dataclasses.replace(lorenz(), jacobian=None)],
-    ids=["logistic_cosine", "lorenz", "lorenz_fd"],
-)
-def test_segment_integrals_match_per_node_loop(dyn):
-    rng = np.random.default_rng(7)
-    lo, hi = dyn.box[:, 0], dyn.box[:, 1]
-    for _ in range(50):
-        t = float(rng.uniform(0.0, 2.0 * math.pi))
-        y, w = rng.uniform(lo, hi), rng.uniform(lo, hi)
-        got = segment_jacobian_integrals(dyn, t, y, w)
-        assert got.tobytes() == _segment_reference(dyn, t, y, w).tobytes()
 
 
 def test_builtin_jacobians_match_finite_differences():
