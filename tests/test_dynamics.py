@@ -161,6 +161,24 @@ def test_invalid_box_shape_rejected():
 # alignment penalties
 
 
+def test_row_penalties_sign_the_diagonal_and_add_off_diagonal_magnitudes():
+    jac = np.array([[[-2.0, 3.0], [-1.0, 4.0]], [[0.5, -0.25], [-6.0, -1.0]]])
+    assert _row_penalties(jac).tolist() == [[1.0, 5.0], [0.75, 5.0]]
+
+
+def test_row_penalty_vanishes_with_the_cosine():
+    dyn = logistic_cosine()
+    z = np.linspace(1.0, 2.0, 9)[:, None]
+    assert np.abs(_row_penalties(dyn.eval_jacobian(math.pi / 2.0, z))).max() <= 1e-12
+
+
+def test_row_penalty_closed_form():
+    # at t = 0 the logistic-cosine penalty is dg/dz = 2 z - 3
+    dyn = logistic_cosine()
+    z = np.array([[1.0], [1.5], [2.0]])
+    assert _row_penalties(dyn.eval_jacobian(0.0, z))[:, 0].tolist() == [-1.0, 0.0, 1.0]
+
+
 def test_k_region_zero_dynamics():
     assert k_region(zero_dynamics(2)) == 0.0
 
