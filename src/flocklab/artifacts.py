@@ -251,11 +251,22 @@ def _hundredths(px: np.ndarray) -> np.ndarray:
 
 
 def _path_data(px: np.ndarray, py: np.ndarray) -> str:
-    """Path data through the pixel points: `M` to the first, then relative `l` steps."""
+    """Path data through the pixel points: `M` to the first, then relative `l` steps.
+
+    The points are rounded to integer hundredths, and an interior vertex
+    where the line goes straight on is dropped: its incoming and outgoing
+    steps have a zero cross product and a positive dot product, so it lies
+    on the segment between the vertices kept around it.  A vertex where the
+    line turns or doubles back stays, and so does a repeated point.
+    """
     pts = np.column_stack((_hundredths(px), _hundredths(py)))
     head = f"M{pts[0, 0]} {pts[0, 1]}"
     if len(pts) == 1:
         return head
+    step = np.diff(pts, axis=0)
+    (dx, dy), (ex, ey) = step[:-1].T, step[1:].T
+    straight = (dx * ey == dy * ex) & (dx * ex + dy * ey > 0)
+    pts = pts[np.concatenate(([True], ~straight, [True]))]
     steps = " ".join(map(str, np.diff(pts, axis=0).ravel().tolist()))
     return f"{head}l{steps.replace(' -', '-')}"
 
@@ -267,7 +278,8 @@ class SvgPlot:
     never on float printing quirks of the platform.  Each series is one
     `<path>` in integer hundredths of a pixel, inside a group scaled by
     0.01: its first vertex is absolute (`M`) and each later one a relative
-    `l` step from the one before.  A non-finite value raises ValueError.
+    `l` step from the one before; a vertex where the line goes straight on
+    is dropped.  A non-finite value raises ValueError.
     """
 
     WIDTH = 640

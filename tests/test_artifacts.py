@@ -9,6 +9,7 @@ import math
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ from flocklab.integrate import (
     IntegratorConfig,
     StepSizeUnderflow,
     Trajectory,
+    integrate,
 )
+from flocklab.scenario import load_scenario
 from flocklab.state import PASS_BYTES, pair_dot
 
 
@@ -448,6 +451,21 @@ def _hundredths(px) -> list[int]:
     return [int(format(float(v), ".2f").replace(".", "")) for v in px]
 
 
+def _restored(pts: np.ndarray, xs) -> np.ndarray:
+    """The y of a drawn polyline at each printed x: its dropped points put back.
+
+    pts are a path's kept vertices, whose x must increase strictly.  Each
+    x must fall where the line passes through a whole hundredth, as a
+    dropped point does.
+    """
+    xs = np.asarray(xs)
+    seg = np.clip(np.searchsorted(pts[:, 0], xs, side="right") - 1, 0, len(pts) - 2)
+    (x0, y0), (x1, y1) = pts[seg].T, pts[seg + 1].T
+    rise, rem = np.divmod((xs - x0) * (y1 - y0), x1 - x0)
+    assert not rem.any(), "a printed point lies off the drawn line"
+    return y0 + rise
+
+
 def test_svg_path_vertices_are_the_printed_hundredths():
     # t = 0.05 k maps to 70 + 0.5125 k px: every other sample is a decimal
     # tie, where 100 px can round to .5 on the other side of px's own value
@@ -457,8 +475,41 @@ def test_svg_path_vertices_are_the_printed_hundredths():
     plot.add_series("sin", t, y)
     (pts,) = _series(plot.render())
     lo, hi = y.min() - 0.05 * (y.max() - y.min()), y.max() + 0.05 * (y.max() - y.min())
-    assert pts[:, 0].tolist() == _hundredths(70 + (t - 0.0) / (40.0 - 0.0) * 410)
-    assert pts[:, 1].tolist() == _hundredths(42 + (hi - y) / (hi - lo) * 330)
+    px = np.array(_hundredths(70 + (t - 0.0) / (40.0 - 0.0) * 410))
+    py = np.array(_hundredths(42 + (hi - y) / (hi - lo) * 330))
+    # every kept vertex is a printed point, in order, the first and the last among them
+    at = np.searchsorted(px, pts[:, 0])
+    assert at[0] == 0 and at[-1] == len(px) - 1 and (np.diff(at) > 0).all()
+    assert pts[:, 0].tolist() == px[at].tolist()
+    assert pts[:, 1].tolist() == py[at].tolist()
+    # every printed point lies on the drawn line
+    assert _restored(pts, px).tolist() == py.tolist()
+    assert len(pts) < len(px)  # some points were dropped and put back
+
+
+@pytest.mark.parametrize(
+    "px, py, d",
+    [
+        pytest.param([0, 1, 2, 3, 4], [5, 5, 5, 5, 5], "M0 500l400 0", id="flat-run-keeps-its-ends"),
+        pytest.param([0, 1, 2, 1, 0], [0, 0, 0, 0, 0], "M0 0l200 0-200 0", id="doubling-back-keeps-its-turn"),
+        pytest.param([0, 1, 1, 2], [0, 1, 1, 2], "M0 0l100 100 0 0 100 100", id="repeated-point-stays"),
+        pytest.param([0, 1, 2, 3], [0, 1, 1, 2], "M0 0l100 100 100 0 100 100", id="turns-stay"),
+    ],
+)
+def test_path_data_drops_the_vertices_where_the_line_goes_straight_on(px, py, d):
+    assert artifacts._path_data(np.array(px, dtype=float), np.array(py, dtype=float)) == d
+    assert _PATH_DATA.fullmatch(d)
+
+
+def test_a_converged_flock_plots_its_pair_distances_in_few_bytes(tmp_path):
+    # example3_strong aligns: its pair distances settle, and their lines run
+    # straight on (55 KB when every sample was a vertex)
+    sc = load_scenario((files("flocklab") / "scenarios" / "example3_strong.json").read_text())
+    path = tmp_path / "d.svg"
+    traj = integrate(sc.spec, sc.state0, sc.integrator)
+    plot_pairwise_distances(path, traj, d0=sc.spec.repulsion.d0)
+    assert len(_series(path.read_text(encoding="utf-8"))) == 10
+    assert path.stat().st_size < 10_000
 
 
 def test_svg_one_point_series_is_a_lone_moveto():
@@ -550,7 +601,7 @@ def test_pairwise_plot_draws_bands_beyond_the_palette(tmp_path):
     assert "sqrt(d0)" in text
 
     # the min band is the smallest pair distance of each sample
-    ys = _series(text)[0][:, 1]
+    ys = _restored(_series(text)[0], _hundredths(70 + traj.ts / 2.0 * 410))
     dist = np.sqrt(traj.min_dist_sq)
     assert np.argmax(ys) == np.argmin(dist) and np.argmin(ys) == np.argmax(dist)
 
