@@ -23,8 +23,9 @@ reported as skipped instead of audited.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -371,12 +372,19 @@ def audit_sync_run(traj: Trajectory, env: Envelope, n: int, k_bound: float) -> T
     return _run_audit(traj, terms)
 
 
+def _sum_left(values: np.ndarray) -> float:
+    """The elements of values added left to right in Python floats, 0 when empty."""
+    return reduce(operator.add, values.tolist(), 0)
+
+
 def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel], k: int):
     """Contraction rate rho and repulsion forcing at sample k.
 
     Both are taken at the pair attaining the velocity spread.  Self weights
     drop out of the pair minimum, so the (i, i') cross terms enter directly.
-    Sums over the other agents run left to right, as a per-pair loop would.
+    Sums over the other agents run left to right, as a per-pair loop would,
+    on every Python: from 3.12 on, the builtin `sum` of floats is
+    compensated and gives other bits.
     The weights and the repulsion read one `distance_sq_matrix`.
     """
     t = float(traj.ts[k])
@@ -388,7 +396,7 @@ def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel],
     w = weights_matrix(coupling, t, x, dist_sq=d2)
     n = x.shape[0]
     others = np.delete(np.arange(n), [i, ip])
-    rho = w[i, ip] + w[ip, i] + sum(np.minimum(w[i, others], w[ip, others]).tolist())
+    rho = w[i, ip] + w[ip, i] + _sum_left(np.minimum(w[i, others], w[ip, others]))
 
     gamma = 0.0
     if rep is not None:
@@ -399,7 +407,7 @@ def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel],
             return -2.0 * f * pair_dot((x[a] - x[b]).T, (v[a] - v[b]).T)
 
         head = (dtail(i, [ip]) + dtail(ip, [i]))[0]
-        gamma = 0.5 * (head + sum(np.minimum(dtail(i, others), dtail(ip, others)).tolist()))
+        gamma = 0.5 * (head + _sum_left(np.minimum(dtail(i, others), dtail(ip, others))))
     return rho, gamma
 
 

@@ -5,12 +5,13 @@ property: the third-order solution is propagated, the embedded second-order
 solution drives step control.  Sample output lands on a uniform grid via
 cubic Hermite interpolation inside each accepted step, so tightening the
 step controller never changes the reported grid.  The recorder
-(`_BatchDense`) puts each step's end (state, slope) into a buffer, and the
-samples are filled one buffer of steps at a time, when it is full and once
-when the run ends, with the bits each would have if its step were
-interpolated alone; one Hermite pass fills as many as fit in
-`state.PASS_BYTES` at nine states per sample, so a fill's temporaries grow
-neither with the sample density nor with the state size.
+(`_BatchDense`) puts both ends (state, slope) of each step attempt into a
+buffer, so every accepted step carries its own Hermite basis and nothing
+rebuilds a chain of steps.  The samples are filled one buffer of steps at
+a time, when it is full and once when the run ends, with the bits each
+would have if its step were interpolated alone; one Hermite pass fills as
+many as fit in `state.PASS_BYTES` at nine states per sample, so a fill's
+temporaries grow neither with the sample density nor with the state size.
 
 A collision monitor can watch the smallest squared pair distance against a
 threshold; a sign change within an accepted step is located by bisection on
@@ -60,7 +61,7 @@ BLOCK = 64  # a flush fills the samples of up to this many recorded steps
 # what one batch's members hold at most: their samples and dense-output
 # points; a flush's Hermite passes fit PASS_BYTES apart.  An attempt costs
 # nearly the same numpy calls at any block size, so bigger blocks are faster,
-# with gains that flatten past about 64 members; 5 MiB holds 70 runs of 801
+# with gains that flatten past about 64 members; 5 MiB holds 62 runs of 801
 # samples at nr = 5
 BATCH_BYTES = 5 * 2**20
 
@@ -161,13 +162,14 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
 def batch_size(n: int, r: int, cfg: IntegratorConfig) -> int:
     """Most members of one `integrate_batch` call that fit BATCH_BYTES together.
 
-    A member holds its samples and 2 * (BLOCK + 1) rows of dense-output
-    points, a row being one state of 2nr floats.  A flush's Hermite passes
-    are not charged: each fits PASS_BYTES, whatever the block's size.
+    A member holds its samples and 4 * BLOCK states of dense-output points
+    (both ends of BLOCK attempts), a state being 2nr floats.  A flush's
+    Hermite passes are not charged: each fits PASS_BYTES, whatever the
+    block's size.
     """
     # counted, not built: a grid too big to build fails in each run alone
     samples = _sample_count(cfg.t0, cfg.t_end, cfg.sample_dt)
-    return max(1, BATCH_BYTES // ((samples + 2 * (BLOCK + 1)) * 2 * n * r * 8))
+    return max(1, BATCH_BYTES // ((samples + 4 * BLOCK) * 2 * n * r * 8))
 
 
 def _hermite_weights(theta, h):
@@ -207,21 +209,16 @@ def _hermite_rows(basis, theta, h):
     return np.add.reduce(weights * basis, axis=0)
 
 
-# a point's (state, slope) offsets among the rows, on the middle axis of (2, 2, m) indices
-_PAIR_ROWS = np.arange(2)[:, None]
-
-
-def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base) -> None:
+def _fill(samples, grid, points, steps, starts, hs, lo, hi, base) -> None:
     """Fill the grid samples lo[s]..hi[s] - 1 of every recorded step s.
 
-    Step s runs from starts[s] over hs[s], from the (state, slope) point
-    firsts[s] of `points` to its point ends[s]; its sample i lands in row
-    base[s] + i of the 2-D `samples`.  Each sample has the bits
-    `_hermite_rows` gives its step alone.  A `_hermite_rows` call fills as
-    many samples as fit PASS_BYTES at nine states each (the gathered basis,
-    its weighted terms and their sum), or one, so the temporaries grow
-    neither with the number of samples the steps reach nor with the state
-    size.
+    Step s runs from starts[s] over hs[s]; its (y0, f0, y1, f1) are
+    points[:, steps[s]], and its sample i lands in row base[s] + i of the
+    2-D `samples`.  Each sample has the bits `_hermite_rows` gives its step
+    alone.  A `_hermite_rows` call fills as many samples as fit PASS_BYTES
+    at nine states each (the gathered basis, its weighted terms and their
+    sum), or one, so the temporaries grow neither with the number of
+    samples the steps reach nor with the state size.
     """
     # number the samples to fill 0..total-1, step by step: step s has
     # the numbers bounds[s] - counts[s] up to bounds[s] - 1
@@ -229,54 +226,42 @@ def _fill(samples, grid, points, firsts, ends, starts, hs, lo, hi, base) -> None
     bounds = np.cumsum(counts)
     shift = lo - (bounds - counts)  # a sample's grid index, less its number
     at = shift + base  # its row in samples, less its number
-    # (y0, f0, y1, f1) of each step among the (state, slope) rows
-    basis = (2 * np.array((firsts, ends)))[:, None] + _PAIR_ROWS
-    rows = points.reshape(-1, points.shape[-1])
     total = int(counts.sum())
-    per_pass = max(1, PASS_BYTES // (9 * rows[0].nbytes))
+    per_pass = max(1, PASS_BYTES // (9 * points[0, 0].nbytes))
     for first in range(0, total, per_pass):
         number = np.arange(first, min(first + per_pass, total))
         step = np.searchsorted(bounds, number, side="right")
         h = hs[step]
         theta = np.clip((grid[number + shift[step]] - starts[step]) / h, 0.0, 1.0)
-        samples[number + at[step]] = _hermite_rows(rows[basis[..., step].reshape(4, -1)], theta, h)
+        samples[number + at[step]] = _hermite_rows(points[:, steps[step]], theta, h)
 
 
 class _BatchDense:
     """The sample grids of a block's members, filled from their accepted steps.
 
-    A lone run is a block of one.  Every push writes the end (state, slope)
-    of each block row into one buffer of (BLOCK + 1) * B points and records
-    each row's member, accept or reject, start and length.  `flush`
-    rebuilds each member's chain from its accepted rows, in order: a step
-    starts where the member's step before it ended, or at the point the
-    buffer restarted with.  One `searchsorted` over the shared grid finds
-    the samples each step reaches, and `_fill` fills them.  A flush runs
-    when the buffer is full, and must run once more when the block ends,
-    before `kept` reads the samples.  A member that leaves the block makes
-    no flush: its steps stay recorded, and the next flush fills their
-    samples with the rest.
+    A lone run is a block of one.  Every push writes both ends of each
+    block row's attempt, (y, f) and (y_new, f_new), into one buffer of
+    BLOCK * B attempts, and records each row's member, accept or reject,
+    start and length.  So each accepted step holds its own Hermite basis
+    and finds its own samples: the grid times past its start, up to and
+    including its end, within `slack`.  The loop advances a member's time
+    by the same `t + h`, so a step's samples start where its member's step
+    before it stopped.  One `searchsorted` over the shared grid finds them,
+    and `_fill` fills them.  A flush runs when the buffer is full, and
+    must run once more when the block ends, before `kept` reads the
+    samples.  A member that leaves the block makes no flush: its steps
+    stay recorded, and the next flush fills their samples with the rest.
     """
 
-    def __init__(self, grid: np.ndarray, y0: np.ndarray, f0: np.ndarray):
+    def __init__(self, grid: np.ndarray, y0: np.ndarray):
         members, size = y0.shape
         self.grid = grid
         self.slack = 1e-15 * float(grid[-1] - grid[0])
         self.samples = np.empty((members, len(grid), size))
         self.samples[:, 0] = y0
-        self.points = np.empty(((BLOCK + 1) * members, 2, size))
-        self.covered = np.ones(members, dtype=np.intp)  # each member's samples filled so far
-        self.firsts = np.empty(members, dtype=np.intp)  # each member's start point at the restart
+        self.points = np.empty((4, BLOCK * members, size))  # (y, f, y_new, f_new) of each attempt
+        self.used = 0
         self.records: list[tuple] = []  # (members, accepted, t, h) of each push
-        self._restart(np.arange(members), y0, f0)
-
-    def _restart(self, members, y: np.ndarray, f: np.ndarray) -> None:
-        """Empty the point buffer; member members[i]'s next step starts at (y[i], f[i])."""
-        rows = len(y)
-        self.points[:rows, 0] = y
-        self.points[:rows, 1] = f
-        np.put(self.firsts, members, np.arange(rows))
-        self.used = rows
 
     def push(self, members, accepted, t, h, y, f, y_new, f_new) -> None:
         """Record the attempt from (t, y, f) to (t + h, y_new, f_new) of each block row.
@@ -284,53 +269,42 @@ class _BatchDense:
         Row i runs member members[i]; its step is kept when accepted[i].
         """
         rows = len(y)
-        if self.used + rows > len(self.points):
+        if self.used + rows > self.points.shape[1]:
             self.flush()
-            self._restart(members, y, f)
         start, self.used = self.used, self.used + rows
-        self.points[start : self.used, 0] = y_new
-        self.points[start : self.used, 1] = f_new
+        points = self.points[:, start : self.used]
+        points[0], points[1], points[2], points[3] = y, f, y_new, f_new
         self.records.append((members, accepted, t, h))
 
     def flush(self) -> None:
         if not self.records:
             return
         members, accepted, starts, hs = map(np.concatenate, zip(*self.records))
-        self.records = []
-        # each member's accepted rows, in order; the pushes filled the buffer's tail
-        at = np.flatnonzero(accepted)
-        at = at[np.argsort(members[at], kind="stable")]
-        members, starts, hs = members[at], starts[at], hs[at]
-        ends = at + (self.used - len(accepted))
-        # a step starts where the one before it ended, unless it is its member's first
-        before = np.arange(-1, len(at) - 1)
-        first = members != members[before]
-        first[:1] = True
-        # a member's ends only grow, so a step's samples start where the step before stopped
-        stops = np.searchsorted(self.grid, starts + hs + self.slack, side="right")
-        lo = np.where(first, self.covered[members], stops[before])
-        if (stops == lo).all():  # no step reaches a sample, and no member's cover moves
+        self.records, self.used = [], 0
+        steps = np.flatnonzero(accepted)  # the buffer rows of the accepted steps
+        members, starts, hs = members[steps], starts[steps], hs[steps]
+        lo, hi = np.searchsorted(self.grid, (starts + self.slack, starts + hs + self.slack), "right")
+        if (hi == lo).all():  # no step reaches a sample
             return
-        firsts = np.where(first, self.firsts[members], ends[before])
         samples = self.samples.reshape(-1, self.samples.shape[-1])  # member b's grid at row b * k
         base = members * len(self.grid)
-        _fill(samples, self.grid, self.points, firsts, ends, starts, hs, lo, stops, base)
-        np.maximum.at(self.covered, members, stops)
+        _fill(samples, self.grid, self.points, steps, starts, hs, lo, hi, base)
 
-    def kept(self, member: int, term, y):
-        """(sample_ts, sample_ys) of a member that stopped with term at state y.
+    def kept(self, member: int, t: float, term, y):
+        """(sample_ts, sample_ys) of a member that stopped at time t with term at state y.
 
-        Read after the block's last flush, which fills the member's samples.
+        Read after the block's last flush, which fills the samples up to t.
         A completed run fills the grid's tail, within rounding of t_end, with
         its last state y; an event run keeps the samples up to t*.
         """
-        keep, samples = int(self.covered[member]), self.samples[member]
+        if isinstance(term, EventHit):
+            keep = np.searchsorted(self.grid, term.t_star, "right")
+        else:
+            keep = np.searchsorted(self.grid, t + self.slack, "right")
+        samples = self.samples[member]
         if isinstance(term, Completed):
             samples[keep:] = y
             keep = len(self.grid)
-        elif isinstance(term, EventHit):
-            while keep > 0 and self.grid[keep - 1] > term.t_star:
-                keep -= 1
         return self.grid[:keep], samples[:keep]
 
 
@@ -408,7 +382,7 @@ def _lockstep(rhs_for, y: np.ndarray, cfgs, events) -> list:
     stages = np.empty((4, *y.shape))
     t = np.array([cfg.t0 for cfg in cfgs])
     stages[0] = f(t[:, None], y)
-    dense = _BatchDense(_sample_grid(cfgs[0].t0, t_end, sample_dt), y, stages[0])
+    dense = _BatchDense(_sample_grid(cfgs[0].t0, t_end, sample_dt), y)
     h_max = np.array([span if cfg.h_max is None else cfg.h_max for cfg in cfgs])
     h = np.array([
         min(hm, span / 1000.0) if cfg.h_init is None else cfg.h_init
@@ -417,7 +391,7 @@ def _lockstep(rhs_for, y: np.ndarray, cfgs, events) -> list:
     atol, rtol = np.array([cfg.atol for cfg in cfgs]), np.array([cfg.rtol for cfg in cfgs])
     n_accepted = np.zeros(len(y), dtype=np.intp)
     attempts = 0  # every row in the block makes every attempt
-    stopped = [None] * len(y)  # each member's (termination, last state, counters)
+    stopped = [None] * len(y)  # each member's (time, termination, last state, counters)
     hits: dict[int, EventHit] = {}  # rows whose last step ended on the event
     while True:
         # clamp h; rows that cannot attempt a step stop
@@ -436,7 +410,9 @@ def _lockstep(rhs_for, y: np.ndarray, cfgs, events) -> list:
                 else:
                     term = Completed()
                 # y is replaced below and never written again, so the view y[i] stays put
-                stopped[live[i]] = (term, y[i], int(n_accepted[i]), attempts - int(n_accepted[i]))
+                stopped[live[i]] = (
+                    t[i], term, y[i], int(n_accepted[i]), attempts - int(n_accepted[i])
+                )
             hits = {}
             rows = np.flatnonzero(going)
             if not rows.size:
@@ -477,8 +453,8 @@ def _lockstep(rhs_for, y: np.ndarray, cfgs, events) -> list:
         h = h * factor
     dense.flush()  # a stopped member's samples are read after it
     return [
-        (*dense.kept(m, term, y_end), term, acc, rej)
-        for m, (term, y_end, acc, rej) in enumerate(stopped)
+        (*dense.kept(m, t_stop, term, y_end), term, acc, rej)
+        for m, (t_stop, term, y_end, acc, rej) in enumerate(stopped)
     ]
 
 

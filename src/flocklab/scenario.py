@@ -66,6 +66,28 @@ class CertificateSettings:
 
     def __post_init__(self):
         check_fields(self)
+        for text in settings_problems(vars(self)):
+            raise ValueError(text)
+
+
+def settings_problems(values, path="") -> list[str]:
+    """`{path}{name}: {problem}` for each rule of `CertificateSettings` that values break.
+
+    values maps field names to values, as a certificate block or the
+    settings' own fields do: k_source is one of K_SOURCES or None, k_value
+    is given exactly when k_source is "user", and relaxed is a boolean.
+    """
+    diags = []
+    source = values.get("k_source")
+    if source is not None and source not in K_SOURCES:
+        diags.append(f"{path}k_source: must be one of {K_SOURCES}")
+    if source == "user" and values.get("k_value") is None:
+        diags.append(f"{path}k_value: required when k_source is 'user'")
+    elif source != "user" and values.get("k_value") is not None:
+        diags.append(f"{path}k_value: only valid when k_source is 'user'")
+    if not isinstance(values.get("relaxed", False), bool):
+        diags.append(f"{path}relaxed: must be a boolean")
+    return diags
 
 
 @dataclass(eq=False)
@@ -306,20 +328,12 @@ def validate(doc) -> list[str]:
     if isinstance(cert, dict):
         if variant == "sync":
             _check_block(diags, "certificate.", cert, CertificateSettings, "k_source")
-            source = cert.get("k_source")
-            if source is not None and source not in K_SOURCES:
-                diags.append(f"certificate.k_source: must be one of {K_SOURCES}")
-            if source == "user" and cert.get("k_value") is None:
-                diags.append("certificate.k_value: required when k_source is 'user'")
-            elif source != "user" and cert.get("k_value") is not None:
-                diags.append("certificate.k_value: only valid when k_source is 'user'")
-            if source == "trajectory" and isinstance(internal, dict):
+            diags.extend(settings_problems(cert, "certificate."))
+            if cert.get("k_source") == "trajectory" and isinstance(internal, dict):
                 if internal.get("name") != "logistic_cosine":
                     diags.append(
                         "certificate.k_source: 'trajectory' needs the logistic_cosine dynamics"
                     )
-            if "relaxed" in cert and not isinstance(cert["relaxed"], bool):
-                diags.append("certificate.relaxed: must be a boolean")
         else:
             _expect_keys(diags, "certificate.", cert, [], [])
     elif cert is not None:

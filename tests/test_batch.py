@@ -286,31 +286,33 @@ def test_numpy_sin_and_cos_give_the_math_bits():
 
 
 def test_batch_size_keeps_a_block_under_five_mebibytes():
-    # the frontier sweep's points: n = 5, r = 1, 801 samples and 2 * (BLOCK +
-    # 1) = 130 dense-output points of 10 floats per member, the fill's
-    # passes not charged: a --jobs 2 worker's 61 runs fit in one block
+    # the frontier sweep's points: n = 5, r = 1, 801 samples and 4 * BLOCK =
+    # 256 dense-output states of 10 floats per member (both ends of BLOCK
+    # attempts), the fill's passes not charged: a --jobs 2 worker's 61 runs
+    # fit in one block
     cfg = IntegratorConfig(t_end=40.0, sample_dt=0.05)
-    assert batch_size(5, 1, cfg) == 70 == 5 * 2**20 // ((801 + 130) * 80)
-    assert batch_size(50, 3, cfg) == 2 == 5 * 2**20 // ((801 + 130) * 2400)
+    assert batch_size(5, 1, cfg) == 62 == 5 * 2**20 // ((801 + 256) * 80)
+    assert batch_size(50, 3, cfg) == 2 == 5 * 2**20 // ((801 + 256) * 2400)
     assert batch_size(50, 2, IntegratorConfig(t_end=10.0, sample_dt=0.01)) == 2
-    # 3 samples, but still 130 rows of dense-output points per member
-    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 492 == (
-        5 * 2**20 // ((3 + 130) * 80)
+    # 3 samples, but still 256 dense-output states per member
+    assert batch_size(5, 1, IntegratorConfig(t_end=1.0, sample_dt=0.5)) == 253 == (
+        5 * 2**20 // ((3 + 256) * 80)
     )
 
 
 def _buffer_restarts(attempts: list[int]) -> int:
-    """Point-buffer restarts of a block whose members make these numbers of attempts.
+    """Buffer restarts of a block whose members make these numbers of attempts.
 
-    Every running member writes one point per attempt into a buffer of
-    (BLOCK + 1) * B points, which restarts with one point per member when
-    the next attempt's points do not fit; a member that leaves is no restart.
+    Every running member writes one row (both ends of its attempt) per
+    attempt into a buffer of BLOCK * B rows, which is flushed and restarts
+    empty when the next attempt's rows do not fit; a member that leaves is
+    no restart.
     """
-    capacity, used, restarts = (BLOCK + 1) * len(attempts), len(attempts), 0
+    capacity, used, restarts = BLOCK * len(attempts), 0, 0
     for attempt in range(max(attempts)):
         rows = sum(n > attempt for n in attempts)
         if used + rows > capacity:
-            restarts, used = restarts + 1, rows
+            restarts, used = restarts + 1, 0
         used += rows
     return restarts
 
@@ -354,8 +356,8 @@ def test_batch_flush_fills_at_most_a_pass_budget_of_samples_per_hermite_pass(mon
 
 
 def test_batch_member_that_leaves_waits_for_the_next_flush(monkeypatch):
-    # the collision member stops after 23 attempts, before the buffer of 65
-    # points per member first restarts; the plain members take one step per
+    # the collision member stops after 23 attempts, before the buffer of 64
+    # attempts per member first restarts; the plain members take one step per
     # sample over 1.1 / 0.005 = 220 samples, so the buffer restarts twice
     # more, and the first restart's flush fills the departed member's
     # samples
@@ -426,8 +428,8 @@ def test_integrate_runs_groups_runs_of_mixed_kinds_and_grids(monkeypatch):
         ]
         spec, state, _ = _member("baseline", "power_law", None, 3, 2, "plain", 1.1, 2.0, 10 + seed)
         labelled.append(("longer grid", (spec, state, longer)))
-    # a large flock, n * r = 72: its members' 16 samples and 130 dense-output
-    # points of 144 floats fit one block, whatever the fill's passes hold
+    # a large flock, n * r = 72: its members' 16 samples and 256 dense-output
+    # states of 144 floats fit one block, whatever the fill's passes hold
     labelled += [
         ("n = 36", _member("baseline", "power_law", None, 36, 2, "plain", 1.1, 2.0, 30 + seed))
         for seed in range(4)
@@ -556,8 +558,8 @@ def _frontier_runs() -> list:
     return runs
 
 
-def test_integrate_runs_cuts_the_frontier_runs_into_blocks_of_at_most_70(monkeypatch):
-    # 801 samples and 130 dense-output points of 2nr = 10 floats: at most 70
+def test_integrate_runs_cuts_the_frontier_runs_into_blocks_of_at_most_62(monkeypatch):
+    # 801 samples and 256 dense-output states of 2nr = 10 floats: at most 62
     # runs keep a block's members under 5 MiB, so each worker's round-robin
     # share at --jobs 1, 2 or 3 is cut into blocks of 61 or fewer
     runs = _frontier_runs()

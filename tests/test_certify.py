@@ -582,6 +582,38 @@ def test_collision_audit_matches_per_sample_loop():
     assert sync == _loop_audit(traj, lambda j: 0.5 - n * env.psi(float(traj.spread_x[j])))
 
 
+def test_pair_decay_terms_add_left_to_right_on_every_python(monkeypatch):
+    # from Python 3.12 the builtin sum of floats is compensated, as math.fsum
+    # is; shadowing sum with fsum in certify's globals must move no bit of
+    # the pair terms or of the audit, so the sums cannot be the builtin's
+    rng = np.random.default_rng(32)
+    n, r, k = 30, 2, 40
+    ts = np.linspace(0.0, 2.0, k)
+    sites = 2.0 * np.array([[a, b] for a in range(6) for b in range(5)], dtype=float)
+    xs = sites + np.cumsum(rng.normal(scale=0.02, size=(k, n, r)), axis=0)
+    vs = rng.normal(size=(k, n, r)) * np.exp(-0.5 * ts)[:, None, None]
+    traj = Trajectory(
+        ts=ts,
+        xs=xs,
+        vs=vs,
+        termination=Completed(),
+        n_accepted=k - 1,
+        n_rejected=0,
+        cfg=IntegratorConfig(t_end=2.0, sample_dt=float(ts[1])),
+    )
+    coupling = ModulatedCoupling(w=2.0, delta=1.0, beta=rng.uniform(0.5, 1.4, size=(n, n)))
+    rep = RepulsionModel(d0=0.25, phi=1.5, coeffs=rng.uniform(1.0, 2.0, size=(n, n)))
+
+    def terms():
+        return np.array([certify_mod._pair_decay_terms(traj, coupling, rep, j) for j in range(k)])
+
+    want, audit = terms(), audit_collision_run(traj, coupling, rep)
+    assert audit.n_checked > 0
+    monkeypatch.setattr(certify_mod, "sum", math.fsum, raising=False)
+    assert terms().tobytes() == want.tobytes()
+    assert audit_collision_run(traj, coupling, rep) == audit
+
+
 def test_collision_audit_rejects_checked_pair_inside_d0():
     ts = np.linspace(0.0, 1.0, 5)
     xs = np.tile(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]), (5, 1, 1))

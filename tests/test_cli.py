@@ -956,9 +956,10 @@ def test_sweep_worker_integrates_its_runs_whenever_they_fill_sweep_held(held, pi
 @pytest.mark.parametrize("jobs, sizes", [(1, [61, 61]), (2, [61, 61]), (3, [41, 41, 40]),
                                          (9, [14] * 5 + [13] * 4)])
 def test_sweep_batches_hold_at_most_five_mebibytes(jobs, sizes, tmp_path, monkeypatch, capsys):
-    # the frontier sweep: 122 points, 801 samples and 130 dense-output points
-    # of 2nr = 10 floats each, next to one flush slice of 9 * 512 rows; each
-    # worker's round-robin share is cut into blocks of at most 65 runs
+    # the frontier sweep: 122 points, 801 samples and 4 * BLOCK = 256
+    # dense-output states of 2nr = 10 floats each, as `batch_size` charges
+    # them (a fill's passes fit PASS_BYTES apart); each worker's round-robin
+    # share is cut into blocks of at most 62 runs
     import concurrent.futures
 
     import flocklab.integrate as integrate_module
@@ -980,7 +981,7 @@ def test_sweep_batches_hold_at_most_five_mebibytes(jobs, sizes, tmp_path, monkey
     assert [size for size, _ in blocks] == sizes
     # nr = 5 and a grid from 0 to 40 by 0.05: 801 samples of 10 floats per run
     assert all(grids == {(5, 0.0, 40.0, 0.05)} for _, grids in blocks)
-    assert all(size * (801 + 130) * 10 * 8 + 9 * 512 * 10 * 8 <= 5 * 2**20 for size in sizes)
+    assert all(size * (801 + 4 * integrate_module.BLOCK) * 10 * 8 <= 5 * 2**20 for size in sizes)
     assert "sweep: 122 points" in capsys.readouterr().out
 
 

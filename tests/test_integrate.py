@@ -453,6 +453,82 @@ def _push_one_step(dense, t, h, y0, f0, y1, f1):
                y0[None], f0[None], y1[None], f1[None])
 
 
+def _fuzz_step_length(rng, t, grid, dt):
+    """A step from t: well under a sample step, up to several, or ending on a grid time or an ulp off it."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return dt * 10.0 ** rng.uniform(-3.0, -1.0)
+    later = grid[grid > t]
+    if kind == 1 or not later.size:
+        return dt * rng.uniform(0.1, 4.0)
+    target = later[min(rng.integers(3), len(later) - 1)]
+    target = np.nextafter(target, (-np.inf, target, np.inf)[rng.integers(3)])
+    h = target - t
+    for _ in range(4):  # nudge h until t + h lands on the target
+        if t + h != target:
+            h = np.nextafter(h, np.inf if t + h < target else -np.inf)
+    return h
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_recorder_fills_each_sample_from_its_own_step(seed):
+    # random blocks drive the recorder directly: members that leave at
+    # random attempts, rejected attempts, steps of every length and steps
+    # that end on a grid time or an ulp off it, over flushes of full
+    # buffers; every sample must be its own step's Hermite state, found by
+    # walking each member's accepted steps in order, and `kept` must cut
+    # each run where counting the grid times says
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        members, size = rng.integers(1, 6), rng.integers(1, 5)
+        dt = rng.uniform(0.01, 1.0)
+        t0 = rng.uniform(-1.0, 1.0)
+        grid = integrate_module._sample_grid(t0, t0 + dt * (rng.integers(2, 61) - rng.uniform(0.0, 0.9)), dt)
+        slack = 1e-15 * (grid[-1] - grid[0])
+        y0 = rng.normal(size=(members, size))
+        dense = _BatchDense(grid, y0)
+        t = np.full(members, t0)
+        want = np.full((members, len(grid), size), np.nan)
+        want[:, 0] = y0
+        covered = [1] * members  # each member's samples filled so far, walking its steps
+        steps = [[] for _ in range(members)]  # each member's accepted (t, h)
+        leaves = rng.integers(1, 201, size=members)
+        for attempt in range(max(leaves)):
+            live = np.flatnonzero(leaves > attempt)
+            accepted = rng.uniform(size=len(live)) < 0.7
+            h = np.array([_fuzz_step_length(rng, t[b], grid, dt) for b in live])
+            y, f, y_new, f_new = rng.normal(size=(4, len(live), size))
+            dense.push(live, accepted, t[live], h, y, f, y_new, f_new)
+            for i in np.flatnonzero(accepted):
+                b, start = live[i], t[live[i]]
+                steps[b].append((start, h[i]))
+                basis = np.array([y[i], f[i], y_new[i], f_new[i]])[:, None]
+                while covered[b] < len(grid) and grid[covered[b]] <= start + h[i] + slack:
+                    theta = np.clip((grid[covered[b]] - start) / h[i], 0.0, 1.0)
+                    want[b, covered[b]] = _hermite_rows(basis, np.array([theta]), h[i : i + 1])[0]
+                    covered[b] += 1
+            t[live] = np.where(accepted, t[live] + h, t[live])
+        dense.flush()
+        for b in range(members):
+            assert covered[b] == np.count_nonzero(grid <= t[b] + slack)
+            y_end = rng.normal(size=size)
+            kind = rng.integers(3) if steps[b] else 1
+            if kind == 0:  # completed: the tail past the last step is the last state
+                ts, ys = dense.kept(b, t[b], Completed(), y_end)
+                want[b, covered[b] :] = y_end
+                assert len(ts) == len(grid)
+            elif kind == 1:  # underflowed: the samples the steps reached
+                ts, ys = dense.kept(b, t[b], StepSizeUnderflow(t=float(t[b])), y_end)
+                assert len(ts) == covered[b]
+            else:  # an event inside the last step: the samples up to t*
+                start, h = steps[b][-1]
+                t_star = start + rng.uniform() * h
+                ts, ys = dense.kept(b, t[b], EventHit(t_star, y_end), y_end)
+                assert len(ts) == np.count_nonzero(grid <= t_star) <= covered[b]
+            assert ts.tobytes() == grid[: len(ts)].tobytes()
+            assert ys.tobytes() == want[b, : len(ts)].tobytes()
+
+
 def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
     # an array square and libm's pow(x, 2) differ in about one of 1000
     # thetas; 8192 of them make sure the scalar weights, the block weights
@@ -469,7 +545,7 @@ def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
 
     # one accepted step of a lone run from t = 0 over h = 0.7, its samples filled in a flush
     grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.7, 8192))])
-    dense = _BatchDense(grid, y0[None], f0[None])
+    dense = _BatchDense(grid, y0[None])
     _push_one_step(dense, 0.0, 0.7, y0, f0, y1, f1)
     passes = []
 
@@ -515,7 +591,7 @@ def test_each_hermite_pass_of_a_large_state_fits_the_pass_budget(monkeypatch):
     rng = np.random.default_rng(6)
     y0, f0, y1, f1 = rng.normal(size=(4, 2400))
     grid = np.linspace(0.0, 0.7, 600)
-    dense = _BatchDense(grid, y0[None], f0[None])
+    dense = _BatchDense(grid, y0[None])
     _push_one_step(dense, 0.0, 0.7, y0, f0, y1, f1)
     passes = []
 

@@ -396,6 +396,33 @@ def test_materialize_builds_certificate_settings_from_the_block():
     assert materialize(sync).certificate == CertificateSettings(k_source="user", k_value=0.5)
 
 
+@pytest.mark.parametrize("kwargs, text", [
+    ({"k_source": "regoin"}, "k_source: must be one of ('region', 'trajectory', 'user')"),
+    ({"k_source": "user"}, "k_value: required when k_source is 'user'"),
+    ({"k_source": "region", "k_value": 1.0}, "k_value: only valid when k_source is 'user'"),
+    ({"k_source": "user", "k_value": 1.0, "relaxed": "yes"}, "relaxed: must be a boolean"),
+])
+def test_certificate_settings_refuse_what_validate_refuses(kwargs, text):
+    # the constructor raises the problem that validate reports for the same block
+    with pytest.raises(ValueError) as err:
+        CertificateSettings(**kwargs)
+    assert str(err.value) == text
+    doc = json.loads(bundled_text("example1_delta09"))
+    doc["certificate"] = kwargs
+    assert validate(doc) == [f"certificate.{text}"]
+
+
+def test_certificate_settings_report_every_broken_rule():
+    problems = scenario_module.settings_problems(
+        {"k_source": "regoin", "k_value": 1.0, "relaxed": 0}, "certificate."
+    )
+    assert problems == [
+        f"certificate.k_source: must be one of {scenario_module.K_SOURCES}",
+        "certificate.k_value: only valid when k_source is 'user'",
+        "certificate.relaxed: must be a boolean",
+    ]
+
+
 def test_bundled_explicit_scenario_loads_exactly():
     sc = load_scenario(bundled_text("example1_delta09"))
     assert isinstance(sc, Scenario)
