@@ -250,19 +250,102 @@ def _hundredths(px: np.ndarray) -> np.ndarray:
     return out
 
 
-def _path_data(px: np.ndarray, py: np.ndarray) -> str:
-    """Path data through the pixel points: `M` to the first, then relative `l` steps.
+# a drawn line may pass this far from a printed point, in hundredths of a
+# pixel: 1/9 px, matplotlib's default path.simplify_threshold.  No integer
+# point lies exactly this far from a segment between integer points
+_TOLERANCE = (100, 9)  # numerator, denominator
 
-    The points are rounded to integer hundredths, and an interior vertex
-    where the line goes straight on is dropped: its incoming and outgoing
-    steps have a zero cross product and a positive dot product, so it lies
-    on the segment between the vertices kept around it.  A vertex where the
-    line turns or doubles back stays, and so does a repeated point.
+
+def _farthest(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each segment from point lo to point hi, its interior point farthest from it, or -1.
+
+    -1 marks a segment whose interior points all lie within _TOLERANCE of
+    it.  Distances are to the segment, not to its line, and are compared in
+    exact integer arithmetic as L * dist^2, with L the segment's squared
+    length (1 for a segment of length 0).  For a segment running d from
+    its start and a point u from it, with t = u.d and cross = d x u, that
+    key is cross^2 + e^2, where e is how far t lies outside [0, L]:
+    cross^2 when the point projects into the segment, L |u|^2 or
+    L |u - d|^2 when it projects before or beyond it.  Of tied points, the
+    first is taken.  A key is at most the fourth power of the distance
+    between two points of the series; in the plot frame, whose diagonal is
+    410 x 330 px, that is under 2^63.  The interior points are taken in
+    blocks whose temporaries (about 128 bytes a point) fit PASS_BYTES.
+    """
+    count = hi - lo - 1
+    ends = np.cumsum(count)
+    starts = ends - count
+    dx, dy = x[hi] - x[lo], y[hi] - y[lo]
+    size = dx * dx + dy * dy
+    # a segment of length 0 measures along (1, 0) with [0, L] = [0, 0], so
+    # that its key cross^2 + e^2 is |u|^2
+    dx[size == 0] = 1
+    key = np.full(len(lo), -1)  # of the farthest point found so far
+    far = np.full(len(lo), -1)
+    total, block = int(ends[-1]), PASS_BYTES // 128
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        s = slice(int(np.searchsorted(ends, start, "right")), int(np.searchsorted(starts, stop)))
+        piece = np.minimum(ends[s], stop) - np.maximum(starts[s], start)
+        seg = np.repeat(np.arange(s.start, s.stop), piece)
+        idx = np.arange(start, stop) + (lo + 1 - starts)[seg]
+        ux, uy, ex, ey = x[idx] - x[lo[seg]], y[idx] - y[lo[seg]], dx[seg], dy[seg]
+        t = ux * ex + uy * ey
+        cross = ex * uy - ey * ux
+        e = t - np.clip(t, 0, size[seg])
+        dist = cross * cross + e * e
+        # each segment's first farthest point within the block
+        first = np.cumsum(piece) - piece
+        top = np.maximum.reduceat(dist, first)
+        at = np.minimum.reduceat(np.where(dist == np.repeat(top, piece), idx, len(x)), first)
+        better = top > key[s]  # an earlier block's point wins a tie
+        key[s][better], far[s][better] = top[better], at[better]
+    num, den = _TOLERANCE
+    # key * den^2 > num^2 * L in int64: a key clamped to 2^56 is still far
+    # beyond num^2 * L, and den^2 * 2^56 is under 2^63
+    return np.where(den * den * np.minimum(key, 2**56) > num * num * np.maximum(size, 1), far, -1)
+
+
+def _simplified(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Douglas-Peucker on the integer points (x, y): a mask of the kept ones.
+
+    The first, last, lowest and highest points are kept to start with.
+    Between each two kept points the one farthest from the segment joining
+    them is kept if it lies beyond _TOLERANCE, splitting the segment in two.
+    Each level splits every open segment at once.
+    """
+    keep = np.zeros(len(x), dtype=bool)
+    keep[[0, -1, y.argmin(), y.argmax()]] = True
+    kept = np.flatnonzero(keep)
+    lo, hi = kept[:-1], kept[1:]
+    while True:
+        inner = hi - lo > 1
+        lo, hi = lo[inner], hi[inner]
+        if not len(lo):
+            return keep
+        far = _farthest(x, y, lo, hi)
+        split = far >= 0
+        keep[far[split]] = True
+        lo, hi = np.concatenate((lo[split], far[split])), np.concatenate((far[split], hi[split]))
+
+
+def _path_data(px: np.ndarray, py: np.ndarray) -> str:
+    """Path data near the pixel points: `M` to the first, then relative `l` steps.
+
+    The points are rounded to integer hundredths and simplified: the
+    vertices are the points `_simplified` keeps, so every rounded point
+    lies within 1/9 px of the drawn line, and the first, last, lowest and
+    highest are vertices.  Then an interior vertex where the line goes
+    straight on is dropped: its incoming and outgoing steps have a zero
+    cross product and a positive dot product, so it lies on the segment
+    between the vertices kept around it.  A vertex where the line turns or
+    doubles back stays.
     """
     pts = np.column_stack((_hundredths(px), _hundredths(py)))
     head = f"M{pts[0, 0]} {pts[0, 1]}"
     if len(pts) == 1:
         return head
+    pts = pts[_simplified(pts[:, 0], pts[:, 1])]
     step = np.diff(pts, axis=0)
     (dx, dy), (ex, ey) = step[:-1].T, step[1:].T
     straight = (dx * ey == dy * ex) & (dx * ex + dy * ey > 0)
@@ -278,8 +361,9 @@ class SvgPlot:
     never on float printing quirks of the platform.  Each series is one
     `<path>` in integer hundredths of a pixel, inside a group scaled by
     0.01: its first vertex is absolute (`M`) and each later one a relative
-    `l` step from the one before; a vertex where the line goes straight on
-    is dropped.  A non-finite value raises ValueError.
+    `l` step from the one before.  A line keeps only the points that move
+    it by more than 1/9 px, and no vertex where it goes straight on
+    (`_path_data`).  A non-finite value raises ValueError.
     """
 
     WIDTH = 640

@@ -37,6 +37,7 @@ from .certify import (
     audit_collision_run,
     audit_sync_run,
     decay_rate_fit,
+    resolution_floor,
 )
 from .integrate import integrate, integrate_runs
 from .scenario import (
@@ -457,12 +458,19 @@ def cmd_audit(args) -> int:
         kind = "alignment inequality"
 
     if report.n_checked == 0 and report.n_samples > 1:
-        log.warning(
-            "audit checked no step: the velocity spread fell below the resolution floor "
-            "within the first step (sample_dt = %g), so nothing in this run was audited; "
-            "a finer sample_dt is needed to audit it",
-            traj.cfg.sample_dt,
-        )
+        if traj.spread_v[0] <= resolution_floor(traj)[0]:
+            # a lone agent, or agents that start aligned: no grid can help
+            log.warning(
+                "audit checked no step: the velocity spread starts at or below the "
+                "resolution floor, so there is nothing in this run to audit"
+            )
+        else:
+            log.warning(
+                "audit checked no step: the velocity spread fell below the resolution floor "
+                "within the first step (sample_dt = %g), so nothing in this run was audited; "
+                "a finer sample_dt is needed to audit it",
+                traj.cfg.sample_dt,
+            )
     print(f"audit: {kind} on {report.n_samples} samples")
     print(f"checked: {report.n_checked}")
     print(f"skipped (below resolution floor): {report.n_skipped}")

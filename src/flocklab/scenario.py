@@ -598,8 +598,9 @@ def _region_k(internal_json: str, r: int) -> float:
 def resolve_k_bound(sc: Scenario) -> tuple[float, str]:
     """K bound for a sync certificate, resolved from the configured source.
 
-    region: exact corner maximum of the row penalties over the invariant
-    box (affine Jacobians), a certified a priori bound.  trajectory: the
+    region: the exact corner maximum of the row penalties over the
+    dynamics' box (affine Jacobians), certified only where that box is
+    forward invariant (the `lorenz` box is not).  trajectory: the
     closed-form orbit envelope of the logistic-cosine dynamics through the
     largest initial velocity, a diagnostic-grade estimate.  user: taken
     verbatim from the scenario.

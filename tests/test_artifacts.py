@@ -451,19 +451,64 @@ def _hundredths(px) -> list[int]:
     return [int(format(float(v), ".2f").replace(".", "")) for v in px]
 
 
-def _restored(pts: np.ndarray, xs) -> np.ndarray:
-    """The y of a drawn polyline at each printed x: its dropped points put back.
+def _vertex_samples(pts: np.ndarray, px) -> np.ndarray:
+    """The index of the printed point that each path vertex is.
 
-    pts are a path's kept vertices, whose x must increase strictly.  Each
-    x must fall where the line passes through a whole hundredth, as a
-    dropped point does.
+    px are the printed x, which must increase strictly; each vertex must
+    lie at a printed x, and the vertices must keep the points' order.
     """
-    xs = np.asarray(xs)
-    seg = np.clip(np.searchsorted(pts[:, 0], xs, side="right") - 1, 0, len(pts) - 2)
-    (x0, y0), (x1, y1) = pts[seg].T, pts[seg + 1].T
-    rise, rem = np.divmod((xs - x0) * (y1 - y0), x1 - x0)
-    assert not rem.any(), "a printed point lies off the drawn line"
-    return y0 + rise
+    px = np.asarray(px)
+    at = np.searchsorted(px, pts[:, 0])
+    assert (at < len(px)).all() and px[at].tolist() == pts[:, 0].tolist()
+    assert (np.diff(at) > 0).all()
+    return at
+
+
+def _strays(points, vertices) -> list:
+    """The points farther than 100/9 hundredths from every segment of the polyline.
+
+    Exact in Python integers: a point at u from a segment's start a, whose
+    end b lies d from a, is within 100/9 of it when 81 |u|^2 <= 10000 for
+    u.d <= 0, when 81 |u - d|^2 <= 10000 for u.d >= |d|^2, and when
+    81 (d x u)^2 <= 10000 |d|^2 in between.  A lone vertex is a segment of
+    length 0.
+    """
+    verts = [tuple(map(int, v)) for v in vertices]
+    segments = list(zip(verts, verts[1:])) or [(verts[0], verts[0])]
+    out = []
+    for px, py in (tuple(map(int, p)) for p in points):
+        for (ax, ay), (bx, by) in segments:
+            dx, dy, ux, uy = bx - ax, by - ay, px - ax, py - ay
+            t, size = ux * dx + uy * dy, dx * dx + dy * dy
+            if t <= 0:
+                near = 81 * (ux * ux + uy * uy) <= 10_000
+            elif t >= size:
+                near = 81 * ((px - bx) ** 2 + (py - by) ** 2) <= 10_000
+            else:
+                near = 81 * (dx * uy - dy * ux) ** 2 <= 10_000 * size
+            if near:
+                break
+        else:
+            out.append((px, py))
+    return out
+
+
+def _check_path(points: np.ndarray, d: str) -> None:
+    """The path rule, checked for the (m, 2) integer points that path data d draws."""
+    verts = _decode_path(d).tolist()
+    pts = points.tolist()
+    # the vertices are an ordered subsequence of the points, the first and the last among them
+    assert verts[0] == pts[0] and verts[-1] == pts[-1]
+    rest = iter(pts)
+    assert all(v in rest for v in verts)
+    # the lowest and highest points are vertices
+    assert pts[int(points[:, 1].argmin())] in verts and pts[int(points[:, 1].argmax())] in verts
+    # every point lies within 1/9 px of the drawn line
+    assert _strays(pts, verts) == []
+    # no vertex goes straight on
+    steps = np.diff(verts, axis=0).tolist()
+    for (dx, dy), (ex, ey) in zip(steps, steps[1:]):
+        assert not (dx * ey == dy * ex and dx * ex + dy * ey > 0), d
 
 
 def test_svg_path_vertices_are_the_printed_hundredths():
@@ -473,18 +518,122 @@ def test_svg_path_vertices_are_the_printed_hundredths():
     y = np.sin(t)
     plot = SvgPlot("ties", "t", "y")
     plot.add_series("sin", t, y)
-    (pts,) = _series(plot.render())
+    (d,) = [el.attrib["d"] for el in _parse_svg(plot.render()).iter() if el.tag.endswith("path")]
     lo, hi = y.min() - 0.05 * (y.max() - y.min()), y.max() + 0.05 * (y.max() - y.min())
     px = np.array(_hundredths(70 + (t - 0.0) / (40.0 - 0.0) * 410))
     py = np.array(_hundredths(42 + (hi - y) / (hi - lo) * 330))
-    # every kept vertex is a printed point, in order, the first and the last among them
-    at = np.searchsorted(px, pts[:, 0])
-    assert at[0] == 0 and at[-1] == len(px) - 1 and (np.diff(at) > 0).all()
-    assert pts[:, 0].tolist() == px[at].tolist()
+    # every vertex is a printed point, in order, the first and the last among them
+    pts = _decode_path(d)
+    at = _vertex_samples(pts, px)
+    assert at[0] == 0 and at[-1] == len(px) - 1
     assert pts[:, 1].tolist() == py[at].tolist()
-    # every printed point lies on the drawn line
-    assert _restored(pts, px).tolist() == py.tolist()
-    assert len(pts) < len(px)  # some points were dropped and put back
+    # the lowest and highest printed points are vertices, and every printed
+    # point lies within 1/9 px of the drawn line
+    _check_path(np.column_stack((px, py)), d)
+    assert len(pts) < len(px)  # some points were dropped
+
+
+def test_a_sine_sampled_finer_than_a_pixel_keeps_fewer_than_half_its_points():
+    # 1,001 samples 0.41 px apart, few of them where the line runs straight on
+    t = np.linspace(0.0, 40.0, 1001)
+    plot = SvgPlot("sin", "t", "y")
+    plot.add_series("sin", t, np.sin(t))
+    (pts,) = _series(plot.render())
+    assert len(pts) < 1001 // 2
+
+
+def _random_series(rng: np.random.Generator, pieces: int) -> np.ndarray:
+    """(m, 2) integer points, drawn as runs of steps that the path rule must handle.
+
+    Flat runs, spikes, steps of 0 and +-1, repeated points, doublings back
+    by 5, 11, 12 and 40 hundredths (100/9 lies between 11 and 12), and
+    points 11 or 12 hundredths off the chord between their neighbours: the
+    nearest integer distances on either side of 100/9, since no integer
+    point lies exactly 100/9 from a segment between integer points.
+    """
+    steps = [(0, 0)]
+    for _ in range(pieces):
+        kind = rng.integers(6)
+        sign = int(rng.choice([-1, 1]))
+        if kind == 0:  # a flat run
+            steps += [(1, 0)] * int(rng.integers(2, 8))
+        elif kind == 1:  # a spike
+            h = sign * int(rng.integers(5, 60))
+            steps += [(1, h), (1, -h)]
+        elif kind == 2:  # steps of 0 and +-1
+            steps += rng.integers(-1, 2, (int(rng.integers(2, 10)), 2)).tolist()
+        elif kind == 3:  # repeated points
+            steps += [(0, 0)] * int(rng.integers(1, 3))
+        elif kind == 4:  # doubling back
+            back = sign * int(rng.choice([5, 11, 12, 40]))
+            steps += [(back, 0), (-back, 0)]
+        else:  # a point just inside or just beyond 100/9 of its chord
+            off = sign * int(rng.choice([11, 12]))
+            steps += [(10, off), (10, -off)]
+    return 5_000 + np.cumsum(np.array(steps, dtype=np.int64), axis=0)
+
+
+def _reference_kept(points: np.ndarray) -> list[bool]:
+    """Douglas-Peucker one segment at a time, in Python integers: the kept mask.
+
+    The first, last, lowest and highest points (the first of tied ones)
+    start it; a segment's first farthest interior point is kept while it
+    lies more than 100/9 from the segment, compared as dist^2 = key / L.
+    """
+    pts = [tuple(p) for p in points.tolist()]
+    ys = [p[1] for p in pts]
+    keep = [False] * len(pts)
+    for i in (0, len(pts) - 1, ys.index(min(ys)), ys.index(max(ys))):
+        keep[i] = True
+    kept = [i for i, k in enumerate(keep) if k]
+    todo = list(zip(kept, kept[1:]))
+    while todo:
+        lo, hi = todo.pop()
+        (ax, ay), (bx, by) = pts[lo], pts[hi]
+        size = (bx - ax) ** 2 + (by - ay) ** 2
+        best, far = -1, None
+        for i in range(lo + 1, hi):
+            px, py = pts[i]
+            t = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
+            if size == 0 or t <= 0:
+                key = ((px - ax) ** 2 + (py - ay) ** 2) * max(size, 1)
+            elif t >= size:
+                key = ((px - bx) ** 2 + (py - by) ** 2) * size
+            else:
+                key = ((bx - ax) * (py - ay) - (by - ay) * (px - ax)) ** 2
+            if key > best:
+                best, far = key, i
+        if far is not None and 81 * best > 10_000 * max(size, 1):
+            keep[far] = True
+            todo += [(lo, far), (far, hi)]
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_path_data_keeps_every_printed_point_within_a_ninth_of_a_pixel(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    points = _random_series(rng, int(rng.integers(1, 60)))
+    if seed % 2:  # x that runs both ways
+        points[:, 0] = 5_000 + np.cumsum(rng.integers(-3, 4, len(points)))
+    px, py = points.T / 100.0
+    d = artifacts._path_data(px, py)
+    _check_path(points, d)
+    assert artifacts._simplified(*points.T).tolist() == _reference_kept(points)
+    assert artifacts._path_data(px, py) == d
+    # blocks of eight points, whose segments and ties run across blocks
+    monkeypatch.setattr(artifacts, "PASS_BYTES", 1024)
+    assert artifacts._path_data(px, py) == d
+
+
+def test_path_simplification_holds_one_pass_budget(monkeypatch):
+    # one segment over 200,000 points: all at once, its temporaries would be 20 MiB
+    x = np.arange(200_000) // 5
+    y = np.rint(10_000 * np.sin(x / 2_000)).astype(np.int64)
+    lo, hi = np.array([0]), np.array([len(x) - 1])
+    far, peak = _traced(lambda: artifacts._farthest(x, y, lo, hi))
+    assert peak <= PASS_BYTES
+    monkeypatch.setattr(artifacts, "PASS_BYTES", 2**30)  # in one block
+    assert artifacts._farthest(x, y, lo, hi).tolist() == far.tolist()
 
 
 @pytest.mark.parametrize(
@@ -492,7 +641,12 @@ def test_svg_path_vertices_are_the_printed_hundredths():
     [
         pytest.param([0, 1, 2, 3, 4], [5, 5, 5, 5, 5], "M0 500l400 0", id="flat-run-keeps-its-ends"),
         pytest.param([0, 1, 2, 1, 0], [0, 0, 0, 0, 0], "M0 0l200 0-200 0", id="doubling-back-keeps-its-turn"),
-        pytest.param([0, 1, 1, 2], [0, 1, 1, 2], "M0 0l100 100 0 0 100 100", id="repeated-point-stays"),
+        pytest.param([0, 0.05, 0], [0, 0, 0], "M0 0l0 0", id="doubling-back-within-a-ninth-goes"),
+        pytest.param([0, 0.12, 0], [0, 0, 0], "M0 0l12 0-12 0", id="doubling-back-beyond-a-ninth-stays"),
+        pytest.param([0, 0.11, 0], [0, 5, 10], "M0 0l0 1000", id="a-point-11-off-its-chord-goes"),
+        pytest.param([0, 0.12, 0], [0, 5, 10], "M0 0l12 500-12 500", id="a-point-12-off-its-chord-stays"),
+        # the repeat on the line goes; the repeated last point is an end, and stays
+        pytest.param([0, 1, 1, 2, 2], [0, 1, 1, 2, 2], "M0 0l200 200 0 0", id="repeated-point-stays"),
         pytest.param([0, 1, 2, 3], [0, 1, 1, 2], "M0 0l100 100 100 0 100 100", id="turns-stay"),
     ],
 )
@@ -600,10 +754,13 @@ def test_pairwise_plot_draws_bands_beyond_the_palette(tmp_path):
     assert text.count('stroke-dasharray="6,3"') == 2  # sqrt(d0) line and its legend
     assert "sqrt(d0)" in text
 
-    # the min band is the smallest pair distance of each sample
-    ys = _restored(_series(text)[0], _hundredths(70 + traj.ts / 2.0 * 410))
+    # the min band is the smallest pair distance of each sample: its lowest
+    # and highest printed points are vertices, drawn at the samples where
+    # that distance is largest and smallest
+    pts = _series(text)[0]
+    at = _vertex_samples(pts, _hundredths(70 + traj.ts / 2.0 * 410))
     dist = np.sqrt(traj.min_dist_sq)
-    assert np.argmax(ys) == np.argmin(dist) and np.argmin(ys) == np.argmax(dist)
+    assert at[np.argmax(pts[:, 1])] == np.argmin(dist) and at[np.argmin(pts[:, 1])] == np.argmax(dist)
 
 
 def test_pairwise_plot_stays_small_for_large_flocks(tmp_path):
@@ -759,10 +916,13 @@ def test_velocity_plot_draws_bands_beyond_the_palette(tmp_path):
     assert _velocity_legend(text) == [
         f"{band} v[i,{l}]" for l in (1, 2) for band in ("min", "median", "max")
     ]
-    # the first band is the smallest first component of each sample
-    ys = _series(text)[0][:, 1]
+    # the first band is the smallest first component of each sample: its
+    # lowest and highest printed points are vertices, drawn at the samples
+    # where that component is largest and smallest
+    pts = _series(text)[0]
+    at = _vertex_samples(pts, _hundredths(70 + traj.ts / 2.0 * 410))
     lowest = traj.vs[:, :, 0].min(axis=1)
-    assert np.argmax(ys) == np.argmin(lowest) and np.argmin(ys) == np.argmax(lowest)
+    assert at[np.argmax(pts[:, 1])] == np.argmin(lowest) and at[np.argmin(pts[:, 1])] == np.argmax(lowest)
 
 
 def test_velocity_plot_of_a_small_flock_stays_small(tmp_path):

@@ -560,6 +560,27 @@ def test_audit_that_checks_nothing_warns(tmp_path, capsys, caplog):
     assert "sample_dt = 0.1" in record.getMessage()
 
 
+def test_audit_of_a_run_that_starts_below_the_floor_asks_for_no_finer_grid(tmp_path, capsys, caplog):
+    # a lone agent's velocity spread is 0 at every sample, so no sample_dt
+    # lets the audit check a step
+    doc = json.loads(Path(bundled_path("example1_delta09")).read_text(encoding="utf-8"))
+    doc["n"] = 1
+    doc["initial"] = {"mode": "explicit", "x": [[0.0] * doc["r"]], "v": [[1.2] * doc["r"]]}
+    doc["integrator"]["t_end"] = 1.0
+    scenario = tmp_path / "one.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "one"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--full"]) == EXIT_OK
+    capsys.readouterr()
+    caplog.clear()
+
+    assert main(["audit", "--out", str(out)]) == EXIT_OK
+    assert "checked: 0\n" in capsys.readouterr().out
+    (record,) = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert "starts at or below the resolution floor" in record.getMessage()
+    assert "sample_dt" not in record.getMessage()
+
+
 def test_audit_that_checks_steps_does_not_warn(control_run, capsys, caplog):
     assert main(["audit", "--out", str(control_run)]) == EXIT_OK
     assert "checked: 0\n" not in capsys.readouterr().out
