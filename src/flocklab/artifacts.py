@@ -2,10 +2,12 @@
 
 Everything here is deterministic text output: the same trajectory and
 manifest produce byte-identical files, which makes artifacts diffable in
-tests and reproducible across machines.  CSV rows carry 17 significant
-digits (enough to round-trip IEEE doubles); agent and coordinate indices
-in CSV headers and plot legends are 1-based for human consumption, while
-every in-code API stays 0-based.
+tests and reproducible across machines.  Every number written as text
+(CSV cells, certificate reports, sweep rows, printed summaries) is
+`fmt_sig`'s: the shortest decimal that reads back to the same double, as
+Python's `repr` and the JSON manifests print it, less a trailing `.0`.
+Agent and coordinate indices in CSV headers and plot legends are 1-based
+for human consumption, while every in-code API stays 0-based.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 import re
 import warnings
-from itertools import islice
+from itertools import accumulate, islice, pairwise
 from typing import Optional, get_args
 
 import numpy as np
@@ -38,8 +40,14 @@ _SVG_PALETTE = (
 
 
 def fmt_sig(value: float) -> str:
-    """17 significant digits, '.' decimal separator, round-trip exact."""
-    return format(float(value), ".17g")
+    """The shortest text that reads back to the same double: `repr`, less a trailing `.0`.
+
+    '.' is the decimal separator.  Integral values below 1e16 print as
+    integers (`0`, `-0`, `10`), as `%.17g` prints them; `inf`, `-inf` and
+    `nan` print as they are.  A `repr` holds `.0` only at its end.
+    """
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +66,17 @@ def write_timeseries_csv(path, traj: Trajectory, full: bool = False) -> None:
     k, n, r = traj.xs.shape
     cols = [traj.ts, traj.spread_v, traj.spread_x, traj.min_dist_sq]
     header = timeseries_header(n, r, full)
-    # RFC-4180 rows ending in CRLF: "%.17g" prints exactly fmt_sig's digits
-    # and no cell needs quoting.  A slice of rows is stacked at a time, and
-    # its rows are converted one at a time, since a whole-array tolist()
-    # would hold every cell as a Python float at once: the slice's table and
-    # the states' reshapes (16 bytes a value), next to one row's floats,
-    # tuple and text (about 64), fit PASS_BYTES
+    # RFC-4180 rows ending in CRLF, whose cells are fmt_sig's text and need
+    # no quoting: a slice of rows is printed with repr, and the cells that
+    # end in `.0` (before a comma or the row's end) lose it, which is safe
+    # since a repr holds `.0` only at its end.  A row's floats live only
+    # while it is printed; a whole-slice tolist() would hold them all (32
+    # bytes a value) in pages the rest of the run does not reuse.  Per
+    # value, a slice holds its stacked table (8 bytes) beside its rows'
+    # text (about 24), then the slice's text beside them, then that text
+    # and its two trimmed copies (about 72): 128 bytes a value fit PASS_BYTES
     width = len(header)
-    chunk = max(1, (PASS_BYTES - 64 * width) // (16 * width))
-    row_fmt = ",".join(["%.17g"] * width) + "\r\n"
+    chunk = max(1, PASS_BYTES // (128 * width))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, k, chunk):
@@ -74,7 +84,12 @@ def write_timeseries_csv(path, traj: Trajectory, full: bool = False) -> None:
             if full:
                 part += [traj.vs[lo : lo + chunk].reshape(-1, n * r),
                          traj.xs[lo : lo + chunk].reshape(-1, n * r)]
-            fh.writelines(row_fmt % tuple(rec.tolist()) for rec in np.column_stack(part))
+            lines = [",".join(map(repr, rec.tolist())) for rec in np.column_stack(part)]
+            del part
+            lines.append("")  # the last row's CRLF
+            text = "\r\n".join(lines)
+            del lines
+            fh.write(text.replace(".0,", ",").replace(".0\r\n", "\r\n"))
 
 
 def read_timeseries_csv(path) -> dict:
@@ -270,7 +285,10 @@ def _farthest(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     first is taken.  A key is at most the fourth power of the distance
     between two points of the series; in the plot frame, whose diagonal is
     410 x 330 px, that is under 2^63.  The interior points are taken in
-    blocks whose temporaries (about 128 bytes a point) fit PASS_BYTES.
+    blocks of PASS_BYTES / 1024 points, whose temporaries (about 128 bytes a
+    point) take an eighth of PASS_BYTES: the segments of all lines of a plot
+    come in one call, and blocks that filled PASS_BYTES raised a bundled
+    run's peak resident memory by about 0.5 MiB.
     """
     count = hi - lo - 1
     ends = np.cumsum(count)
@@ -282,7 +300,7 @@ def _farthest(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     dx[size == 0] = 1
     key = np.full(len(lo), -1)  # of the farthest point found so far
     far = np.full(len(lo), -1)
-    total, block = int(ends[-1]), PASS_BYTES // 128
+    total, block = int(ends[-1]), PASS_BYTES // 1024
     for start in range(0, total, block):
         stop = min(start + block, total)
         s = slice(int(np.searchsorted(ends, start, "right")), int(np.searchsorted(starts, stop)))
@@ -306,16 +324,22 @@ def _farthest(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     return np.where(den * den * np.minimum(key, 2**56) > num * num * np.maximum(size, 1), far, -1)
 
 
-def _simplified(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _simplified(x: np.ndarray, y: np.ndarray, bounds: list[int]) -> np.ndarray:
     """Douglas-Peucker on the integer points (x, y): a mask of the kept ones.
 
-    The first, last, lowest and highest points are kept to start with.
-    Between each two kept points the one farthest from the segment joining
-    them is kept if it lies beyond _TOLERANCE, splitting the segment in two.
-    Each level splits every open segment at once.
+    The points are lines laid end to end, line i the points from bounds[i]
+    up to bounds[i + 1].  The first, last, lowest and highest points of
+    each line (the first of tied ones) are kept to start with.  Between
+    each two kept points the one farthest from the segment joining them is
+    kept if it lies beyond _TOLERANCE, splitting the segment in two.  Each
+    level splits every open segment of every line at once.  No segment
+    spans two lines: one's last point and the next one's first are kept
+    and adjacent, so nothing lies between them.
     """
     keep = np.zeros(len(x), dtype=bool)
-    keep[[0, -1, y.argmin(), y.argmax()]] = True
+    for lo, hi in zip(bounds, bounds[1:]):
+        line = y[lo:hi]
+        keep[[lo, hi - 1, lo + line.argmin(), lo + line.argmax()]] = True
     kept = np.flatnonzero(keep)
     lo, hi = kept[:-1], kept[1:]
     while True:
@@ -329,29 +353,40 @@ def _simplified(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         lo, hi = np.concatenate((lo[split], far[split])), np.concatenate((far[split], hi[split]))
 
 
-def _path_data(px: np.ndarray, py: np.ndarray) -> str:
-    """Path data near the pixel points: `M` to the first, then relative `l` steps.
+def _path_data(lines) -> list[str]:
+    """Path data near each line's pixel points: `M` to the first, then relative `l` steps.
 
-    The points are rounded to integer hundredths and simplified: the
-    vertices are the points `_simplified` keeps, so every rounded point
-    lies within 1/9 px of the drawn line, and the first, last, lowest and
-    highest are vertices.  Then an interior vertex where the line goes
-    straight on is dropped: its incoming and outgoing steps have a zero
-    cross product and a positive dot product, so it lies on the segment
-    between the vertices kept around it.  A vertex where the line turns or
-    doubles back stays.
+    The points are rounded to integer hundredths and simplified, all lines
+    at once: the vertices are the points `_simplified` keeps, so every
+    rounded point lies within 1/9 px of its drawn line, and each line's
+    first, last, lowest and highest are vertices.  Then an interior vertex
+    where a line goes straight on is dropped: its incoming and outgoing
+    steps have a zero cross product and a positive dot product, so it lies
+    on the segment between the vertices kept around it.  A vertex where
+    the line turns or doubles back stays, and so do each line's ends.
     """
-    pts = np.column_stack((_hundredths(px), _hundredths(py)))
-    head = f"M{pts[0, 0]} {pts[0, 1]}"
-    if len(pts) == 1:
-        return head
-    pts = pts[_simplified(pts[:, 0], pts[:, 1])]
-    step = np.diff(pts, axis=0)
+    pts = [np.column_stack((_hundredths(px), _hundredths(py))) for px, py in lines]
+    bounds = [0, *accumulate(map(len, pts))]
+    pts = np.concatenate(pts)
+    at = np.flatnonzero(_simplified(pts[:, 0], pts[:, 1], bounds))
+    ends = np.zeros(len(pts), dtype=bool)
+    ends[bounds[:-1]] = ends[[hi - 1 for hi in bounds[1:]]] = True
+    step = np.diff(pts[at], axis=0)
     (dx, dy), (ex, ey) = step[:-1].T, step[1:].T
-    straight = (dx * ey == dy * ex) & (dx * ex + dy * ey > 0)
-    pts = pts[np.concatenate(([True], ~straight, [True]))]
-    steps = " ".join(map(str, np.diff(pts, axis=0).ravel().tolist()))
-    return f"{head}l{steps.replace(' -', '-')}"
+    straight = np.zeros(len(at), dtype=bool)
+    straight[1:-1] = (dx * ey == dy * ex) & (dx * ex + dy * ey > 0)
+    # an interior vertex's two steps both lie within its line
+    at = at[~straight | ends[at]]
+    verts = pts[at]
+    out = []
+    for lo, hi in pairwise(np.searchsorted(at, bounds).tolist()):
+        head = f"M{verts[lo, 0]} {verts[lo, 1]}"
+        if hi - lo == 1:
+            out.append(head)
+            continue
+        steps = " ".join(map(str, np.diff(verts[lo:hi], axis=0).ravel().tolist()))
+        out.append(f"{head}l{steps.replace(' -', '-')}")
+    return out
 
 
 class SvgPlot:
@@ -479,9 +514,10 @@ class SvgPlot:
 
         if self.series:
             out.append('<g transform="scale(.01)" fill="none" stroke-width="130">')
-            for idx, (t, y) in enumerate(zip(xs, ys)):
+            paths = _path_data((sx(t), sy(y)) for t, y in zip(xs, ys))
+            for idx, d in enumerate(paths):
                 color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-                out.append(f'<path stroke="{color}" d="{_path_data(sx(t), sy(y))}"/>')
+                out.append(f'<path stroke="{color}" d="{d}"/>')
             out.append("</g>")
         legend_y = y0 + 4
         for idx, (label, _, _) in enumerate(self.series):

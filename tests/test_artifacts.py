@@ -66,12 +66,52 @@ def small_traj() -> Trajectory:
     )
 
 
+def _fmt_sig_inputs() -> np.ndarray:
+    """Doubles that stress a shortest-text formatter.
+
+    Seeded random bit patterns over every binade (subnormals among them),
+    +-0.0, integral values, and neighbours of 1e-5, 1e16 and 1e17, where
+    the fixed and exponent layouts of `repr` and `%.17g` switch over.
+    """
+    rng = np.random.default_rng(34)
+    bits = rng.integers(0, 2**63, 20_000, dtype=np.uint64, endpoint=False)
+    bits |= rng.integers(0, 2, len(bits), dtype=np.uint64) << np.uint64(63)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    binades = np.ldexp(1.0 + rng.random(2046), np.arange(-1022, 1024))
+    subnormals = rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64)
+    integral = np.concatenate((np.arange(-1000.0, 1001.0), np.rint(rng.normal(size=500) * 1e12)))
+    edges = []
+    for edge in (1e-5, 1e16, 1e17, 2.0**53):
+        below = above = edge
+        for _ in range(50):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            edges += [below, above]
+        edges += [edge, 0.5 * edge, 9.5 * edge, edge + 2.0 * edge * rng.random()]
+    edges += [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2]
+    edges += [1.0 / 3.0, math.pi, 1e-300, -7.25, 6.0221408e23, 12345678901234568.0]
+    return np.concatenate((values, binades, -binades, subnormals, integral, edges))
+
+
 def test_fmt_sig_round_trips_doubles():
-    values = [1.0 / 3.0, math.pi, 1e-300, -7.25, 0.1 + 0.2, 6.0221408e23, 0.0]
-    for v in values:
-        assert float(fmt_sig(v)) == v
-    assert fmt_sig(1.0) == "1"
-    assert fmt_sig(0.5) == "0.5"
+    for v in _fmt_sig_inputs().tolist():
+        text = fmt_sig(v)
+        # bit for bit, so the sign of a zero counts
+        assert np.float64(float(text)).tobytes() == np.float64(v).tobytes(), text
+        assert text == repr(v).removesuffix(".0")
+        # repr's digits are never more than %.17g's; in [1e16, 1e17),
+        # where %.17g prints an integer and repr an exponent, neither is its layout
+        sig17 = format(v, ".17g")
+        if 1e16 <= abs(v) < 1e17:
+            mantissa = text.partition("e")[0].lstrip("-").replace(".", "")
+            assert len(mantissa) <= len(sig17.lstrip("-")), (text, sig17)
+        else:
+            assert len(text) <= len(sig17), (text, sig17)
+    for v, text in [(1.0, "1"), (0.5, "0.5"), (0.07, "0.07"), (39.4, "39.4"), (5e-324, "5e-324"),
+                    (1e16, "1e+16")]:
+        assert fmt_sig(v) == text
+    for v in (0.0, -0.0, 9.0, 10.0, math.inf, -math.inf, math.nan):
+        assert fmt_sig(v) == format(v, ".17g")
 
 
 def test_timeseries_header_layout():
@@ -157,7 +197,7 @@ def test_timeseries_csv_bytes_match_cell_writer(tmp_path, n, full):
     raw = (tmp_path / "rows.csv").read_bytes()
     assert raw == (tmp_path / "cells.csv").read_bytes()
     if full:
-        assert b",-0," in raw and b"4.9406564584124654e-324" in raw and b"e+308" in raw
+        assert b",-0," in raw and b"5e-324" in raw and b"e+308" in raw
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -616,13 +656,37 @@ def test_path_data_keeps_every_printed_point_within_a_ninth_of_a_pixel(seed, mon
     if seed % 2:  # x that runs both ways
         points[:, 0] = 5_000 + np.cumsum(rng.integers(-3, 4, len(points)))
     px, py = points.T / 100.0
-    d = artifacts._path_data(px, py)
+    (d,) = artifacts._path_data([(px, py)])
     _check_path(points, d)
-    assert artifacts._simplified(*points.T).tolist() == _reference_kept(points)
-    assert artifacts._path_data(px, py) == d
+    assert artifacts._simplified(*points.T, [0, len(points)]).tolist() == _reference_kept(points)
+    assert artifacts._path_data([(px, py)]) == [d]
     # blocks of eight points, whose segments and ties run across blocks
-    monkeypatch.setattr(artifacts, "PASS_BYTES", 1024)
-    assert artifacts._path_data(px, py) == d
+    monkeypatch.setattr(artifacts, "PASS_BYTES", 8192)
+    assert artifacts._path_data([(px, py)]) == [d]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_path_data_simplifies_a_plots_lines_at_once_as_each_alone(seed, monkeypatch):
+    # lines that cross one another's range, a one-point line and a two-point
+    # one: one line's ends and extremes must not split another's segments
+    rng = np.random.default_rng(100 + seed)
+    lines = [_random_series(rng, int(rng.integers(1, 30))) for _ in range(int(rng.integers(2, 7)))]
+    lines.insert(int(rng.integers(len(lines) + 1)), lines[0][:1])
+    lines.append(lines[-1][:2])
+    points = np.concatenate(lines)
+    bounds = np.cumsum([0] + [len(line) for line in lines]).tolist()
+    kept = [k for line in lines for k in _reference_kept(line)]
+    assert artifacts._simplified(*points.T, bounds).tolist() == kept
+    pixels = [(line[:, 0] / 100.0, line[:, 1] / 100.0) for line in lines]
+    paths = artifacts._path_data(pixels)
+    for line, d in zip(lines, paths):
+        _check_path(line, d)
+    assert paths == [artifacts._path_data([xy])[0] for xy in pixels]
+    monkeypatch.setattr(artifacts, "PASS_BYTES", 8192)  # blocks of eight points
+    assert artifacts._path_data(pixels) == paths
+    # a line that runs straight on into the next keeps its last vertex
+    run = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    assert artifacts._path_data([(run[:3], run[:3]), (run[3:], run[3:])]) == ["M0 0l200 200", "M300 300l100 100"]
 
 
 def test_path_simplification_holds_one_pass_budget(monkeypatch):
@@ -651,7 +715,7 @@ def test_path_simplification_holds_one_pass_budget(monkeypatch):
     ],
 )
 def test_path_data_drops_the_vertices_where_the_line_goes_straight_on(px, py, d):
-    assert artifacts._path_data(np.array(px, dtype=float), np.array(py, dtype=float)) == d
+    assert artifacts._path_data([(np.array(px, dtype=float), np.array(py, dtype=float))]) == [d]
     assert _PATH_DATA.fullmatch(d)
 
 

@@ -211,6 +211,26 @@ def test_certify_writes_report_when_out_given(tmp_path, capsys):
     assert text.startswith("certificate: collision")
 
 
+def test_certificate_floats_print_alike_in_report_stdout_and_manifest(tmp_path, capsys):
+    # one number rule: the report simulate writes, certify's stdout and the
+    # manifest's JSON give each float field the same digits; the text
+    # drops only JSON's trailing ".0" of an integral value
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", bundled_path("example2_strong"), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["certify", "--scenario", bundled_path("example2_strong")]) == EXIT_OK
+    report = (out / "certificate.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == report
+    fields = dict(line.split(": ", 1) for line in report.splitlines())
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    block = json.loads(text)["certificate"]
+    tokens = json.loads(text, parse_float=str)["certificate"]
+    floats = [key for key, val in block.items() if isinstance(val, float)]
+    assert "k_bound" in floats and fields["k_bound"] == "39.4"
+    for key in floats:
+        assert fields[key] == tokens[key].removesuffix(".0"), key
+
+
 def test_certify_without_penalty_on_a_steep_envelope_reports_a_verdict(tmp_path, capsys):
     # psi = 1 / (1 + s^2)^12 overflows long before s = 1e15, so no radius may be probed
     doc = json.loads(Path(bundled_path("example1_delta09")).read_text(encoding="utf-8"))
