@@ -359,24 +359,16 @@ def _path_data(lines) -> list[str]:
     The points are rounded to integer hundredths and simplified, all lines
     at once: the vertices are the points `_simplified` keeps, so every
     rounded point lies within 1/9 px of its drawn line, and each line's
-    first, last, lowest and highest are vertices.  Then an interior vertex
-    where a line goes straight on is dropped: its incoming and outgoing
-    steps have a zero cross product and a positive dot product, so it lies
-    on the segment between the vertices kept around it.  A vertex where
-    the line turns or doubles back stays, and so do each line's ends.
+    first, last, lowest and highest are vertices.  No interior vertex lies
+    where its line goes straight on: along a straight run, the distance to
+    a segment is convex and the height linear, so each reaches its largest
+    value at one of the run's ends, and `_simplified` takes the first of
+    tied farthest points and of tied extremes.
     """
     pts = [np.column_stack((_hundredths(px), _hundredths(py))) for px, py in lines]
     bounds = [0, *accumulate(map(len, pts))]
     pts = np.concatenate(pts)
     at = np.flatnonzero(_simplified(pts[:, 0], pts[:, 1], bounds))
-    ends = np.zeros(len(pts), dtype=bool)
-    ends[bounds[:-1]] = ends[[hi - 1 for hi in bounds[1:]]] = True
-    step = np.diff(pts[at], axis=0)
-    (dx, dy), (ex, ey) = step[:-1].T, step[1:].T
-    straight = np.zeros(len(at), dtype=bool)
-    straight[1:-1] = (dx * ey == dy * ex) & (dx * ex + dy * ey > 0)
-    # an interior vertex's two steps both lie within its line
-    at = at[~straight | ends[at]]
     verts = pts[at]
     out = []
     for lo, hi in pairwise(np.searchsorted(at, bounds).tolist()):
@@ -397,8 +389,8 @@ class SvgPlot:
     `<path>` in integer hundredths of a pixel, inside a group scaled by
     0.01: its first vertex is absolute (`M`) and each later one a relative
     `l` step from the one before.  A line keeps only the points that move
-    it by more than 1/9 px, and no vertex where it goes straight on
-    (`_path_data`).  A non-finite value raises ValueError.
+    it by more than 1/9 px (`_path_data`), by Douglas-Peucker.  A
+    non-finite value raises ValueError.
     """
 
     WIDTH = 640

@@ -241,12 +241,16 @@ def _parse_axis(spec: str) -> tuple[str, list]:
         if len(parts) != 3:
             raise ValueError(f"axis {key!r}: range form is start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if not (step > 0 and stop >= start):
+        if not (0 < step < math.inf and stop >= start):  # an infinite step would give NaN
             raise ValueError(f"axis {key!r}: need step > 0 and stop >= start")
         count = (stop - start) / step  # checked before the values are built; inf too
         if not count < SWEEP_POINTS:
             raise ValueError(f"axis {key!r}: {count + 1:.6g} values, over the limit of {SWEEP_POINTS}")
-        values = [start + step * k for k in range(round(count) + 1)]
+        from fractions import Fraction
+
+        # value k is the double nearest to start + k step, exact in the axis text's decimals
+        first, stride = Fraction(parts[0]), Fraction(parts[2])
+        values = [float(first + stride * k) for k in range(round(count) + 1)]
         if values[-1] > stop + 1e-9 * max(1.0, abs(stop)):
             values.pop()
         return key, values

@@ -173,17 +173,15 @@ def batch_size(n: int, r: int, cfg: IntegratorConfig) -> int:
 
 
 def _hermite_weights(theta, h):
-    """Cubic Hermite weights of (y0, f0, y1, f1) at fraction theta of a step h.
+    """Cubic Hermite weights of (y0, f0, y1, f1) at fractions theta of steps h.
 
-    theta and h are Python floats, or float arrays of one shape.  Each
-    (1 - theta)**2 goes through libm's pow, element by element for arrays,
-    as Python's float `**` does: an array square can differ from pow by an
-    ulp in about one of 1000 thetas.  The other products are the same
-    expressions in the same order, so an array element has the bits of the
-    scalar weight at its theta.
+    theta is a float array and h a float or an array of its shape.  Each
+    (1 - theta)**2 goes through libm's pow, element by element, as
+    Python's float `**` does: an array square can differ from pow by an
+    ulp in about one of 1000 thetas.  So each element has the bits of the
+    scalar formula at its theta.
     """
-    b = 1.0 - theta
-    sq = np.array([x**2 for x in b.tolist()]) if isinstance(b, np.ndarray) else b**2
+    sq = np.array([b**2 for b in (1.0 - theta).tolist()])
     return (
         (1.0 + 2.0 * theta) * sq,
         theta * sq * h,
@@ -192,18 +190,12 @@ def _hermite_weights(theta, h):
     )
 
 
-def _hermite(y0, f0, y1, f1, h, theta):
-    """One state at fraction theta of the step, its terms summed left to right."""
-    w0, w1, w2, w3 = _hermite_weights(theta, h)
-    return w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1
-
-
 def _hermite_rows(basis, theta, h):
-    """One Hermite state per theta, equal bit for bit to `_hermite` at it.
+    """One Hermite state per theta, w0 y0 + w1 f0 + w2 y1 + w3 f1 summed left to right.
 
     basis is (4, m, N), or broadcasts to it: row i's (y0, f0, y1, f1) are
-    basis[:, i].  theta and h are (m,) arrays.  An axis-0 reduction adds
-    the four weighted terms in order, as `_hermite`'s sum does.
+    basis[:, i].  theta is an (m,) array and h a float or an (m,) array.
+    An axis-0 reduction adds the four weighted terms in order.
     """
     weights = np.array(_hermite_weights(theta, h))[:, :, None]
     return np.add.reduce(weights * basis, axis=0)
@@ -339,14 +331,24 @@ def _locate_event(event, t: float, h: float, y, k1, y_new, k4, sample_dt: float)
     The dense output is scanned at sample resolution, but at most 1024
     points per step: a step that reaches up to 1024 samples cannot jump over
     an excursion past the threshold that a sample would catch, and a longer
-    step is scanned more coarsely.  The first bracket of a sign change is
-    then bisected.
+    step is scanned more coarsely.  The scan's states are built as many at
+    a time as fit PASS_BYTES at nine states each.  The first bracket of a
+    sign change is then bisected.
     """
     n_scan = max(1, min(1024, math.ceil(h / sample_dt - 1e-12)))
+    basis = np.array((y, k1, y_new, k4))[:, None]
+    per_pass = max(1, PASS_BYTES // (9 * y.nbytes))
+
+    def scan():
+        for first in range(0, n_scan, per_pass):
+            theta = np.arange(first + 1, min(first + per_pass, n_scan) + 1) / n_scan
+            yield from zip(theta.tolist(), _hermite_rows(basis, theta, h))
+
+    def state(theta: float):
+        return _hermite_rows(basis, np.array([theta]), h)[0]
+
     lo = 0.0
-    for m in range(1, n_scan + 1):
-        hi = m / n_scan
-        y_th = y_new if m == n_scan else _hermite(y, k1, y_new, k4, h, hi)
+    for hi, y_th in scan():
         if event(t + hi * h, y_th) <= 0.0:
             break
         lo = hi
@@ -354,12 +356,11 @@ def _locate_event(event, t: float, h: float, y, k1, y_new, k4, sample_dt: float)
         return None
     for _ in range(20):  # event(t + lo*h) > 0 >= event(t + hi*h)
         mid = 0.5 * (lo + hi)
-        y_mid = _hermite(y, k1, y_new, k4, h, mid)
-        if event(t + mid * h, y_mid) > 0.0:
+        if event(t + mid * h, state(mid)) > 0.0:
             lo = mid
         else:
             hi = mid
-    return t + hi * h, _hermite(y, k1, y_new, k4, h, hi)
+    return t + hi * h, state(hi)
 
 
 def _lockstep(rhs_for, y: np.ndarray, cfgs, events) -> list:
@@ -485,7 +486,7 @@ def _start(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig):
         raise ValueError("initial state shape does not match the model spec")
     y0 = pack(np.asarray(state0.x), np.asarray(state0.v))
     cfg = replace(cfg, t0=state0.t)
-    if spec.variant != "collision_free":
+    if spec.repulsion is None:
         return y0, cfg, None
 
     threshold = spec.repulsion.d0 + cfg.collision_margin
@@ -521,9 +522,9 @@ def _trajectory(spec: ModelSpec, cfg: IntegratorConfig, ts, ys, term, acc, rej) 
 def integrate(spec: ModelSpec, state0: FlockState, cfg: IntegratorConfig) -> Trajectory:
     """Integrate a model from state0 under cfg.
 
-    collision_free runs are watched for the smallest squared pair distance
-    crossing d0 + collision_margin; the initial state must sit strictly
-    outside that band.
+    A spec that holds a repulsion is watched for the smallest squared pair
+    distance crossing d0 + collision_margin; the initial state must sit
+    strictly outside that band.
     """
     y0, cfg, event = _start(spec, state0, cfg)
     return _trajectory(spec, cfg, *integrate_flat(flat_rhs(spec), y0, cfg, event))

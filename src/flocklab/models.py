@@ -1,13 +1,15 @@
 """Right-hand sides of the flocking models.
 
-Three variants share the position equation x_i' = v_i and differ in the
-velocity law:
+Every flock obeys x_i' = v_i and one velocity law,
 
-  baseline        v_i' = sum_j w_ij(t, x) (v_j - v_i)
-  sync            v_i' = g(t, v_i) + sum_j w_ij(t, x) (v_j - v_i)
-  collision_free  v_i' = sum_j (w_ij(t, x) + b_ij(t, x, v)) (v_j - v_i)
+  v_i' = g(t, v_i) + sum_j (w_ij(t, x) + b_ij(t, x, v)) (v_j - v_i),
 
-with b_ij = -f_ij(|x_i - x_j|^2) <x_i - x_j, v_i - v_j> / S(v).  The spread
+whose two perturbation terms are pieces a `ModelSpec` may hold: the
+internal dynamics g (the sync model) or the repulsion b (the
+collision_free model), never both.  A spec that holds neither is the
+baseline Cucker-Smale model; the piece a spec holds is its `variant`.
+
+b_ij = -f_ij(|x_i - x_j|^2) <x_i - x_j, v_i - v_j> / S(v).  The spread
 in the denominator is floored at SPREAD_GUARD; as velocities align both the
 numerator and any |v_j - v_i| factor vanish at the same rate, so the guard
 only matters in exact-consensus states where the whole term is zero anyway.
@@ -39,9 +41,8 @@ MODEL_VARIANTS = ("baseline", "sync", "collision_free")
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Which variant to integrate and the pieces it needs."""
+    """A flock of n agents in r dimensions, its coupling and at most one perturbation."""
 
-    variant: str
     n: int
     r: int
     coupling: CouplingModel
@@ -49,22 +50,21 @@ class ModelSpec:
     repulsion: Optional[RepulsionModel] = None
 
     def __post_init__(self):
-        if self.variant not in MODEL_VARIANTS:
-            raise ValueError(f"unknown model variant '{self.variant}'")
         if self.n < 1 or self.r < 1:
             raise ValueError("need n >= 1 agents and r >= 1 dimensions")
-        if self.variant == "sync":
-            if self.internal is None:
-                raise ValueError("sync model needs internal dynamics")
-            if self.internal.dim != self.r:
-                raise ValueError(
-                    f"internal dynamics dimension {self.internal.dim} != r={self.r}"
-                )
-        if self.variant == "collision_free":
-            if self.repulsion is None:
-                raise ValueError("collision_free model needs a repulsion model")
-            if self.repulsion.coeffs.shape[-1] != self.n:
-                raise ValueError("repulsion coefficient matrix does not match n")
+        if self.internal is not None and self.repulsion is not None:
+            raise ValueError("a model holds internal dynamics or a repulsion, not both")
+        if self.internal is not None and self.internal.dim != self.r:
+            raise ValueError(f"internal dynamics dimension {self.internal.dim} != r={self.r}")
+        if self.repulsion is not None and self.repulsion.coeffs.shape[-1] != self.n:
+            raise ValueError("repulsion coefficient matrix does not match n")
+
+    @property
+    def variant(self) -> str:
+        """sync with internal dynamics, collision_free with a repulsion, else baseline."""
+        if self.internal is not None:
+            return "sync"
+        return "baseline" if self.repulsion is None else "collision_free"
 
 
 def _alignment(w: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
@@ -72,41 +72,40 @@ def _alignment(w: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     return np.subtract(w @ v, w.sum(axis=-1)[..., None] * v, out=out)
 
 
-def _collision_weights(rep: RepulsionModel, coupling, t: float, x: np.ndarray, v: np.ndarray):
-    """w + b of the collision_free velocity law, from one build of pair geometry."""
-    n = x.shape[-2]
-    diff_x = pair_differences(x)
-    dist_sq = pair_dot(diff_x, diff_x)
+def _repulsion(rep: RepulsionModel, diff_x: np.ndarray, dist_sq: np.ndarray, v: np.ndarray):
+    """b of the velocity law, from the pair geometry of x."""
+    n = v.shape[-2]
     gaps = dist_sq - rep.d0
     gaps.reshape(-1, n * n)[:, :: n + 1] = 1.0  # self pairs: a placeholder outside d0
     np.copyto(gaps, np.nan, where=gaps <= 0.0)  # inside d0 the law is undefined: NaN
-
-    w = weights_matrix(coupling, t, x, dist_sq=dist_sq)
     f = rep.coeffs / power(gaps, rep.phi)
     f.reshape(-1, n * n)[:, :: n + 1] = 0.0
 
     inner = pair_dot(diff_x, pair_differences(v))
     s_guard = np.maximum(spreads(v), SPREAD_GUARD)[..., None, None]
-    b = -f * inner / s_guard
-    return w + b
+    return -f * inner / s_guard
 
 
 def _velocity_law(spec: ModelSpec):
-    """law(t, x, v, out) writing the variant's dv into out.
+    """law(t, x, v, out) writing the spec's dv into out.
 
     x, v and out are (n, r) with a float t, or (B, n, r) with a (B, 1, 1)
-    t for a spec stacked by `batch_rhs`.
+    t for a spec stacked by `batch_rhs`.  The pair geometry of x is built
+    once, for the weights and the repulsion alike.
     """
-    variant, coupling, rep = spec.variant, spec.coupling, spec.repulsion
-    g = spec.internal.g if variant == "sync" else None
+    coupling, rep = spec.coupling, spec.repulsion
+    g = None if spec.internal is None else spec.internal.g
 
     def law(t, x: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-        if variant == "collision_free":
-            _alignment(_collision_weights(rep, coupling, t, x, v), v, out=out)
-        elif variant == "sync":
-            np.add(g(t, v), _alignment(weights_matrix(coupling, t, x), v), out=out)
+        diff_x = pair_differences(x)
+        dist_sq = pair_dot(diff_x, diff_x)
+        w = weights_matrix(coupling, t, x, dist_sq=dist_sq)
+        if rep is not None:
+            w = w + _repulsion(rep, diff_x, dist_sq, v)
+        if g is None:
+            _alignment(w, v, out=out)
         else:
-            _alignment(weights_matrix(coupling, t, x), v, out=out)
+            np.add(g(t, v), _alignment(w, v), out=out)
 
     return law
 
@@ -114,7 +113,7 @@ def _velocity_law(spec: ModelSpec):
 def flat_rhs(spec: ModelSpec):
     """The RHS on flat vectors y = (x, v), suitable for the stepper.
 
-    The variant and its constants are resolved once here; each call writes
+    The spec's pieces and constants are resolved once here; each call writes
     dx = v and dv into one fresh 2nr vector.
     """
     n, r = spec.n, spec.r
@@ -148,12 +147,12 @@ def _stack(models):
 
 
 def batch_key(spec: ModelSpec) -> tuple:
-    """Variant, n, r, coupling family and `g`: what `batch_rhs` members share.
+    """What `batch_rhs` members share: n, r, coupling family, `g`, and a repulsion or none.
 
     `g` compares by identity, because one `g` drives every member.
     """
     g = spec.internal.g if spec.internal is not None else None
-    return spec.variant, spec.n, spec.r, type(spec.coupling), g
+    return spec.n, spec.r, type(spec.coupling), g, spec.repulsion is None
 
 
 def batch_rhs(specs):
@@ -166,7 +165,7 @@ def batch_rhs(specs):
     key = batch_key(first)
     if any(batch_key(spec) != key for spec in specs[1:]):
         raise ValueError(
-            "batch members must share variant, n, r, coupling family and internal dynamics"
+            "batch members must share n, r, coupling family, internal dynamics and repulsion or none"
         )
     repulsion = None if first.repulsion is None else _stack([s.repulsion for s in specs])
     coupling = _stack([s.coupling for s in specs])

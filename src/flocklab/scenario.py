@@ -529,7 +529,7 @@ def materialize(doc: dict, seed_path=None) -> Scenario:
         if repulsion is not None:
             min_sep = repulsion.d0 * _SEPARATION_HEADROOM
         v_box = None
-        if doc["variant"] == "sync" and internal is not None and internal.box is not None:
+        if internal is not None and internal.box is not None:
             v_box = np.asarray(internal.box, dtype=float)
         gen = InitialGenerator(
             n=n,
@@ -555,7 +555,7 @@ def materialize(doc: dict, seed_path=None) -> Scenario:
     return Scenario(
         name=doc["name"],
         seed=seed,
-        spec=ModelSpec(doc["variant"], n, r, coupling, internal, repulsion),
+        spec=ModelSpec(n, r, coupling, internal, repulsion),
         state0=FlockState(t=cfg.t0, x=x0, v=v0),
         integrator=cfg,
         certificate=cert,

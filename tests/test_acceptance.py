@@ -60,7 +60,6 @@ def test_criterion_1_integrator_accuracy_and_order(criterion):
     with criterion(1, "integrator meets 1e-5 sup error at defaults with third order steps"):
         start = time.perf_counter()
         spec = ModelSpec(
-            variant="sync",
             n=1,
             r=1,
             coupling=ConstantCoupling(w=1.0),
@@ -236,7 +235,7 @@ def test_criterion_7_certified_decay_bounds_hold_on_random_instances(criterion):
             cfg = IntegratorConfig(
                 t_end=t_end, sample_dt=t_end / 200.0, rtol=1e-9, atol=1e-12
             )
-            spec = ModelSpec(variant="sync", n=n, r=1, coupling=coupling, internal=internal)
+            spec = ModelSpec(n=n, r=1, coupling=coupling, internal=internal)
             traj = integrate(spec, FlockState(t=0.0, x=x0, v=v0), cfg)
             assert isinstance(traj.termination, Completed)
             assert (traj.spread_x <= cert.d_star + 1e-6).all()

@@ -714,9 +714,31 @@ def test_path_simplification_holds_one_pass_budget(monkeypatch):
         pytest.param([0, 1, 2, 3], [0, 1, 1, 2], "M0 0l100 100 100 0 100 100", id="turns-stay"),
     ],
 )
-def test_path_data_drops_the_vertices_where_the_line_goes_straight_on(px, py, d):
+def test_path_data_keeps_the_ends_turns_and_points_beyond_a_ninth(px, py, d):
     assert artifacts._path_data([(np.array(px, dtype=float), np.array(py, dtype=float))]) == [d]
     assert _PATH_DATA.fullmatch(d)
+
+
+@pytest.mark.parametrize("pass_bytes", [PASS_BYTES, 8192], ids=["default-blocks", "blocks-of-eight"])
+def test_path_data_keeps_no_vertex_where_a_line_goes_straight_on(pass_bytes, monkeypatch):
+    # lines of runs of one step each, the steps drawn from a small set, so
+    # plateaus, collinear runs and tied extremes are common; at 8192 bytes
+    # `_farthest` takes blocks of eight points, whose ties run across blocks
+    monkeypatch.setattr(artifacts, "PASS_BYTES", pass_bytes)
+    rng = np.random.default_rng(17)
+    directions = np.array([(1, 0), (1, 1), (1, -1), (2, 1), (0, 1), (-1, 0), (0, 0)])
+    for _ in range(300):
+        lines = []
+        for _ in range(int(rng.integers(2, 6))):
+            picks = rng.integers(len(directions), size=int(rng.integers(1, 12)))
+            runs = np.repeat(picks, rng.integers(1, 7, size=len(picks)))
+            steps = directions[runs] * int(rng.choice([6, 12, 25]))
+            points = np.cumsum(np.vstack(([5_000, 5_000], steps)), axis=0)
+            lines.append((points[:, 0] / 100.0, points[:, 1] / 100.0))
+        for d in artifacts._path_data(lines):
+            steps = np.diff(_decode_path(d), axis=0).tolist()
+            for (dx, dy), (ex, ey) in zip(steps, steps[1:]):
+                assert not (dx * ey == dy * ex and dx * ex + dy * ey > 0), d
 
 
 def test_a_converged_flock_plots_its_pair_distances_in_few_bytes(tmp_path):

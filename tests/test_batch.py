@@ -86,7 +86,6 @@ def _member(variant, family, dyn, n, r, role, exponent, phi, seed):
             v[0], v[1] = 10.0 * v[0], 10.0 * v[1]
             cfg = IntegratorConfig(t_end=T_END, sample_dt=0.02, h_init=0.05)
     spec = ModelSpec(
-        variant=variant,
         n=n,
         r=r,
         coupling=coupling,
@@ -248,11 +247,16 @@ def test_batch_rhs_rejects_members_of_different_kinds():
     other = [
         _member("baseline", "constant", None, 3, 1, "plain", 1.0, 2.0, 0)[0],
         _member("sync", "power_law", DYNAMICS["zero"][1], 3, 1, "plain", 1.0, 2.0, 0)[0],
-        ModelSpec(variant="sync", n=3, r=1, coupling=base.coupling, internal=zero_dynamics(1)),
+        ModelSpec(n=3, r=1, coupling=base.coupling, internal=zero_dynamics(1)),
     ]
     for spec in other:
         with pytest.raises(ValueError, match="batch members must share"):
             batch_rhs([base, spec])
+    # a flock with a repulsion and one without differ in nothing else
+    plain = _member("baseline", "constant", None, 3, 1, "plain", 1.0, 2.0, 0)[0]
+    repulsive = _member("collision_free", "constant", None, 3, 1, "plain", 1.0, 2.0, 0)[0]
+    with pytest.raises(ValueError, match="batch members must share"):
+        batch_rhs([plain, repulsive])
 
 
 @pytest.mark.parametrize("exponent", [-1.0, 0.0, 0.5, 1.0, 2.0, 1.5, 0.73])
@@ -318,12 +322,16 @@ def _buffer_restarts(attempts: list[int]) -> int:
 
 
 def _fill_spies(monkeypatch):
-    """Record every `_hermite_rows` pass as its (theta, h) pairs, and count the batch flushes."""
+    """Record every `_hermite_rows` pass as its (theta, h) pairs, and count the batch flushes.
+
+    The passes are the sample fills' and, in a run with a collision event,
+    its event scans'.
+    """
     passes, flushes = [], []
     real_rows, real_flush = integrate_module._hermite_rows, integrate_module._BatchDense.flush
 
     def rows_spy(basis, theta, h):
-        passes.append(np.stack((theta, h), axis=1))
+        passes.append(np.stack((theta, np.broadcast_to(h, theta.shape)), axis=1))
         return real_rows(basis, theta, h)
 
     def flush_spy(dense):
@@ -374,7 +382,8 @@ def test_batch_member_that_leaves_waits_for_the_next_flush(monkeypatch):
     attempts = [traj.n_accepted + traj.n_rejected for traj in alone]
     assert [type(traj.termination) for traj in alone] == [Completed, CollisionEvent, Completed, Completed]
     assert attempts[1] < BLOCK and _buffer_restarts(attempts) == 2
-    # the samples each member's own run fills, as (theta, h) pairs
+    # the samples each member's own run fills, and the states its event
+    # scans build, as (theta, h) pairs
     passes, flushes = _fill_spies(monkeypatch)
     for member in members:
         integrate(*member)
@@ -383,7 +392,8 @@ def test_batch_member_that_leaves_waits_for_the_next_flush(monkeypatch):
     flushes.clear()  # a lone run is a block of one, with flushes of its own
     batched = integrate_batch(*zip(*members))
     got = np.concatenate(passes)
-    # each sample is filled once, in a flush at a buffer restart or at the end
+    # each sample is filled once, in a flush at a buffer restart or at the
+    # end, and each scan state is built once
     assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
     assert len(flushes) == _buffer_restarts(attempts) + 1
     for a, b in zip(alone, batched):

@@ -414,7 +414,7 @@ def test_observed_rate_beats_certified_rate(delta09_run):
 
 @pytest.fixture(scope="module")
 def baseline_run():
-    spec = ModelSpec(variant="baseline", n=4, r=2, coupling=ConstantCoupling(w=0.6))
+    spec = ModelSpec(n=4, r=2, coupling=ConstantCoupling(w=0.6))
     rng = np.random.default_rng(9)
     state = FlockState(t=0.0, x=rng.normal(size=(4, 2)), v=rng.normal(size=(4, 2)))
     traj = integrate(spec, state, IntegratorConfig(t_end=4.0, sample_dt=0.02))

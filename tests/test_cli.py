@@ -1038,6 +1038,15 @@ def test_parse_axis_range_form():
     assert abs(values[-1] - 2.0) < 1e-12
 
 
+def test_parse_axis_range_values_are_the_decimal_grid_of_the_axis_text():
+    # the frontier axis: start + step * k in floats is one ulp off the grid
+    # at 13 of its 61 values (0.8500000000000001, 1.0750000000000002, ...)
+    key, values = _parse_axis("coupling.delta=0.5:2.0:0.025")
+    assert values == [float(f"{500 + 25 * k}e-3") for k in range(61)]
+    assert [repr(v) for v in values[:3] + values[-2:]] == ["0.5", "0.525", "0.55", "1.975", "2.0"]
+    assert _parse_axis("k=1e-3:2e-3:1e-4")[1] == [float(f"{10 + k}e-4") for k in range(11)]
+
+
 def test_parse_axis_json_and_comma_forms():
     assert _parse_axis("seed=[1,2,3]") == ("seed", [1, 2, 3])
     key, values = _parse_axis("coupling.w=0.5,1.5")
@@ -1048,7 +1057,7 @@ def test_parse_axis_json_and_comma_forms():
 
 
 def test_parse_axis_rejects_malformed_specs():
-    for spec in ("novalue", "k=", "=3", "k=1:2", "k=2:1:0.5", "k=1:2:0", "k=[]",
+    for spec in ("novalue", "k=", "=3", "k=1:2", "k=2:1:0.5", "k=1:2:0", "k=1:2:inf", "k=[]",
                  "k=1,2,", "k=,1", "k=1,,2", "k=1, ,2"):
         with pytest.raises(ValueError):
             _parse_axis(spec)

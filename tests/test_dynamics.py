@@ -195,7 +195,7 @@ def test_lorenz_box_is_not_forward_invariant():
     # within the first sample step
     dyn = lorenz()
     lo, hi = dyn.box.T
-    spec = ModelSpec(variant="sync", n=1, r=3, coupling=ConstantCoupling(w=1.0), internal=dyn)
+    spec = ModelSpec(n=1, r=3, coupling=ConstantCoupling(w=1.0), internal=dyn)
     cfg = IntegratorConfig(t_end=2.0, sample_dt=0.01)
     for corner in itertools.product(*dyn.box):
         traj = integrate(spec, FlockState(t=0.0, x=np.zeros((1, 3)), v=np.array([corner])), cfg)

@@ -26,7 +26,6 @@ from flocklab.integrate import (
     StepSizeUnderflow,
     Trajectory,
     _BatchDense,
-    _hermite,
     _hermite_rows,
     integrate,
     integrate_flat,
@@ -34,6 +33,7 @@ from flocklab.integrate import (
 from flocklab.models import ModelSpec, flat_rhs
 from flocklab.scenario import load_scenario
 from flocklab.state import PASS_BYTES, FlockState, min_pair_distance_sq, pair_dot
+from test_stepper_oracle import _hermite
 
 
 def test_package_attribute_names_the_integrate_module():
@@ -83,7 +83,6 @@ def test_integrate_reaches_each_name_the_layer_trace_patches(monkeypatch):
 def _single_agent_sync(v0: float) -> tuple[ModelSpec, FlockState]:
     # one agent, no neighbours: dv/dt = g(t, v) exactly
     spec = ModelSpec(
-        variant="sync",
         n=1,
         r=1,
         coupling=ConstantCoupling(w=1.0),
@@ -95,7 +94,7 @@ def _single_agent_sync(v0: float) -> tuple[ModelSpec, FlockState]:
 
 def test_zero_field_trajectory_is_constant():
     # a single agent has no neighbours: the velocity field is exactly zero
-    spec = ModelSpec(variant="baseline", n=1, r=2, coupling=ConstantCoupling(w=0.7))
+    spec = ModelSpec(n=1, r=2, coupling=ConstantCoupling(w=0.7))
     x = np.array([[1.0, -2.0]])
     v = np.array([[0.5, 2.0]])
     state = FlockState(t=0.0, x=x, v=v)
@@ -113,7 +112,7 @@ def test_zero_field_trajectory_is_constant():
 
 
 def test_sample_grid_row_count_formula():
-    spec = ModelSpec(variant="baseline", n=2, r=1, coupling=ConstantCoupling(w=0.5))
+    spec = ModelSpec(n=2, r=1, coupling=ConstantCoupling(w=0.5))
     state = FlockState(t=0.0, x=np.array([[0.0], [1.0]]), v=np.array([[1.0], [-1.0]]))
     for span, dt in [(6.0, 0.02), (10.0, 0.01), (1.0, 0.3)]:
         cfg = IntegratorConfig(t_end=span, sample_dt=dt)
@@ -161,7 +160,6 @@ def test_tighter_tolerances_do_not_increase_error():
 
 def test_integration_is_deterministic():
     spec = ModelSpec(
-        variant="baseline",
         n=3,
         r=2,
         coupling=ModulatedCoupling(w=1.0, delta=1.0, beta=np.full((3, 3), 1.2)),
@@ -212,7 +210,7 @@ def test_endpoint_reached_when_fixed_step_accumulates_rounding(monkeypatch):
 def test_baseline_stays_in_initial_velocity_hull():
     # alignment is a convex combination flow: per-component min/max envelopes
     # of v shrink monotonically (up to integrator tolerance)
-    spec = ModelSpec(variant="baseline", n=4, r=2, coupling=ConstantCoupling(w=0.8))
+    spec = ModelSpec(n=4, r=2, coupling=ConstantCoupling(w=0.8))
     rng = np.random.default_rng(2)
     state = FlockState(t=0.0, x=rng.normal(size=(4, 2)), v=rng.normal(size=(4, 2)))
     cfg = IntegratorConfig(t_end=5.0, sample_dt=0.05)
@@ -229,7 +227,6 @@ def test_collision_event_halts_run():
     # collision margin turns the approach into a detectable crossing
     rep = RepulsionModel(d0=0.25, phi=1.5, coeffs=np.full((2, 2), 1e-9))
     spec = ModelSpec(
-        variant="collision_free",
         n=2,
         r=1,
         coupling=ConstantCoupling(w=1e-9),
@@ -251,7 +248,6 @@ def test_collision_event_halts_run():
 def test_collision_precondition_checked_at_start():
     rep = RepulsionModel(d0=0.25, phi=1.5, coeffs=np.full((2, 2), 1.0))
     spec = ModelSpec(
-        variant="collision_free",
         n=2,
         r=1,
         coupling=ConstantCoupling(w=1.0),
@@ -407,15 +403,6 @@ def test_min_dist_sq_in_chunks_equals_the_whole_fold_bit_for_bit(monkeypatch, r)
 # dense output: one Hermite evaluation per step
 
 
-def _hermite_per_theta(y0, f0, y1, f1, h, a):
-    # the scalar formula, one theta at a time, kept as the reference
-    h00 = (1.0 + 2.0 * a) * (1.0 - a) ** 2
-    h10 = a * (1.0 - a) ** 2
-    h01 = a * a * (3.0 - 2.0 * a)
-    h11 = a * a * (a - 1.0)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
 @st.composite
 def _hermite_step(draw):
     size = draw(st.integers(1, 12))
@@ -442,9 +429,7 @@ def test_block_hermite_matches_per_theta_evaluation(step):
     block = _hermite_rows(basis, np.array(thetas), np.full(len(thetas), h))
     assert block.shape == (len(thetas), y0.size)
     for row, theta in zip(block, thetas):
-        want = _hermite_per_theta(y0, f0, y1, f1, h, theta)
-        np.testing.assert_array_equal(row, want)
-        np.testing.assert_array_equal(_hermite(y0, f0, y1, f1, h, theta), want)
+        np.testing.assert_array_equal(row, _hermite(y0, f0, y1, f1, h, theta))
 
 
 def _push_one_step(dense, t, h, y0, f0, y1, f1):
@@ -531,17 +516,15 @@ def test_recorder_fills_each_sample_from_its_own_step(seed):
 
 def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
     # an array square and libm's pow(x, 2) differ in about one of 1000
-    # thetas; 8192 of them make sure the scalar weights, the block weights
-    # and a block flush of the dense output all take the square through pow
+    # thetas; 8192 of them make sure the block weights and a block flush of
+    # the dense output both take the square through pow, as the scalar formula does
     rng = np.random.default_rng(3)
     y0, f0, y1, f1 = rng.normal(size=(4, 3))
     thetas = rng.uniform(0.0, 1.0, 8192).tolist()
-    want = np.array([_hermite_per_theta(y0, f0, y1, f1, 0.7, theta) for theta in thetas])
+    want = np.array([_hermite(y0, f0, y1, f1, 0.7, theta) for theta in thetas])
     basis = np.array([y0, f0, y1, f1])[:, None]
     block = _hermite_rows(basis, np.array(thetas), np.full(8192, 0.7))
     np.testing.assert_array_equal(block, want)
-    scalar = [_hermite(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
-    np.testing.assert_array_equal(np.array(scalar), want)
 
     # one accepted step of a lone run from t = 0 over h = 0.7, its samples filled in a flush
     grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.7, 8192))])
@@ -559,7 +542,7 @@ def test_block_hermite_squares_like_the_scalar_formula(monkeypatch):
     # fit PASS_BYTES at nine states of 3 floats each
     assert max(passes) == PASS_BYTES // (72 * 3) == 4854 and sum(passes) == 8192
     thetas = [min(max(g / 0.7, 0.0), 1.0) for g in grid[1:]]
-    want = [_hermite_per_theta(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
+    want = [_hermite(y0, f0, y1, f1, 0.7, theta) for theta in thetas]
     np.testing.assert_array_equal(dense.samples[0, 1:], np.array(want))
 
 
@@ -570,7 +553,7 @@ def test_one_run_fill_stays_within_a_few_mebibytes_of_its_samples():
     rng = np.random.default_rng(0)
     n, r = 50, 2
     spec = ModelSpec(
-        variant="baseline", n=n, r=r, coupling=PowerLawCoupling(gain=1.0, sigma=1.0, exponent=0.5)
+        n=n, r=r, coupling=PowerLawCoupling(gain=1.0, sigma=1.0, exponent=0.5)
     )
     state = FlockState(t=0.0, x=rng.uniform(-3.0, 3.0, (n, r)), v=rng.uniform(-1.0, 1.0, (n, r)))
     cfg = IntegratorConfig(t_end=2.0, sample_dt=2e-4)
@@ -640,7 +623,7 @@ def _per_step_reference(calls, ts, cfg, n_acc):
         while k < len(ts) and ts[k] <= t_new + 1e-15 * cfg.t_end:
             theta = (ts[k] - t) / h
             clamped += theta > 1.0
-            want.append(_hermite_per_theta(y, k1, y_new, k4, h, min(max(theta, 0.0), 1.0)))
+            want.append(_hermite(y, k1, y_new, k4, h, min(max(theta, 0.0), 1.0)))
             k += 1
         t, y, k1 = t_new, y_new, k4
     return want, clamped

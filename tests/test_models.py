@@ -38,7 +38,7 @@ def rhs(spec, t, x, v):
 
 
 def baseline_spec(n=2, r=1, w=1.0):
-    return ModelSpec(variant="baseline", n=n, r=r, coupling=ConstantCoupling(w=w))
+    return ModelSpec(n=n, r=r, coupling=ConstantCoupling(w=w))
 
 
 @st.composite
@@ -56,29 +56,42 @@ def random_state(draw, n=None, r=None):
 
 def test_model_spec_validation():
     with pytest.raises(ValueError):
-        ModelSpec(variant="unknown", n=2, r=1, coupling=ConstantCoupling(w=1.0))
-    with pytest.raises(ValueError):
-        ModelSpec(variant="sync", n=2, r=1, coupling=ConstantCoupling(w=1.0))
-    with pytest.raises(ValueError):
         ModelSpec(
-            variant="sync",
             n=2,
             r=2,
             coupling=ConstantCoupling(w=1.0),
             internal=logistic_cosine(),  # one-dimensional generator, r = 2
         )
     with pytest.raises(ValueError):
-        ModelSpec(variant="collision_free", n=2, r=1, coupling=ConstantCoupling(w=1.0))
-    with pytest.raises(ValueError):
         ModelSpec(
-            variant="collision_free",
             n=3,
             r=1,
             coupling=ConstantCoupling(w=1.0),
             repulsion=RepulsionModel(d0=0.25, phi=1.5, coeffs=np.ones((2, 2))),
         )
     with pytest.raises(ValueError):
-        ModelSpec(variant="baseline", n=0, r=1, coupling=ConstantCoupling(w=1.0))
+        ModelSpec(n=0, r=1, coupling=ConstantCoupling(w=1.0))
+
+
+@pytest.mark.parametrize(
+    "internal, repulsion, variant",
+    [(False, False, "baseline"), (True, False, "sync"), (False, True, "collision_free"),
+     (True, True, None)],
+)
+def test_model_spec_variant_is_the_perturbation_it_holds(internal, repulsion, variant):
+    pieces = {
+        "internal": logistic_cosine() if internal else None,
+        "repulsion": RepulsionModel(d0=0.25, phi=1.5, coeffs=np.ones((2, 2))) if repulsion else None,
+    }
+    if variant is None:
+        with pytest.raises(ValueError, match="not both"):
+            ModelSpec(n=2, r=1, coupling=ConstantCoupling(w=1.0), **pieces)
+        return
+    spec = ModelSpec(n=2, r=1, coupling=ConstantCoupling(w=1.0), **pieces)
+    assert spec.variant == variant
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.variant = "baseline"
+    assert "variant" not in {fld.name for fld in dataclasses.fields(ModelSpec)}
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +121,6 @@ def test_symmetric_weights_conserve_momentum(state):
     x, v = state
     n, r = x.shape
     spec = ModelSpec(
-        variant="baseline",
         n=n,
         r=r,
         coupling=PowerLawCoupling(gain=1.2, sigma=1.0, exponent=0.8),
@@ -127,8 +139,8 @@ def test_sync_with_zero_dynamics_reduces_to_baseline(state):
     x, v = state
     n, r = x.shape
     coupling = PowerLawCoupling(gain=1.0, sigma=1.0, exponent=1.0)
-    base = ModelSpec(variant="baseline", n=n, r=r, coupling=coupling)
-    sync = ModelSpec(variant="sync", n=n, r=r, coupling=coupling, internal=zero_dynamics(r))
+    base = ModelSpec(n=n, r=r, coupling=coupling)
+    sync = ModelSpec(n=n, r=r, coupling=coupling, internal=zero_dynamics(r))
     _, dv_base = rhs(base, 0.7, x, v)
     _, dv_sync = rhs(sync, 0.7, x, v)
     assert np.array_equal(dv_base, dv_sync)
@@ -136,7 +148,7 @@ def test_sync_with_zero_dynamics_reduces_to_baseline(state):
 
 def test_sync_equal_velocities_follow_the_generator():
     spec = ModelSpec(
-        variant="sync", n=3, r=1, coupling=ConstantCoupling(w=2.0), internal=logistic_cosine()
+        n=3, r=1, coupling=ConstantCoupling(w=2.0), internal=logistic_cosine()
     )
     x = np.array([[0.0], [1.0], [2.0]])
     v = np.full((3, 1), 1.5)
@@ -149,7 +161,7 @@ def _lorenz_flock(n=40, seed=5):
     rng = np.random.default_rng(seed)
     coupling = ModulatedCoupling(w=150.0, delta=0.5, beta=rng.uniform(0.5, 1.4, size=(n, n)))
     internal = lorenz()
-    spec = ModelSpec(variant="sync", n=n, r=3, coupling=coupling, internal=internal)
+    spec = ModelSpec(n=n, r=3, coupling=coupling, internal=internal)
     box = internal.box
     return spec, rng.uniform(-4.5, 4.5, size=(n, 3)), rng.uniform(box[:, 0], box[:, 1], size=(n, 3))
 
@@ -177,7 +189,7 @@ def test_sync_rhs_calls_the_generator_once_per_evaluation():
         return inner(t, z)
 
     internal = dataclasses.replace(spec.internal, g=counting)
-    counted = ModelSpec(variant="sync", n=spec.n, r=3, coupling=spec.coupling, internal=internal)
+    counted = ModelSpec(n=spec.n, r=3, coupling=spec.coupling, internal=internal)
     calls.clear()  # the dynamics' own row-wise probe
     f = flat_rhs(counted)
     y = pack(x, v)
@@ -204,7 +216,7 @@ def test_sync_spec_rejects_per_agent_generator():
         )
     # the row-wise forms of the same generators are accepted
     row_cube = InternalDynamics(name="cube", dim=1, g=lambda t, z: z**3)
-    ModelSpec(variant="sync", n=3, r=1, coupling=ConstantCoupling(w=1.0), internal=row_cube)
+    ModelSpec(n=3, r=1, coupling=ConstantCoupling(w=1.0), internal=row_cube)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +225,6 @@ def test_sync_spec_rejects_per_agent_generator():
 
 def collision_spec(n=2, w=1.0, c=1.0, d0=0.25, phi=1.5):
     return ModelSpec(
-        variant="collision_free",
         n=n,
         r=1,
         coupling=ConstantCoupling(w=w),
@@ -283,7 +294,6 @@ def test_collision_momentum_conserved_for_symmetric_repulsion(state):
     # jittered grid keeps every pair clear of the singular region
     x = np.arange(4)[:, None] * np.array([3.0, 0.0]) + 0.1 * x
     spec = ModelSpec(
-        variant="collision_free",
         n=4,
         r=2,
         coupling=ConstantCoupling(w=0.8),
@@ -297,7 +307,6 @@ def test_collision_momentum_conserved_for_symmetric_repulsion(state):
 def _modulated_collision_flock(n, r, seed=7):
     rng = np.random.default_rng(seed)
     spec = ModelSpec(
-        variant="collision_free",
         n=n,
         r=r,
         coupling=ModulatedCoupling(w=1.0, delta=0.6, beta=np.full((n, n), 0.8)),
@@ -328,8 +337,8 @@ def test_collision_rhs_matches_coordinate_last_reference(r):
     assert np.array_equal(dv, want)
 
 
-def test_collision_rhs_builds_pair_geometry_once(monkeypatch):
-    spec, x, v = _modulated_collision_flock(9, 2)
+def _geometry_builds(monkeypatch, spec, x, v):
+    """The shapes `pair_differences` gets and the dist_sq `weights_matrix` gets, over two RHS calls."""
     built, given = [], []
     pair_differences, weights = models.pair_differences, models.weights_matrix
 
@@ -345,9 +354,24 @@ def test_collision_rhs_builds_pair_geometry_once(monkeypatch):
     monkeypatch.setattr(models, "weights_matrix", recording_weights)
     for t in (0.0, 0.5):
         rhs(spec, t, x, v)
-    assert built == [(9, 2)] * 4  # x and v, once each per evaluation
     assert len(given) == 2
     assert all(d is not None and np.array_equal(d, distance_sq_matrix(x)) for d in given)
+    return built
+
+
+def test_collision_rhs_builds_pair_geometry_once(monkeypatch):
+    spec, x, v = _modulated_collision_flock(9, 2)
+    assert _geometry_builds(monkeypatch, spec, x, v) == [(9, 2)] * 4  # x and v, once each per evaluation
+
+
+@pytest.mark.parametrize("variant", ["baseline", "sync"])
+def test_rhs_without_repulsion_builds_pair_geometry_once(variant, monkeypatch):
+    # the weights take the squared distances the law built, as the collision law's do
+    base, x, v = _modulated_collision_flock(9, 2)
+    internal = zero_dynamics(2) if variant == "sync" else None
+    spec = ModelSpec(n=9, r=2, coupling=base.coupling, internal=internal)
+    assert spec.variant == variant
+    assert _geometry_builds(monkeypatch, spec, x, v) == [(9, 2)] * 2  # x, once per evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +393,6 @@ def test_rhs_matches_per_variant_reference():
     base, x, v = _modulated_collision_flock(n, r, seed=8)
     for variant in models.MODEL_VARIANTS:
         spec = ModelSpec(
-            variant=variant,
             n=n,
             r=r,
             coupling=base.coupling,
@@ -383,8 +406,8 @@ def test_rhs_matches_per_variant_reference():
 
 
 def _reference_rhs(spec, t, x, v):
-    # each variant written out on its own, as the RHS was before flat_rhs
-    # resolved the variant once per spec
+    # each variant written out on its own, as the RHS was before one
+    # velocity law covered all three
     w = weights_matrix(spec.coupling, t, x)
     if spec.variant == "collision_free":
         rep = spec.repulsion
@@ -421,7 +444,6 @@ def test_flat_rhs_matches_per_variant_reference(variant, family, r):
     n = 7
     spec, x, v = _modulated_collision_flock(n, r, seed=11)
     spec = ModelSpec(
-        variant=variant,
         n=n,
         r=r,
         coupling=_COUPLINGS[family](n),

@@ -635,6 +635,7 @@ def test_certificate_classes_name_what_dispatch_returns():
     assert sorted(doc["variant"] for doc in docs) == sorted(CERTIFICATE_CLASSES)
     for doc in docs:
         sc = materialize(doc)
+        assert sc.spec.variant == doc["variant"]  # the spec holds the document's pieces
         assert type(evaluate_certificate(sc)) is CERTIFICATE_CLASSES[sc.spec.variant]
 
 

@@ -144,7 +144,7 @@ def _event_mid_block():
     # 175th step, inside the third buffer of BLOCK steps
     n, r = 3, 2
     repulsion = RepulsionModel(d0=0.02, phi=2.0, coeffs=np.ones((n, n)))
-    spec = ModelSpec(variant="collision_free", n=n, r=r, coupling=ConstantCoupling(w=1.0),
+    spec = ModelSpec(n=n, r=r, coupling=ConstantCoupling(w=1.0),
                      repulsion=repulsion)
     x = np.array([[0.0, 0.0], [0.8, 0.05], [0.3, 1.5]])
     v = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 0.5]])
@@ -157,7 +157,7 @@ def _underflow():
     # is NaN, and the controller's floor of 0.2 shrinks h below h_floor
     rng = np.random.default_rng(4)
     n, r = 3, 2
-    spec = ModelSpec(variant="baseline", n=n, r=r,
+    spec = ModelSpec(n=n, r=r,
                      coupling=PowerLawCoupling(gain=1.0, sigma=1.0, exponent=0.8))
     x = 1.5 * np.arange(n)[:, None] + rng.uniform(-0.2, 0.2, size=(n, r))
     v = rng.uniform(-1.0, 1.0, size=(n, r))
