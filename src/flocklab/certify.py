@@ -17,15 +17,17 @@ the sample grid is compared with the discrete consequence of the bound,
 S_k * expm1(B h) / h, rather than the linearised B * S_k: the linear form
 flags exactly-tight exponential decay at any finite sample spacing.
 Samples where the spread has fallen below integrator resolution are
-reported as skipped instead of audited.
+reported as skipped instead of audited.  Each lemma, D+S(v) <= B S(v) - F,
+is one function of stacked states (ts (K,), xs and vs (K, n, r)) giving B
+and F as arrays: `sync_terms` (B = k - n psi(S(x)), F = 0) and
+`collision_terms` (B = -rho, F = Gamma at the spread-attaining pair).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -33,7 +35,7 @@ import numpy as np
 from .coupling import Envelope, psi_integral, weights_matrix
 from .dynamics import RepulsionModel, repulsion_strength, repulsion_tail
 from .integrate import Trajectory
-from .state import closest_pair, distance_sq_matrix, pair_dot, spread_report
+from .state import PASS_BYTES, closest_pair, distance_sq_matrix, pair_differences, pair_dot, spread, spreads
 
 _D_STAR_TOL = 1e-10
 _MAX_BISECT = 200
@@ -241,8 +243,7 @@ def certify_collision(
     S(v0)/n < (1/2) int_{S(x0)}^inf psi - max_pairs tail(separation).
     """
     x0 = np.asarray(x0, dtype=float)
-    rail = spread_report(x0)
-    s_x0 = float(rail.value)
+    s_x0 = spread(x0)
     d2 = distance_sq_matrix(x0)
     min_d2, _, _ = closest_pair(d2)
     separation_ok = bool(min_d2 > rep.d0)
@@ -315,15 +316,66 @@ class TrajectoryAudit:
     first_violation_t: Optional[float]
 
 
-def _run_audit(traj: Trajectory, bound_terms) -> TrajectoryAudit:
+def sync_terms(env: Envelope, n: int, k_bound: float, ts, xs, vs):
+    """(B, F) of the alignment lemma at stacked states: B = k - n psi(S(x)), F = 0."""
+    b = np.array([k_bound - n * env.psi(s) for s in spreads(xs).tolist()])
+    return b, np.zeros_like(b)
+
+
+def _pair_sum(rows: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """a_ii' + a_i'i + sum_{j != i, i'} min(a_ij, a_i'j), j left to right, per state.
+
+    rows (m, 2, n) holds rows i and i' of a; the sum is a cumsum over a row
+    whose two pair entries are 0.0 (x + 0.0 is x).
+    """
+    m = np.arange(len(rows))
+    head = rows[m, 0, pair[:, 1]] + rows[m, 1, pair[:, 0]]
+    mins = np.minimum(rows[:, 0], rows[:, 1])
+    mins[m, pair[:, 0]] = mins[m, pair[:, 1]] = 0.0
+    return head + np.cumsum(mins, axis=-1)[:, -1]
+
+
+def collision_terms(coupling, rep: Optional[RepulsionModel], ts, xs, vs):
+    """(B, F) of the collision lemma at stacked states: B = -rho, F = Gamma.
+
+    Both are `_pair_sum`s at the pair (i, i') attaining each velocity spread
+    (`spread_report`'s tie rule): rho of the weights, Gamma of half the rates
+    -2 f_aj (x_a - x_j).(v_a - v_j) of the repulsion tails, 0 without one.  A
+    chunk of states within PASS_BYTES builds its geometry and weights once.
+    """
+    k, n, r = xs.shape
+    b, f = np.empty(k), np.zeros(k)
+    # per state: the (r, n, n) differences, their squared distances and up to
+    # five n x n temporaries of pair_dot and the weights
+    chunk = max(1, PASS_BYTES // ((r + 6) * n * n * 8))
+    for lo in range(0, k, chunk):
+        x, v, t = xs[lo : lo + chunk], vs[lo : lo + chunk], ts[lo : lo + chunk, None, None]
+        m = np.arange(len(x))[:, None]
+        # spread_report per state: first widest coordinate, its first max and min agent
+        dim = (v.max(axis=1) - v.min(axis=1)).argmax(axis=1)
+        col = np.take_along_axis(v, dim[:, None, None], axis=2)[..., 0]
+        pair = np.stack([col.argmax(axis=1), col.argmin(axis=1)], axis=1)
+        dx = pair_differences(x)
+        d2 = pair_dot(dx, dx)
+        b[lo : lo + chunk] = -_pair_sum(weights_matrix(coupling, t, x, dist_sq=d2)[m, pair], pair)
+        if rep is not None:
+            s = d2[m, pair]
+            s[m, [0, 1], pair] = np.inf  # self pairs: strength 0, never inside d0
+            dv = (v[m, pair, None] - v[:, None]).transpose(3, 0, 1, 2)
+            strength = repulsion_strength(rep, s, pair[..., None], np.arange(n))
+            f[lo : lo + chunk] = 0.5 * _pair_sum(-2.0 * strength * pair_dot(dx[:, m, pair], dv), pair)
+    return b, f
+
+
+def _run_audit(traj: Trajectory, terms) -> TrajectoryAudit:
     """Shared forward-difference audit loop.
 
-    bound_terms(k) gives the certified growth rate B_k and the forcing F_k
-    at sample k; the audit checks (S_{k+1} - S_k)/h <= S_k expm1(max(B_k,
+    terms(ts, xs, vs) gives the certified growth rate B and the forcing F at
+    stacked states; the audit checks (S_{k+1} - S_k)/h <= S_k expm1(max(B_k,
     B_{k+1}) h)/h - min(F_k, F_{k+1}) within 10 (rtol S_k + atol) / h.
     Steps with either end at or below the resolution floor are skipped
-    before any bound is evaluated, so bound_terms is called only at the ends
-    of the checked steps.
+    before any bound is evaluated, so terms sees only the ends of the
+    checked steps, in one call.
     """
     ts = traj.ts
     sv = traj.spread_v
@@ -334,16 +386,16 @@ def _run_audit(traj: Trajectory, bound_terms) -> TrajectoryAudit:
     steps = np.flatnonzero(stepped & ~below[:-1] & ~below[1:])
     ends = np.zeros(len(ts), dtype=bool)  # both ends of every checked step
     ends[steps] = ends[steps + 1] = True
-    terms = {k: bound_terms(k) for k in np.flatnonzero(ends).tolist()}
+    b, f = np.zeros((2, len(ts)))
+    b[ends], f[ends] = terms(ts[ends], traj.xs[ends], traj.vs[ends])
 
     n_violations = 0
     worst = -math.inf
     first_t = None
     for k in steps.tolist():
-        (b_k, f_k), (b_next, f_next) = terms[k], terms[k + 1]
         h = ts[k + 1] - ts[k]
         fd = (sv[k + 1] - sv[k]) / h
-        rhs = sv[k] * math.expm1(max(b_k, b_next) * h) / h - min(f_k, f_next)
+        rhs = sv[k] * math.expm1(max(b[k], b[k + 1]) * h) / h - min(f[k], f[k + 1])
         tol = 10.0 * (rtol * sv[k] + atol) / h
         margin = fd - rhs - tol
         worst = max(worst, margin)
@@ -364,58 +416,9 @@ def _run_audit(traj: Trajectory, bound_terms) -> TrajectoryAudit:
 
 def audit_sync_run(traj: Trajectory, env: Envelope, n: int, k_bound: float) -> TrajectoryAudit:
     """Check d/dt S(v) <= (k - n psi(S(x))) S(v) sample by sample."""
-    sx = traj.spread_x
-
-    def terms(k: int) -> tuple[float, float]:
-        return k_bound - n * env.psi(float(sx[k])), 0.0
-
-    return _run_audit(traj, terms)
-
-
-def _sum_left(values: np.ndarray) -> float:
-    """The elements of values added left to right in Python floats, 0 when empty."""
-    return reduce(operator.add, values.tolist(), 0)
-
-
-def _pair_decay_terms(traj: Trajectory, coupling, rep: Optional[RepulsionModel], k: int):
-    """Contraction rate rho and repulsion forcing at sample k.
-
-    Both are taken at the pair attaining the velocity spread.  Self weights
-    drop out of the pair minimum, so the (i, i') cross terms enter directly.
-    Sums over the other agents run left to right, as a per-pair loop would,
-    on every Python: from 3.12 on, the builtin `sum` of floats is
-    compensated and gives other bits.
-    The weights and the repulsion read one `distance_sq_matrix`.
-    """
-    t = float(traj.ts[k])
-    x = traj.xs[k]
-    v = traj.vs[k]
-    rail = spread_report(v)
-    i, ip = rail.i, rail.j
-    d2 = distance_sq_matrix(x)
-    w = weights_matrix(coupling, t, x, dist_sq=d2)
-    n = x.shape[0]
-    others = np.delete(np.arange(n), [i, ip])
-    rho = w[i, ip] + w[ip, i] + _sum_left(np.minimum(w[i, others], w[ip, others]))
-
-    gamma = 0.0
-    if rep is not None:
-
-        def dtail(a: int, b) -> np.ndarray:
-            """d/dt of the repulsion tail of each pair (a, b_m)."""
-            f = repulsion_strength(rep, d2[a, b], a, b)
-            return -2.0 * f * pair_dot((x[a] - x[b]).T, (v[a] - v[b]).T)
-
-        head = (dtail(i, [ip]) + dtail(ip, [i]))[0]
-        gamma = 0.5 * (head + _sum_left(np.minimum(dtail(i, others), dtail(ip, others))))
-    return rho, gamma
+    return _run_audit(traj, partial(sync_terms, env, n, k_bound))
 
 
 def audit_collision_run(traj: Trajectory, coupling, rep: RepulsionModel) -> TrajectoryAudit:
     """Check d/dt S(v) <= -rho S(v) - Gamma at the spread-attaining pair."""
-
-    def terms(k: int) -> tuple[float, float]:
-        rho, gamma = _pair_decay_terms(traj, coupling, rep, k)
-        return -rho, gamma
-
-    return _run_audit(traj, terms)
+    return _run_audit(traj, partial(collision_terms, coupling, rep))

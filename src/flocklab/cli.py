@@ -405,22 +405,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        doc = read_document(_read_text(args.scenario), args.seed)
+        materialize(read_document(_read_text(args.scenario), args.seed))
     except ScenarioError as exc:
         diags = exc.diagnostics
+    except ValueError as exc:
+        diags = [f"materialization: {exc}"]
     else:
-        diags = validate(doc)
-        if not diags:
-            try:
-                materialize(doc)
-            except (ScenarioError, ValueError) as exc:
-                diags = [f"materialization: {exc}"]
-    if diags:
-        for diag in diags:
-            print(diag)
-        return EXIT_USAGE
-    print("scenario OK")
-    return EXIT_OK
+        print("scenario OK")
+        return EXIT_OK
+    for diag in diags:
+        print(diag)
+    return EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------

@@ -376,9 +376,9 @@ def canonical_json(doc: dict) -> str:
 
 
 def scenario_sha256(doc: dict) -> str:
-    # imported on first use, as only `simulate` hashes; OpenSSL's `_hashlib`
-    # (about 3 MiB) still loads on any scenario with seeded draws, through
-    # `numpy.random`
+    # imported on first use, as only `simulate` (for its manifest) and `audit`
+    # (checking it) hash; OpenSSL's `_hashlib` (about 3 MiB) still loads on
+    # any scenario with seeded draws, through `numpy.random`
     import hashlib
 
     return hashlib.sha256(canonical_json(normalized(doc)).encode("utf-8")).hexdigest()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -483,7 +484,8 @@ def test_collision_audit_evaluates_weights_only_where_it_checks(monkeypatch):
     monkeypatch.setattr(certify_mod, "weights_matrix", counting)
     audit = audit_collision_run(traj, sc.spec.coupling, sc.spec.repulsion)
     assert audit.n_checked == len(steps)
-    assert len(calls) == len(needed)
+    stacked = np.concatenate([np.ravel(t) for _, t, *_ in calls])
+    assert stacked.tobytes() == traj.ts[needed].tobytes()
 
 
 def _loop_audit(traj: Trajectory, bound_rate, forcing=None) -> TrajectoryAudit:
@@ -605,7 +607,7 @@ def test_pair_decay_terms_add_left_to_right_on_every_python(monkeypatch):
     rep = RepulsionModel(d0=0.25, phi=1.5, coeffs=rng.uniform(1.0, 2.0, size=(n, n)))
 
     def terms():
-        return np.array([certify_mod._pair_decay_terms(traj, coupling, rep, j) for j in range(k)])
+        return np.array(certify_mod.collision_terms(coupling, rep, ts, xs, vs))
 
     want, audit = terms(), audit_collision_run(traj, coupling, rep)
     assert audit.n_checked > 0
@@ -614,12 +616,15 @@ def test_pair_decay_terms_add_left_to_right_on_every_python(monkeypatch):
     assert audit_collision_run(traj, coupling, rep) == audit
 
 
-def test_collision_audit_rejects_checked_pair_inside_d0():
+def _pair_inside_d0_run(vs_at_close=None) -> Trajectory:
+    """Three agents; at sample 2 agent 2 sits at squared distance 0.16 from agent 0."""
     ts = np.linspace(0.0, 1.0, 5)
     xs = np.tile(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]), (5, 1, 1))
-    xs[2, 2] = [0.0, 0.4]  # squared distance 0.16 to agent 0 at a checked sample
+    xs[2, 2] = [0.0, 0.4]
     vs = np.tile(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), (5, 1, 1))
-    traj = Trajectory(
+    if vs_at_close is not None:
+        vs[2] = vs_at_close
+    return Trajectory(
         ts=ts,
         xs=xs,
         vs=vs,
@@ -628,6 +633,17 @@ def test_collision_audit_rejects_checked_pair_inside_d0():
         n_rejected=0,
         cfg=IntegratorConfig(t_end=1.0, sample_dt=0.25),
     )
+
+
+def test_collision_audit_rejects_checked_pair_inside_d0():
     coupling = ModulatedCoupling(w=1.0, delta=1.0, beta=np.full((3, 3), 1.0))
-    with pytest.raises(ValueError, match="<= d0"):
-        audit_collision_run(traj, coupling, _rep(1.0, n=3))
+    message = "pair (0, 2) at squared distance 0.16000000000000003 <= d0=0.25"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        audit_collision_run(_pair_inside_d0_run(), coupling, _rep(1.0, n=3))
+
+
+def test_collision_audit_ignores_pair_inside_d0_at_a_skipped_sample():
+    # zero velocity spread at the close sample skips both steps that end there
+    coupling = ModulatedCoupling(w=1.0, delta=1.0, beta=np.full((3, 3), 1.0))
+    audit = audit_collision_run(_pair_inside_d0_run(0.0), coupling, _rep(1.0, n=3))
+    assert (audit.n_checked, audit.n_skipped) == (2, 2)

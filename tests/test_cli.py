@@ -78,6 +78,19 @@ def test_validate_reports_non_string_dynamics_name(name, tmp_path, capsys):
     assert f"internal.name: unknown dynamics {name!r}" in capsys.readouterr().out
 
 
+def test_validate_reports_a_scenario_that_fails_to_materialize(tmp_path, capsys):
+    # the schema admits it, but 12 agents 0.275 apart do not fit a 0.2 square
+    doc = json.loads(Path(bundled_path("example3_strong")).read_text(encoding="utf-8"))
+    doc["n"] = 12
+    doc["initial"]["spread_x"] = 0.2
+    crowded = tmp_path / "crowded.json"
+    crowded.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--scenario", str(crowded)]) == EXIT_USAGE
+    assert capsys.readouterr().out.splitlines() == [
+        "materialization: initial positions: no draw met min squared separation 0.275 in 10000 attempts"
+    ]
+
+
 def test_validate_rejects_broken_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")

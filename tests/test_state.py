@@ -317,7 +317,9 @@ def test_every_reported_pair_distance_is_distance_sq_matrix_bit_for_bit(xs):
         return np.ones(np.shape(s))
 
     with mock.patch.object(certify_mod, "repulsion_strength", recording):
-        certify_mod._pair_decay_terms(traj, ConstantCoupling(w=1.0), rep, k - 1)
-    assert len(seen) == 4
-    for s, i, j in seen:
-        assert _same_bits(s, d2[k - 1][i, j])
+        certify_mod.collision_terms(ConstantCoupling(w=1.0), rep, traj.ts[-1:], xs[-1:], traj.vs[-1:])
+    [(s, i, j)] = seen
+    s, i, j = np.broadcast_arrays(s, i, j)
+    pairs = i != j  # the self pairs are masked outside d0
+    assert _same_bits(s[pairs], d2[k - 1][i[pairs], j[pairs]])
+    assert (s[~pairs] == np.inf).all()
