@@ -37,6 +37,8 @@ _SVG_PALETTE = (
     "#bcbd22",
     "#17becf",
 )
+# the style of a reference line and of its legend entry
+_DASHED = 'stroke="#999999" stroke-width="1" stroke-dasharray="6,3"'
 
 
 def fmt_sig(value: float) -> str:
@@ -54,8 +56,13 @@ def fmt_sig(value: float) -> str:
 # timeseries CSV
 
 
+# the columns every timeseries CSV starts with: (header name, Trajectory
+# attribute), the attribute also the key read_timeseries_csv returns
+_BASE_COLUMNS = (("t", "ts"), ("S_v", "spread_v"), ("S_x", "spread_x"), ("min_dist_sq", "min_dist_sq"))
+
+
 def timeseries_header(n: int, r: int, full: bool) -> list[str]:
-    cols = ["t", "S_v", "S_x", "min_dist_sq"]
+    cols = [name for name, _ in _BASE_COLUMNS]
     if full:
         cols += [f"v_{i + 1}_{l + 1}" for i in range(n) for l in range(r)]
         cols += [f"x_{i + 1}_{l + 1}" for i in range(n) for l in range(r)]
@@ -64,7 +71,7 @@ def timeseries_header(n: int, r: int, full: bool) -> list[str]:
 
 def write_timeseries_csv(path, traj: Trajectory, full: bool = False) -> None:
     k, n, r = traj.xs.shape
-    cols = [traj.ts, traj.spread_v, traj.spread_x, traj.min_dist_sq]
+    cols = [getattr(traj, attr) for _, attr in _BASE_COLUMNS]
     header = timeseries_header(n, r, full)
     # RFC-4180 rows ending in CRLF, whose cells are fmt_sig's text and need
     # no quoting: a slice of rows is printed with repr, and the cells that
@@ -99,7 +106,8 @@ def read_timeseries_csv(path) -> dict:
     shape (k, n, r) when the file carries full-state columns, all views of
     one (k, columns) array.  The file is read twice: once to count its
     lines, then in slices of lines, each parsed into its rows of that array.
-    A ragged or non-numeric row, or rows whose width is not the header's,
+    A ragged or non-numeric row, rows whose width is not the header's, or a
+    header other than `timeseries_header`'s for its last column's n and r
     raise ValueError.
     """
     with open(path, encoding="utf-8", newline="") as fh:
@@ -126,27 +134,19 @@ def read_timeseries_csv(path) -> dict:
     data = data[:filled]  # blank lines hold no row
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
-    expected = ["t", "S_v", "S_x", "min_dist_sq"]
-    if header[: len(expected)] != expected:
-        raise ValueError(f"{path}: unexpected header {header[: len(expected)]}")
-    out = {
-        "ts": data[:, 0],
-        "spread_v": data[:, 1],
-        "spread_x": data[:, 2],
-        "min_dist_sq": data[:, 3],
-    }
-    state_cols = header[len(expected) :]
-    if state_cols:
-        tags = [re.fullmatch(r"([vx])_(\d+)_(\d+)", col) for col in state_cols]
-        if any(tag is None for tag in tags):
-            raise ValueError(f"{path}: malformed state columns")
-        n = max(int(tag.group(2)) for tag in tags)
-        r = max(int(tag.group(3)) for tag in tags)
-        if len(state_cols) != 2 * n * r:
-            raise ValueError(f"{path}: expected {2 * n * r} state columns, found {len(state_cols)}")
-        k = data.shape[0]
-        out["vs"] = data[:, 4 : 4 + n * r].reshape(k, n, r)
-        out["xs"] = data[:, 4 + n * r :].reshape(k, n, r)
+    # the header must be the one the writer builds for the n and r of its
+    # last column; the count comes first, so a mislabelled last column
+    # cannot ask for a large header
+    full = width > len(_BASE_COLUMNS)
+    tag = re.fullmatch(r"x_(\d+)_(\d+)", header[-1]) if full else None
+    n, r = (int(tag[1]), int(tag[2])) if tag else (0, 0)
+    if width != len(_BASE_COLUMNS) + 2 * n * r or header != timeseries_header(n, r, full):
+        raise ValueError(f"{path}: unexpected header {','.join(header)[:80]!r}")
+    out = {attr: data[:, col] for col, (_, attr) in enumerate(_BASE_COLUMNS)}
+    if full:
+        k, base = len(data), len(_BASE_COLUMNS)
+        out["vs"] = data[:, base : base + n * r].reshape(k, n, r)
+        out["xs"] = data[:, base + n * r :].reshape(k, n, r)
     return out
 
 
@@ -222,11 +222,8 @@ def report_value(val) -> str:
 
 
 def certificate_report(cert) -> str:
-    """Flat `key: value` text block, one line per certificate field."""
-    lines = [f"certificate: {cert.kind}"]
-    for fld in dataclasses.fields(cert):
-        lines.append(f"{fld.name}: {report_value(getattr(cert, fld.name))}")
-    return "\n".join(lines) + "\n"
+    """Flat `key: value` text block, one line per item of `certificate_fields`."""
+    return "".join(f"{key}: {report_value(val)}\n" for key, val in certificate_fields(cert).items())
 
 
 def certificate_fields(cert) -> dict:
@@ -426,10 +423,10 @@ class SvgPlot:
         for (label, _, _), t, y in zip(self.series, xs, ys):
             if not (np.isfinite(t).all() and np.isfinite(y).all()):
                 raise ValueError(f"plot {self.title!r}: series {label!r} holds a non-finite value")
-        ys += [self._prepare(np.array([val])) for _, val in self.hlines]
+        levels = [self._prepare(np.array([val])) for _, val in self.hlines]
         # nothing to draw (one agent has no pairs): an empty frame on the unit axes
         xs_all = np.concatenate(xs or [np.zeros(1)])
-        ys_all = np.concatenate(ys or [np.zeros(1)])
+        ys_all = np.concatenate(ys + levels or [np.zeros(1)])
         x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
         y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
         if x_hi <= x_lo:
@@ -497,37 +494,24 @@ class SvgPlot:
             f"{_esc(self.ylabel)}</text>"
         )
 
-        for _, value in self.hlines:
-            py = sy(float(self._prepare(np.array([value]))[0]))
-            out.append(
-                f'<line x1="{x0}" y1="{py:.2f}" x2="{x1}" y2="{py:.2f}" '
-                f'stroke="#999999" stroke-width="1" stroke-dasharray="6,3"/>'
-            )
+        for level in levels:
+            py = sy(float(level[0]))
+            out.append(f'<line x1="{x0}" y1="{py:.2f}" x2="{x1}" y2="{py:.2f}" {_DASHED}/>')
 
+        colors = [_SVG_PALETTE[idx % len(_SVG_PALETTE)] for idx in range(len(self.series))]
         if self.series:
             out.append('<g transform="scale(.01)" fill="none" stroke-width="130">')
             paths = _path_data((sx(t), sy(y)) for t, y in zip(xs, ys))
-            for idx, d in enumerate(paths):
-                color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-                out.append(f'<path stroke="{color}" d="{d}"/>')
+            out += [f'<path stroke="{color}" d="{d}"/>' for color, d in zip(colors, paths)]
             out.append("</g>")
-        legend_y = y0 + 4
-        for idx, (label, _, _) in enumerate(self.series):
-            color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-            ly = legend_y + 16 * idx
+        # the legend: one entry per series, then one per reference line
+        entries = [(label, f'stroke="{color}" stroke-width="2"')
+                   for (label, _, _), color in zip(self.series, colors)]
+        entries += [(label, _DASHED) for label, _ in self.hlines]
+        for idx, (label, style) in enumerate(entries):
+            ly = y0 + 4 + 16 * idx
             out.append(
-                f'<line x1="{x1 + 10}" y1="{ly + 8:.2f}" x2="{x1 + 34}" y2="{ly + 8:.2f}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            out.append(
-                f'<text x="{x1 + 40}" y="{ly + 12:.2f}" font-family="sans-serif" '
-                f'font-size="11">{_esc(label)}</text>'
-            )
-        for idx, (label, _) in enumerate(self.hlines):
-            ly = legend_y + 16 * (len(self.series) + idx)
-            out.append(
-                f'<line x1="{x1 + 10}" y1="{ly + 8:.2f}" x2="{x1 + 34}" y2="{ly + 8:.2f}" '
-                f'stroke="#999999" stroke-width="1" stroke-dasharray="6,3"/>'
+                f'<line x1="{x1 + 10}" y1="{ly + 8:.2f}" x2="{x1 + 34}" y2="{ly + 8:.2f}" {style}/>'
             )
             out.append(
                 f'<text x="{x1 + 40}" y="{ly + 12:.2f}" font-family="sans-serif" '

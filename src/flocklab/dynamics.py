@@ -29,6 +29,7 @@ from .bounds import bounded, check_fields, entries
 
 _FD_STEP = 1e-6
 _K_BLOCK = 1024  # box points per Jacobian call in k_region: bounded memory as 2^r grows
+_K_POINTS = 2**20  # the most box points k_region walks: 2^r corners double its time per dimension
 SAMPLES_PER_DIM = 9  # k_region's grid points per box side where a Jacobian is not affine
 
 
@@ -162,19 +163,16 @@ def logistic_cosine_solution(t, z0: float):
     return (2.0 - c * e) / (1.0 - c * e)
 
 
-ENVELOPE_GRID = 4097  # time samples over one period of the logistic-cosine orbit
-
-
 def logistic_cosine_envelope_bound(z0: float) -> float:
     """Alignment penalty along the closed-form orbit through z0.
 
     For initial velocities below z0 the worst pairwise penalty is
-    2 z(t) - 3 evaluated on the orbit; the maximum over one period is
-    returned.  With z0 = 1.5 this is (1 - e^-1) / (1 + e^-1).
+    2 z(t) - 3 evaluated on the orbit, and its maximum is returned.  z is
+    (2 - c e^{sin t}) / (1 - c e^{sin t}) with c = (z0 - 2) / (z0 - 1) < 0,
+    which falls as sin t rises, so the maximum is at sin t = -1, t = 3 pi / 2.
+    With z0 = 1.5 this is (1 - e^-1) / (1 + e^-1).
     """
-    t = np.linspace(0.0, 2.0 * math.pi, ENVELOPE_GRID)
-    z = logistic_cosine_solution(t, z0)
-    return float(np.max(2.0 * z - 3.0))
+    return 2.0 * float(logistic_cosine_solution(1.5 * math.pi, z0)) - 3.0
 
 
 _LORENZ_BOX = np.array([[-17.0, 17.5], [-22.0, 24.5], [7.0, 45.0]])
@@ -238,7 +236,9 @@ def k_region(dyn: InternalDynamics, box=None, t_grid=None) -> float:
     gives the same maximum.  Other dynamics are maximised over the grid
     times only: `DEFAULT_T_GRID`, one period 2 pi in 256 steps, is exact
     for `logistic_cosine` only because its penalty's extremes, at
-    cos t = 1 and -1, fall on the grid times 0 and pi.
+    cos t = 1 and -1, fall on the grid times 0 and pi.  A box of more than
+    `_K_POINTS` points (corners, or grid points a side to the power r)
+    raises ValueError.
     """
     if box is None:
         box = dyn.box
@@ -253,6 +253,12 @@ def k_region(dyn: InternalDynamics, box=None, t_grid=None) -> float:
     if dyn.autonomous:
         times = times[:1]
 
+    # point p takes grid[d, i_d] for the base-shape[0] digits i of p
+    shape = (2 if dyn.jacobian_affine else SAMPLES_PER_DIM,) * dyn.dim
+    n_points = math.prod(shape)
+    if n_points > _K_POINTS:
+        raise ValueError(f"k_region over {n_points} box points ({shape[0]} a side in "
+                         f"{dyn.dim} dimensions), over the limit of {_K_POINTS}")
     if dyn.jacobian_affine:
         grid = box
     else:
@@ -263,9 +269,6 @@ def k_region(dyn: InternalDynamics, box=None, t_grid=None) -> float:
         )
         grid = np.linspace(box[:, 0], box[:, 1], SAMPLES_PER_DIM, axis=1)
 
-    # point p takes grid[d, i_d] for the base-len(grid[0]) digits i of p
-    shape = (grid.shape[1],) * dyn.dim
-    n_points = math.prod(shape)
     best = -math.inf
     for start in range(0, n_points, _K_BLOCK):
         idx = np.unravel_index(np.arange(start, min(start + _K_BLOCK, n_points)), shape)

@@ -238,6 +238,27 @@ def test_timeseries_read_rejects_malformed_files(tmp_path, text, message):
         read_timeseries_csv(path)
 
 
+@pytest.mark.parametrize(
+    "state_cols",
+    [
+        "x_1_1,v_1_1",
+        "v_1_1,v_1_1,x_1_1,x_2_1",
+        "v_2_1,v_1_1,x_1_1,x_2_1",
+        "v_01_1,x_1_1",
+        "v_1_1,x_99999999_99999999",
+    ],
+    ids=["x_before_v", "repeated_tag", "agents_out_of_order", "zero_padded", "huge_last_tag"],
+)
+def test_timeseries_read_rejects_a_header_the_writer_does_not_build(tmp_path, state_cols):
+    # each of the first four has 2nr state columns for the largest agent and
+    # coordinate it names; the last one's n and r must not build a header
+    width = 4 + state_cols.count(",") + 1
+    path = tmp_path / "ts.csv"
+    path.write_bytes(f"t,S_v,S_x,min_dist_sq,{state_cols}\r\n{','.join(['1'] * width)}\r\n".encode())
+    with pytest.raises(ValueError, match="unexpected header"):
+        read_timeseries_csv(path)
+
+
 def _large_state_traj(k: int = 200, n: int = 400, r: int = 3) -> Trajectory:
     rng = np.random.default_rng(9)
     return Trajectory(

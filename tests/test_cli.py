@@ -244,6 +244,24 @@ def test_certificate_floats_print_alike_in_report_stdout_and_manifest(tmp_path, 
         assert fields[key] == tokens[key].removesuffix(".0"), key
 
 
+def test_region_k_over_too_many_box_corners_fails_instead_of_hanging(tmp_path, capsys):
+    # 2^40 corners of the zero dynamics' box would take weeks to walk
+    doc = json.loads(Path(bundled_path("example1_delta09")).read_text(encoding="utf-8"))
+    doc.update(r=40, internal={"name": "zero"}, certificate={"k_source": "region"},
+               initial={"mode": "generate", "spread_x": 1.0, "spread_v": 0.5})
+    path = tmp_path / "zero_r40.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = "k_region over 1099511627776 box points (2 a side in 40 dimensions), over the limit of 1048576"
+    for argv in (["certify"], ["simulate", "--out", str(tmp_path / "run")]):
+        assert main([*argv, "--scenario", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out), "--axis", "r=[2,40]"]) == EXIT_OK
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"] for row in rows] == ["", f"ValueError: {message}"]
+
+
 def test_certify_without_penalty_on_a_steep_envelope_reports_a_verdict(tmp_path, capsys):
     # psi = 1 / (1 + s^2)^12 overflows long before s = 1e15, so no radius may be probed
     doc = json.loads(Path(bundled_path("example1_delta09")).read_text(encoding="utf-8"))

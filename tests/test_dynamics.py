@@ -152,6 +152,17 @@ def test_envelope_bound_closed_form():
     assert round(got, 3) == 0.462
 
 
+def test_envelope_bound_equals_the_sampled_maximum_over_one_period():
+    # the reference: 2 z - 3 sampled at 4,097 times over one period, a grid
+    # on which t = 3 pi / 2 lies (sample 3,072)
+    t = np.linspace(0.0, 2.0 * math.pi, 4097)
+    rng = np.random.default_rng(5)
+    for z0 in [*rng.uniform(1.0, 2.0, 500), 1.0 + 1e-9, 1.5, 2.0 - 1e-9]:
+        want = float(np.max(2.0 * logistic_cosine_solution(t, z0) - 3.0))
+        got = logistic_cosine_envelope_bound(z0)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), z0
+
+
 def test_invalid_box_shape_rejected():
     with pytest.raises(ValueError):
         InternalDynamics(name="bad", dim=2, g=lambda t, z: z, box=np.array([[0.0, 1.0]]))
@@ -223,6 +234,17 @@ def test_k_region_dominates_the_pointwise_penalty(make, k, u):
     z = lo + np.asarray(u[: dyn.dim]) * (hi - lo)
     penalty = _row_penalties(dyn.eval_jacobian(float(DEFAULT_T_GRID[k]), z)).max()
     assert k_region(dyn) >= penalty - 1e-12
+
+
+def test_k_region_refuses_more_box_points_than_its_limit():
+    # 2^20 corners are walked, in seconds; each dimension more doubles the time
+    assert k_region(zero_dynamics(20)) == 0.0
+    with pytest.raises(ValueError, match="2097152 box points"):
+        k_region(zero_dynamics(21))
+    # a sampled Jacobian has 9 points a side: 9^7 is over 2^20
+    dyn = InternalDynamics(name="cube7", dim=7, g=lambda t, z: z**3, box=np.tile([-1.0, 1.0], (7, 1)))
+    with pytest.raises(ValueError, match="4782969 box points"):
+        k_region(dyn)
 
 
 def test_k_region_requires_a_box():
